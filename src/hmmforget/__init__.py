@@ -13,7 +13,7 @@ from .bounds import (BoundConfig, BoundReport, ConditionReport, H2UnverifiedErro
                      log_upsilon_batch, phi, psi, rho, upsilon)
 from .experiments import (ExperimentConfig, ExperimentResult, RSequenceResult,
                           emit_report, estimate_r_sequences, fit_rate,
-                          misspecification_study, run_forgetting)
+                          run_forgetting)
 from .gridfilter import (DegenerateFilterError, FilterState, filter_step,
                          init_filter, run_two_filters, transition_kernel,
                          tv_distance)

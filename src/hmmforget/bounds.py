@@ -23,9 +23,10 @@ import numpy as np
 from scipy import optimize
 from scipy.special import logsumexp
 
-from .gridfilter import transition_kernel
+from .gridfilter import resolve_grid, transition_kernel
 from .grids import GridSpec
-from .models import FiniteStateModel
+
+UPSILON_QUAD_M = 4096  # default Upsilon quadrature cells over the domain
 
 
 class NotCertifiableError(RuntimeError):
@@ -85,7 +86,7 @@ def certify_ld_set(model, candidate, m_probe: int = 256) -> LDSet:
     and farthest mean offset), otherwise an m_probe x m_probe lattice
     search is used.
     """
-    if isinstance(model, FiniteStateModel):
+    if model.kind == "finite":
         states = tuple(sorted(int(s) for s in candidate))
         if not states:
             raise ValueError("state subset must be nonempty")
@@ -102,7 +103,7 @@ def certify_ld_set(model, candidate, m_probe: int = 256) -> LDSet:
     if not lo < hi:
         raise ValueError("interval must be nonempty")
     width = hi - lo
-    slope = _affine_mean_slope(model)
+    slope = model.mean_slope
     if slope is not None:
         # means over C form the interval [m_lo, m_hi]; the offset x' - m(x)
         # then ranges over [lo - m_hi, hi - m_lo]
@@ -128,19 +129,6 @@ def certify_ld_set(model, candidate, m_probe: int = 256) -> LDSet:
     return LDSet(eps_minus=eps_minus, eps_plus=eps_plus, interval=(lo, hi))
 
 
-def _affine_mean_slope(model):
-    """Slope of the conditional state mean if it is linear, else None."""
-    if isinstance(model, FiniteStateModel):
-        return None
-    if hasattr(model, "drift_form") and model.drift_form == "tanh":
-        return None
-    if hasattr(model, "phi"):
-        return model.phi
-    if hasattr(model, "delta"):
-        return 1.0 - model.delta
-    return None  # pragma: no cover
-
-
 def rho(ld: LDSet) -> float:
     """Contraction coefficient 1 - (eps-/eps+)^2 of the pair chain."""
     r = 1.0 - (ld.eps_minus / ld.eps_plus) ** 2
@@ -152,52 +140,49 @@ def rho(ld: LDSet) -> float:
 
 
 def _log_g_qv(model, x, y):
-    """log [ g(x, y) QV(x)/V(x) ], vectorized over x (continuous models)."""
-    logg = model._obs_logpdf(np.asarray(x, dtype=float), y)
-    if model.drift.form == "one":
-        return logg
-    return logg + np.log(model.qv_ratio_exact(x))
+    """log [ g(x, y) QV(x)/V(x) ], broadcast over x and y."""
+    logg = model.loglik(x, y)
+    log_qv = model.log_qv(x)
+    return logg if log_qv is None else logg + log_qv
 
 
-def _region_mask(region, x):
+def _region_mask(region, x, discrete):
+    """Which support points x lie in ``region``: "all" or ("complement", C),
+    where C lists states on a finite state set and is (lo, hi) otherwise."""
     if region == "all":
-        return np.ones_like(x, dtype=bool)
-    kind, (lo, hi) = region
+        return np.ones(len(x), dtype=bool)
+    kind, members = region
     if kind != "complement":
         raise ValueError(f"unknown region {region!r}")
+    if discrete:
+        return ~np.isin(x, members)
+    lo, hi = members
     return (x < lo) | (x > hi)
+
+
+def _upsilon_grid(model, region, ys, quad):
+    """The resolved quadrature grid, the support points in ``region`` and
+    log g(x, y) QV(x)/V(x) on them; shared by upsilon and log_upsilon_batch."""
+    quad = resolve_grid(model, quad, UPSILON_QUAD_M)
+    x = model.support(quad)
+    x = x[_region_mask(region, x, quad is None)]
+    return quad, x, _log_g_qv(model, x[:, None], ys[None, :])
 
 
 def upsilon(model, region, y, quad: GridSpec | None = None, refine: bool = True) -> float:
     """Supremum over the region of g(x, y) QV(x)/V(x).
 
-    ``region`` is "all" or ("complement", (lo, hi)).  On continuous models
-    the supremum is located on the quadrature grid and, when ``refine`` is
-    set, polished by a bounded 1-d maximization (the QV/V factor has a
-    closed form on all Gaussian kernels, so the objective is exact).
+    ``region`` is "all" or ("complement", C).  The supremum is located on
+    the support points (exact on finite state sets) and, on continuous
+    models when ``refine`` is set, polished by a bounded 1-d maximization
+    (the QV/V factor has a closed form on all Gaussian kernels, so the
+    objective is exact).
     """
-    if isinstance(model, FiniteStateModel):
-        states = np.arange(model.m)
-        mask = _region_mask_finite(region, states)
-        if not mask.any():
-            return 0.0
-        g = model.likelihood_vector(y)[mask]
-        qv = np.array([model.qv_ratio(s) for s in states[mask]])
-        return float(np.max(g * qv))
-
-    lo, hi = model.domain
-    if quad is None:
-        quad = GridSpec(lo, hi, 4096)
-    x = quad.centers
-    mask = _region_mask(region, x)
-    if not mask.any():
-        return 0.0
-    xs = x[mask]
-    vals = _log_g_qv(model, xs, y)
-    i = int(np.argmax(vals))
-    best = vals[i]
-    if refine:
-        a, b = _polish_bracket(xs[i], quad.delta, region, (lo, hi))
+    quad, xs, vals = _upsilon_grid(model, region, np.array([y]), quad)
+    best = vals.max(initial=-np.inf)
+    if refine and quad is not None and len(xs):
+        i = int(np.argmax(vals[:, 0]))
+        a, b = _polish_bracket(xs[i], quad.delta, region, model.domain)
         res = optimize.minimize_scalar(
             lambda t: -_log_g_qv(model, np.array([t]), y)[0],
             bounds=(a, b), method="bounded",
@@ -205,15 +190,6 @@ def upsilon(model, region, y, quad: GridSpec | None = None, refine: bool = True)
         )
         best = max(best, -res.fun)
     return float(np.exp(best))
-
-
-def _region_mask_finite(region, states):
-    if region == "all":
-        return np.ones_like(states, dtype=bool)
-    kind, members = region
-    if kind != "complement":
-        raise ValueError(f"unknown region {region!r}")
-    return ~np.isin(states, np.asarray(list(members)))
 
 
 def _polish_bracket(x0, delta, region, domain):
@@ -231,27 +207,8 @@ def _polish_bracket(x0, delta, region, domain):
 
 def log_upsilon_batch(model, region, ys, quad: GridSpec | None = None) -> np.ndarray:
     """Grid-based log Upsilon_region(y) for an array of observations."""
-    ys = np.asarray(ys)
-    if isinstance(model, FiniteStateModel):
-        states = np.arange(model.m)
-        mask = _region_mask_finite(region, states)
-        if not mask.any():
-            return np.full(len(ys), -np.inf)
-        qv = np.array([model.qv_ratio(s) for s in states[mask]])
-        g = model.emission[mask][:, ys.astype(int)]
-        return np.max(np.log(g) + np.log(qv)[:, None], axis=0)
-    lo, hi = model.domain
-    if quad is None:
-        quad = GridSpec(lo, hi, 4096)
-    x = quad.centers
-    mask = _region_mask(region, x)
-    if not mask.any():
-        return np.full(len(ys), -np.inf)
-    xs = x[mask]
-    logg = model._obs_logpdf(xs[:, None], ys[None, :])
-    if model.drift.form != "one":
-        logg = logg + np.log(model.qv_ratio_exact(xs))[:, None]
-    return np.max(logg, axis=0)
+    _, _, vals = _upsilon_grid(model, region, np.asarray(ys), quad)
+    return vals.max(axis=0, initial=-np.inf)
 
 
 def find_ld_set_for_eta(model, eta, K, y_probe, quad: GridSpec | None = None,
@@ -267,7 +224,7 @@ def find_ld_set_for_eta(model, eta, K, y_probe, quad: GridSpec | None = None,
     y_probe = [y for y in np.atleast_1d(y_probe) if _in_K(K, y)]
     if not y_probe:
         raise ValueError("need at least one probe observation in K")
-    if isinstance(model, FiniteStateModel):
+    if model.kind == "finite":
         raise TypeError("interval search applies to continuous models only")
     if max_radius is None:
         max_radius = model.domain[1]
@@ -302,13 +259,9 @@ def psi(model, D: LDSet, y, quad_m: int = 2048) -> float:
 
 
 def log_psi_batch(model, D: LDSet, ys, quad_m: int = 2048) -> np.ndarray:
-    ys = np.asarray(ys)
-    if isinstance(model, FiniteStateModel):
-        g = model.emission[np.asarray(D.states)][:, ys.astype(int)]
-        return logsumexp(np.log(g), axis=0) - np.log(len(D.states))
-    sub = GridSpec(D.interval[0], D.interval[1], quad_m)
-    logg = model._obs_logpdf(sub.centers[:, None], ys[None, :])
-    return logsumexp(logg, axis=0) - np.log(quad_m)
+    x = np.asarray(D.states) if D.interval is None else GridSpec(*D.interval, quad_m).centers
+    logg = model.loglik(x[:, None], np.asarray(ys)[None, :])
+    return logsumexp(logg, axis=0) - np.log(len(x))
 
 
 def phi(model, nu, D: LDSet, y0, y1, grid: GridSpec | None = None,
@@ -318,26 +271,19 @@ def phi(model, nu, D: LDSet, y0, y1, grid: GridSpec | None = None,
     Returns 0 with a HypothesisWarning when nu Q 1_D = 0, which violates
     the positivity hypothesis of the pathwise bound.
     """
-    if isinstance(model, FiniteStateModel):
-        p = nu.weights_finite(model.m)
-        g0 = model.likelihood_vector(y0)
-        g1 = np.zeros(model.m)
-        idx = np.asarray(D.states)
-        g1[idx] = model.likelihood_vector(y1)[idx]
-        reach = p @ model.transition[:, idx].sum(axis=1)
-        value = float(p * g0 @ (model.transition @ g1))
+    grid = resolve_grid(model, grid)
+    if kernel is None:
+        kernel = transition_kernel(model, grid)
+    x = model.support(grid)
+    w = np.exp(model.log_init(nu, grid))
+    if D.interval is None:
+        mask = np.isin(x, D.states)
     else:
-        if grid is None:
-            raise ValueError("continuous models need an evaluation grid")
-        if kernel is None:
-            kernel = transition_kernel(model, grid)
-        x = grid.centers
-        w = np.exp(nu.log_weights_on(grid))
         mask = (x >= D.interval[0]) & (x <= D.interval[1])
-        g0 = np.exp(model._obs_logpdf(x, y0))
-        g1 = np.where(mask, np.exp(model._obs_logpdf(x, y1)), 0.0)
-        reach = w @ kernel[:, mask].sum(axis=1)
-        value = float((w * g0) @ (kernel @ g1))
+    g0 = np.exp(model.loglik(x, y0))
+    g1 = np.where(mask, np.exp(model.loglik(x, y1)), 0.0)
+    reach = w @ kernel[:, mask].sum(axis=1)
+    value = float((w * g0) @ (kernel @ g1))
     if reach <= 0:
         warnings.warn("nu Q 1_D = 0: the positivity hypothesis fails for this initial law",
                       HypothesisWarning)
@@ -420,17 +366,12 @@ def _trajectory_terms(model, nu, nu_prime, obs, C: LDSet, D: LDSet,
                       grid, quad_m):
     """Per-observation log terms shared by both bound assemblers."""
     obs = np.asarray(obs)
-    if isinstance(model, FiniteStateModel):
-        region_c = ("complement", C.states)
-        log_nuV = float(np.log(nu.weights_finite(model.m) @ model.drift_values))
-        log_nuV2 = float(np.log(nu_prime.weights_finite(model.m) @ model.drift_values))
-        kernel = None
-    else:
-        region_c = ("complement", C.interval)
-        logV = model.drift.log(grid.centers)
-        log_nuV = float(logsumexp(nu.log_weights_on(grid) + logV))
-        log_nuV2 = float(logsumexp(nu_prime.log_weights_on(grid) + logV))
-        kernel = transition_kernel(model, grid)
+    grid = resolve_grid(model, grid)
+    kernel = transition_kernel(model, grid)
+    logV = model.log_v(model.support(grid))
+    log_nuV = float(logsumexp(model.log_init(nu, grid) + logV))
+    log_nuV2 = float(logsumexp(model.log_init(nu_prime, grid) + logV))
+    region_c = ("complement", C.interval or C.states)
     log_ups_x = log_upsilon_batch(model, "all", obs)
     log_ups_cc = log_upsilon_batch(model, region_c, obs)
     log_psi = log_psi_batch(model, D, obs, quad_m=quad_m)

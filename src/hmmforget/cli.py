@@ -15,7 +15,8 @@ reproducible from its output directory alone.  All writes stay inside
 ``--out``.
 
 Exit codes: 0 success, 1 domain failure (degenerate filter, set not
-certifiable, hypothesis not verifiable), 2 usage or configuration error.
+certifiable, hypothesis not verifiable), 2 usage or configuration error
+(including invalid values).
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ import numpy as np
 from .bounds import (BoundConfig, H2UnverifiedError, LDSet, NotCertifiableError,
                      certify_ld_set, geometric_bound, find_ld_set_for_eta,
                      sharp_bound)
-from .experiments import (ExperimentConfig, emit_report, estimate_r_sequences,
-                          resolve_grid, run_forgetting)
-from .gridfilter import DegenerateFilterError, run_two_filters
+from .experiments import (DEFAULT_GRID_M, ExperimentConfig, emit_report,
+                          estimate_r_sequences, run_forgetting)
+from .gridfilter import DegenerateFilterError, resolve_grid, run_two_filters
 from .grids import GridSpec, InitialDistribution
 from .models import (LGSSM, NLSSM, CoverageError, DomainError, DriftFunction,
                      FiniteStateModel, StochVolModel, TobitModel, simulate)
@@ -113,13 +114,9 @@ def build_grid(cfg, args, model):
     lo = args.grid_lo if args.grid_lo is not None else cfg.get("grid", {}).get("lo")
     hi = args.grid_hi if args.grid_hi is not None else cfg.get("grid", {}).get("hi")
     m = args.grid_m if args.grid_m is not None else cfg.get("grid", {}).get("m")
-    if isinstance(model, FiniteStateModel):
-        return None
-    if lo is None or hi is None:
-        lo, hi = model.domain
-    if m is None:
-        return resolve_grid(model, GridSpec(float(lo), float(hi), 400))
-    return GridSpec(float(lo), float(hi), int(m))
+    m = DEFAULT_GRID_M if m is None else int(m)
+    grid = None if lo is None or hi is None else GridSpec(float(lo), float(hi), m)
+    return resolve_grid(model, grid, m)
 
 
 def build_ld_set(d, model):
@@ -304,7 +301,7 @@ def cmd_experiment(cfg, args, out_dir):
         nu_star=build_init(cfg["nu_star"]),
         n=int(cfg["n"]), replications=int(cfg["replications"]), seed=seed,
         grid=grid, bound_cfg=bound_cfg, ld_set=ld_set,
-        threads=args.threads or int(cfg.get("threads", 1)),
+        threads=args.threads if args.threads is not None else int(cfg.get("threads", 1)),
     )
     result = run_forgetting(ecfg)
     r_seq = None
@@ -367,13 +364,13 @@ def main(argv=None) -> int:
         code = args.fn(cfg, args, out_dir)
         echo_config(cfg, args, out_dir)
         return code
-    except (ConfigError, KeyError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except (DegenerateFilterError, NotCertifiableError, H2UnverifiedError,
             DomainError, CoverageError, DriftPreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, KeyError) as exc:  # DomainError, a ValueError, is caught above
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

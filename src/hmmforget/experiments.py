@@ -23,9 +23,9 @@ import numpy as np
 
 from .bounds import (BoundConfig, LDSet, check_conditions, geometric_bound,
                      indicator_K, log_psi_batch, log_upsilon_batch, phi)
-from .gridfilter import run_two_filters, transition_kernel
+from .gridfilter import resolve_grid, run_two_filters, transition_kernel
 from .grids import GridSpec, InitialDistribution
-from .models import FiniteStateModel, simulate
+from .models import simulate
 
 DEFAULT_GRID_M = 400
 TV_FLOOR = 1e-14
@@ -57,15 +57,6 @@ class ExperimentConfig:
             raise ValueError("thread count must be >= 1")
         if (self.bound_cfg is None) != (self.ld_set is None):
             raise ValueError("bound_cfg and ld_set must be given together")
-
-
-def resolve_grid(model, grid: GridSpec | None) -> GridSpec | None:
-    if isinstance(model, FiniteStateModel):
-        return None
-    if grid is not None:
-        return grid
-    lo, hi = model.domain
-    return GridSpec(lo, hi, DEFAULT_GRID_M)
 
 
 def fit_rate(tv) -> float:
@@ -119,7 +110,7 @@ def _map_ordered(fn, items, threads):
 
 def run_forgetting(cfg: ExperimentConfig) -> ExperimentResult:
     """Simulate, filter twice per record, and fit per-replication rates."""
-    grid = resolve_grid(cfg.model, cfg.grid)
+    grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
 
     def one(rep):
         traj = simulate(cfg.star_model, cfg.n, cfg.nu_star, cfg.seed, rep)
@@ -147,13 +138,6 @@ def run_forgetting(cfg: ExperimentConfig) -> ExperimentResult:
         out.bound_applies = np.stack([r[3][1] for r in results])
         out.conditions = [r[3][2] for r in results]
     return out
-
-
-def misspecification_study(cfg: ExperimentConfig) -> ExperimentResult:
-    """Forgetting run where the generator differs from the filtering model."""
-    if cfg.star_model is cfg.model:
-        raise ValueError("a misspecification study needs a distinct generating model")
-    return run_forgetting(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +174,8 @@ def estimate_r_sequences(cfg: ExperimentConfig) -> RSequenceResult:
     if cfg.bound_cfg is None:
         raise ValueError("r-sequence estimation needs a bound configuration")
     b = cfg.bound_cfg
-    grid = resolve_grid(cfg.model, cfg.grid)
-    kernel = None
-    if not isinstance(cfg.model, FiniteStateModel):
-        kernel = transition_kernel(cfg.model, grid)
+    grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
+    kernel = transition_kernel(cfg.model, grid)
     ns = dyadic_horizons(cfg.n)
 
     def one(rep):

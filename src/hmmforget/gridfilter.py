@@ -18,7 +18,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .grids import GridSpec, InitialDistribution
-from .models import FiniteStateModel
 
 
 class DegenerateFilterError(RuntimeError):
@@ -50,18 +49,25 @@ class FilterState:
         return self.grid.centers if self.grid is not None else np.arange(len(self.logw), dtype=float)
 
 
+def resolve_grid(model, grid: GridSpec | None, m: int | None = None) -> GridSpec | None:
+    """None on a finite state set; else ``grid``, or when it is None m cells
+    over the truncation domain (with m None too, a grid is required)."""
+    if model.kind == "finite":
+        return None
+    if grid is None:
+        if m is None:
+            raise ValueError("continuous models need an evaluation grid")
+        grid = GridSpec(*model.domain, m)
+    return grid
+
+
 def transition_kernel(model, grid: GridSpec | None) -> np.ndarray:
     """Kernel matrix K[j, k] = Q(x_j, dx_k) on the grid (exact when finite)."""
-    if isinstance(model, FiniteStateModel):
-        return model.transition
-    x = grid.centers
-    return np.exp(model._trans_logpdf(x[:, None], x[None, :])) * grid.delta
+    return model.kernel(grid)
 
 
 def _log_likelihood_vector(model, grid, y):
-    if isinstance(model, FiniteStateModel):
-        return np.log(model.likelihood_vector(y))
-    return model.log_likelihood(grid.centers, y)
+    return model.log_likelihood(model.support(grid), y)
 
 
 def _normalize(logu, logZ_prev, context):
@@ -73,13 +79,8 @@ def _normalize(logu, logZ_prev, context):
 
 def init_filter(model, grid: GridSpec | None, init: InitialDistribution, y0) -> FilterState:
     """Filter at time 0: weights proportional to nu(cell) g(x_cell, y0)."""
-    if isinstance(model, FiniteStateModel):
-        with np.errstate(divide="ignore"):
-            lognu = np.log(init.weights_finite(model.m))
-        grid = None
-    else:
-        lognu = init.log_weights_on(grid)
-    logu = lognu + _log_likelihood_vector(model, grid, y0)
+    grid = resolve_grid(model, grid)
+    logu = model.log_init(init, grid) + _log_likelihood_vector(model, grid, y0)
     logw, logZ = _normalize(logu, 0.0, "initialization")
     return FilterState(grid=grid, logw=logw, logZ=logZ)
 
@@ -116,9 +117,9 @@ def run_two_filters(model, grid, nu, nu_prime, obs):
     obs = np.asarray(obs)
     if len(obs) == 0:
         raise ValueError("need at least one observation")
-    kernel = transition_kernel(model, None if isinstance(model, FiniteStateModel) else grid)
     a = init_filter(model, grid, nu, obs[0])
     b = init_filter(model, grid, nu_prime, obs[0])
+    kernel = transition_kernel(model, a.grid)
     out = [(0, tv_distance(a, b), a.logZ, b.logZ)]
     for n in range(1, len(obs)):
         a = filter_step(a, model, obs[n], kernel)

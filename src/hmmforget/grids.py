@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
+from scipy.special import logsumexp
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,8 @@ class GridSpec:
 class InitialDistribution:
     """Initial law of the hidden state.
 
-    ``form`` is one of ``gaussian``, ``uniform``, ``point_mass``,
-    ``grid_density`` (per-cell values on the filter grid) and ``finite``
-    (probability vector over a finite state set).
+    ``form`` is one of ``gaussian``, ``uniform``, ``point_mass`` and
+    ``finite`` (probability vector over a finite state set).
     """
 
     form: str
@@ -67,14 +67,8 @@ class InitialDistribution:
 
     @classmethod
     def point_mass(cls, x):
-        return cls("point_mass", x=float(x))
-
-    @classmethod
-    def grid_density(cls, values):
-        values = np.asarray(values, dtype=float)
-        if np.any(values < 0) or values.sum() <= 0:
-            raise ValueError("grid density must be nonnegative and normalizable")
-        return cls("grid_density", values=values)
+        # an integer stays one, so that it samples as a finite state
+        return cls("point_mass", x=x if isinstance(x, (int, np.integer)) else float(x))
 
     @classmethod
     def finite(cls, p):
@@ -92,19 +86,13 @@ class InitialDistribution:
             logw = np.where((x >= self.a) & (x <= self.b), 0.0, -np.inf)
         elif self.form == "point_mass":
             logw = np.full(grid.m, -np.inf)
-            k = int(np.clip(np.floor((self.x - grid.lo) / grid.delta), 0, grid.m - 1))
-            logw[k] = 0.0
-        elif self.form == "grid_density":
-            if len(self.values) != grid.m:
-                raise ValueError("grid_density length does not match the grid")
-            with np.errstate(divide="ignore"):
-                logw = np.log(self.values)
+            if grid.lo <= self.x <= grid.hi:
+                k = int(np.floor((self.x - grid.lo) / grid.delta))
+                logw[min(k, grid.m - 1)] = 0.0
         elif self.form == "finite":
             raise ValueError("finite initial vector cannot be projected on a continuous grid")
         else:  # pragma: no cover
             raise ValueError(f"unknown initial distribution form {self.form!r}")
-        from scipy.special import logsumexp
-
         z = logsumexp(logw)
         if not np.isfinite(z):
             raise ValueError("initial distribution has no mass on the grid")
@@ -116,6 +104,8 @@ class InitialDistribution:
                 raise ValueError("finite initial vector length does not match the state set")
             return self.values
         if self.form == "point_mass":
+            if not (float(self.x).is_integer() and 0 <= self.x < m):
+                raise ValueError(f"point mass at {self.x} is not a state of {{0..{m - 1}}}")
             p = np.zeros(m)
             p[int(self.x)] = 1.0
             return p

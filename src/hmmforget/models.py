@@ -4,7 +4,15 @@ Every model exposes the same surface: a transition density q(x, x') with
 respect to the state dominating measure, a strictly positive likelihood
 g(x, y) with respect to the observation dominating measure, a drift
 function V >= 1, exact samplers, and the ratio QV/V used by the bound
-machinery.
+machinery.  The filter and the bounds use only the surface of
+``StateSpaceModel``, listed in the README: ``kind``, ``mean_slope``,
+``domain`` (continuous models), ``support(grid)``, ``kernel(grid)``,
+``log_init(nu, grid)``, ``log_v(x)``, ``log_qv(x)`` (None when V == 1) and
+``loglik(x, y)`` (log g broadcast over x and y, with y checked against the
+observation domain and x unchecked, so quadrature may leave the filter's
+domain).  A subclass supplies the others plus ``_obs_logpdf``,
+``_check_state``, ``_check_obs`` and the two samplers; the base derives
+``loglik``, the domain-checked ``log_likelihood`` and ``sample_step``.
 
 Dominating measures: Lebesgue for all continuous transitions; Lebesgue for
 the observations of the linear-Gaussian, nonlinear and stochastic
@@ -96,7 +104,26 @@ def _folded_exp_moment(mean, sd, c):
     return pos + neg
 
 
-class GaussianStateModel:
+class StateSpaceModel:
+    """Members shared by all models, written against the surface above."""
+
+    mean_slope = None
+
+    def loglik(self, x, y):
+        return self._obs_logpdf(x, self._check_obs(y))
+
+    def log_likelihood(self, x, y):
+        return self._obs_logpdf(self._check_state(x), self._check_obs(y))
+
+    def likelihood(self, x, y):
+        return np.exp(self.log_likelihood(x, y))
+
+    def sample_step(self, x, rng):
+        x_next = self.sample_transition(x, rng)
+        return x_next, self.sample_observation(x_next, rng)
+
+
+class GaussianStateModel(StateSpaceModel):
     """Base for models whose hidden chain has a Gaussian transition kernel.
 
     Subclasses define the conditional mean of the next state and the
@@ -115,7 +142,17 @@ class GaussianStateModel:
     # -- transition ---------------------------------------------------------
 
     def state_mean(self, x):
-        raise NotImplementedError
+        return self.mean_slope * np.asarray(x, dtype=float)
+
+    def support(self, grid):
+        return grid.centers
+
+    def kernel(self, grid):
+        x = grid.centers
+        return np.exp(self._trans_logpdf(x[:, None], x[None, :])) * grid.delta
+
+    def log_init(self, nu, grid):
+        return nu.log_weights_on(grid)
 
     def _trans_logpdf(self, x, x_next):
         x = np.asarray(x, dtype=float)
@@ -142,13 +179,6 @@ class GaussianStateModel:
     def _obs_logpdf(self, x, y):
         raise NotImplementedError
 
-    def log_likelihood(self, x, y):
-        self._check_state(x)
-        return self._obs_logpdf(np.asarray(x, dtype=float), self._check_obs(y))
-
-    def likelihood(self, x, y):
-        return np.exp(self.log_likelihood(x, y))
-
     # -- sampling -----------------------------------------------------------
 
     def sample_transition(self, x, rng):
@@ -157,14 +187,13 @@ class GaussianStateModel:
     def sample_observation(self, x, rng):
         raise NotImplementedError
 
-    def sample_step(self, x, rng):
-        x_next = self.sample_transition(x, rng)
-        return x_next, self.sample_observation(x_next, rng)
-
     # -- drift --------------------------------------------------------------
 
-    def drift_value(self, x):
-        return self.drift(x)
+    def log_v(self, x):
+        return self.drift.log(x)
+
+    def log_qv(self, x):
+        return None if self.drift.form == "one" else np.log(self.qv_ratio_exact(x))
 
     def qv_ratio_exact(self, x):
         """QV(x)/V(x) in closed form (Gaussian folded exponential moment)."""
@@ -202,15 +231,12 @@ class LGSSM(GaussianStateModel):
             raise ValueError("autoregression needs |phi| < 1")
         if beta <= 0:
             raise ValueError("observation noise s.d. must be positive")
-        self.phi = float(phi)
+        self.phi = self.mean_slope = float(phi)
         self.beta = float(beta)
         self.h0 = float(h0)
         if domain_halfwidth is None:
             domain_halfwidth = DOMAIN_SD_MULTIPLE * sigma / np.sqrt(1 - phi * phi)
         super().__init__(sigma, drift, domain_halfwidth)
-
-    def state_mean(self, x):
-        return self.phi * np.asarray(x, dtype=float)
 
     def _obs_logpdf(self, x, y):
         return stats.norm.logpdf(y, loc=self.h0 * x, scale=self.beta)
@@ -234,14 +260,11 @@ class TobitModel(GaussianStateModel):
             raise ValueError("autoregression needs |phi| < 1")
         if beta <= 0:
             raise ValueError("observation noise s.d. must be positive")
-        self.phi = float(phi)
+        self.phi = self.mean_slope = float(phi)
         self.beta = float(beta)
         if domain_halfwidth is None:
             domain_halfwidth = DOMAIN_SD_MULTIPLE * sigma / np.sqrt(1 - phi * phi)
         super().__init__(sigma, drift, domain_halfwidth)
-
-    def state_mean(self, x):
-        return self.phi * np.asarray(x, dtype=float)
 
     def _check_obs(self, y):
         y = np.asarray(y, dtype=float)
@@ -283,6 +306,8 @@ class NLSSM(GaussianStateModel):
             raise ValueError("observation noise s.d. must be positive")
         self.drift_form = drift_form
         self.delta = float(delta)
+        if drift_form == "linear_shrink":
+            self.mean_slope = 1.0 - self.delta
         self.kappa = float(kappa)
         self.beta = float(beta)
         self.obs_form = obs_form
@@ -323,14 +348,11 @@ class StochVolModel(GaussianStateModel):
             raise ValueError("autoregression needs |phi| < 1")
         if beta <= 0:
             raise ValueError("observation scale must be positive")
-        self.phi = float(phi)
+        self.phi = self.mean_slope = float(phi)
         self.beta = float(beta)
         if domain_halfwidth is None:
             domain_halfwidth = DOMAIN_SD_MULTIPLE * sigma / np.sqrt(1 - phi * phi)
         super().__init__(sigma, drift, domain_halfwidth)
-
-    def state_mean(self, x):
-        return self.phi * np.asarray(x, dtype=float)
 
     def _obs_logpdf(self, x, y):
         x, y = np.broadcast_arrays(x, y)
@@ -341,7 +363,7 @@ class StochVolModel(GaussianStateModel):
         return self.beta * np.exp(x / 2) * rng.standard_normal()
 
 
-class FiniteStateModel:
+class FiniteStateModel(StateSpaceModel):
     """Finite-state HMM over states {0..m-1} and symbols {0..K-1}.
 
     The transition matrix is exactly row-stochastic; emission probabilities
@@ -370,19 +392,25 @@ class FiniteStateModel:
         self.drift_values = np.asarray(drift_values, dtype=float)
         if np.any(self.drift_values < 1):
             raise ValueError("drift values must be >= 1")
-        self.drift = DriftFunction.one()
 
     def _check_state(self, x):
-        x = int(x)
-        if not 0 <= x < self.m:
-            raise DomainError(f"state {x} outside {{0..{self.m - 1}}}")
-        return x
+        return _check_index(x, self.m, "state")
 
     def _check_obs(self, y):
-        y = int(y)
-        if not 0 <= y < self.n_symbols:
-            raise DomainError(f"symbol {y} outside {{0..{self.n_symbols - 1}}}")
-        return y
+        return _check_index(y, self.n_symbols, "symbol")
+
+    def support(self, grid):
+        return np.arange(self.m)
+
+    def kernel(self, grid):
+        return self.transition
+
+    def log_init(self, nu, grid):
+        with np.errstate(divide="ignore"):
+            return np.log(nu.weights_finite(self.m))
+
+    def _obs_logpdf(self, x, y):
+        return np.log(self.emission[x, y])
 
     def transition_density(self, x, x_next):
         return self.transition[self._check_state(x), self._check_state(x_next)]
@@ -390,28 +418,32 @@ class FiniteStateModel:
     def likelihood(self, x, y):
         return self.emission[self._check_state(x), self._check_obs(y)]
 
-    def log_likelihood(self, x, y):
-        return np.log(self.likelihood(x, y))
-
-    def likelihood_vector(self, y):
-        return self.emission[:, self._check_obs(y)]
-
     def sample_transition(self, x, rng):
         return int(rng.choice(self.m, p=self.transition[self._check_state(x)]))
 
     def sample_observation(self, x, rng):
         return int(rng.choice(self.n_symbols, p=self.emission[self._check_state(x)]))
 
-    def sample_step(self, x, rng):
-        x_next = self.sample_transition(x, rng)
-        return x_next, self.sample_observation(x_next, rng)
+    def log_v(self, x):
+        return np.log(self.drift_values[x])
 
-    def drift_value(self, x):
-        return self.drift_values[self._check_state(x)]
+    def log_qv(self, x):
+        if np.all(self.drift_values == 1.0):
+            return None
+        return np.log(self.transition[x] @ self.drift_values / self.drift_values[x])
 
-    def qv_ratio(self, x, quad=None, coverage_tol=None):
-        x = self._check_state(x)
-        return float(self.transition[x] @ self.drift_values) / self.drift_values[x]
+
+def _check_index(v, size, what):
+    """``v`` as integer indices, if every entry is one of 0..size-1."""
+    if np.ndim(v) == 0:  # samplers and the filter pass scalars: keep them cheap
+        i = int(v)
+        ok = i == v and 0 <= i < size
+    else:
+        i = np.asarray(v).astype(int)
+        ok = ((i == v) & (i >= 0) & (i < size)).all()
+    if not ok:
+        raise DomainError(f"{what} {v} outside {{0..{size - 1}}}")
+    return i
 
 
 def simulate(model, n, init: InitialDistribution, seed, replication=0,
@@ -424,10 +456,7 @@ def simulate(model, n, init: InitialDistribution, seed, replication=0,
     if n < 0:
         raise ValueError("horizon must be >= 0")
     rng0 = substream(seed, replication, 0)
-    if isinstance(model, FiniteStateModel):
-        x = int(init.sample(rng0)) if init.form != "finite" else init.sample(rng0)
-    else:
-        x = init.sample(rng0)
+    x = init.sample(rng0)
     hidden = [x]
     obs = [model.sample_observation(x, rng0)]
     for k in range(1, n + 1):

@@ -11,14 +11,20 @@ from hmmforget import (LGSSM, NLSSM, BoundConfig, DriftFunction,
                        check_conditions, geometric_bound, find_ld_set_for_eta,
                        sharp_bound, log_upsilon_batch, phi, psi, rho,
                        run_two_filters, simulate, upsilon)
-from hmmforget.bounds import log_psi_batch
+from hmmforget.bounds import _trajectory_terms, log_psi_batch
 
 
-def test_certify_lgssm_hand_values():
-    ld = certify_ld_set(LGSSM(0.5, 1.0, 1.0), (-1.0, 1.0))
-    assert ld.eps_plus == pytest.approx(2.0 / np.sqrt(2 * np.pi), abs=1e-6)
+@pytest.mark.parametrize("model", [
+    LGSSM(0.5, 1.0, 1.0), TobitModel(0.5, 1.0, 1.0), StochVolModel(0.5, 1.0, 1.0),
+    NLSSM("linear_shrink", 0.5, 1.0, 1.0),
+], ids=lambda m: m.kind)
+def test_certify_lgssm_hand_values(model):
+    # every affine-mean model at slope 0.5 takes the analytic path; 1e-12 is
+    # beyond what the 256-point lattice fallback reaches
+    ld = certify_ld_set(model, (-1.0, 1.0))
+    assert ld.eps_plus == pytest.approx(2.0 / np.sqrt(2 * np.pi), rel=1e-12)
     assert ld.eps_minus == pytest.approx(
-        2.0 / np.sqrt(2 * np.pi) * np.exp(-1.5 ** 2 / 2), abs=1e-6)
+        2.0 / np.sqrt(2 * np.pi) * np.exp(-1.5 ** 2 / 2), rel=1e-12)
     assert rho(ld) == pytest.approx(0.894602, abs=5e-6)
 
 
@@ -103,6 +109,31 @@ def test_find_ld_set_nlssm():
                   drift=DriftFunction.exp_abs(0.5), domain_halfwidth=30.0)
     C = find_ld_set_for_eta(model, 0.1, None, [0.0, 1.0, 2.0])
     assert C.interval[1] < 30.0
+
+
+def test_finite_drift_values_enter_upsilon_and_nu_v():
+    P = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+    E = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]])
+    V = np.array([1.0, 2.5, 4.0])
+    model = FiniteStateModel(P, E, drift_values=V)
+    ratio = (P @ V) / V
+    outside = [0, 2]  # the complement of C = {1}
+    ys = np.array([0, 1, 2, 2, 0])
+    expected = np.array([np.max(E[outside, y] * ratio[outside]) for y in ys])
+    batch = np.exp(log_upsilon_batch(model, ("complement", (1,)), ys))
+    assert batch == pytest.approx(expected, rel=1e-12)
+    for y, e in zip(ys, expected):
+        assert upsilon(model, ("complement", (1,)), y) == pytest.approx(e, rel=1e-12)
+    assert upsilon(model, "all", 1) == pytest.approx(np.max(E[:, 1] * ratio), rel=1e-12)
+
+    nu = InitialDistribution.finite([0.8, 0.1, 0.1])
+    nup = InitialDistribution.finite([0.1, 0.1, 0.8])
+    C = certify_ld_set(model, (1,))
+    D = certify_ld_set(model, (0, 1, 2))
+    terms = _trajectory_terms(model, nu, nup, ys, C, D, None, 2048)
+    assert terms[1] == pytest.approx(np.log(expected), rel=1e-12)
+    assert terms[5] == pytest.approx(np.log(nu.values @ V), rel=1e-12)
+    assert terms[6] == pytest.approx(np.log(nup.values @ V), rel=1e-12)
 
 
 def test_psi_finite_average():

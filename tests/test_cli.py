@@ -38,6 +38,23 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra,code", [
+    (["--grid-m", "5"], 2),
+    (["--threads", "-1"], 2),
+    (["--threads", "0"], 2),
+    (["--set", "nu.sd=0"], 2),
+    (["--set", "n=0"], 2),
+    (["--grid-lo", "3", "--grid-hi", "1"], 2),
+    (["--grid-lo", "-100", "--grid-hi", "100"], 1),  # DomainError is a ValueError
+])
+def test_invalid_values_exit_code(tmp_path, capsys, extra, code):
+    cfg = write_cfg(tmp_path, experiment_cfg())
+    assert main(["experiment", "--config", cfg, "--seed", "1",
+                 "--out", str(tmp_path / "o"), *extra]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error" if code == 2 else "error")
+
+
 def test_unknown_model_kind_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {**experiment_cfg(), "model": {"kind": "bogus"}})
     code = main(["experiment", "--config", cfg, "--seed", "1",

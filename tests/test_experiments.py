@@ -6,8 +6,7 @@ import pytest
 from hmmforget import (BoundConfig, ExperimentConfig, FiniteStateModel,
                        GridSpec, InitialDistribution, LGSSM, TobitModel,
                        certify_ld_set, emit_report, estimate_r_sequences,
-                       fit_rate, log_psi_batch, misspecification_study, rho,
-                       run_forgetting, simulate)
+                       fit_rate, log_psi_batch, rho, run_forgetting, simulate)
 from hmmforget.experiments import TV_FLOOR, dyadic_horizons
 
 
@@ -86,11 +85,6 @@ def test_finite_tv_below_uniform_ergodicity_rate():
     assert res.median_rate < 0
 
 
-def test_misspecification_requires_distinct_generator(small_cfg):
-    with pytest.raises(ValueError):
-        misspecification_study(small_cfg)
-
-
 def test_misspecified_tobit_still_forgets():
     cfg = ExperimentConfig(
         model=TobitModel(0.5, 1.0, 1.0),
@@ -99,7 +93,7 @@ def test_misspecified_tobit_still_forgets():
         nu_prime=InitialDistribution.gaussian(4, 1),
         nu_star=InitialDistribution.gaussian(0, 1),
         n=80, replications=5, seed=33)
-    res = misspecification_study(cfg)
+    res = run_forgetting(cfg)
     assert res.median_rate < 0
 
 

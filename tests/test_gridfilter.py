@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmmforget import (LGSSM, DegenerateFilterError, FiniteStateModel,
+from hmmforget import (LGSSM, DegenerateFilterError, DomainError, FiniteStateModel,
                        FilterState, GridSpec, InitialDistribution, filter_step,
                        init_filter, run_two_filters, simulate,
                        transition_kernel, tv_distance)
@@ -151,6 +151,15 @@ def test_identical_initials_give_zero_tv():
     obs = simulate(model, 10, nu, seed=4).obs
     recs = run_two_filters(model, grid, nu, nu, obs)
     assert all(r[1] == 0.0 for r in recs)
+
+
+def test_grid_wider_than_domain_raises():
+    model = LGSSM(0.9, 1.0, 1.0)
+    lo, hi = model.domain
+    grid = GridSpec(lo - 1.0, hi + 1.0, 256)
+    nu = InitialDistribution.gaussian(0.0, 1.0)
+    with pytest.raises(DomainError):
+        run_two_filters(model, grid, nu, nu, [0.1, 0.2])
 
 
 def test_degenerate_filter_raises():

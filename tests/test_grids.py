@@ -34,6 +34,20 @@ def test_point_mass_lands_in_its_cell():
     assert w[7] == pytest.approx(1.0)  # 0.37 lies in cell [0.35, 0.40)
 
 
+@pytest.mark.parametrize("x", [-1, 1.7, 5])
+def test_point_mass_off_the_state_set_rejected(x):
+    with pytest.raises(ValueError):
+        InitialDistribution.point_mass(x).weights_finite(3)
+
+
+def test_point_mass_off_the_grid_rejected():
+    g = GridSpec(-10.0, 10.0, 400)
+    with pytest.raises(ValueError):
+        InitialDistribution.point_mass(100.0).log_weights_on(g)
+    w = np.exp(InitialDistribution.point_mass(10.0).log_weights_on(g))
+    assert w[-1] == 1.0  # the upper edge belongs to the last cell
+
+
 def test_finite_vector_round_trip():
     init = InitialDistribution.finite([2.0, 1.0, 1.0])
     assert np.allclose(init.weights_finite(3), [0.5, 0.25, 0.25])

@@ -221,8 +221,9 @@ def find_ld_set_for_eta(model, eta, K, y_probe, quad: GridSpec | None = None,
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
-    y_probe = [y for y in np.atleast_1d(y_probe) if _in_K(K, y)]
-    if not y_probe:
+    y_probe = np.atleast_1d(y_probe)
+    y_probe = y_probe[indicator_K(K, y_probe) > 0]
+    if not len(y_probe):
         raise ValueError("need at least one probe observation in K")
     if model.kind == "finite":
         raise TypeError("interval search applies to continuous models only")
@@ -264,6 +265,20 @@ def log_psi_batch(model, D: LDSet, ys, quad_m: int = 2048) -> np.ndarray:
     return logsumexp(logg, axis=0) - np.log(len(x))
 
 
+def _record_series(model, obs, D: LDSet, C: LDSet | None = None, quad_m: int = 2048):
+    """log Upsilon_X(y_i), log Upsilon_{C^c}(y_i) (None without a C) and
+    log Psi_D(y_i) for i = 0..n.  Both envelopes are maxima of one grid
+    evaluation of log g QV/V, released before Psi is evaluated."""
+    quad, x, vals = _upsilon_grid(model, "all", obs, None)
+    log_ups_x = vals.max(axis=0, initial=-np.inf)
+    log_ups_cc = None
+    if C is not None:
+        mask = _region_mask(("complement", C.interval or C.states), x, quad is None)
+        log_ups_cc = np.max(vals, axis=0, where=mask[:, None], initial=-np.inf)
+    del vals
+    return log_ups_x, log_ups_cc, log_psi_batch(model, D, obs, quad_m=quad_m)
+
+
 def phi(model, nu, D: LDSet, y0, y1, grid: GridSpec | None = None,
         kernel: np.ndarray | None = None) -> float:
     """nu[g(., y0) Q g(., y1) 1_D] by double quadrature (exact when finite).
@@ -276,10 +291,7 @@ def phi(model, nu, D: LDSet, y0, y1, grid: GridSpec | None = None,
         kernel = transition_kernel(model, grid)
     x = model.support(grid)
     w = np.exp(model.log_init(nu, grid))
-    if D.interval is None:
-        mask = np.isin(x, D.states)
-    else:
-        mask = (x >= D.interval[0]) & (x <= D.interval[1])
+    mask = ~_region_mask(("complement", D.interval or D.states), x, grid is None)
     g0 = np.exp(model.loglik(x, y0))
     g1 = np.where(mask, np.exp(model.loglik(x, y1)), 0.0)
     reach = w @ kernel[:, mask].sum(axis=1)
@@ -326,12 +338,6 @@ class BoundConfig:
             raise ValueError("M thresholds must be positive")
 
 
-def _in_K(K, y):
-    if K is None:
-        return True
-    return K[0] <= y <= K[1]
-
-
 def indicator_K(K, ys) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     if K is None:
@@ -351,6 +357,7 @@ class BoundReport:
     a_n: np.ndarray
     rho: float
     inputs: dict = field(default_factory=dict)
+    conditions: ConditionReport | None = None  # filled by geometric_bound
 
     @property
     def log_total(self) -> np.ndarray:
@@ -366,15 +373,14 @@ def _trajectory_terms(model, nu, nu_prime, obs, C: LDSet, D: LDSet,
                       grid, quad_m):
     """Per-observation log terms shared by both bound assemblers."""
     obs = np.asarray(obs)
+    if len(obs) < 2:
+        raise ValueError("the bound needs at least two observations")
     grid = resolve_grid(model, grid)
     kernel = transition_kernel(model, grid)
     logV = model.log_v(model.support(grid))
     log_nuV = float(logsumexp(model.log_init(nu, grid) + logV))
     log_nuV2 = float(logsumexp(model.log_init(nu_prime, grid) + logV))
-    region_c = ("complement", C.interval or C.states)
-    log_ups_x = log_upsilon_batch(model, "all", obs)
-    log_ups_cc = log_upsilon_batch(model, region_c, obs)
-    log_psi = log_psi_batch(model, D, obs, quad_m=quad_m)
+    log_ups_x, log_ups_cc, log_psi = _record_series(model, obs, D, C, quad_m)
     with np.errstate(divide="ignore"):
         log_phi_nu = np.log(phi(model, nu, D, obs[0], obs[1], grid, kernel))
         log_phi_nu2 = np.log(phi(model, nu_prime, D, obs[0], obs[1], grid, kernel))
@@ -386,18 +392,13 @@ def _log_denominator(n, log_psi, log_phi_nu, log_phi_nu2, eps_minus_D):
             + 2.0 * np.sum(log_psi[2:n + 1]))
 
 
-def _assemble(model, nu, nu_prime, obs, beta, C, D, grid, quad_m,
-              ratio_numerator, applies, inputs):
+def _assemble(terms, beta, C, D, ratio_numerator, applies, inputs):
     """Common skeleton: geometric term + ratio term, clipped at 1."""
-    obs = np.asarray(obs)
-    if len(obs) < 2:
-        raise ValueError("the bound needs at least two observations")
-    terms = _trajectory_terms(model, nu, nu_prime, obs, C, D, grid, quad_m)
     log_ups_x, log_ups_cc, log_psi, log_phi_nu, log_phi_nu2, log_nuV, log_nuV2 = terms
     rho_c = rho(C)
-    ns = np.arange(len(obs))
+    ns = np.arange(len(log_ups_x))
     log_geo = np.where(ns > 0, beta * ns * np.log(rho_c) if rho_c > 0 else -np.inf, 0.0)
-    log_ratio = np.full(len(obs), np.nan)
+    log_ratio = np.full(len(ns), np.nan)
     ans = np.array([a_n(int(n), beta) for n in ns])
     for n in ns[1:]:
         num = ratio_numerator(int(n), log_ups_x, log_ups_cc, ans[n])
@@ -428,11 +429,9 @@ def sharp_bound(model, nu, nu_prime, obs, beta, C: LDSet, D: LDSet,
         diffs = np.sort(log_ups_cc[:n + 1] - log_ups_x[:n + 1])[::-1]
         return 2.0 * base + np.sum(diffs[:an])
 
-    applies = np.ones(len(obs), dtype=bool)
-    applies[0] = False
-    inputs = {"beta": beta, "C": C, "D": D}
-    return _assemble(model, nu, nu_prime, obs, beta, C, D, grid, quad_m,
-                     numerator, applies, inputs)
+    terms = _trajectory_terms(model, nu, nu_prime, obs, C, D, grid, quad_m)
+    applies = np.arange(len(obs)) > 0
+    return _assemble(terms, beta, C, D, numerator, applies, {"beta": beta, "C": C, "D": D})
 
 
 def geometric_bound(model, nu, nu_prime, obs, cfg: BoundConfig, C: LDSet,
@@ -442,6 +441,8 @@ def geometric_bound(model, nu, nu_prime, obs, cfg: BoundConfig, C: LDSet,
     ``C`` must satisfy the eta envelope Upsilon_{C^c} <= eta Upsilon_X on K
     (as returned by find_ld_set_for_eta).  Steps where the observed
     K-frequency drops below (1 + gamma)/2 are flagged as not applicable.
+    The report's ``conditions`` are those of check_conditions, read from the
+    series the bound evaluated.
     """
     obs = np.asarray(obs)
 
@@ -449,14 +450,16 @@ def geometric_bound(model, nu, nu_prime, obs, cfg: BoundConfig, C: LDSet,
         return ((cfg.gamma - cfg.beta) * n / 2.0 * np.log(cfg.eta)
                 + 2.0 * np.sum(log_ups_x[:n + 1]))
 
+    terms = _trajectory_terms(model, nu, nu_prime, obs, C, cfg.D, grid, quad_m)
     counts = np.cumsum(indicator_K(cfg.K, obs))
     ns = np.arange(len(obs))
     applies = counts >= (1.0 + cfg.gamma) * ns / 2.0
     applies[0] = False
     inputs = {"beta": cfg.beta, "gamma": cfg.gamma, "eta": cfg.eta, "K": cfg.K,
               "C": C, "D": cfg.D}
-    return _assemble(model, nu, nu_prime, obs, cfg.beta, C, cfg.D, grid, quad_m,
-                     numerator, applies, inputs)
+    report = _assemble(terms, cfg.beta, C, cfg.D, numerator, applies, inputs)
+    report.conditions = _conditions(obs, terms[0], terms[2], cfg)[0]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -480,22 +483,28 @@ class ConditionReport:
         return self.k_frequency_ok and self.upsilon_ok and self.psi_ok
 
 
-def check_conditions(obs, model, cfg: BoundConfig, quad_m: int = 2048) -> ConditionReport:
-    obs = np.asarray(obs)
+def _conditions(obs, log_ups, log_psi, cfg: BoundConfig):
+    """The ConditionReport of a record, and where each of its three averages
+    meets its condition at every n (the r-sequences count the misses)."""
     ns = np.arange(len(obs))
     denom = np.maximum(ns, 1)
     avg_k = np.cumsum(indicator_K(cfg.K, obs)) / (ns + 1.0)
-    log_ups = log_upsilon_batch(model, "all", obs)
     avg_ups = np.cumsum(log_ups) / denom
-    log_psi = log_psi_batch(model, cfg.D, obs, quad_m=quad_m)
-    cum_psi = np.concatenate([[0.0, 0.0], np.cumsum(log_psi[2:])])
-    avg_psi = cum_psi / denom
-    return ConditionReport(
-        n=ns,
-        avg_k_frequency=avg_k,
-        avg_log_upsilon=avg_ups,
-        avg_log_psi=avg_psi,
-        k_frequency_ok=bool(avg_k[-1] >= (1.0 + cfg.gamma) / 2.0),
-        upsilon_ok=bool(avg_ups[-1] < cfg.M1),
-        psi_ok=bool(avg_psi[-1] > -cfg.M2),
-    )
+    avg_psi = np.concatenate([[0.0, 0.0], np.cumsum(log_psi[2:])])[:len(obs)] / denom
+    oks = (avg_k >= (1.0 + cfg.gamma) / 2.0, avg_ups < cfg.M1, avg_psi > -cfg.M2)
+    report = ConditionReport(ns, avg_k, avg_ups, avg_psi, *(bool(ok[-1]) for ok in oks))
+    return report, oks
+
+
+def check_conditions(obs, model, cfg: BoundConfig, quad_m: int = 2048) -> ConditionReport:
+    """Cesaro averages behind the bound's conditions on the record y_0..y_n.
+
+    At every n: the K-frequency #{i <= n : y_i in K}/(n + 1), the envelope
+    average (1/n) sum_{i=0..n} log Upsilon_X(y_i) and the denominator
+    average (1/n) sum_{i=2..n} log Psi_D(y_i) (divided by 1 at n = 0).  The
+    conditions >= (1 + gamma)/2, < M1 and > -M2 are judged at the last n.
+    ``quad_m`` is the Psi quadrature size.
+    """
+    obs = np.asarray(obs)
+    log_ups, _, log_psi = _record_series(model, obs, cfg.D, quad_m=quad_m)
+    return _conditions(obs, log_ups, log_psi, cfg)[0]

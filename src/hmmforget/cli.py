@@ -47,6 +47,38 @@ class ConfigError(ValueError):
     pass
 
 
+# Config entries that hold a JSON number, a pair of numbers or an array of
+# numbers (nested for a matrix), in whichever section they appear.
+NUMBERS = {"phi", "sigma", "beta", "h0", "delta", "sigma0", "kappa", "obs_a", "obs_b",
+           "domain_halfwidth", "c", "mean", "sd", "lo", "hi", "at", "m", "gamma",
+           "eta", "M0", "M1", "M2", "n", "replications", "replication", "seed", "threads"}
+PAIRS = {"interval", "K"}
+ARRAYS = {"transition", "emission", "drift_values", "weights", "states"}
+
+
+def _holds_numbers(value, key):
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nested array
+        return False
+    shape_ok = arr.shape == (2,) if key in PAIRS else bool(arr.shape) == (key in ARRAYS)
+    return arr.dtype.kind in "iuf" and shape_ok
+
+
+def section(d, what, nullable=()):
+    """``d`` if it is a JSON object whose NUMBERS, PAIRS and ARRAYS entries
+    hold numbers (or null, for the keys in ``nullable``); else a ConfigError."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {d!r}")
+    for key in (NUMBERS | PAIRS | ARRAYS) & d.keys():
+        value = d[key]
+        if not (value is None and key in nullable or _holds_numbers(value, key)):
+            kind = ("a pair of numbers" if key in PAIRS else
+                    "an array of numbers" if key in ARRAYS else "a number")
+            raise ConfigError(f"{what} entry {key!r} must be {kind}, got {value!r}")
+    return d
+
+
 # ---------------------------------------------------------------------------
 # Config -> objects
 
@@ -54,6 +86,7 @@ class ConfigError(ValueError):
 def build_drift(d):
     if d is None:
         return DriftFunction.one()
+    d = section(d, "drift")
     if d.get("form") == "one":
         return DriftFunction.one()
     if d.get("form") == "exp_abs":
@@ -62,7 +95,7 @@ def build_drift(d):
 
 
 def build_model(d):
-    if not isinstance(d, dict) or "kind" not in d:
+    if "kind" not in section(d, "model", nullable=("domain_halfwidth", "drift_values")):
         raise ConfigError("model section needs a 'kind'")
     d = dict(d)
     kind = d.pop("kind")
@@ -93,7 +126,7 @@ def build_model(d):
 
 
 def build_init(d):
-    if not isinstance(d, dict) or "form" not in d:
+    if "form" not in section(d, "initial distribution"):
         raise ConfigError("initial distribution needs a 'form'")
     form = d["form"]
     try:
@@ -111,16 +144,17 @@ def build_init(d):
 
 
 def build_grid(cfg, args, model):
-    lo = args.grid_lo if args.grid_lo is not None else cfg.get("grid", {}).get("lo")
-    hi = args.grid_hi if args.grid_hi is not None else cfg.get("grid", {}).get("hi")
-    m = args.grid_m if args.grid_m is not None else cfg.get("grid", {}).get("m")
+    g = section(cfg.get("grid", {}), "grid", nullable=("lo", "hi", "m"))
+    lo = args.grid_lo if args.grid_lo is not None else g.get("lo")
+    hi = args.grid_hi if args.grid_hi is not None else g.get("hi")
+    m = args.grid_m if args.grid_m is not None else g.get("m")
     m = DEFAULT_GRID_M if m is None else int(m)
     grid = None if lo is None or hi is None else GridSpec(float(lo), float(hi), m)
     return resolve_grid(model, grid, m)
 
 
 def build_ld_set(d, model):
-    if "interval" in d:
+    if "interval" in section(d, "LD-set"):
         return certify_ld_set(model, tuple(d["interval"]))
     if "states" in d:
         return certify_ld_set(model, d["states"])
@@ -128,7 +162,7 @@ def build_ld_set(d, model):
 
 
 def build_bound_cfg(d, model):
-    D = build_ld_set(d["D"], model)
+    D = build_ld_set(section(d, "bound", nullable=("K",))["D"], model)
     K = tuple(d["K"]) if d.get("K") is not None else None
     return BoundConfig(beta=d["beta"], gamma=d["gamma"], eta=d["eta"], D=D, K=K,
                        M0=d.get("M0", 1.0), M1=d.get("M1", 1.0), M2=d.get("M2", 1.0))
@@ -175,7 +209,7 @@ def load_config(args):
     for item in args.set or []:
         key, value = parse_override(item)
         apply_override(cfg, key, value)
-    return cfg
+    return section(cfg, "config", nullable=("seed",))
 
 
 def require_seed(args, cfg):
@@ -206,8 +240,10 @@ def get_observations(cfg, args, model):
     obs_cfg = cfg.get("observations")
     if obs_cfg is None:
         raise ConfigError("config needs an 'observations' section")
-    if "file" in obs_cfg:
+    if "file" in section(obs_cfg, "observations"):
         path = obs_cfg["file"]
+        if not isinstance(path, str):
+            raise ConfigError(f"observations entry 'file' must be a path, got {path!r}")
         try:
             data = np.genfromtxt(path, delimiter=",", names=True)
         except OSError as exc:
@@ -216,7 +252,7 @@ def get_observations(cfg, args, model):
             raise ConfigError(f"observation file {path} needs a 'y' column")
         return np.atleast_1d(data["y"])
     if "simulate" in obs_cfg:
-        sim = obs_cfg["simulate"]
+        sim = section(obs_cfg["simulate"], "observations.simulate")
         seed = require_seed(args, cfg)
         star = build_model(sim.get("model", cfg.get("model")))
         init = build_init(sim["init"])
@@ -262,7 +298,7 @@ def cmd_bound(cfg, args, out_dir):
     bnd = cfg.get("bound")
     if bnd is None:
         raise ConfigError("config needs a 'bound' section")
-    form = bnd.get("form", "geometric")
+    form = section(bnd, "bound", nullable=("K",)).get("form", "geometric")
     if form == "sharp":
         C = build_ld_set(bnd["C"], model)
         D = build_ld_set(bnd["D"], model)

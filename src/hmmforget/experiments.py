@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (BoundConfig, LDSet, check_conditions, geometric_bound,
-                     indicator_K, log_psi_batch, log_upsilon_batch, phi)
+from .bounds import (BoundConfig, LDSet, _conditions, _record_series,
+                     geometric_bound, indicator_K, phi)
 from .gridfilter import resolve_grid, run_two_filters, transition_kernel
 from .grids import GridSpec, InitialDistribution
 from .models import simulate
@@ -122,8 +122,7 @@ def run_forgetting(cfg: ExperimentConfig) -> ExperimentResult:
         if cfg.bound_cfg is not None:
             report = geometric_bound(cfg.model, cfg.nu, cfg.nu_prime, traj.obs,
                                      cfg.bound_cfg, cfg.ld_set, grid=grid)
-            cond = check_conditions(traj.obs, cfg.model, cfg.bound_cfg)
-            extra = (report.total_clipped, report.applies, cond)
+            extra = (report.total_clipped, report.applies, report.conditions)
         return tv, za, zb, extra
 
     results = _map_ordered(one, range(cfg.replications), cfg.threads)
@@ -150,11 +149,11 @@ class RSequenceResult:
     controlling the observation-driven bound at each horizon."""
 
     ns: np.ndarray
-    r0_nu: np.ndarray        # initial two-step mass below exp(-M0 n)
+    r0_nu: np.ndarray        # Phi_{nu,D}(y_0, y_1) <= exp(-M0 n)
     r0_nu_prime: np.ndarray
-    r1: np.ndarray           # cumulative log-envelope above M1 n
-    r2: np.ndarray           # cumulative log denominator mass below -M2 n
-    r3: np.ndarray           # K-visit frequency below (1 + gamma)/2
+    r1: np.ndarray           # sum_{i=0..n} log Upsilon_X(y_i) >= M1 n
+    r2: np.ndarray           # sum_{i=2..n} log Psi_D(y_i) <= -M2 n
+    r3: np.ndarray           # #{1 <= i <= n : y_i in K} / n <= (1 + gamma)/2
     thresholds: dict = field(default_factory=dict)
 
 
@@ -184,15 +183,14 @@ def estimate_r_sequences(cfg: ExperimentConfig) -> RSequenceResult:
         with np.errstate(divide="ignore"):
             lphi = np.log(phi(cfg.model, cfg.nu, b.D, obs[0], obs[1], grid, kernel))
             lphi2 = np.log(phi(cfg.model, cfg.nu_prime, b.D, obs[0], obs[1], grid, kernel))
-        cum_ups = np.cumsum(log_upsilon_batch(cfg.model, "all", obs))
-        cum_psi = np.cumsum(log_psi_batch(cfg.model, b.D, obs))
-        cum_k = np.cumsum(indicator_K(b.K, obs))
-        k0 = indicator_K(b.K, obs[:1])[0]
+        log_ups, _, log_psi = _record_series(cfg.model, obs, b.D)
+        _, (_, ups_ok, psi_ok) = _conditions(obs, log_ups, log_psi, b)
+        in_k = indicator_K(b.K, obs)
         e0 = lphi <= -b.M0 * ns
         e0p = lphi2 <= -b.M0 * ns
-        e1 = cum_ups[ns] >= b.M1 * ns
-        e2 = cum_psi[ns] <= -b.M2 * ns
-        e3 = (cum_k[ns] - k0) / ns <= (1.0 + b.gamma) / 2.0
+        e1 = ~ups_ok[ns]
+        e2 = ~psi_ok[ns]
+        e3 = (np.cumsum(in_k)[ns] - in_k[0]) / ns <= (1.0 + b.gamma) / 2.0
         return np.stack([e0, e0p, e1, e2, e3])
 
     events = _map_ordered(one, range(cfg.replications), cfg.threads)

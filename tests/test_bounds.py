@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from hmmforget import (LGSSM, NLSSM, BoundConfig, DriftFunction,
                        FiniteStateModel, GridSpec, HypothesisWarning,
@@ -306,3 +307,33 @@ def test_log_psi_batch_matches_scalar():
     batch = np.exp(log_psi_batch(sv, D, ys))
     for y, v in zip(ys, batch):
         assert psi(sv, D, y) == pytest.approx(v, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [LGSSM(0.9, 1.0, 1.0), TobitModel(0.5, 1.0, 1.0)],
+                         ids=lambda m: m.kind)
+def test_sharp_ratio_term_matches_public_batches(model):
+    # the bound reads its envelopes from one grid evaluation; assembled here
+    # from the public batches it must give the same ratio term
+    grid = GridSpec(*model.domain, 200)
+    nu = InitialDistribution.gaussian(-2, 1)
+    nup = InitialDistribution.gaussian(2, 1)
+    obs = simulate(model, 50, InitialDistribution.gaussian(0, 1), seed=8).obs
+    C = certify_ld_set(model, (-3.0, 3.0))
+    D = certify_ld_set(model, (-2.0, 2.0))
+    beta = 0.2
+    report = sharp_bound(model, nu, nup, obs, beta, C, D, grid=grid)
+
+    lx = log_upsilon_batch(model, "all", obs)
+    lcc = log_upsilon_batch(model, ("complement", C.interval), obs)
+    lpsi = log_psi_batch(model, D, obs)
+    log_phis = [np.log(phi(model, law, D, obs[0], obs[1], grid)) for law in (nu, nup)]
+    log_v = model.log_v(model.support(grid))
+    log_nuvs = [logsumexp(model.log_init(law, grid) + log_v) for law in (nu, nup)]
+    expected = []
+    for n in range(1, len(obs)):
+        gaps = np.sort(lcc[:n + 1] - lx[:n + 1])[::-1]
+        num = 2.0 * np.sum(lx[:n + 1]) + np.sum(gaps[:a_n(n, beta)])
+        den = (2.0 * (n - 1) * np.log(D.eps_minus) + sum(log_phis)
+               + 2.0 * np.sum(lpsi[2:n + 1]))
+        expected.append(num - den + sum(log_nuvs))
+    np.testing.assert_allclose(report.log_term_ratio[1:], expected, rtol=1e-12)

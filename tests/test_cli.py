@@ -46,6 +46,13 @@ def test_bad_config_exits_2(tmp_path, capsys):
     (["--set", "n=0"], 2),
     (["--grid-lo", "3", "--grid-hi", "1"], 2),
     (["--grid-lo", "-100", "--grid-hi", "100"], 1),  # DomainError is a ValueError
+    (["--set", 'nu.sd="abc"'], 2),
+    (["--set", 'model.phi="x"'], 2),
+    (["--set", "model.phi=null"], 2),
+    (["--set", "grid=3"], 2),
+    (["--set", "model.drift=3"], 2),
+    (["--set", "bound=3"], 2),
+    (["--set", "n=null"], 2),
 ])
 def test_invalid_values_exit_code(tmp_path, capsys, extra, code):
     cfg = write_cfg(tmp_path, experiment_cfg())
@@ -53,6 +60,26 @@ def test_invalid_values_exit_code(tmp_path, capsys, extra, code):
                  "--out", str(tmp_path / "o"), *extra]) == code
     err = capsys.readouterr().err
     assert err.startswith("configuration error" if code == 2 else "error")
+
+
+@pytest.mark.parametrize("observations", [3, {"file": 3}, {"simulate": 3}])
+def test_mistyped_observations_exit_2(tmp_path, capsys, observations):
+    cfg = write_cfg(tmp_path, {"model": MODEL, "nu": GAUSS(-2), "nu_prime": GAUSS(2),
+                               "observations": observations})
+    assert main(["filter", "--config", cfg, "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error")
+
+
+def test_null_entries_select_defaults(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "model": {**MODEL, "domain_halfwidth": None}, "nu": GAUSS(-2), "nu_prime": GAUSS(2),
+        "grid": {"lo": None, "hi": None, "m": None},
+        "observations": {"simulate": {"init": GAUSS(0), "n": 6}},
+        "bound": {"form": "geometric", "beta": 0.2, "gamma": 0.5, "eta": 0.5, "K": None,
+                  "D": {"interval": [-2, 2]}, "C": {"interval": [-3, 3]}},
+    })
+    assert main(["bound", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "b")]) == 0
 
 
 def test_unknown_model_kind_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from hmmforget import (BoundConfig, ExperimentConfig, FiniteStateModel,
                        GridSpec, InitialDistribution, LGSSM, TobitModel,
-                       certify_ld_set, emit_report, estimate_r_sequences,
+                       certify_ld_set, check_conditions, emit_report, estimate_r_sequences,
                        fit_rate, log_psi_batch, rho, run_forgetting, simulate)
 from hmmforget.experiments import TV_FLOOR, dyadic_horizons
 
@@ -128,6 +129,30 @@ def test_bound_curves_attached_when_configured():
     ok = res.bound_applies
     assert np.all(res.tv[ok] <= res.bound_totals[ok] + 1e-9)
     assert len(res.conditions) == 3
+
+
+def test_conditions_equal_check_conditions_on_each_record():
+    cfg = tobit_r_config(2.5, n=16, replications=3)
+    res = run_forgetting(cfg)
+    for rep, cond in enumerate(res.conditions):
+        obs = simulate(cfg.star_model, cfg.n, cfg.nu_star, cfg.seed, rep).obs
+        direct = check_conditions(obs, cfg.model, cfg.bound_cfg)
+        for f in dataclasses.fields(direct):
+            assert np.array_equal(getattr(cond, f.name), getattr(direct, f.name)), f.name
+
+
+def test_r2_sums_log_psi_from_index_two():
+    # r2 counts the records with sum_{i=2..n} log Psi_D(y_i) <= -M2 n, the
+    # sum the bound's denominator uses
+    cfg = tobit_r_config(1.5, n=16, replications=20, seed=3)
+    rs = estimate_r_sequences(cfg)
+    events = []
+    for rep in range(cfg.replications):
+        obs = simulate(cfg.star_model, cfg.n, cfg.nu_star, cfg.seed, rep).obs
+        cum = np.cumsum(log_psi_batch(cfg.model, cfg.bound_cfg.D, obs)[2:])
+        events.append(cum[rs.ns - 2] <= -1.5 * rs.ns)
+    assert np.array_equal(rs.r2, np.mean(events, axis=0))
+    assert list(rs.r2) == pytest.approx([0.1, 0.1, 0.0])
 
 
 def test_cesaro_psi_average_settles():

@@ -111,10 +111,11 @@ def _map_ordered(fn, items, threads):
 def run_forgetting(cfg: ExperimentConfig) -> ExperimentResult:
     """Simulate, filter twice per record, and fit per-replication rates."""
     grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
+    kernel = transition_kernel(cfg.model, grid)
 
     def one(rep):
         traj = simulate(cfg.star_model, cfg.n, cfg.nu_star, cfg.seed, rep)
-        records = run_two_filters(cfg.model, grid, cfg.nu, cfg.nu_prime, traj.obs)
+        records = run_two_filters(cfg.model, grid, cfg.nu, cfg.nu_prime, traj.obs, kernel)
         tv = np.array([r[1] for r in records])
         za = np.array([r[2] for r in records])
         zb = np.array([r[3] for r in records])

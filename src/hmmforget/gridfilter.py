@@ -8,6 +8,11 @@ state spaces the recursion is the exact forward algorithm.
 All weight arithmetic is done in the log domain with log-sum-exp, since
 likelihoods (the stochastic volatility one in particular) underflow for
 large |x|.
+
+``run_two_filters`` carries the filters from nu and nu' as the two rows of
+one (2, m) array and evaluates the record's likelihood once, as an
+(n + 1, m) matrix.  Its step is the one ``filter_step`` takes on one row, so
+its output equals an ``init_filter`` + ``filter_step`` loop bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .grids import GridSpec, InitialDistribution
 
@@ -66,23 +70,45 @@ def transition_kernel(model, grid: GridSpec | None) -> np.ndarray:
     return model.kernel(grid)
 
 
-def _log_likelihood_vector(model, grid, y):
-    return model.log_likelihood(model.support(grid), y)
+def _normalize(logu, logZ_prev, y=None):
+    """Normalize the rows of ``logu`` and add their log-sum-exp z to ``logZ_prev``.
+
+    z is SciPy 1.17's logsumexp, bit for bit: with c entries equal to the row
+    max a and s = sum exp(u - a) over the rest, z = log1p(s / c) + log c + a.
+    """
+    amax = np.max(logu, axis=1, keepdims=True)
+    if not np.isfinite(amax).all():  # z is finite exactly when a is
+        where = "initialization" if y is None else f"observation {y}"
+        raise DegenerateFilterError(f"filter weights underflowed to zero ({where})")
+    top = logu == amax
+    e = np.exp(logu - amax)
+    e[top] = 0.0
+    c = np.count_nonzero(top, axis=1, keepdims=True)
+    z = np.log1p(e.sum(axis=1, keepdims=True) / c) + np.log(c) + amax
+    return logu - z, logZ_prev + z[:, 0]
 
 
-def _normalize(logu, logZ_prev, context):
-    z = logsumexp(logu)
-    if not np.isfinite(z):
-        raise DegenerateFilterError(f"filter weights underflowed to zero ({context})")
-    return logu - z, logZ_prev + float(z)
+def _step(logw, logZ, kernel, loglik, y):
+    """Predict and update the rows of ``logw`` with observation ``y``: one
+    matrix-vector product per row, as one product of all rows rounds differently."""
+    shift = np.max(logw, axis=1, keepdims=True)
+    pred = np.stack([row @ kernel for row in np.exp(logw - shift)])
+    with np.errstate(divide="ignore"):
+        logu = np.log(pred) + shift + loglik
+    return _normalize(logu, logZ, y)
+
+
+def _tv(logw):
+    """Total variation distance between the laws with the two rows of log-weights."""
+    return 0.5 * float(np.abs(np.subtract(*np.exp(logw))).sum())
 
 
 def init_filter(model, grid: GridSpec | None, init: InitialDistribution, y0) -> FilterState:
     """Filter at time 0: weights proportional to nu(cell) g(x_cell, y0)."""
     grid = resolve_grid(model, grid)
-    logu = model.log_init(init, grid) + _log_likelihood_vector(model, grid, y0)
-    logw, logZ = _normalize(logu, 0.0, "initialization")
-    return FilterState(grid=grid, logw=logw, logZ=logZ)
+    logu = model.log_init(init, grid) + model.log_likelihood(model.support(grid), y0)
+    logw, logZ = _normalize(logu[None], 0.0)
+    return FilterState(grid=grid, logw=logw[0], logZ=float(logZ[0]))
 
 
 def filter_step(state: FilterState, model, y, kernel: np.ndarray | None = None) -> FilterState:
@@ -91,38 +117,35 @@ def filter_step(state: FilterState, model, y, kernel: np.ndarray | None = None) 
     ``kernel`` may be passed to reuse a precomputed transition matrix; it
     must match ``transition_kernel(model, state.grid)``.
     """
-    if kernel is None:
-        kernel = transition_kernel(model, state.grid)
-    shift = np.max(state.logw)
-    pred = np.exp(state.logw - shift) @ kernel
-    with np.errstate(divide="ignore"):
-        logpred = np.log(pred) + shift
-    logu = logpred + _log_likelihood_vector(model, state.grid, y)
-    logw, logZ = _normalize(logu, state.logZ, f"observation {y!r}")
-    return replace(state, logw=logw, logZ=logZ)
+    kernel = transition_kernel(model, state.grid) if kernel is None else kernel
+    loglik = model.log_likelihood(model.support(state.grid), y)
+    logw, logZ = _step(state.logw[None], state.logZ, kernel, loglik, y)
+    return replace(state, logw=logw[0], logZ=float(logZ[0]))
 
 
 def tv_distance(a: FilterState, b: FilterState) -> float:
     """Total variation distance sup_A |a(A) - b(A)| = half the L1 distance."""
     if (a.grid != b.grid) or (len(a.logw) != len(b.logw)):
         raise ValueError("filter states live on different grids")
-    return 0.5 * float(np.abs(a.weights - b.weights).sum())
+    return _tv(np.stack([a.logw, b.logw]))
 
 
-def run_two_filters(model, grid, nu, nu_prime, obs):
+def run_two_filters(model, grid, nu, nu_prime, obs, kernel=None):
     """Run the filter from nu and nu_prime on a common observation record.
 
     Returns a list of (n, tv, logZ_nu, logZ_nu_prime) tuples, one per step.
+    ``kernel`` is as in ``filter_step``.
     """
     obs = np.asarray(obs)
     if len(obs) == 0:
         raise ValueError("need at least one observation")
-    a = init_filter(model, grid, nu, obs[0])
-    b = init_filter(model, grid, nu_prime, obs[0])
-    kernel = transition_kernel(model, a.grid)
-    out = [(0, tv_distance(a, b), a.logZ, b.logZ)]
+    grid = resolve_grid(model, grid)
+    loglik = model.log_likelihood(model.support(grid)[None, :], obs[:, None])
+    kernel = transition_kernel(model, grid) if kernel is None else kernel
+    logu = np.stack([model.log_init(nu, grid), model.log_init(nu_prime, grid)])
+    logw, logZ = _normalize(logu + loglik[0], 0.0)
+    out = [(0, _tv(logw), *logZ.tolist())]
     for n in range(1, len(obs)):
-        a = filter_step(a, model, obs[n], kernel)
-        b = filter_step(b, model, obs[n], kernel)
-        out.append((n, tv_distance(a, b), a.logZ, b.logZ))
+        logw, logZ = _step(logw, logZ, kernel, loglik[n], obs[n])
+        out.append((n, _tv(logw), *logZ.tolist()))
     return out

@@ -440,7 +440,8 @@ def _check_index(v, size, what):
         ok = i == v and 0 <= i < size
     else:
         i = np.asarray(v).astype(int)
-        ok = ((i == v) & (i >= 0) & (i < size)).all()
+        bad = (i != v) | (i < 0) | (i >= size)
+        ok, v = not bad.any(), np.asarray(v)[bad]  # name only the bad entries
     if not ok:
         raise DomainError(f"{what} {v} outside {{0..{size - 1}}}")
     return i

@@ -8,6 +8,7 @@ from hmmforget import (BoundConfig, ExperimentConfig, FiniteStateModel,
                        GridSpec, InitialDistribution, LGSSM, TobitModel,
                        certify_ld_set, check_conditions, emit_report, estimate_r_sequences,
                        fit_rate, log_psi_batch, rho, run_forgetting, simulate)
+from hmmforget import experiments, gridfilter
 from hmmforget.experiments import TV_FLOOR, dyadic_horizons
 
 
@@ -61,6 +62,19 @@ def test_thread_count_does_not_change_results(small_cfg):
     threaded = run_forgetting(small_cfg)
     assert np.array_equal(base.tv, threaded.tv)
     assert np.array_equal(base.rates, threaded.rates)
+
+
+def test_kernel_built_once_per_experiment(small_cfg, monkeypatch):
+    calls, build = [], gridfilter.transition_kernel
+
+    def counted(model, grid):
+        calls.append(grid)
+        return build(model, grid)
+
+    monkeypatch.setattr(experiments, "transition_kernel", counted)
+    monkeypatch.setattr(gridfilter, "transition_kernel", counted)
+    assert run_forgetting(small_cfg).tv.shape == (4, 26)
+    assert calls == [small_cfg.grid]
 
 
 def test_equal_initials_rate_sentinel(small_cfg):

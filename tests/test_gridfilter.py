@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
-from hmmforget import (LGSSM, DegenerateFilterError, DomainError, FiniteStateModel,
-                       FilterState, GridSpec, InitialDistribution, filter_step,
-                       init_filter, run_two_filters, simulate,
+from hmmforget import (LGSSM, NLSSM, DegenerateFilterError, DomainError,
+                       FiniteStateModel, FilterState, GridSpec, InitialDistribution,
+                       StochVolModel, TobitModel, filter_step, init_filter,
+                       random_finite_model, run_two_filters, simulate,
                        transition_kernel, tv_distance)
+from hmmforget.gridfilter import _normalize
 
 
 def two_state(transition=None, emission=None):
@@ -162,11 +165,87 @@ def test_grid_wider_than_domain_raises():
         run_two_filters(model, grid, nu, nu, [0.1, 0.2])
 
 
-def test_degenerate_filter_raises():
+def degenerate_setup():
     # state noise far narrower than the grid spacing: the one-step predicted
     # mass lands between cell centers and underflows to exactly zero
     model = LGSSM(0.5, 1e-6, 1.0, domain_halfwidth=10.0)
     grid = GridSpec(-10.0, 10.0, 64)
-    state = init_filter(model, grid, InitialDistribution.point_mass(-9.0), -9.0)
+    return model, grid, InitialDistribution.point_mass(-9.0), [-9.0, 0.0]
+
+
+def test_degenerate_filter_raises():
+    model, grid, nu, obs = degenerate_setup()
+    state = init_filter(model, grid, nu, obs[0])
     with pytest.raises(DegenerateFilterError):
-        filter_step(state, model, 0.0)
+        filter_step(state, model, obs[1])
+
+
+def test_degenerate_two_filters_name_the_observation():
+    model, grid, nu, obs = degenerate_setup()
+    with pytest.raises(DegenerateFilterError, match=r"\(observation 0\.0\)"):
+        run_two_filters(model, grid, nu, nu, obs)
+
+
+@pytest.mark.parametrize("where", [0, 17, 40])
+def test_two_filters_reject_a_negative_tobit_observation(where):
+    model = TobitModel(0.5, 1.0, 1.0)
+    obs = simulate(model, 40, InitialDistribution.gaussian(0, 1), seed=3).obs
+    obs[where] = -0.25
+    nu = InitialDistribution.gaussian(0, 1)
+    with pytest.raises(DomainError):
+        run_two_filters(model, GridSpec(*model.domain, 64), nu, nu, obs)
+
+
+def test_two_filters_name_the_bad_finite_symbols():
+    model = random_finite_model(1)
+    nu = InitialDistribution.finite([0.2, 0.3, 0.5])
+    obs = simulate(model, 30, nu, seed=1).obs
+    obs[5] = 7
+    with pytest.raises(DomainError, match=r"^symbol \[7\] outside \{0\.\.3\}$"):
+        run_two_filters(model, None, nu, nu, obs)
+
+
+GAUSS = (InitialDistribution.gaussian(-4.0, 1.0), InitialDistribution.gaussian(4.0, 1.0))
+RECORDS = {
+    "tobit": (TobitModel(0.5, 1.0, 1.0), 400, 200, GAUSS),
+    "nlssm": (NLSSM("linear_shrink", 0.5, 1.0, 1.0), 400, 200, GAUSS),
+    "stochvol": (StochVolModel(0.9, 0.3, 1.0), 400, 200, GAUSS),
+    "finite": (random_finite_model(2), None, 60,
+               (InitialDistribution.finite([0.7, 0.2, 0.1]),
+                InitialDistribution.point_mass(2))),
+}
+
+
+@pytest.mark.parametrize("pass_kernel", [False, True], ids=["own-kernel", "kernel"])
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_two_filters_equal_one_filter_loops_bit_for_bit(name, pass_kernel):
+    model, m, n, (nu, nup) = RECORDS[name]
+    grid = GridSpec(*model.domain, m) if m else None
+    obs = simulate(model, n, InitialDistribution.gaussian(0, 1) if m else nu, seed=7).obs
+    kern = transition_kernel(model, grid)
+    a, b = init_filter(model, grid, nu, obs[0]), init_filter(model, grid, nup, obs[0])
+    loop = [(tv_distance(a, b), a.logZ, b.logZ)]
+    for y in obs[1:]:
+        a, b = filter_step(a, model, y, kern), filter_step(b, model, y)
+        loop.append((tv_distance(a, b), a.logZ, b.logZ))
+    stacked = run_two_filters(model, grid, nu, nup, obs,
+                              kernel=kern if pass_kernel else None)
+    assert [r[0] for r in stacked] == list(range(n + 1))
+    assert np.array_equal(np.array([r[1:] for r in stacked]), np.array(loop))
+    assert loop[0][0] > 0.1 and loop[-1][0] < loop[0][0]
+
+
+def test_normalizer_matches_logsumexp_with_ties_and_zero_weights():
+    # bit for bit: the forgetting rates are fitted on TV values near 1e-14,
+    # where a last-bit change in a normalizer moves a rate by about 1e-5
+    rng = np.random.default_rng(5)
+    rows = rng.normal(-5.0, 2.0, size=(200, 64))
+    rows[1, [3, 9, 60]] = rows[1].max() + 1.0  # a three-way tie for the max
+    rows[2, ::2] = -np.inf
+    rows[3] = rows[3, 0]                       # all entries equal
+    logw, logZ = _normalize(rows, np.zeros(200))
+    assert np.array_equal(logZ, [logsumexp(row) for row in rows])
+    np.testing.assert_allclose(np.exp(logw).sum(axis=1), 1.0, rtol=1e-13)
+    rows[4] = -np.inf
+    with pytest.raises(DegenerateFilterError, match="initialization"):
+        _normalize(rows, np.zeros(200))

@@ -27,6 +27,7 @@ from .gridfilter import resolve_grid, transition_kernel
 from .grids import GridSpec
 
 UPSILON_QUAD_M = 4096  # default Upsilon quadrature cells over the domain
+_RECORD_BLOCK = 256  # observations per envelope block in _record_series
 
 
 class NotCertifiableError(RuntimeError):
@@ -267,16 +268,35 @@ def log_psi_batch(model, D: LDSet, ys, quad_m: int = 2048) -> np.ndarray:
 
 def _record_series(model, obs, D: LDSet, C: LDSet | None = None, quad_m: int = 2048):
     """log Upsilon_X(y_i), log Upsilon_{C^c}(y_i) (None without a C) and
-    log Psi_D(y_i) for i = 0..n.  Both envelopes are maxima of one grid
-    evaluation of log g QV/V, released before Psi is evaluated."""
-    quad, x, vals = _upsilon_grid(model, "all", obs, None)
-    log_ups_x = vals.max(axis=0, initial=-np.inf)
-    log_ups_cc = None
-    if C is not None:
-        mask = _region_mask(("complement", C.interval or C.states), x, quad is None)
-        log_ups_cc = np.max(vals, axis=0, where=mask[:, None], initial=-np.inf)
-    del vals
-    return log_ups_x, log_ups_cc, log_psi_batch(model, D, obs, quad_m=quad_m)
+    log Psi_D(y_i) for i = 0..n.
+
+    The record is taken in blocks of _RECORD_BLOCK observations, so memory
+    does not grow with n.  Both envelopes of a block are maxima of one grid
+    evaluation of log g QV/V.  Every output entry reads its own column only,
+    so the blocking does not change it, with one exception that the blocks
+    avoid: NumPy sums a one-column matrix pairwise, not row by row, which
+    moves the last bit of Psi, so a lone last column joins the block before.
+    """
+    obs = np.asarray(obs)
+    model._check_obs(obs)  # names a bad observation by its index in the record
+    quad = resolve_grid(model, None, UPSILON_QUAD_M)
+    x = model.support(quad)
+    mask = None if C is None else _region_mask(("complement", C.interval or C.states),
+                                               x, quad is None)
+    log_ups_x, log_psi = np.empty(len(obs)), np.empty(len(obs))
+    log_ups_cc = None if C is None else np.empty(len(obs))
+    edges = list(range(0, len(obs), _RECORD_BLOCK))
+    if len(edges) > 1 and len(obs) % _RECORD_BLOCK == 1:
+        edges.pop()
+    for start, stop in zip(edges, edges[1:] + [len(obs)]):
+        cols = slice(start, stop)
+        vals = _log_g_qv(model, x[:, None], obs[None, cols])
+        log_ups_x[cols] = vals.max(axis=0, initial=-np.inf)
+        if mask is not None:
+            log_ups_cc[cols] = np.max(vals, axis=0, where=mask[:, None], initial=-np.inf)
+        del vals
+        log_psi[cols] = log_psi_batch(model, D, obs[cols], quad_m=quad_m)
+    return log_ups_x, log_ups_cc, log_psi
 
 
 def phi(model, nu, D: LDSet, y0, y1, grid: GridSpec | None = None,

@@ -10,8 +10,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 from scipy.special import logsumexp
+
+_NORM_LOG_C = np.log(np.sqrt(2 * np.pi))
+
+
+def norm_logpdf(x, loc, scale):
+    """log N(x; loc, scale^2), broadcast over x and loc, for a scale > 0.
+
+    The operations and their order are those of SciPy 1.17's
+    ``stats.norm.logpdf``, so the two agree bit for bit.
+    """
+    # an array even for scalar inputs, so that z**2 is NumPy's square as in SciPy
+    z = np.asarray((np.asarray(x, dtype=float) - loc) / scale)
+    return -z**2 / 2.0 - _NORM_LOG_C - np.log(scale)
 
 
 @dataclass(frozen=True)
@@ -81,7 +93,7 @@ class InitialDistribution:
         """Normalized log cell-probabilities of this law on ``grid``."""
         x = grid.centers
         if self.form == "gaussian":
-            logw = stats.norm.logpdf(x, loc=self.mean, scale=self.sd)
+            logw = norm_logpdf(x, self.mean, self.sd)
         elif self.form == "uniform":
             logw = np.where((x >= self.a) & (x <= self.b), 0.0, -np.inf)
         elif self.form == "point_mass":

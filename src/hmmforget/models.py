@@ -19,6 +19,14 @@ the observations of the linear-Gaussian, nonlinear and stochastic
 volatility models; delta_0 + Lebesgue for the censored (tobit)
 observations, so g(x, 0) is a Gaussian tail probability while g(x, y > 0)
 is a density.  Both feed the filter identically.
+
+All densities are closed form: the Gaussian ones go through
+``grids.norm_logpdf`` (SciPy's ``norm.logpdf`` arithmetic, without its
+wrapper), and the tobit censoring branch log Phi(-x/beta) is evaluated on
+the states alone, O(grid) rather than O(grid x observations), and
+broadcast over the record.  The domain checks name the first offending
+entry and its value; continuous models reject NaN and infinite
+observations.
 """
 
 from __future__ import annotations
@@ -26,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 from scipy.special import log_ndtr, ndtr
 
-from .grids import GridSpec, InitialDistribution
+from .grids import GridSpec, InitialDistribution, norm_logpdf
 from .rng import substream
 
 DOMAIN_SD_MULTIPLE = 8.0
@@ -157,13 +164,15 @@ class GaussianStateModel(StateSpaceModel):
     def _trans_logpdf(self, x, x_next):
         x = np.asarray(x, dtype=float)
         x_next = np.asarray(x_next, dtype=float)
-        return stats.norm.logpdf(x_next, loc=self.state_mean(x), scale=self.state_sd)
+        return norm_logpdf(x_next, self.state_mean(x), self.state_sd)
 
     def _check_state(self, x):
         x = np.asarray(x, dtype=float)
         lo, hi = self.domain
-        if np.any(x < lo) or np.any(x > hi):
-            raise DomainError(f"state outside the truncation domain [{lo}, {hi}]")
+        bad = (x < lo) | (x > hi)
+        if bad.any():
+            state = _first_offender(bad, x, "state")
+            raise DomainError(f"{state} is outside the truncation domain [{lo}, {hi}]")
         return x
 
     def transition_density(self, x, x_next):
@@ -174,7 +183,12 @@ class GaussianStateModel(StateSpaceModel):
     # -- observation --------------------------------------------------------
 
     def _check_obs(self, y):
-        return np.asarray(y, dtype=float)
+        y = np.asarray(y, dtype=float)
+        bad = ~np.isfinite(y)
+        if bad.any():
+            obs = _first_offender(bad, y, "observation")
+            raise DomainError(f"{self.kind} {obs} is not finite")
+        return y
 
     def _obs_logpdf(self, x, y):
         raise NotImplementedError
@@ -239,7 +253,7 @@ class LGSSM(GaussianStateModel):
         super().__init__(sigma, drift, domain_halfwidth)
 
     def _obs_logpdf(self, x, y):
-        return stats.norm.logpdf(y, loc=self.h0 * x, scale=self.beta)
+        return norm_logpdf(y, self.h0 * x, self.beta)
 
     def sample_observation(self, x, rng):
         return self.h0 * x + self.beta * rng.standard_normal()
@@ -267,16 +281,16 @@ class TobitModel(GaussianStateModel):
         super().__init__(sigma, drift, domain_halfwidth)
 
     def _check_obs(self, y):
-        y = np.asarray(y, dtype=float)
-        if np.any(y < 0):
-            raise DomainError("tobit observations are nonnegative")
+        y = super()._check_obs(y)
+        bad = y < 0
+        if bad.any():
+            raise DomainError(f"tobit {_first_offender(bad, y, 'observation')} is negative")
         return y
 
     def _obs_logpdf(self, x, y):
-        x, y = np.broadcast_arrays(x, y)
-        censored = log_ndtr(-x / self.beta)
-        density = stats.norm.logpdf(y, loc=x, scale=self.beta)
-        return np.where(y == 0, censored, density)
+        # the censoring branch depends on x alone: O(grid), broadcast by where
+        x = np.asarray(x, dtype=float)
+        return np.where(y == 0, log_ndtr(-x / self.beta), norm_logpdf(y, x, self.beta))
 
     def sample_observation(self, x, rng):
         return max(x + self.beta * rng.standard_normal(), 0.0)
@@ -332,7 +346,7 @@ class NLSSM(GaussianStateModel):
         return self.obs_a * x + self.obs_b
 
     def _obs_logpdf(self, x, y):
-        return stats.norm.logpdf(y, loc=self.obs_map(x), scale=self.beta)
+        return norm_logpdf(y, self.obs_map(x), self.beta)
 
     def sample_observation(self, x, rng):
         return float(self.obs_map(x)) + self.beta * rng.standard_normal()
@@ -431,6 +445,16 @@ class FiniteStateModel(StateSpaceModel):
         if np.all(self.drift_values == 1.0):
             return None
         return np.log(self.transition[x] @ self.drift_values / self.drift_values[x])
+
+
+def _first_offender(bad, v, what):
+    """'<what> i (v_i)' for the first flagged entry of ``v`` in flat order
+    (the record index of a row or column record); no index when ``v`` is a
+    scalar."""
+    if v.ndim == 0:
+        return f"{what} {v}"
+    i = int(np.flatnonzero(bad)[0])
+    return f"{what} {i} ({v.flat[i]})"
 
 
 def _check_index(v, size, what):

@@ -1,18 +1,20 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from hmmforget import (LGSSM, NLSSM, BoundConfig, DriftFunction,
+from hmmforget import (LGSSM, NLSSM, BoundConfig, DomainError, DriftFunction,
                        FiniteStateModel, GridSpec, HypothesisWarning,
                        InitialDistribution, LDSet, NotCertifiableError,
                        StochVolModel, TobitModel, a_n, certify_ld_set,
                        check_conditions, geometric_bound, find_ld_set_for_eta,
                        sharp_bound, log_upsilon_batch, phi, psi, rho,
-                       run_two_filters, simulate, upsilon)
-from hmmforget.bounds import _trajectory_terms, log_psi_batch
+                       random_finite_model, run_two_filters, simulate, upsilon)
+from hmmforget.bounds import (_RECORD_BLOCK, _record_series, _trajectory_terms,
+                              log_psi_batch)
 
 
 @pytest.mark.parametrize("model", [
@@ -337,3 +339,64 @@ def test_sharp_ratio_term_matches_public_batches(model):
                + 2.0 * np.sum(lpsi[2:n + 1]))
         expected.append(num - den + sum(log_nuvs))
     np.testing.assert_allclose(report.log_term_ratio[1:], expected, rtol=1e-12)
+
+
+SERIES_MODELS = {
+    "tobit": (TobitModel(0.5, 1.0, 1.0), (-3.0, 3.0), (-2.0, 2.0)),
+    "lgssm-exp-abs": (LGSSM(0.9, 1.0, 1.0, drift=DriftFunction.exp_abs(0.5)),
+                      (-3.0, 3.0), (-2.0, 2.0)),
+    "finite": (random_finite_model(4), (1,), (0, 2)),
+}
+
+
+@pytest.mark.parametrize("length", [_RECORD_BLOCK - 1, _RECORD_BLOCK, _RECORD_BLOCK + 1,
+                                    2 * _RECORD_BLOCK + 1])
+@pytest.mark.parametrize("name", list(SERIES_MODELS))
+def test_record_series_blocks_equal_single_block_batches(name, length):
+    # bit for bit: the blocks must not change a single envelope or Psi value
+    model, c, d = SERIES_MODELS[name]
+    C, D = certify_ld_set(model, c), certify_ld_set(model, d)
+    init = InitialDistribution.finite([0.2, 0.3, 0.5]) if model.kind == "finite" \
+        else InitialDistribution.gaussian(0, 1)
+    obs = simulate(model, length - 1, init, seed=12).obs
+    log_ups_x, log_ups_cc, log_psi = _record_series(model, obs, D, C)
+    assert np.array_equal(log_ups_x, log_upsilon_batch(model, "all", obs))
+    members = C.interval or C.states
+    assert np.array_equal(log_ups_cc, log_upsilon_batch(model, ("complement", members), obs))
+    assert np.array_equal(log_psi, log_psi_batch(model, D, obs))
+    assert _record_series(model, obs, D)[1] is None
+
+
+def test_sharp_bound_memory_is_flat_in_the_horizon():
+    # the envelopes are taken in blocks: a dense 4096 x 4001 evaluation
+    # alone would take 131 MB, and the whole bound took 892 MB that way
+    model = TobitModel(0.5, 1.0, 1.0)
+    obs = simulate(model, 4000, InitialDistribution.gaussian(0, 1), seed=5).obs
+    C, D = certify_ld_set(model, (-3.0, 3.0)), certify_ld_set(model, (-2.0, 2.0))
+    nu, nup = InitialDistribution.gaussian(-2, 1), InitialDistribution.gaussian(2, 1)
+    tracemalloc.start()
+    try:
+        sharp_bound(model, nu, nup, obs, 0.2, C, D, grid=GridSpec(*model.domain, 400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 20, 40])
+@pytest.mark.parametrize("model", [LGSSM(0.9, 1.0, 1.0), TobitModel(0.5, 1.0, 1.0)],
+                         ids=lambda m: m.kind)
+def test_non_finite_observation_named_by_its_index(model, where, value):
+    obs = simulate(model, 40, InitialDistribution.gaussian(0, 1), seed=6).obs
+    obs[where] = value
+    grid = GridSpec(*model.domain, 64)
+    nu, nup = InitialDistribution.gaussian(-2, 1), InitialDistribution.gaussian(2, 1)
+    C, D = certify_ld_set(model, (-3.0, 3.0)), certify_ld_set(model, (-2.0, 2.0))
+    message = rf"^{model.kind} observation {where} \({value}\) is not finite$"
+    with pytest.raises(DomainError, match=message):
+        run_two_filters(model, grid, nu, nup, obs)
+    with pytest.raises(DomainError, match=message):
+        log_upsilon_batch(model, "all", obs)
+    with pytest.raises(DomainError, match=message):
+        sharp_bound(model, nu, nup, obs, 0.2, C, D, grid=grid)

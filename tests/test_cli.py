@@ -71,6 +71,17 @@ def test_mistyped_observations_exit_2(tmp_path, capsys, observations):
     assert capsys.readouterr().err.startswith("configuration error")
 
 
+def test_negative_tobit_observation_named_exits_1(tmp_path, capsys):
+    record = tmp_path / "y.csv"
+    record.write_text("y\n0.0\n1.5\n0.2\n-0.3\n0.7\n")
+    cfg = write_cfg(tmp_path, {
+        "model": {"kind": "tobit", "phi": 0.5, "sigma": 1.0, "beta": 1.0},
+        "nu": GAUSS(-2), "nu_prime": GAUSS(2), "observations": {"file": str(record)}})
+    assert main(["filter", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error") and "3" in err and "-0.3" in err
+
+
 def test_null_entries_select_defaults(tmp_path):
     cfg = write_cfg(tmp_path, {
         "model": {**MODEL, "domain_halfwidth": None}, "nu": GAUSS(-2), "nu_prime": GAUSS(2),

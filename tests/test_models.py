@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy import stats
+from scipy.special import log_ndtr, ndtr
+
+import hmmforget
 
 from hmmforget import (LGSSM, NLSSM, CoverageError, DomainError, DriftFunction,
                        FiniteStateModel, GridSpec, InitialDistribution,
@@ -30,14 +37,76 @@ def test_likelihood_hand_values():
 
 
 def test_tobit_rejects_negative_observation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^tobit observation -0\.5 is negative$"):
         TobitModel(0.5, 1.0, 1.0).likelihood(0.0, -0.5)
+    with pytest.raises(DomainError, match=r"^tobit observation 3 \(-0\.3\) is negative$"):
+        TobitModel(0.5, 1.0, 1.0).loglik(0.0, [0.0, 1.2, 0.0, -0.3, -0.4])
 
 
 def test_state_domain_enforced():
     m = LGSSM(0.9, 1.0, 1.0)
     with pytest.raises(DomainError):
         m.likelihood(m.domain[1] + 1.0, 0.0)
+    xs = np.array([0.0, 1.0, 40.0, -50.0])
+    with pytest.raises(DomainError, match=r"^state 2 \(40\.0\) is outside the truncation"):
+        m.log_likelihood(xs, 0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_observations_rejected(value):
+    for m in (LGSSM(0.9, 1.0, 1.0), TobitModel(0.5, 1.0, 1.0),
+              NLSSM("linear_shrink", 0.5, 1.0, 1.0), StochVolModel(0.9, 0.3, 1.0)):
+        ys = np.array([0.5, 0.0, value, 1.0])
+        named = rf"^{m.kind} observation 2 \({value}\) is not finite$"
+        with pytest.raises(DomainError, match=named):
+            m.loglik(np.zeros(3)[:, None], ys[None, :])
+        with pytest.raises(DomainError, match=rf"^{m.kind} observation {value} is not finite$"):
+            m.likelihood(0.0, value)
+
+
+def tobit_scipy_logpdf(m, x, y):
+    x, y = np.broadcast_arrays(x, y)
+    return np.where(y == 0, log_ndtr(-x / m.beta), stats.norm.logpdf(y, loc=x, scale=m.beta))
+
+
+GAUSS_CHANNELS = {
+    "lgssm": (LGSSM(0.9, 1.0, 0.7, h0=1.3, drift=DriftFunction.exp_abs(0.5)),
+              lambda m, x, y: stats.norm.logpdf(y, loc=m.h0 * x, scale=m.beta)),
+    "tobit": (TobitModel(0.5, 1.0, 1.0), tobit_scipy_logpdf),
+    "nlssm": (NLSSM("linear_shrink", 0.3, 1.0, 1.0),
+              lambda m, x, y: stats.norm.logpdf(y, loc=x, scale=m.beta)),
+    "nlssm-tanh": (NLSSM("tanh", 0.3, 1.0, 0.7, kappa=0.5, obs_form="affine",
+                         obs_a=2.0, obs_b=0.5),
+                   lambda m, x, y: stats.norm.logpdf(y, loc=m.obs_map(x), scale=m.beta)),
+    "stochvol": (StochVolModel(0.9, 0.5, 1.0), None),
+}
+
+
+@pytest.mark.parametrize("name", list(GAUSS_CHANNELS))
+def test_closed_form_densities_equal_scipy_bit_for_bit(name):
+    m, reference = GAUSS_CHANNELS[name]
+    obs = simulate(m, 300, InitialDistribution.gaussian(0, 1), seed=4).obs
+    grid = GridSpec(*m.domain, 200)
+    x = grid.centers
+    kernel = np.exp(stats.norm.logpdf(x[None, :], loc=m.state_mean(x[:, None]),
+                                      scale=m.state_sd)) * grid.delta
+    assert np.array_equal(m.kernel(grid), kernel)
+    if reference is None:  # no Gaussian observation density
+        return
+    for xs, ys in ((GridSpec(*m.domain, 4096).centers[:, None], obs[None, :]),
+                   (x[None, :], obs[:, None]), (x[:1], obs[:1]), (x[7], obs[5])):
+        ours, ref = m.loglik(xs, ys), reference(m, xs, ys)
+        assert np.shape(ours) == np.shape(ref) and np.array_equal(ours, ref)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(hmmforget.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, hmmforget; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_drift_function_values():

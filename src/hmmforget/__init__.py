@@ -10,7 +10,7 @@ from .bounds import (BoundConfig, BoundReport, ConditionReport, H2UnverifiedErro
                      HypothesisWarning, LDSet, NotCertifiableError, a_n,
                      certify_ld_set, check_conditions, geometric_bound,
                      find_ld_set_for_eta, sharp_bound, log_psi_batch,
-                     log_upsilon_batch, phi, psi, rho, upsilon)
+                     log_upsilon_batch, phi, rho, upsilon)
 from .experiments import (ExperimentConfig, ExperimentResult, RSequenceResult,
                           emit_report, estimate_r_sequences, fit_rate,
                           run_forgetting)
@@ -18,9 +18,8 @@ from .gridfilter import (DegenerateFilterError, FilterState, filter_step,
                          init_filter, run_two_filters, transition_kernel,
                          tv_distance)
 from .grids import GridSpec, InitialDistribution
-from .models import (LGSSM, NLSSM, CoverageError, DomainError, DriftFunction,
-                     FiniteStateModel, StochVolModel, TobitModel, Trajectory,
-                     simulate)
+from .models import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateModel,
+                     StochVolModel, TobitModel, Trajectory, simulate)
 from .rng import substream
 from .verify import (DriftPreconditionError, ExactDeltaResult, PairChainSpec,
                      counting_inequality_check, exact_delta, exact_denominator_bound,

@@ -8,6 +8,10 @@ Psi_D(y) = lambda_D(g(., y) 1_D) and Phi_{nu,D}(y0, y1) =
 nu[g(., y0) Q g(., y1) 1_D], and the two bound assemblers (the sharp
 subset-maximum form and its coarser geometric form).
 
+The index ranges of a record's sums live in ``_RecordTerms`` alone: both
+bounds, ``_conditions`` (which holds the one K-frequency rule) and the
+r-sequences of ``experiments`` read the record ``_record_terms`` returns.
+
 The reference measure lambda_C is always normalized Lebesgue on C
 (normalized counting measure on finite state sets).  All bound terms are
 computed and compared in log space: for small n the bound is typically
@@ -26,7 +30,8 @@ from scipy.special import logsumexp
 from .gridfilter import resolve_grid, transition_kernel
 from .grids import GridSpec
 
-UPSILON_QUAD_M = 4096  # default Upsilon quadrature cells over the domain
+UPSILON_QUAD_M = 4096  # Upsilon quadrature cells over the domain
+PSI_QUAD_M = 2048  # Psi quadrature cells over an interval D
 _RECORD_BLOCK = 256  # observations per envelope block in _record_series
 
 
@@ -69,12 +74,6 @@ class LDSet:
             raise ValueError("LD interval must be nonempty")
         if self.states is not None and len(self.states) == 0:
             raise ValueError("LD state subset must be nonempty")
-
-    @property
-    def lambda_norm(self) -> float:
-        if self.interval is not None:
-            return 1.0 / (self.interval[1] - self.interval[0])
-        return 1.0 / len(self.states)
 
 
 def certify_ld_set(model, candidate, m_probe: int = 256) -> LDSet:
@@ -161,27 +160,26 @@ def _region_mask(region, x, discrete):
     return (x < lo) | (x > hi)
 
 
-def _upsilon_grid(model, region, ys, quad):
-    """The resolved quadrature grid, the support points in ``region`` and
+def _upsilon_grid(model, region, ys):
+    """The quadrature grid, the support points in ``region`` and
     log g(x, y) QV(x)/V(x) on them; shared by upsilon and log_upsilon_batch."""
-    quad = resolve_grid(model, quad, UPSILON_QUAD_M)
+    quad = resolve_grid(model, None, UPSILON_QUAD_M)
     x = model.support(quad)
     x = x[_region_mask(region, x, quad is None)]
     return quad, x, _log_g_qv(model, x[:, None], ys[None, :])
 
 
-def upsilon(model, region, y, quad: GridSpec | None = None, refine: bool = True) -> float:
+def upsilon(model, region, y) -> float:
     """Supremum over the region of g(x, y) QV(x)/V(x).
 
     ``region`` is "all" or ("complement", C).  The supremum is located on
     the support points (exact on finite state sets) and, on continuous
-    models when ``refine`` is set, polished by a bounded 1-d maximization
-    (the QV/V factor has a closed form on all Gaussian kernels, so the
-    objective is exact).
+    models, polished by a bounded 1-d maximization (the QV/V factor has a
+    closed form on all Gaussian kernels, so the objective is exact).
     """
-    quad, xs, vals = _upsilon_grid(model, region, np.array([y]), quad)
+    quad, xs, vals = _upsilon_grid(model, region, np.array([y]))
     best = vals.max(initial=-np.inf)
-    if refine and quad is not None and len(xs):
+    if quad is not None and len(xs):
         i = int(np.argmax(vals[:, 0]))
         a, b = _polish_bracket(xs[i], quad.delta, region, model.domain)
         res = optimize.minimize_scalar(
@@ -206,19 +204,18 @@ def _polish_bracket(x0, delta, region, domain):
     return a, b
 
 
-def log_upsilon_batch(model, region, ys, quad: GridSpec | None = None) -> np.ndarray:
+def log_upsilon_batch(model, region, ys) -> np.ndarray:
     """Grid-based log Upsilon_region(y) for an array of observations."""
-    _, _, vals = _upsilon_grid(model, region, np.asarray(ys), quad)
+    _, _, vals = _upsilon_grid(model, region, np.asarray(ys))
     return vals.max(axis=0, initial=-np.inf)
 
 
-def find_ld_set_for_eta(model, eta, K, y_probe, quad: GridSpec | None = None,
-                        m_probe: int = 256, max_radius: float | None = None) -> LDSet:
+def find_ld_set_for_eta(model, eta, K, y_probe) -> LDSet:
     """Smallest symmetric interval C with Upsilon_{C^c} <= eta Upsilon_X on the probes.
 
     Doubles the radius until the envelope holds for every probe, then
     bisects down, and certifies the result.  Raises H2UnverifiedError when
-    the search exhausts ``max_radius``.
+    the radius passes the domain's half-width.
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
@@ -228,13 +225,12 @@ def find_ld_set_for_eta(model, eta, K, y_probe, quad: GridSpec | None = None,
         raise ValueError("need at least one probe observation in K")
     if model.kind == "finite":
         raise TypeError("interval search applies to continuous models only")
-    if max_radius is None:
-        max_radius = model.domain[1]
-    ups_all = {y: upsilon(model, "all", y, quad) for y in y_probe}
+    max_radius = model.domain[1]
+    ups_all = {y: upsilon(model, "all", y) for y in y_probe}
 
     def ok(radius):
         return all(
-            upsilon(model, ("complement", (-radius, radius)), y, quad) <= eta * ups_all[y]
+            upsilon(model, ("complement", (-radius, radius)), y) <= eta * ups_all[y]
             for y in y_probe
         )
 
@@ -252,21 +248,18 @@ def find_ld_set_for_eta(model, eta, K, y_probe, quad: GridSpec | None = None,
             r_hi = mid
         else:
             r_lo = mid
-    return certify_ld_set(model, (-r_hi, r_hi), m_probe=m_probe)
+    return certify_ld_set(model, (-r_hi, r_hi))
 
 
-def psi(model, D: LDSet, y, quad_m: int = 2048) -> float:
-    """lambda_D(g(., y) 1_D): the likelihood averaged over D."""
-    return float(np.exp(log_psi_batch(model, D, np.atleast_1d(y), quad_m=quad_m)[0]))
-
-
-def log_psi_batch(model, D: LDSet, ys, quad_m: int = 2048) -> np.ndarray:
-    x = np.asarray(D.states) if D.interval is None else GridSpec(*D.interval, quad_m).centers
+def log_psi_batch(model, D: LDSet, ys) -> np.ndarray:
+    """log lambda_D(g(., y) 1_D), the likelihood averaged over D, for an array
+    of observations (PSI_QUAD_M midpoints on an interval D)."""
+    x = np.asarray(D.states) if D.interval is None else GridSpec(*D.interval, PSI_QUAD_M).centers
     logg = model.loglik(x[:, None], np.asarray(ys)[None, :])
     return logsumexp(logg, axis=0) - np.log(len(x))
 
 
-def _record_series(model, obs, D: LDSet, C: LDSet | None = None, quad_m: int = 2048):
+def _record_series(model, obs, D: LDSet, C: LDSet | None = None):
     """log Upsilon_X(y_i), log Upsilon_{C^c}(y_i) (None without a C) and
     log Psi_D(y_i) for i = 0..n.
 
@@ -295,7 +288,7 @@ def _record_series(model, obs, D: LDSet, C: LDSet | None = None, quad_m: int = 2
         if mask is not None:
             log_ups_cc[cols] = np.max(vals, axis=0, where=mask[:, None], initial=-np.inf)
         del vals
-        log_psi[cols] = log_psi_batch(model, D, obs[cols], quad_m=quad_m)
+        log_psi[cols] = log_psi_batch(model, D, obs[cols])
     return log_ups_x, log_ups_cc, log_psi
 
 
@@ -389,52 +382,65 @@ class BoundReport:
         write_bound_csv(self, path)
 
 
-def _trajectory_terms(model, nu, nu_prime, obs, C: LDSet, D: LDSet,
-                      grid, quad_m):
-    """Per-observation log terms shared by both bound assemblers."""
+@dataclass(frozen=True)
+class _RecordTerms:
+    """What the bounds, their conditions and the r-sequences read of a record
+    y_0..y_n; the arrays have one entry per i or per n."""
+
+    log_ups_x: np.ndarray  # log Upsilon_X(y_i)
+    log_ups_cc: np.ndarray | None  # log Upsilon_{C^c}(y_i); None without a C
+    s_ups: np.ndarray  # S_Ups[n] = sum_{i=0..n} log Upsilon_X(y_i)
+    s_psi: np.ndarray  # S_Psi[n] = sum_{i=2..n} log Psi_D(y_i); 0 for n < 2
+    log_phi: tuple[float, float] | None  # log Phi_{nu,D}(y_0, y_1), then for nu'
+    log_nuv: tuple[float, float] | None  # log nu V, then log nu' V
+
+
+def _record_terms(model, nu, nu_prime, obs, D: LDSet, C: LDSet | None, grid,
+                  kernel: np.ndarray | None = None) -> _RecordTerms:
+    """The _RecordTerms of ``obs``; ``kernel`` is as in phi.  Without initial
+    laws (nu None, as check_conditions calls it) log_phi and log_nuv are None."""
     obs = np.asarray(obs)
-    if len(obs) < 2:
-        raise ValueError("the bound needs at least two observations")
-    grid = resolve_grid(model, grid)
-    kernel = transition_kernel(model, grid)
-    logV = model.log_v(model.support(grid))
-    log_nuV = float(logsumexp(model.log_init(nu, grid) + logV))
-    log_nuV2 = float(logsumexp(model.log_init(nu_prime, grid) + logV))
-    log_ups_x, log_ups_cc, log_psi = _record_series(model, obs, D, C, quad_m)
-    with np.errstate(divide="ignore"):
-        log_phi_nu = np.log(phi(model, nu, D, obs[0], obs[1], grid, kernel))
-        log_phi_nu2 = np.log(phi(model, nu_prime, D, obs[0], obs[1], grid, kernel))
-    return log_ups_x, log_ups_cc, log_psi, log_phi_nu, log_phi_nu2, log_nuV, log_nuV2
+    if nu is not None:
+        if len(obs) < 2:
+            raise ValueError("the bound needs at least two observations")
+        grid = resolve_grid(model, grid)
+    log_ups_x, log_ups_cc, log_psi = _record_series(model, obs, D, C)
+    s_psi = np.zeros(len(obs))
+    s_psi[2:] = np.cumsum(log_psi[2:])
+    log_phi = log_nuv = None
+    if nu is not None:
+        if kernel is None:
+            kernel = transition_kernel(model, grid)
+        log_v = model.log_v(model.support(grid))
+        with np.errstate(divide="ignore"):
+            log_phi = tuple(float(np.log(phi(model, law, D, obs[0], obs[1], grid, kernel)))
+                            for law in (nu, nu_prime))
+        log_nuv = tuple(float(logsumexp(model.log_init(law, grid) + log_v))
+                        for law in (nu, nu_prime))
+    return _RecordTerms(log_ups_x, log_ups_cc, np.cumsum(log_ups_x), s_psi, log_phi, log_nuv)
 
 
-def _log_denominator(n, log_psi, log_phi_nu, log_phi_nu2, eps_minus_D):
-    return (2.0 * (n - 1) * np.log(eps_minus_D) + log_phi_nu + log_phi_nu2
-            + 2.0 * np.sum(log_psi[2:n + 1]))
-
-
-def _assemble(terms, beta, C, D, ratio_numerator, applies, inputs):
-    """Common skeleton: geometric term + ratio term, clipped at 1."""
-    log_ups_x, log_ups_cc, log_psi, log_phi_nu, log_phi_nu2, log_nuV, log_nuV2 = terms
+def _assemble(terms: _RecordTerms, beta, C, D, log_num, applies, inputs):
+    """Geometric term + ratio term, clipped at 1.  ``log_num`` holds the log
+    numerator of the ratio term at each n; the bound is stated for n >= 1."""
     rho_c = rho(C)
-    ns = np.arange(len(log_ups_x))
+    ns = np.arange(len(terms.s_ups))
     log_geo = np.where(ns > 0, beta * ns * np.log(rho_c) if rho_c > 0 else -np.inf, 0.0)
-    log_ratio = np.full(len(ns), np.nan)
-    ans = np.array([a_n(int(n), beta) for n in ns])
-    for n in ns[1:]:
-        num = ratio_numerator(int(n), log_ups_x, log_ups_cc, ans[n])
-        den = _log_denominator(int(n), log_psi, log_phi_nu, log_phi_nu2, D.eps_minus)
-        log_ratio[n] = num - den + log_nuV + log_nuV2
-    log_ratio[0] = np.inf  # bound stated for n >= 1
+    log_den = (2.0 * (ns - 1) * np.log(D.eps_minus) + terms.log_phi[0] + terms.log_phi[1]
+               + 2.0 * terms.s_psi)
+    log_ratio = log_num - log_den + terms.log_nuv[0] + terms.log_nuv[1]
+    log_ratio[0] = np.inf
     log_tot = np.logaddexp(log_geo, log_ratio)
     total = np.where(log_tot >= 0.0, 1.0, np.exp(np.minimum(log_tot, 0.0)))
     total[0] = 1.0
+    ans = np.array([a_n(int(n), beta) for n in ns])
     return BoundReport(n=ns, log_term_geo=log_geo, log_term_ratio=log_ratio,
                        total_clipped=total, applies=applies, a_n=ans, rho=rho_c,
                        inputs=inputs)
 
 
 def sharp_bound(model, nu, nu_prime, obs, beta, C: LDSet, D: LDSet,
-                  grid: GridSpec | None = None, quad_m: int = 2048) -> BoundReport:
+                grid: GridSpec | None = None) -> BoundReport:
     """Sharp pathwise bound with the exact maximum over excursion subsets.
 
     The maximum of prod_{i in I} Upsilon_{C^c}(y_i) prod_{i not in I}
@@ -443,42 +449,34 @@ def sharp_bound(model, nu, nu_prime, obs, beta, C: LDSet, D: LDSet,
     """
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
-
-    def numerator(n, log_ups_x, log_ups_cc, an):
-        base = np.sum(log_ups_x[:n + 1])
-        diffs = np.sort(log_ups_cc[:n + 1] - log_ups_x[:n + 1])[::-1]
-        return 2.0 * base + np.sum(diffs[:an])
-
-    terms = _trajectory_terms(model, nu, nu_prime, obs, C, D, grid, quad_m)
-    applies = np.arange(len(obs)) > 0
-    return _assemble(terms, beta, C, D, numerator, applies, {"beta": beta, "C": C, "D": D})
+    terms = _record_terms(model, nu, nu_prime, obs, D, C, grid)
+    gaps = terms.log_ups_cc - terms.log_ups_x
+    log_num = 2.0 * terms.s_ups
+    for n in range(1, len(gaps)):
+        log_num[n] += np.sum(np.sort(gaps[:n + 1])[::-1][:a_n(n, beta)])
+    applies = np.arange(len(gaps)) > 0
+    return _assemble(terms, beta, C, D, log_num, applies, {"beta": beta, "C": C, "D": D})
 
 
 def geometric_bound(model, nu, nu_prime, obs, cfg: BoundConfig, C: LDSet,
-                    grid: GridSpec | None = None, quad_m: int = 2048) -> BoundReport:
+                    grid: GridSpec | None = None) -> BoundReport:
     """Geometric form of the bound under the K-frequency hypothesis.
 
     ``C`` must satisfy the eta envelope Upsilon_{C^c} <= eta Upsilon_X on K
-    (as returned by find_ld_set_for_eta).  Steps where the observed
-    K-frequency drops below (1 + gamma)/2 are flagged as not applicable.
-    The report's ``conditions`` are those of check_conditions, read from the
-    series the bound evaluated.
+    (as returned by find_ld_set_for_eta).  Steps n where the K-frequency rule
+    of check_conditions fails, #{0 <= i <= n : y_i in K} < (1 + gamma)(n + 1)/2,
+    are flagged as not applicable.  The report's ``conditions`` are those of
+    check_conditions, read from the record the bound evaluated.
     """
     obs = np.asarray(obs)
-
-    def numerator(n, log_ups_x, log_ups_cc, an):
-        return ((cfg.gamma - cfg.beta) * n / 2.0 * np.log(cfg.eta)
-                + 2.0 * np.sum(log_ups_x[:n + 1]))
-
-    terms = _trajectory_terms(model, nu, nu_prime, obs, C, cfg.D, grid, quad_m)
-    counts = np.cumsum(indicator_K(cfg.K, obs))
+    terms = _record_terms(model, nu, nu_prime, obs, cfg.D, C, grid)
+    conditions, (k_ok, _, _) = _conditions(obs, terms, cfg)
     ns = np.arange(len(obs))
-    applies = counts >= (1.0 + cfg.gamma) * ns / 2.0
-    applies[0] = False
+    log_num = (cfg.gamma - cfg.beta) * ns / 2.0 * np.log(cfg.eta) + 2.0 * terms.s_ups
     inputs = {"beta": cfg.beta, "gamma": cfg.gamma, "eta": cfg.eta, "K": cfg.K,
               "C": C, "D": cfg.D}
-    report = _assemble(terms, cfg.beta, C, cfg.D, numerator, applies, inputs)
-    report.conditions = _conditions(obs, terms[0], terms[2], cfg)[0]
+    report = _assemble(terms, cfg.beta, C, cfg.D, log_num, k_ok & (ns > 0), inputs)
+    report.conditions = conditions
     return report
 
 
@@ -503,28 +501,29 @@ class ConditionReport:
         return self.k_frequency_ok and self.upsilon_ok and self.psi_ok
 
 
-def _conditions(obs, log_ups, log_psi, cfg: BoundConfig):
-    """The ConditionReport of a record, and where each of its three averages
-    meets its condition at every n (the r-sequences count the misses)."""
+def _conditions(obs, terms: _RecordTerms, cfg: BoundConfig):
+    """The ConditionReport of a record, and where each of its three
+    conditions holds at every n.  The K-frequency condition
+    #{0 <= i <= n : y_i in K} / (n + 1) >= (1 + gamma)/2 is the one
+    K-frequency rule: geometric_bound's ``applies`` is it, and the r3 event
+    its complement."""
     ns = np.arange(len(obs))
     denom = np.maximum(ns, 1)
     avg_k = np.cumsum(indicator_K(cfg.K, obs)) / (ns + 1.0)
-    avg_ups = np.cumsum(log_ups) / denom
-    avg_psi = np.concatenate([[0.0, 0.0], np.cumsum(log_psi[2:])])[:len(obs)] / denom
+    avg_ups = terms.s_ups / denom
+    avg_psi = terms.s_psi / denom
     oks = (avg_k >= (1.0 + cfg.gamma) / 2.0, avg_ups < cfg.M1, avg_psi > -cfg.M2)
     report = ConditionReport(ns, avg_k, avg_ups, avg_psi, *(bool(ok[-1]) for ok in oks))
     return report, oks
 
 
-def check_conditions(obs, model, cfg: BoundConfig, quad_m: int = 2048) -> ConditionReport:
+def check_conditions(obs, model, cfg: BoundConfig) -> ConditionReport:
     """Cesaro averages behind the bound's conditions on the record y_0..y_n.
 
     At every n: the K-frequency #{i <= n : y_i in K}/(n + 1), the envelope
     average (1/n) sum_{i=0..n} log Upsilon_X(y_i) and the denominator
     average (1/n) sum_{i=2..n} log Psi_D(y_i) (divided by 1 at n = 0).  The
     conditions >= (1 + gamma)/2, < M1 and > -M2 are judged at the last n.
-    ``quad_m`` is the Psi quadrature size.
     """
     obs = np.asarray(obs)
-    log_ups, _, log_psi = _record_series(model, obs, cfg.D, quad_m=quad_m)
-    return _conditions(obs, log_ups, log_psi, cfg)[0]
+    return _conditions(obs, _record_terms(model, None, None, obs, cfg.D, None, None), cfg)[0]

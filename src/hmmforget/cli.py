@@ -29,17 +29,15 @@ import sys
 
 import numpy as np
 
-from .bounds import (BoundConfig, H2UnverifiedError, LDSet, NotCertifiableError,
-                     certify_ld_set, geometric_bound, find_ld_set_for_eta,
-                     sharp_bound)
+from .bounds import (BoundConfig, H2UnverifiedError, NotCertifiableError,
+                     certify_ld_set, geometric_bound, find_ld_set_for_eta, sharp_bound)
 from .experiments import (DEFAULT_GRID_M, ExperimentConfig, emit_report,
                           estimate_r_sequences, run_forgetting)
 from .gridfilter import DegenerateFilterError, resolve_grid, run_two_filters
 from .grids import GridSpec, InitialDistribution
-from .models import (LGSSM, NLSSM, CoverageError, DomainError, DriftFunction,
-                     FiniteStateModel, StochVolModel, TobitModel, simulate)
-from .reports import (ensure_dir, fmt, write_csv, write_filter_trace_csv,
-                      write_trajectory_csv)
+from .models import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateModel,
+                     StochVolModel, TobitModel, simulate)
+from .reports import ensure_dir, write_csv, write_filter_trace_csv, write_trajectory_csv
 from .verify import DriftPreconditionError, run_suite
 
 
@@ -401,7 +399,7 @@ def main(argv=None) -> int:
         echo_config(cfg, args, out_dir)
         return code
     except (DegenerateFilterError, NotCertifiableError, H2UnverifiedError,
-            DomainError, CoverageError, DriftPreconditionError) as exc:
+            DomainError, DriftPreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:  # DomainError, a ValueError, is caught above

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (BoundConfig, LDSet, _conditions, _record_series,
-                     geometric_bound, indicator_K, phi)
+from .bounds import BoundConfig, LDSet, _conditions, _record_terms, geometric_bound
 from .gridfilter import resolve_grid, run_two_filters, transition_kernel
 from .grids import GridSpec, InitialDistribution
 from .models import simulate
@@ -154,7 +153,7 @@ class RSequenceResult:
     r0_nu_prime: np.ndarray
     r1: np.ndarray           # sum_{i=0..n} log Upsilon_X(y_i) >= M1 n
     r2: np.ndarray           # sum_{i=2..n} log Psi_D(y_i) <= -M2 n
-    r3: np.ndarray           # #{1 <= i <= n : y_i in K} / n <= (1 + gamma)/2
+    r3: np.ndarray           # #{0 <= i <= n : y_i in K} / (n + 1) < (1 + gamma)/2
     thresholds: dict = field(default_factory=dict)
 
 
@@ -180,19 +179,12 @@ def estimate_r_sequences(cfg: ExperimentConfig) -> RSequenceResult:
 
     def one(rep):
         traj = simulate(cfg.star_model, cfg.n, cfg.nu_star, cfg.seed, rep)
-        obs = traj.obs
-        with np.errstate(divide="ignore"):
-            lphi = np.log(phi(cfg.model, cfg.nu, b.D, obs[0], obs[1], grid, kernel))
-            lphi2 = np.log(phi(cfg.model, cfg.nu_prime, b.D, obs[0], obs[1], grid, kernel))
-        log_ups, _, log_psi = _record_series(cfg.model, obs, b.D)
-        _, (_, ups_ok, psi_ok) = _conditions(obs, log_ups, log_psi, b)
-        in_k = indicator_K(b.K, obs)
-        e0 = lphi <= -b.M0 * ns
-        e0p = lphi2 <= -b.M0 * ns
-        e1 = ~ups_ok[ns]
-        e2 = ~psi_ok[ns]
-        e3 = (np.cumsum(in_k)[ns] - in_k[0]) / ns <= (1.0 + b.gamma) / 2.0
-        return np.stack([e0, e0p, e1, e2, e3])
+        terms = _record_terms(cfg.model, cfg.nu, cfg.nu_prime, traj.obs, b.D, None,
+                              grid, kernel)
+        k_ok, ups_ok, psi_ok = _conditions(traj.obs, terms, b)[1]
+        lphi, lphi2 = terms.log_phi
+        return np.stack([lphi <= -b.M0 * ns, lphi2 <= -b.M0 * ns,
+                         ~ups_ok[ns], ~psi_ok[ns], ~k_ok[ns]])
 
     events = _map_ordered(one, range(cfg.replications), cfg.threads)
     freq = np.mean(np.stack(events).astype(float), axis=0)

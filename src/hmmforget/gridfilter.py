@@ -40,18 +40,6 @@ class FilterState:
     def weights(self) -> np.ndarray:
         return np.exp(self.logw)
 
-    def mean(self) -> float:
-        return float(self.weights @ self._support())
-
-    def variance(self) -> float:
-        x = self._support()
-        w = self.weights
-        mu = w @ x
-        return float(w @ (x - mu) ** 2)
-
-    def _support(self) -> np.ndarray:
-        return self.grid.centers if self.grid is not None else np.arange(len(self.logw), dtype=float)
-
 
 def resolve_grid(model, grid: GridSpec | None, m: int | None = None) -> GridSpec | None:
     """None on a finite state set; else ``grid``, or when it is None m cells

@@ -31,12 +31,12 @@ observations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .grids import GridSpec, InitialDistribution, norm_logpdf
+from .grids import InitialDistribution, norm_logpdf
 from .rng import substream
 
 DOMAIN_SD_MULTIPLE = 8.0
@@ -44,10 +44,6 @@ DOMAIN_SD_MULTIPLE = 8.0
 
 class DomainError(ValueError):
     """Input outside the declared state or observation domain."""
-
-
-class CoverageError(RuntimeError):
-    """Quadrature grid fails to cover the effective support of Q(x, .)."""
 
 
 @dataclass(frozen=True)
@@ -71,12 +67,6 @@ class DriftFunction:
     def exp_abs(cls, c):
         return cls("exp_abs", c=float(c))
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.form == "one":
-            return np.ones_like(x)
-        return np.exp(self.c * np.abs(x))
-
     def log(self, x):
         x = np.asarray(x, dtype=float)
         if self.form == "one":
@@ -90,9 +80,6 @@ class Trajectory:
 
     obs: np.ndarray
     hidden: np.ndarray | None = None
-    seed: int | None = None
-    replication: int = 0
-    generator: str = ""
 
     def __post_init__(self):
         self.obs = np.asarray(self.obs)
@@ -122,34 +109,41 @@ class StateSpaceModel:
     def log_likelihood(self, x, y):
         return self._obs_logpdf(self._check_state(x), self._check_obs(y))
 
-    def likelihood(self, x, y):
-        return np.exp(self.log_likelihood(x, y))
-
     def sample_step(self, x, rng):
         x_next = self.sample_transition(x, rng)
         return x_next, self.sample_observation(x_next, rng)
 
 
 class GaussianStateModel(StateSpaceModel):
-    """Base for models whose hidden chain has a Gaussian transition kernel.
+    """Base for models whose hidden chain is a Gaussian AR(1)-like chain.
 
-    Subclasses define the conditional mean of the next state and the
-    observation channel; the state noise is additive N(0, state_sd^2).
+    The next state is N(phi x, sigma^2) unless a subclass overrides
+    ``state_mean``, and beta scales the observation noise.  The default
+    truncation domain is DOMAIN_SD_MULTIPLE stationary s.d.s of the AR(1)
+    chain with slope phi.  Subclasses define the observation channel.
     """
 
     kind = "abstract"
 
-    def __init__(self, state_sd, drift, domain_halfwidth):
-        if state_sd <= 0:
+    def __init__(self, phi, sigma, beta, drift=None, domain_halfwidth=None):
+        if not abs(phi) < 1:
+            raise ValueError("autoregression needs |phi| < 1")
+        if sigma <= 0:
             raise ValueError("state noise s.d. must be positive")
-        self.state_sd = float(state_sd)
+        if beta <= 0:
+            raise ValueError("observation noise s.d. must be positive")
+        self.phi = self.mean_slope = float(phi)
+        self.state_sd = float(sigma)
+        self.beta = float(beta)
         self.drift = drift if drift is not None else DriftFunction.one()
+        if domain_halfwidth is None:
+            domain_halfwidth = DOMAIN_SD_MULTIPLE * sigma / np.sqrt(1 - phi * phi)
         self.domain = (-float(domain_halfwidth), float(domain_halfwidth))
 
     # -- transition ---------------------------------------------------------
 
     def state_mean(self, x):
-        return self.mean_slope * np.asarray(x, dtype=float)
+        return self.phi * np.asarray(x, dtype=float)
 
     def support(self, grid):
         return grid.centers
@@ -169,16 +163,11 @@ class GaussianStateModel(StateSpaceModel):
     def _check_state(self, x):
         x = np.asarray(x, dtype=float)
         lo, hi = self.domain
-        bad = (x < lo) | (x > hi)
+        bad = ~((x >= lo) & (x <= hi))  # NaN fails both tests
         if bad.any():
             state = _first_offender(bad, x, "state")
             raise DomainError(f"{state} is outside the truncation domain [{lo}, {hi}]")
         return x
-
-    def transition_density(self, x, x_next):
-        self._check_state(x)
-        self._check_state(x_next)
-        return np.exp(self._trans_logpdf(x, x_next))
 
     # -- observation --------------------------------------------------------
 
@@ -218,22 +207,6 @@ class GaussianStateModel(StateSpaceModel):
         qv = _folded_exp_moment(self.state_mean(x), self.state_sd, c)
         return qv * np.exp(-c * np.abs(x))
 
-    def qv_ratio(self, x, quad: GridSpec | None = None, coverage_tol=1e-6):
-        """QV(x)/V(x) by midpoint quadrature; checks grid coverage."""
-        x = float(x)
-        if quad is None:
-            r = 10.0 * self.state_sd
-            mu = float(self.state_mean(x))
-            quad = GridSpec(mu - r, mu + r, 2001)
-        z = quad.centers
-        q = np.exp(self._trans_logpdf(x, z)) * quad.delta
-        mass = q.sum()
-        if abs(mass - 1.0) > coverage_tol:
-            raise CoverageError(
-                f"quadrature grid captures mass {mass:.8f} of Q({x}, .); widen the grid"
-            )
-        return float(q @ self.drift(z)) / float(self.drift(x))
-
 
 class LGSSM(GaussianStateModel):
     """Linear Gaussian state-space model: x' = phi x + sigma z, y = h0 x + beta e."""
@@ -241,16 +214,8 @@ class LGSSM(GaussianStateModel):
     kind = "lgssm"
 
     def __init__(self, phi, sigma, beta, h0=1.0, drift=None, domain_halfwidth=None):
-        if not abs(phi) < 1:
-            raise ValueError("autoregression needs |phi| < 1")
-        if beta <= 0:
-            raise ValueError("observation noise s.d. must be positive")
-        self.phi = self.mean_slope = float(phi)
-        self.beta = float(beta)
+        super().__init__(phi, sigma, beta, drift, domain_halfwidth)
         self.h0 = float(h0)
-        if domain_halfwidth is None:
-            domain_halfwidth = DOMAIN_SD_MULTIPLE * sigma / np.sqrt(1 - phi * phi)
-        super().__init__(sigma, drift, domain_halfwidth)
 
     def _obs_logpdf(self, x, y):
         return norm_logpdf(y, self.h0 * x, self.beta)
@@ -268,17 +233,6 @@ class TobitModel(GaussianStateModel):
     """
 
     kind = "tobit"
-
-    def __init__(self, phi, sigma, beta, drift=None, domain_halfwidth=None):
-        if not abs(phi) < 1:
-            raise ValueError("autoregression needs |phi| < 1")
-        if beta <= 0:
-            raise ValueError("observation noise s.d. must be positive")
-        self.phi = self.mean_slope = float(phi)
-        self.beta = float(beta)
-        if domain_halfwidth is None:
-            domain_halfwidth = DOMAIN_SD_MULTIPLE * sigma / np.sqrt(1 - phi * phi)
-        super().__init__(sigma, drift, domain_halfwidth)
 
     def _check_obs(self, y):
         y = super()._check_obs(y)
@@ -316,25 +270,19 @@ class NLSSM(GaussianStateModel):
             raise ValueError("linear shrink needs delta in (0, 2)")
         if obs_form not in ("identity", "affine"):
             raise ValueError(f"unknown observation map {obs_form!r}")
-        if beta <= 0:
-            raise ValueError("observation noise s.d. must be positive")
+        super().__init__(1 - delta, sigma0, beta, drift, domain_halfwidth)
         self.drift_form = drift_form
         self.delta = float(delta)
-        if drift_form == "linear_shrink":
-            self.mean_slope = 1.0 - self.delta
+        if drift_form == "tanh":
+            self.mean_slope = None  # the mean is not affine in x
         self.kappa = float(kappa)
-        self.beta = float(beta)
         self.obs_form = obs_form
         self.obs_a = float(obs_a)
         self.obs_b = float(obs_b)
-        if domain_halfwidth is None:
-            phi_eff = 1 - delta
-            domain_halfwidth = DOMAIN_SD_MULTIPLE * sigma0 / np.sqrt(1 - phi_eff * phi_eff)
-        super().__init__(sigma0, drift, domain_halfwidth)
 
     def state_mean(self, x):
         x = np.asarray(x, dtype=float)
-        mean = (1 - self.delta) * x
+        mean = self.phi * x
         if self.drift_form == "tanh":
             mean = mean + self.kappa * np.tanh(x)
         return mean
@@ -356,17 +304,6 @@ class StochVolModel(GaussianStateModel):
     """Canonical stochastic volatility model: y = beta exp(x/2) e."""
 
     kind = "stochvol"
-
-    def __init__(self, phi, sigma, beta, drift=None, domain_halfwidth=None):
-        if not abs(phi) < 1:
-            raise ValueError("autoregression needs |phi| < 1")
-        if beta <= 0:
-            raise ValueError("observation scale must be positive")
-        self.phi = self.mean_slope = float(phi)
-        self.beta = float(beta)
-        if domain_halfwidth is None:
-            domain_halfwidth = DOMAIN_SD_MULTIPLE * sigma / np.sqrt(1 - phi * phi)
-        super().__init__(sigma, drift, domain_halfwidth)
 
     def _obs_logpdf(self, x, y):
         x, y = np.broadcast_arrays(x, y)
@@ -426,12 +363,6 @@ class FiniteStateModel(StateSpaceModel):
     def _obs_logpdf(self, x, y):
         return np.log(self.emission[x, y])
 
-    def transition_density(self, x, x_next):
-        return self.transition[self._check_state(x), self._check_state(x_next)]
-
-    def likelihood(self, x, y):
-        return self.emission[self._check_state(x), self._check_obs(y)]
-
     def sample_transition(self, x, rng):
         return int(rng.choice(self.m, p=self.transition[self._check_state(x)]))
 
@@ -471,8 +402,7 @@ def _check_index(v, size, what):
     return i
 
 
-def simulate(model, n, init: InitialDistribution, seed, replication=0,
-             generator_label=""):
+def simulate(model, n, init: InitialDistribution, seed, replication=0):
     """Simulate a length-(n+1) path (x, y) of the generating model.
 
     The path is bit-reproducible from (seed, replication): step k draws from
@@ -489,5 +419,4 @@ def simulate(model, n, init: InitialDistribution, seed, replication=0,
         x, y = model.sample_step(x, rng)
         hidden.append(x)
         obs.append(y)
-    return Trajectory(obs=np.asarray(obs), hidden=np.asarray(hidden), seed=seed,
-                      replication=replication, generator=generator_label or model.kind)
+    return Trajectory(obs=np.asarray(obs), hidden=np.asarray(hidden))

@@ -20,6 +20,7 @@ from .rng import substream
 
 MAX_STATES = 8
 MAX_HORIZON = 25
+DRIFT_TEST_M = 201  # test points of the drift precondition on continuous models
 
 
 @dataclass(frozen=True)
@@ -173,10 +174,9 @@ def counting_inequality_check(bits, n: int | None = None):
     return m_n, n_n, bound, m_n <= bound
 
 
-def _qv_numeric(model, v_fn, x, half_width=None):
+def _qv_numeric(model, v_fn, x):
     """QV(x) for an arbitrary positive function V, by quadrature."""
-    if half_width is None:
-        half_width = 12.0 * model.state_sd
+    half_width = 12.0 * model.state_sd
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mu = model.state_mean(x)
     z = np.linspace(-half_width, half_width, 4001)
@@ -190,8 +190,7 @@ class DriftPreconditionError(RuntimeError):
     """log(V^{-1} Q V) <= -W + b fails on the test grid."""
 
 
-def supermartingale_check(model, V, W, b, F_seq, n, x0, replications=10_000,
-                          seed=0, grid_m=201):
+def supermartingale_check(model, V, W, b, F_seq, n, x0, replications=10_000, seed=0):
     """Verify E_x[exp sum_k |F_k(X_k)|] <= V(x) exp(b n + sum_k sup(|F_k| - W)).
 
     On finite-state models (V, W, F_k given as state vectors) the left side
@@ -222,7 +221,7 @@ def supermartingale_check(model, V, W, b, F_seq, n, x0, replications=10_000,
         rhs = float(V[int(x0)] * np.exp(b * n + sup_terms))
         return lhs, rhs, lhs <= rhs
 
-    xs = np.linspace(model.domain[0], model.domain[1], grid_m)
+    xs = np.linspace(model.domain[0], model.domain[1], DRIFT_TEST_M)
     drift_gap = np.log(_qv_numeric(model, V, xs) / V(xs)) + W(xs) - b
     if np.any(drift_gap > 1e-9):
         raise DriftPreconditionError("multiplicative drift condition fails on the test grid")
@@ -268,7 +267,7 @@ def random_g_seq(seed, n, m) -> np.ndarray:
     return np.exp(rng.standard_normal((n + 1, m)))
 
 
-def run_suite(name, seeds=range(50), horizon=20, seed=0):
+def run_suite(name, seeds=range(50), horizon=20):
     """Run a named verification suite; returns a list of per-case records."""
     cases = []
     if name == "numerator":

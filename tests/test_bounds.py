@@ -11,9 +11,9 @@ from hmmforget import (LGSSM, NLSSM, BoundConfig, DomainError, DriftFunction,
                        InitialDistribution, LDSet, NotCertifiableError,
                        StochVolModel, TobitModel, a_n, certify_ld_set,
                        check_conditions, geometric_bound, find_ld_set_for_eta,
-                       sharp_bound, log_upsilon_batch, phi, psi, rho,
+                       sharp_bound, log_upsilon_batch, phi, rho,
                        random_finite_model, run_two_filters, simulate, upsilon)
-from hmmforget.bounds import (_RECORD_BLOCK, _record_series, _trajectory_terms,
+from hmmforget.bounds import (_RECORD_BLOCK, _record_series, _record_terms,
                               log_psi_batch)
 
 
@@ -66,7 +66,6 @@ def test_ld_set_validation():
         LDSet(eps_minus=0.5, eps_plus=0.4, interval=(-1, 1))
     with pytest.raises(ValueError):
         LDSet(eps_minus=0.1, eps_plus=0.4)
-    assert LDSet(0.1, 0.4, interval=(-2.0, 2.0)).lambda_norm == 0.25
     assert rho(LDSet(0.3, 0.3, interval=(0, 1))) == 0.0
 
 
@@ -133,17 +132,16 @@ def test_finite_drift_values_enter_upsilon_and_nu_v():
     nup = InitialDistribution.finite([0.1, 0.1, 0.8])
     C = certify_ld_set(model, (1,))
     D = certify_ld_set(model, (0, 1, 2))
-    terms = _trajectory_terms(model, nu, nup, ys, C, D, None, 2048)
-    assert terms[1] == pytest.approx(np.log(expected), rel=1e-12)
-    assert terms[5] == pytest.approx(np.log(nu.values @ V), rel=1e-12)
-    assert terms[6] == pytest.approx(np.log(nup.values @ V), rel=1e-12)
+    terms = _record_terms(model, nu, nup, ys, D, C, None)
+    assert terms.log_ups_cc == pytest.approx(np.log(expected), rel=1e-12)
+    assert terms.log_nuv[0] == pytest.approx(np.log(nu.values @ V), rel=1e-12)
+    assert terms.log_nuv[1] == pytest.approx(np.log(nup.values @ V), rel=1e-12)
 
 
 def test_psi_finite_average():
     model = FiniteStateModel([[0.5, 0.5], [0.5, 0.5]], [[0.2, 0.8], [0.6, 0.4]])
     D = certify_ld_set(model, (0, 1))
-    assert psi(model, D, 0) == pytest.approx(0.4)
-    assert psi(model, D, 1) == pytest.approx(0.6)
+    assert np.exp(log_psi_batch(model, D, [0, 1])) == pytest.approx([0.4, 0.6])
 
 
 def test_psi_sv_jensen_lower_bound():
@@ -151,9 +149,9 @@ def test_psi_sv_jensen_lower_bound():
     # convexity bound exp(-log(2 pi)/2 - y^2 sinh(1)/2)
     sv = StochVolModel(0.9, 0.3, 1.0)
     D = certify_ld_set(sv, (-1.0, 1.0))
-    for y in (0.0, 1.0, 2.0):
-        lower = -0.5 * np.log(2 * np.pi) - y * y * np.sinh(1.0) / 2.0
-        assert np.log(psi(sv, D, y)) >= lower - 1e-9
+    ys = np.array([0.0, 1.0, 2.0])
+    lower = -0.5 * np.log(2 * np.pi) - ys * ys * np.sinh(1.0) / 2.0
+    assert np.all(log_psi_batch(sv, D, ys) >= lower - 1e-9)
 
 
 def test_phi_hand_value_and_zero_reach_warning():
@@ -179,8 +177,8 @@ def test_phi_total_mass_when_g_constant():
     x = grid.centers
     w = np.exp(nu.log_weights_on(grid))
     K = np.exp(model._trans_logpdf(x[:, None], x[None, :])) * grid.delta
-    g0 = model.likelihood(x, 0.3)
-    g1 = model.likelihood(x, -0.2)
+    g0 = np.exp(model.log_likelihood(x, 0.3))
+    g1 = np.exp(model.log_likelihood(x, -0.2))
     direct = (w * g0) @ (K @ g1)
     assert phi(model, nu, D, 0.3, -0.2, grid) == pytest.approx(direct, rel=1e-12)
 
@@ -281,6 +279,20 @@ def test_geometric_term_matches_uniform_ergodicity_at_beta_one(finite_setup):
     assert np.allclose(rep.log_term_geo[1:], (beta * n * np.log(rho_x))[1:])
 
 
+def test_applies_uses_the_k_frequency_rule_at_its_margin():
+    # gamma = 0.5 and two K visits among y_0..y_2: 2 < (1 + gamma)(2 + 1)/2,
+    # so the geometric bound does not apply at n = 2 (the count against
+    # (1 + gamma) n / 2 alone would have let it)
+    model = FiniteStateModel([[0.6, 0.4], [0.3, 0.7]], [[0.7, 0.3], [0.2, 0.8]])
+    nu, nup = InitialDistribution.finite([0.9, 0.1]), InitialDistribution.finite([0.1, 0.9])
+    C = D = certify_ld_set(model, (0, 1))
+    cfg = BoundConfig(beta=0.2, gamma=0.5, eta=0.5, D=D, K=(0, 0))
+    report = geometric_bound(model, nu, nup, [0, 0, 1], cfg, C)
+    assert report.applies.tolist() == [False, True, False]
+    assert report.conditions.avg_k_frequency[2] == pytest.approx(2 / 3)
+    assert not report.conditions.k_frequency_ok
+
+
 def test_check_conditions_k_all(finite_setup):
     model, nu, nup, obs = finite_setup
     D = certify_ld_set(model, (0, 1, 2))
@@ -306,24 +318,31 @@ def test_log_psi_batch_matches_scalar():
     sv = StochVolModel(0.9, 0.3, 1.0)
     D = certify_ld_set(sv, (-1.0, 1.0))
     ys = np.array([0.1, 1.0, 2.5])
-    batch = np.exp(log_psi_batch(sv, D, ys))
+    batch = log_psi_batch(sv, D, ys)
     for y, v in zip(ys, batch):
-        assert psi(sv, D, y) == pytest.approx(v, rel=1e-12)
+        assert log_psi_batch(sv, D, [y])[0] == pytest.approx(v, rel=1e-12)
 
 
-@pytest.mark.parametrize("model", [LGSSM(0.9, 1.0, 1.0), TobitModel(0.5, 1.0, 1.0)],
-                         ids=lambda m: m.kind)
-def test_sharp_ratio_term_matches_public_batches(model):
-    # the bound reads its envelopes from one grid evaluation; assembled here
-    # from the public batches it must give the same ratio term
+@pytest.mark.parametrize("model, form", [
+    (LGSSM(0.9, 1.0, 1.0), "sharp"), (TobitModel(0.5, 1.0, 1.0), "sharp"),
+    (LGSSM(0.9, 1.0, 1.0), "geometric"), (TobitModel(0.5, 1.0, 1.0), "geometric"),
+], ids=["lgssm", "tobit", "lgssm-geometric", "tobit-geometric"])
+def test_sharp_ratio_term_matches_public_batches(model, form):
+    # the bound reads its envelopes from one grid evaluation and assembles
+    # every n at once from prefix sums; assembled here from the public
+    # batches, one n at a time, it must give the same ratio term
     grid = GridSpec(*model.domain, 200)
     nu = InitialDistribution.gaussian(-2, 1)
     nup = InitialDistribution.gaussian(2, 1)
     obs = simulate(model, 50, InitialDistribution.gaussian(0, 1), seed=8).obs
     C = certify_ld_set(model, (-3.0, 3.0))
     D = certify_ld_set(model, (-2.0, 2.0))
-    beta = 0.2
-    report = sharp_bound(model, nu, nup, obs, beta, C, D, grid=grid)
+    beta, gamma, eta = 0.2, 0.5, 0.5
+    if form == "sharp":
+        report = sharp_bound(model, nu, nup, obs, beta, C, D, grid=grid)
+    else:
+        cfg = BoundConfig(beta=beta, gamma=gamma, eta=eta, D=D)
+        report = geometric_bound(model, nu, nup, obs, cfg, C, grid=grid)
 
     lx = log_upsilon_batch(model, "all", obs)
     lcc = log_upsilon_batch(model, ("complement", C.interval), obs)
@@ -333,8 +352,11 @@ def test_sharp_ratio_term_matches_public_batches(model):
     log_nuvs = [logsumexp(model.log_init(law, grid) + log_v) for law in (nu, nup)]
     expected = []
     for n in range(1, len(obs)):
-        gaps = np.sort(lcc[:n + 1] - lx[:n + 1])[::-1]
-        num = 2.0 * np.sum(lx[:n + 1]) + np.sum(gaps[:a_n(n, beta)])
+        if form == "sharp":
+            gaps = np.sort(lcc[:n + 1] - lx[:n + 1])[::-1]
+            num = 2.0 * np.sum(lx[:n + 1]) + np.sum(gaps[:a_n(n, beta)])
+        else:
+            num = (gamma - beta) * n / 2.0 * np.log(eta) + 2.0 * np.sum(lx[:n + 1])
         den = (2.0 * (n - 1) * np.log(D.eps_minus) + sum(log_phis)
                + 2.0 * np.sum(lpsi[2:n + 1]))
         expected.append(num - den + sum(log_nuvs))

@@ -169,6 +169,17 @@ def test_r2_sums_log_psi_from_index_two():
     assert list(rs.r2) == pytest.approx([0.1, 0.1, 0.0])
 
 
+def test_r3_is_the_complement_of_applies():
+    # one K-frequency rule: r3 at n is the share of records on which the
+    # geometric bound does not apply at n
+    cfg = tobit_r_config(2.5, n=16, replications=20, seed=3)
+    cfg = dataclasses.replace(cfg, bound_cfg=dataclasses.replace(cfg.bound_cfg, K=(0.0, 1.5)))
+    rs = estimate_r_sequences(cfg)
+    applies = run_forgetting(cfg).bound_applies
+    assert np.array_equal(rs.r3, np.mean(~applies[:, rs.ns], axis=0))
+    assert np.any((rs.r3 > 0) & (rs.r3 < 1))
+
+
 def test_cesaro_psi_average_settles():
     model = TobitModel(0.5, 1.0, 1.0)
     D = certify_ld_set(model, (-2.0, 2.0))

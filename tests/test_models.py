@@ -9,36 +9,44 @@ from scipy.special import log_ndtr, ndtr
 
 import hmmforget
 
-from hmmforget import (LGSSM, NLSSM, CoverageError, DomainError, DriftFunction,
-                       FiniteStateModel, GridSpec, InitialDistribution,
-                       StochVolModel, TobitModel, simulate, substream)
+from hmmforget import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateModel,
+                       GridSpec, InitialDistribution, StochVolModel, TobitModel,
+                       simulate, substream)
+from hmmforget.verify import _qv_numeric
 
 INV_SQRT_2PI = 1.0 / np.sqrt(2 * np.pi)
 
 
 def test_tobit_transition_density_at_mean():
     m = TobitModel(0.5, 1.0, 1.0)
-    assert m.transition_density(0.0, 0.0) == pytest.approx(INV_SQRT_2PI, rel=1e-12)
+    grid = GridSpec(-2.05, 2.05, 41)  # cell width 0.1, centres -2.0, -1.9, .., 2.0
+    density = m.kernel(grid) / grid.delta
+    assert density[20, 20] == pytest.approx(INV_SQRT_2PI, rel=1e-12)  # x = x' = 0
     # x' - phi x = 0.5 - 0.5 = 0: still the density at its mode
-    assert m.transition_density(1.0, 0.5) == pytest.approx(INV_SQRT_2PI, rel=1e-12)
+    assert density[30, 25] == pytest.approx(INV_SQRT_2PI, rel=1e-12)
 
 
 def test_finite_transition_lookup():
     m = FiniteStateModel([[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.5], [0.5, 0.5]])
-    assert m.transition_density(0, 1) == 0.1
+    assert m.kernel(None)[0, 1] == m.transition[0, 1] == 0.1
 
 
 def test_likelihood_hand_values():
-    assert TobitModel(0.5, 1.0, 1.0).likelihood(0.0, 0.0) == pytest.approx(0.5, rel=1e-12)
+    def g(m, x, y):
+        return np.exp(m.log_likelihood(x, y))
+
+    assert g(TobitModel(0.5, 1.0, 1.0), 0.0, 0.0) == pytest.approx(0.5, rel=1e-12)
     sv = StochVolModel(0.9, 0.3, 1.0)
-    assert sv.likelihood(0.0, 1.0) == pytest.approx(INV_SQRT_2PI * np.exp(-0.5), rel=1e-12)
+    assert g(sv, 0.0, 1.0) == pytest.approx(INV_SQRT_2PI * np.exp(-0.5), rel=1e-12)
     lg = LGSSM(0.9, 1.0, 1.0, 1.0)
-    assert lg.likelihood(2.0, 2.0) == pytest.approx(INV_SQRT_2PI, rel=1e-12)
+    assert g(lg, 2.0, 2.0) == pytest.approx(INV_SQRT_2PI, rel=1e-12)
+    fin = FiniteStateModel([[0.9, 0.1], [0.2, 0.8]], [[0.3, 0.7], [0.6, 0.4]])
+    assert g(fin, 1, 0) == pytest.approx(0.6, rel=1e-12)
 
 
 def test_tobit_rejects_negative_observation():
     with pytest.raises(DomainError, match=r"^tobit observation -0\.5 is negative$"):
-        TobitModel(0.5, 1.0, 1.0).likelihood(0.0, -0.5)
+        TobitModel(0.5, 1.0, 1.0).log_likelihood(0.0, -0.5)
     with pytest.raises(DomainError, match=r"^tobit observation 3 \(-0\.3\) is negative$"):
         TobitModel(0.5, 1.0, 1.0).loglik(0.0, [0.0, 1.2, 0.0, -0.3, -0.4])
 
@@ -46,10 +54,14 @@ def test_tobit_rejects_negative_observation():
 def test_state_domain_enforced():
     m = LGSSM(0.9, 1.0, 1.0)
     with pytest.raises(DomainError):
-        m.likelihood(m.domain[1] + 1.0, 0.0)
+        m.log_likelihood(m.domain[1] + 1.0, 0.0)
     xs = np.array([0.0, 1.0, 40.0, -50.0])
     with pytest.raises(DomainError, match=r"^state 2 \(40\.0\) is outside the truncation"):
         m.log_likelihood(xs, 0.0)
+    with pytest.raises(DomainError, match=r"^state nan is outside the truncation"):
+        m.log_likelihood(np.nan, 0.0)
+    with pytest.raises(DomainError, match=r"^state 1 \(nan\) is outside the truncation"):
+        m.log_likelihood(np.array([0.0, np.nan, 1.0]), 0.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -61,7 +73,7 @@ def test_non_finite_observations_rejected(value):
         with pytest.raises(DomainError, match=named):
             m.loglik(np.zeros(3)[:, None], ys[None, :])
         with pytest.raises(DomainError, match=rf"^{m.kind} observation {value} is not finite$"):
-            m.likelihood(0.0, value)
+            m.log_likelihood(0.0, value)
 
 
 def tobit_scipy_logpdf(m, x, y):
@@ -110,17 +122,25 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_drift_function_values():
-    assert DriftFunction.exp_abs(0.1)(0.0) == 1.0
-    assert DriftFunction.exp_abs(1.0)(2.0) == pytest.approx(np.e ** 2)
-    assert DriftFunction.one()(13.7) == 1.0
+    assert DriftFunction.exp_abs(0.1).log(0.0) == 0.0
+    assert np.exp(DriftFunction.exp_abs(1.0).log(2.0)) == pytest.approx(np.e ** 2)
+    assert DriftFunction.one().log(13.7) == 0.0
     with pytest.raises(ValueError):
         DriftFunction.exp_abs(-1.0)
 
 
+def qv_ratio_numeric(m, x):
+    """QV(x)/V(x) by verify's quadrature of QV."""
+    v = lambda z: np.exp(m.drift.log(z))
+    return _qv_numeric(m, v, x) / v(x)
+
+
 def test_qv_ratio_identity_drift():
     m = LGSSM(0.9, 1.0, 1.0)
-    for x in (-3.0, 0.0, 2.5):
-        assert m.qv_ratio(x) == pytest.approx(1.0, abs=1e-9)
+    xs = np.array([-3.0, 0.0, 2.5])
+    assert m.log_qv(xs) is None
+    assert np.all(m.qv_ratio_exact(xs) == 1.0)
+    assert qv_ratio_numeric(m, xs) == pytest.approx(np.ones(3), abs=1e-9)
 
 
 def test_qv_ratio_folded_moment_oracle():
@@ -129,7 +149,8 @@ def test_qv_ratio_folded_moment_oracle():
     expected = 2.0 * np.exp(0.5) * ndtr(1.0)
     assert expected == pytest.approx(2.774, abs=1e-3)
     assert m.qv_ratio_exact(np.array([0.0]))[0] == pytest.approx(expected, rel=1e-12)
-    assert m.qv_ratio(0.0) == pytest.approx(expected, rel=1e-5)
+    xs = np.array([-3.0, 0.0, 2.5])
+    assert qv_ratio_numeric(m, xs) == pytest.approx(m.qv_ratio_exact(xs), rel=1e-5)
 
 
 def test_qv_ratio_vanishes_in_the_tails():
@@ -137,13 +158,6 @@ def test_qv_ratio_vanishes_in_the_tails():
                    domain_halfwidth=25.0)
     assert m.qv_ratio_exact(np.array([20.0]))[0] < m.qv_ratio_exact(np.array([0.0]))[0]
     assert m.qv_ratio_exact(np.array([-20.0]))[0] < 1e-3
-
-
-def test_qv_ratio_coverage_error():
-    m = LGSSM(0.9, 1.0, 1.0, drift=DriftFunction.exp_abs(0.5))
-    narrow = GridSpec(-0.5, 0.5, 64)
-    with pytest.raises(CoverageError):
-        m.qv_ratio(0.0, quad=narrow)
 
 
 def test_transition_quadrature_normalization():

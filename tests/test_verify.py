@@ -110,7 +110,7 @@ def test_exact_delta_matches_normalized_filter_gap(spec3):
     nu = random_probability_vector(4, 3, 0)
     nup = random_probability_vector(4, 3, 1)
     obs = simulate(model, 8, InitialDistribution.finite(nu), seed=4).obs
-    g = np.stack([model.likelihood(model.support(None), y) for y in obs])
+    g = np.exp(model.log_likelihood(model.support(None)[None, :], obs[:, None]))
     res = exact_delta(spec3, nu, nup, g, 8)
     recs = run_two_filters(model, None, InitialDistribution.finite(nu),
                            InitialDistribution.finite(nup), obs)

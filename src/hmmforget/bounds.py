@@ -376,11 +376,6 @@ class BoundReport:
     def log_total(self) -> np.ndarray:
         return np.logaddexp(self.log_term_geo, self.log_term_ratio)
 
-    def write_csv(self, path):
-        from .reports import write_bound_csv
-
-        write_bound_csv(self, path)
-
 
 @dataclass(frozen=True)
 class _RecordTerms:
@@ -395,10 +390,9 @@ class _RecordTerms:
     log_nuv: tuple[float, float] | None  # log nu V, then log nu' V
 
 
-def _record_terms(model, nu, nu_prime, obs, D: LDSet, C: LDSet | None, grid,
-                  kernel: np.ndarray | None = None) -> _RecordTerms:
-    """The _RecordTerms of ``obs``; ``kernel`` is as in phi.  Without initial
-    laws (nu None, as check_conditions calls it) log_phi and log_nuv are None."""
+def _record_terms(model, nu, nu_prime, obs, D: LDSet, C: LDSet | None, grid) -> _RecordTerms:
+    """The _RecordTerms of ``obs``.  Without initial laws (nu None, as
+    check_conditions and the r-sequences call it) log_phi and log_nuv are None."""
     obs = np.asarray(obs)
     if nu is not None:
         if len(obs) < 2:
@@ -409,8 +403,7 @@ def _record_terms(model, nu, nu_prime, obs, D: LDSet, C: LDSet | None, grid,
     s_psi[2:] = np.cumsum(log_psi[2:])
     log_phi = log_nuv = None
     if nu is not None:
-        if kernel is None:
-            kernel = transition_kernel(model, grid)
+        kernel = transition_kernel(model, grid)
         log_v = model.log_v(model.support(grid))
         with np.errstate(divide="ignore"):
             log_phi = tuple(float(np.log(phi(model, law, D, obs[0], obs[1], grid, kernel)))

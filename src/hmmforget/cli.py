@@ -10,9 +10,11 @@ Subcommands::
 
 Configuration is a JSON file; ``--set key=value`` (repeatable, dotted
 paths) overrides individual entries and wins over the file.  The resolved
-configuration is echoed to ``<out>/resolved_config.json`` so a run is
-reproducible from its output directory alone.  All writes stay inside
-``--out``.
+configuration, with ``--seed``, ``--threads`` and ``--suite`` folded in,
+is the only input of a subcommand.  It is written to
+``<out>/resolved_config.json`` before the subcommand runs, so a run, a
+failed one too, is reproducible from its output directory alone.  All
+writes stay inside ``--out``.
 
 Exit codes: 0 success, 1 domain failure (degenerate filter, set not
 certifiable, hypothesis not verifiable), 2 usage or configuration error
@@ -22,7 +24,6 @@ certifiable, hypothesis not verifiable), 2 usage or configuration error
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import sys
@@ -37,7 +38,8 @@ from .gridfilter import DegenerateFilterError, resolve_grid, run_two_filters
 from .grids import GridSpec, InitialDistribution
 from .models import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateModel,
                      StochVolModel, TobitModel, simulate)
-from .reports import ensure_dir, write_csv, write_filter_trace_csv, write_trajectory_csv
+from .reports import (ensure_dir, write_bound_csv, write_bound_summary, write_csv,
+                      write_filter_trace_csv, write_trajectory_csv)
 from .verify import DriftPreconditionError, run_suite
 
 
@@ -92,61 +94,45 @@ def build_drift(d):
     raise ConfigError(f"unknown drift {d!r}")
 
 
+MODELS = {"finite": FiniteStateModel, "lgssm": LGSSM, "tobit": TobitModel,
+          "nlssm": NLSSM, "stochvol": StochVolModel}
+# InitialDistribution constructor of each form, and the config keys of its arguments
+INITS = {"gaussian": ("mean", "sd"), "uniform": ("lo", "hi"), "point_mass": ("at",),
+         "finite": ("weights",)}
+
+
 def build_model(d):
+    """The model ``d`` names; its entries are the model's constructor keywords."""
     if "kind" not in section(d, "model", nullable=("domain_halfwidth", "drift_values")):
         raise ConfigError("model section needs a 'kind'")
-    d = dict(d)
-    kind = d.pop("kind")
-    drift = build_drift(d.pop("drift", None))
+    params = dict(d)
+    kind = params.pop("kind")
+    if not isinstance(kind, str) or kind not in MODELS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    if "drift" in params:
+        params["drift"] = build_drift(params["drift"])
     try:
-        if kind == "finite":
-            return FiniteStateModel(np.asarray(d["transition"], dtype=float),
-                                    np.asarray(d["emission"], dtype=float),
-                                    d.get("drift_values"))
-        if kind == "lgssm":
-            return LGSSM(d["phi"], d["sigma"], d["beta"], d.get("h0", 1.0),
-                         drift=drift, domain_halfwidth=d.get("domain_halfwidth"))
-        if kind == "tobit":
-            return TobitModel(d["phi"], d["sigma"], d["beta"], drift=drift,
-                              domain_halfwidth=d.get("domain_halfwidth"))
-        if kind == "nlssm":
-            return NLSSM(d["drift_form"], d["delta"], d["sigma0"], d["beta"],
-                         kappa=d.get("kappa", 0.0),
-                         obs_form=d.get("obs_form", "identity"),
-                         obs_a=d.get("obs_a", 1.0), obs_b=d.get("obs_b", 0.0),
-                         drift=drift, domain_halfwidth=d.get("domain_halfwidth"))
-        if kind == "stochvol":
-            return StochVolModel(d["phi"], d["sigma"], d["beta"], drift=drift,
-                                 domain_halfwidth=d.get("domain_halfwidth"))
-    except KeyError as exc:
-        raise ConfigError(f"model kind {kind!r} is missing parameter {exc}") from exc
-    raise ConfigError(f"unknown model kind {kind!r}")
+        return MODELS[kind](**params)
+    except TypeError as exc:  # a missing or unexpected key
+        raise ConfigError(f"model kind {kind!r}: {exc}") from exc
 
 
 def build_init(d):
     if "form" not in section(d, "initial distribution"):
         raise ConfigError("initial distribution needs a 'form'")
     form = d["form"]
+    if not isinstance(form, str) or form not in INITS:
+        raise ConfigError(f"unknown initial distribution form {form!r}")
     try:
-        if form == "gaussian":
-            return InitialDistribution.gaussian(d["mean"], d["sd"])
-        if form == "uniform":
-            return InitialDistribution.uniform(d["lo"], d["hi"])
-        if form == "point_mass":
-            return InitialDistribution.point_mass(d["at"])
-        if form == "finite":
-            return InitialDistribution.finite(np.asarray(d["weights"], dtype=float))
+        return getattr(InitialDistribution, form)(*(d[key] for key in INITS[form]))
     except KeyError as exc:
         raise ConfigError(f"initial form {form!r} is missing parameter {exc}") from exc
-    raise ConfigError(f"unknown initial distribution form {form!r}")
 
 
-def build_grid(cfg, args, model):
+def build_grid(cfg, model):
     g = section(cfg.get("grid", {}), "grid", nullable=("lo", "hi", "m"))
-    lo = args.grid_lo if args.grid_lo is not None else g.get("lo")
-    hi = args.grid_hi if args.grid_hi is not None else g.get("hi")
-    m = args.grid_m if args.grid_m is not None else g.get("m")
-    m = DEFAULT_GRID_M if m is None else int(m)
+    lo, hi = g.get("lo"), g.get("hi")
+    m = DEFAULT_GRID_M if g.get("m") is None else int(g["m"])
     grid = None if lo is None or hi is None else GridSpec(float(lo), float(hi), m)
     return resolve_grid(model, grid, m)
 
@@ -203,29 +189,25 @@ def load_config(args):
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
-    cfg = copy.deepcopy(cfg)
     for item in args.set or []:
         key, value = parse_override(item)
         apply_override(cfg, key, value)
+    for name in ("seed", "threads", "suite"):  # a flag wins over the config
+        if getattr(args, name, None) is not None:
+            cfg[name] = getattr(args, name)
     return section(cfg, "config", nullable=("seed",))
 
 
-def require_seed(args, cfg):
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None:
+def require_seed(cfg):
+    if cfg.get("seed") is None:
         raise ConfigError("this subcommand draws random numbers: provide seed "
                           "(--seed or config key 'seed')")
-    return int(seed)
+    return int(cfg["seed"])
 
 
-def echo_config(cfg, args, out_dir):
-    resolved = copy.deepcopy(cfg)
-    for name in ("seed", "threads", "grid_lo", "grid_hi", "grid_m"):
-        value = getattr(args, name, None)
-        if value is not None:
-            resolved[name] = value
+def echo_config(cfg, out_dir):
     with open(os.path.join(out_dir, "resolved_config.json"), "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
+        json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -233,7 +215,7 @@ def echo_config(cfg, args, out_dir):
 # Observation records
 
 
-def get_observations(cfg, args, model):
+def get_observations(cfg, model):
     """Observations either from a CSV (column 'y') or freshly simulated."""
     obs_cfg = cfg.get("observations")
     if obs_cfg is None:
@@ -251,8 +233,8 @@ def get_observations(cfg, args, model):
         return np.atleast_1d(data["y"])
     if "simulate" in obs_cfg:
         sim = section(obs_cfg["simulate"], "observations.simulate")
-        seed = require_seed(args, cfg)
-        star = build_model(sim.get("model", cfg.get("model")))
+        seed = require_seed(cfg)
+        star = build_model(sim["model"]) if "model" in sim else model
         init = build_init(sim["init"])
         traj = simulate(star, int(sim["n"]), init, seed,
                         replication=int(sim.get("replication", 0)))
@@ -264,8 +246,8 @@ def get_observations(cfg, args, model):
 # Subcommands
 
 
-def cmd_simulate(cfg, args, out_dir):
-    seed = require_seed(args, cfg)
+def cmd_simulate(cfg, out_dir):
+    seed = require_seed(cfg)
     model = build_model(cfg["model"])
     init = build_init(cfg["init"])
     n = int(cfg["n"])
@@ -276,23 +258,21 @@ def cmd_simulate(cfg, args, out_dir):
     return 0
 
 
-def cmd_filter(cfg, args, out_dir):
+def filter_inputs(cfg):
+    """The model, grid, initial laws and record that filter and bound run on."""
     model = build_model(cfg["model"])
-    nu = build_init(cfg["nu"])
-    nu_prime = build_init(cfg["nu_prime"])
-    grid = build_grid(cfg, args, model)
-    obs = get_observations(cfg, args, model)
-    records = run_two_filters(model, grid, nu, nu_prime, obs)
+    nu, nu_prime = build_init(cfg["nu"]), build_init(cfg["nu_prime"])
+    return model, build_grid(cfg, model), nu, nu_prime, get_observations(cfg, model)
+
+
+def cmd_filter(cfg, out_dir):
+    records = run_two_filters(*filter_inputs(cfg))
     write_filter_trace_csv(records, os.path.join(out_dir, "filter_trace.csv"))
     return 0
 
 
-def cmd_bound(cfg, args, out_dir):
-    model = build_model(cfg["model"])
-    nu = build_init(cfg["nu"])
-    nu_prime = build_init(cfg["nu_prime"])
-    grid = build_grid(cfg, args, model)
-    obs = get_observations(cfg, args, model)
+def cmd_bound(cfg, out_dir):
+    model, grid, nu, nu_prime, obs = filter_inputs(cfg)
     bnd = cfg.get("bound")
     if bnd is None:
         raise ConfigError("config needs a 'bound' section")
@@ -310,18 +290,16 @@ def cmd_bound(cfg, args, out_dir):
         report = geometric_bound(model, nu, nu_prime, obs, bcfg, C, grid=grid)
     else:
         raise ConfigError(f"unknown bound form {form!r}")
-    report.write_csv(os.path.join(out_dir, "bound.csv"))
-    from .reports import write_bound_summary
-
+    write_bound_csv(report, os.path.join(out_dir, "bound.csv"))
     write_bound_summary(report, os.path.join(out_dir, "bound_summary.json"))
     return 0
 
 
-def cmd_experiment(cfg, args, out_dir):
-    seed = require_seed(args, cfg)
+def cmd_experiment(cfg, out_dir):
+    seed = require_seed(cfg)
     model = build_model(cfg["model"])
     star = build_model(cfg.get("star_model", cfg["model"]))
-    grid = build_grid(cfg, args, model)
+    grid = build_grid(cfg, model)
     bound_cfg = ld_set = None
     if "bound" in cfg:
         bound_cfg = build_bound_cfg(cfg["bound"], model)
@@ -335,7 +313,7 @@ def cmd_experiment(cfg, args, out_dir):
         nu_star=build_init(cfg["nu_star"]),
         n=int(cfg["n"]), replications=int(cfg["replications"]), seed=seed,
         grid=grid, bound_cfg=bound_cfg, ld_set=ld_set,
-        threads=args.threads if args.threads is not None else int(cfg.get("threads", 1)),
+        threads=int(cfg.get("threads", 1)),
     )
     result = run_forgetting(ecfg)
     r_seq = None
@@ -345,8 +323,8 @@ def cmd_experiment(cfg, args, out_dir):
     return 0
 
 
-def cmd_verify(cfg, args, out_dir):
-    suites = ([args.suite] if args.suite and args.suite != "all"
+def cmd_verify(cfg, out_dir):
+    suites = ([cfg["suite"]] if cfg.get("suite", "all") != "all"
               else ["numerator", "denominator", "counting", "exponential"])
     rows = []
     all_hold = True
@@ -380,9 +358,6 @@ def make_parser():
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int,
                        help="worker threads; results are independent of it")
-        p.add_argument("--grid-lo", type=float, dest="grid_lo")
-        p.add_argument("--grid-hi", type=float, dest="grid_hi")
-        p.add_argument("--grid-m", type=int, dest="grid_m")
         if name == "verify":
             p.add_argument("--suite",
                            choices=["numerator", "denominator", "counting", "exponential", "all"])
@@ -395,9 +370,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         out_dir = ensure_dir(args.out)
-        code = args.fn(cfg, args, out_dir)
-        echo_config(cfg, args, out_dir)
-        return code
+        echo_config(cfg, out_dir)
+        return args.fn(cfg, out_dir)
     except (DegenerateFilterError, NotCertifiableError, H2UnverifiedError,
             DomainError, DriftPreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,12 +16,14 @@ replications happen in a fixed order regardless of the thread count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundConfig, LDSet, _conditions, _record_terms, geometric_bound
+from . import reports
+from .bounds import BoundConfig, LDSet, _conditions, _record_terms, geometric_bound, phi
 from .gridfilter import resolve_grid, run_two_filters, transition_kernel
 from .grids import GridSpec, InitialDistribution
 from .models import simulate
@@ -179,10 +181,11 @@ def estimate_r_sequences(cfg: ExperimentConfig) -> RSequenceResult:
 
     def one(rep):
         traj = simulate(cfg.star_model, cfg.n, cfg.nu_star, cfg.seed, rep)
-        terms = _record_terms(cfg.model, cfg.nu, cfg.nu_prime, traj.obs, b.D, None,
-                              grid, kernel)
+        terms = _record_terms(cfg.model, None, None, traj.obs, b.D, None, None)
         k_ok, ups_ok, psi_ok = _conditions(traj.obs, terms, b)[1]
-        lphi, lphi2 = terms.log_phi
+        with np.errstate(divide="ignore"):
+            lphi, lphi2 = (np.log(phi(cfg.model, law, b.D, traj.obs[0], traj.obs[1],
+                                      grid, kernel)) for law in (cfg.nu, cfg.nu_prime))
         return np.stack([lphi <= -b.M0 * ns, lphi2 <= -b.M0 * ns,
                          ~ups_ok[ns], ~psi_ok[ns], ~k_ok[ns]])
 
@@ -202,11 +205,7 @@ def estimate_r_sequences(cfg: ExperimentConfig) -> RSequenceResult:
 def emit_report(result: ExperimentResult, out_dir: str,
                 r_seq: RSequenceResult | None = None) -> None:
     """Write the deterministic CSV/text outputs of an experiment."""
-    from . import reports
-
     reports.ensure_dir(out_dir)
-    import os
-
     reps, steps = result.tv.shape
     rows = [(rep, n, result.tv[rep, n], result.logZ_nu[rep, n],
              result.logZ_nu_prime[rep, n])

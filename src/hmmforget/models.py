@@ -389,14 +389,17 @@ def _first_offender(bad, v, what):
 
 
 def _check_index(v, size, what):
-    """``v`` as integer indices, if every entry is one of 0..size-1."""
+    """``v`` as integer indices, if every entry is one of 0..size-1.  The range
+    is tested before the cast to int, which NaN and ±inf fail."""
     if np.ndim(v) == 0:  # samplers and the filter pass scalars: keep them cheap
-        i = int(v)
-        ok = i == v and 0 <= i < size
+        i = int(v) if 0 <= v < size else None
+        ok = i is not None and i == v
     else:
-        i = np.asarray(v).astype(int)
-        bad = (i != v) | (i < 0) | (i >= size)
-        ok, v = not bad.any(), np.asarray(v)[bad]  # name only the bad entries
+        v = np.asarray(v)
+        in_range = (v >= 0) & (v < size)
+        i = np.where(in_range, v, 0).astype(int)
+        bad = ~in_range | (i != v)
+        ok, v = not bad.any(), v[bad]  # name only the bad entries
     if not ok:
         raise DomainError(f"{what} {v} outside {{0..{size - 1}}}")
     return i

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from hmmforget import LGSSM, GridSpec, InitialDistribution, run_two_filters, simulate
 from hmmforget.cli import main
 
 MODEL = {"kind": "lgssm", "phi": 0.9, "sigma": 1.0, "beta": 1.0}
@@ -39,13 +40,13 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra,code", [
-    (["--grid-m", "5"], 2),
+    (["--set", "grid.m=5"], 2),
     (["--threads", "-1"], 2),
     (["--threads", "0"], 2),
     (["--set", "nu.sd=0"], 2),
     (["--set", "n=0"], 2),
-    (["--grid-lo", "3", "--grid-hi", "1"], 2),
-    (["--grid-lo", "-100", "--grid-hi", "100"], 1),  # DomainError is a ValueError
+    (["--set", "grid.lo=3", "--set", "grid.hi=1"], 2),
+    (["--set", "grid.lo=-100", "--set", "grid.hi=100"], 1),  # DomainError is a ValueError
     (["--set", 'nu.sd="abc"'], 2),
     (["--set", 'model.phi="x"'], 2),
     (["--set", "model.phi=null"], 2),
@@ -53,6 +54,8 @@ def test_bad_config_exits_2(tmp_path, capsys):
     (["--set", "model.drift=3"], 2),
     (["--set", "bound=3"], 2),
     (["--set", "n=null"], 2),
+    (["--set", "model.kind=[1]"], 2),
+    (["--set", "nu.form=[1]"], 2),
 ])
 def test_invalid_values_exit_code(tmp_path, capsys, extra, code):
     cfg = write_cfg(tmp_path, experiment_cfg())
@@ -185,7 +188,88 @@ def test_grid_flags_applied(tmp_path):
         "observations": {"simulate": {"init": GAUSS(0), "n": 5}},
     })
     out = tmp_path / "g"
-    assert main(["filter", "--config", cfg, "--seed", "3", "--grid-lo", "-6",
-                 "--grid-hi", "6", "--grid-m", "128", "--out", str(out)]) == 0
+    assert main(["filter", "--config", cfg, "--seed", "3", "--set", "grid.lo=-6",
+                 "--set", "grid.hi=6", "--set", "grid.m=128", "--out", str(out)]) == 0
     resolved = json.loads((out / "resolved_config.json").read_text())
-    assert resolved["grid_m"] == 128
+    assert resolved["grid"] == {"lo": -6, "hi": 6, "m": 128}
+    trace = np.genfromtxt(out / "filter_trace.csv", delimiter=",", names=True)
+    grid = GridSpec(-6.0, 6.0, 128)
+    nu, nu_prime = (InitialDistribution.gaussian(m, 1.0) for m in (-2, 2))
+    obs = simulate(LGSSM(0.9, 1.0, 1.0), 5, InitialDistribution.gaussian(0, 1.0), 3).obs
+    expected = run_two_filters(LGSSM(0.9, 1.0, 1.0), grid, nu, nu_prime, obs)
+    assert np.array_equal(trace["tv"], [r[1] for r in expected])
+
+
+ROUND_TRIP = {
+    "simulate": {"model": MODEL, "init": GAUSS(0), "n": 10, "replications": 2},
+    "filter": {"model": MODEL, "nu": GAUSS(-2), "nu_prime": GAUSS(2),
+               "observations": {"simulate": {"init": GAUSS(0), "n": 10}}},
+    "bound": {"model": MODEL, "nu": GAUSS(-2), "nu_prime": GAUSS(2),
+              "observations": {"simulate": {"init": GAUSS(0), "n": 12}},
+              "bound": {"form": "geometric", "beta": 0.2, "gamma": 0.5, "eta": 0.5,
+                        "D": {"interval": [-2, 2]}, "C": {"interval": [-3, 3]}}},
+    "experiment": {**experiment_cfg(),
+                   "bound": {"beta": 0.2, "gamma": 0.5, "eta": 0.5, "M1": 3.0,
+                             "D": {"interval": [-2, 2]}, "C": {"interval": [-3, 3]}},
+                   "r_sequences": True},
+}
+
+
+def read_dir(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+@pytest.mark.parametrize("command", list(ROUND_TRIP))
+def test_rerun_from_resolved_config_is_byte_identical(tmp_path, command):
+    cfg = write_cfg(tmp_path, ROUND_TRIP[command])
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([command, "--config", cfg, "--seed", "4", "--threads", "2",
+                 "--set", "grid.lo=-7", "--set", "grid.hi=7", "--set", "grid.m=128",
+                 "--out", str(first)]) == 0
+    assert main([command, "--config", str(first / "resolved_config.json"),
+                 "--out", str(second)]) == 0
+    outputs = read_dir(first)
+    assert len(outputs) > 1
+    assert read_dir(second) == outputs
+
+
+def test_rerun_verify_from_resolved_config(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["verify", "--suite", "counting", "--out", str(first)]) == 0
+    assert json.loads((first / "resolved_config.json").read_text()) == {"suite": "counting"}
+    assert main(["verify", "--config", str(first / "resolved_config.json"),
+                 "--out", str(second)]) == 0
+    assert read_dir(second) == read_dir(first)
+
+
+def test_failed_runs_leave_resolved_config(tmp_path):
+    record = tmp_path / "y.csv"
+    record.write_text("y\n0.0\n1.5\n-0.3\n")
+    cfg = write_cfg(tmp_path, {
+        "model": {"kind": "tobit", "phi": 0.5, "sigma": 1.0, "beta": 1.0},
+        "nu": GAUSS(-2), "nu_prime": GAUSS(2), "observations": {"file": str(record)}})
+    out = tmp_path / "domain"
+    assert main(["filter", "--config", cfg, "--out", str(out)]) == 1
+    assert json.loads((out / "resolved_config.json").read_text())["model"]["kind"] == "tobit"
+
+    cfg = write_cfg(tmp_path, experiment_cfg(), "exp.json")
+    out = tmp_path / "config"
+    assert main(["experiment", "--config", cfg, "--seed", "1", "--set", "nu.sd=0",
+                 "--out", str(out)]) == 2
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["nu"]["sd"] == 0 and resolved["seed"] == 1
+
+
+@pytest.mark.parametrize("model", [
+    {**MODEL, "bogus": 1.0},
+    {"kind": "finite", "transition": [[0.9, 0.1], [0.2, 0.8]],
+     "emission": [[0.3, 0.7], [0.6, 0.4]], "drift": {"form": "one"}},
+    {"kind": "lgssm", "sigma": 1.0, "beta": 1.0},
+])
+def test_unknown_or_missing_model_key_exits_2_and_names_it(tmp_path, capsys, model):
+    cfg = write_cfg(tmp_path, {**experiment_cfg(), "model": model})
+    assert main(["experiment", "--config", cfg, "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    key = ({"bogus", "drift"} & model.keys() or {"phi"}).pop()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and repr(key) in err

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,20 @@ def test_non_finite_observations_rejected(value):
             m.loglik(np.zeros(3)[:, None], ys[None, :])
         with pytest.raises(DomainError, match=rf"^{m.kind} observation {value} is not finite$"):
             m.log_likelihood(0.0, value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+@pytest.mark.parametrize("what", ["state", "symbol"])
+def test_finite_model_rejects_non_finite_indices(what, shape, value):
+    m = FiniteStateModel([[0.9, 0.1], [0.2, 0.8]], [[0.3, 0.7], [0.6, 0.4]])
+    bad = value if shape == "scalar" else np.array([0.0, value, 1.0])
+    x, y = (bad, 0) if what == "state" else (0, bad)
+    named = rf"^{what} \[?{value}\]? outside \{{0\.\.1\}}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=named):
+            m.log_likelihood(x, y)
 
 
 def tobit_scipy_logpdf(m, x, y):

@@ -25,14 +25,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
-from scipy.special import logsumexp
 
 from .gridfilter import resolve_grid, transition_kernel
-from .grids import GridSpec
+from .grids import GridSpec, logsumexp
 
 UPSILON_QUAD_M = 4096  # Upsilon quadrature cells over the domain
 PSI_QUAD_M = 2048  # Psi quadrature cells over an interval D
-_RECORD_BLOCK = 256  # observations per envelope block in _record_series
+_RECORD_BLOCK = 256  # observations per dense envelope block
+# support offsets around an observation's mode that hold the grid maximum of
+# log g on any index range (see _log_upsilon)
+_MODE_HALF = 3
+_MODE_WINDOW = np.arange(-_MODE_HALF, _MODE_HALF + 1)
 
 
 class NotCertifiableError(RuntimeError):
@@ -146,27 +149,116 @@ def _log_g_qv(model, x, y):
     return logg if log_qv is None else logg + log_qv
 
 
-def _region_mask(region, x, discrete):
-    """Which support points x lie in ``region``: "all" or ("complement", C),
-    where C lists states on a finite state set and is (lo, hi) otherwise."""
+def _region_parts(region, x, discrete):
+    """The support points ``x`` that lie in ``region``, "all" or
+    ("complement", C), where C lists states on a finite state set and is
+    (lo, hi) otherwise, as selectors in support order: one slice for "all";
+    for a complement, the slices x < lo and x > hi of the sorted grid, or one
+    index array on a finite state set."""
     if region == "all":
-        return np.ones(len(x), dtype=bool)
+        return [slice(0, len(x))]
     kind, members = region
     if kind != "complement":
         raise ValueError(f"unknown region {region!r}")
     if discrete:
-        return ~np.isin(x, members)
+        return [np.flatnonzero(~np.isin(x, members))]
     lo, hi = members
-    return (x < lo) | (x > hi)
+    left = int(np.searchsorted(x, lo, "left"))
+    return [slice(0, left), slice(max(int(np.searchsorted(x, hi, "right")), left), len(x))]
 
 
-def _upsilon_grid(model, region, ys):
-    """The quadrature grid, the support points in ``region`` and
-    log g(x, y) QV(x)/V(x) on them; shared by upsilon and log_upsilon_batch."""
+def _region_mask(region, x, discrete):
+    """Which support points x lie in ``region`` (as in _region_parts)."""
+    mask = np.zeros(len(x), dtype=bool)
+    for part in _region_parts(region, x, discrete):
+        mask[part] = True
+    return mask
+
+
+def _blocks(n):
+    """Slices of _RECORD_BLOCK columns that cover n columns.  A lone last
+    column joins the block before: NumPy sums a one-column matrix pairwise,
+    not row by row, which moves the last bit of a sum such as Psi."""
+    edges = list(range(0, n, _RECORD_BLOCK))
+    if len(edges) > 1 and n % _RECORD_BLOCK == 1:
+        edges.pop()
+    return [slice(a, b) for a, b in zip(edges, edges[1:] + [n])]
+
+
+def _keep_first(best, arg, cols, vals, idx):
+    """Raise best[cols] to ``vals`` where that is strictly larger, and record
+    the support index ``idx`` of each new maximum in arg."""
+    up = vals > best[cols]
+    best[cols[up]] = vals[up]
+    arg[cols[up]] = idx[up]
+
+
+def _log_upsilon(model, regions, ys, first=False):
+    """The quadrature grid, its support points and, for each region of
+    ``regions`` (rows) and each y of ``ys`` (columns), the grid maximum of
+    log g(x, y) QV(x)/V(x) over the region; with ``first`` also the support
+    index where each maximum is first reached (-1 on an empty region).
+
+    Where V == 1 and the channel has a mode m (``model.obs_mode``), log g is
+    a non-increasing function of the computed |z|, z = (y - location(x))/beta,
+    and z is monotone along the sorted grid, as every floating-point
+    operation on the way is.  So on each index range of a region the maxima
+    form one run of indices, which meets the point or two next to m (or the
+    range's end nearest m), and the window _MODE_WINDOW there, kept inside
+    the range, gives the maximum bit for bit.  A run that starts before the
+    window shows as a maximum at the window's first point; where ``first``
+    is asked for, such observations take the dense scan, as does every
+    observation without a mode.  The dense scan goes in blocks.
+    """
     quad = resolve_grid(model, None, UPSILON_QUAD_M)
     x = model.support(quad)
-    x = x[_region_mask(region, x, quad is None)]
-    return quad, x, _log_g_qv(model, x[:, None], ys[None, :])
+    ys = np.asarray(ys)
+    model._check_obs(ys)  # names a bad observation by its index in ys
+    parts = [_region_parts(region, x, quad is None) for region in regions]
+    best = np.full((len(regions), len(ys)), -np.inf)
+    arg = np.full(best.shape, -1)
+    dense = np.ones(len(ys), dtype=bool)
+    if quad is not None and model.log_qv(x[:1]) is None:  # V == 1
+        modes = model.obs_mode(ys)
+        near = np.flatnonzero(~np.isnan(modes))
+        spans = [(r, part) for r, region_parts in enumerate(parts)
+                 for part in region_parts if part.start < part.stop]
+        if len(near) and spans:
+            dense[near] = False
+            lo = np.array([part.start for _, part in spans])
+            hi = np.array([part.stop - 1 for _, part in spans])
+            k = np.searchsorted(x, modes[near])[:, None]
+            centre = np.minimum(np.maximum(k, lo + _MODE_HALF), hi - _MODE_HALF)
+            idx = np.minimum(np.maximum(centre[..., None] + _MODE_WINDOW, lo[:, None]),
+                             hi[:, None])  # (observations, spans, window)
+            vals = model.loglik(x[idx], ys[near, None, None]).reshape(-1, len(_MODE_WINDOW))
+            j = vals.argmax(axis=1)  # the window's first maximum
+            rows = np.arange(len(j))
+            vals = vals[rows, j].reshape(len(near), -1)
+            idx = idx.reshape(-1, len(_MODE_WINDOW))[rows, j].reshape(len(near), -1)
+            for s, (r, _) in enumerate(spans):
+                _keep_first(best[r], arg[r], near, vals[:, s], idx[:, s])
+            if first:  # a run that may start before its window: scan densely
+                early = near[((j.reshape(len(near), -1) == 0) & (idx > lo)).any(axis=1)]
+                dense[early] = True
+                best[:, early], arg[:, early] = -np.inf, -1
+    dense = np.flatnonzero(dense)
+    for block in _blocks(len(dense)):
+        cols = dense[block]
+        vals = _log_g_qv(model, x[:, None], ys[None, cols])
+        for r, region_parts in enumerate(parts):
+            for part in region_parts:
+                part_vals = vals[part]
+                if not len(part_vals):
+                    continue
+                if first:
+                    j = part_vals.argmax(axis=0)
+                    _keep_first(best[r], arg[r], cols, part_vals[j, np.arange(len(cols))],
+                                np.arange(len(x))[part][j])
+                else:  # a maximum is exact, so the parts combine in any order
+                    best[r, cols] = np.maximum(best[r, cols], part_vals.max(axis=0))
+        del vals, part_vals
+    return quad, x, best, arg
 
 
 def upsilon(model, region, y) -> float:
@@ -177,11 +269,10 @@ def upsilon(model, region, y) -> float:
     models, polished by a bounded 1-d maximization (the QV/V factor has a
     closed form on all Gaussian kernels, so the objective is exact).
     """
-    quad, xs, vals = _upsilon_grid(model, region, np.array([y]))
-    best = vals.max(initial=-np.inf)
-    if quad is not None and len(xs):
-        i = int(np.argmax(vals[:, 0]))
-        a, b = _polish_bracket(xs[i], quad.delta, region, model.domain)
+    quad, x, best, first = _log_upsilon(model, [region], np.array([y]), first=True)
+    best, i = best[0, 0], first[0, 0]
+    if quad is not None and i >= 0:
+        a, b = _polish_bracket(x[i], quad.delta, region, model.domain)
         res = optimize.minimize_scalar(
             lambda t: -_log_g_qv(model, np.array([t]), y)[0],
             bounds=(a, b), method="bounded",
@@ -206,8 +297,7 @@ def _polish_bracket(x0, delta, region, domain):
 
 def log_upsilon_batch(model, region, ys) -> np.ndarray:
     """Grid-based log Upsilon_region(y) for an array of observations."""
-    _, _, vals = _upsilon_grid(model, region, np.asarray(ys))
-    return vals.max(axis=0, initial=-np.inf)
+    return _log_upsilon(model, [region], ys)[2][0]
 
 
 def find_ld_set_for_eta(model, eta, K, y_probe) -> LDSet:
@@ -263,33 +353,24 @@ def _record_series(model, obs, D: LDSet, C: LDSet | None = None):
     """log Upsilon_X(y_i), log Upsilon_{C^c}(y_i) (None without a C) and
     log Psi_D(y_i) for i = 0..n.
 
-    The record is taken in blocks of _RECORD_BLOCK observations, so memory
-    does not grow with n.  Both envelopes of a block are maxima of one grid
-    evaluation of log g QV/V.  Every output entry reads its own column only,
-    so the blocking does not change it, with one exception that the blocks
-    avoid: NumPy sums a one-column matrix pairwise, not row by row, which
-    moves the last bit of Psi, so a lone last column joins the block before.
+    Each entry depends on its own observation alone, so all three are
+    evaluated once per distinct observation and read back by index; the
+    dense evaluations go in blocks, so memory does not grow with n.  Psi is
+    a sum, which NumPy takes pairwise on a one-column matrix and row by row
+    otherwise: its blocks never have one column (_blocks), and a longer record
+    with one distinct value is evaluated as two identical columns, as its
+    own blocks would be.
     """
     obs = np.asarray(obs)
     model._check_obs(obs)  # names a bad observation by its index in the record
-    quad = resolve_grid(model, None, UPSILON_QUAD_M)
-    x = model.support(quad)
-    mask = None if C is None else _region_mask(("complement", C.interval or C.states),
-                                               x, quad is None)
-    log_ups_x, log_psi = np.empty(len(obs)), np.empty(len(obs))
-    log_ups_cc = None if C is None else np.empty(len(obs))
-    edges = list(range(0, len(obs), _RECORD_BLOCK))
-    if len(edges) > 1 and len(obs) % _RECORD_BLOCK == 1:
-        edges.pop()
-    for start, stop in zip(edges, edges[1:] + [len(obs)]):
-        cols = slice(start, stop)
-        vals = _log_g_qv(model, x[:, None], obs[None, cols])
-        log_ups_x[cols] = vals.max(axis=0, initial=-np.inf)
-        if mask is not None:
-            log_ups_cc[cols] = np.max(vals, axis=0, where=mask[:, None], initial=-np.inf)
-        del vals
-        log_psi[cols] = log_psi_batch(model, D, obs[cols])
-    return log_ups_x, log_ups_cc, log_psi
+    u, inv = np.unique(obs, return_inverse=True)
+    regions = ["all"] if C is None else ["all", ("complement", C.interval or C.states)]
+    log_ups = _log_upsilon(model, regions, u)[2]
+    cols = np.repeat(u, 2) if len(u) == 1 < len(obs) else u
+    log_psi = np.empty(len(cols))
+    for block in _blocks(len(cols)):
+        log_psi[block] = log_psi_batch(model, D, cols[block])
+    return log_ups[0][inv], None if C is None else log_ups[1][inv], log_psi[inv]
 
 
 def phi(model, nu, D: LDSet, y0, y1, grid: GridSpec | None = None,
@@ -390,9 +471,11 @@ class _RecordTerms:
     log_nuv: tuple[float, float] | None  # log nu V, then log nu' V
 
 
-def _record_terms(model, nu, nu_prime, obs, D: LDSet, C: LDSet | None, grid) -> _RecordTerms:
+def _record_terms(model, nu, nu_prime, obs, D: LDSet, C: LDSet | None, grid,
+                  kernel=None) -> _RecordTerms:
     """The _RecordTerms of ``obs``.  Without initial laws (nu None, as
-    check_conditions and the r-sequences call it) log_phi and log_nuv are None."""
+    check_conditions and the r-sequences call it) log_phi and log_nuv are None.
+    ``kernel`` is as in ``gridfilter.filter_step``."""
     obs = np.asarray(obs)
     if nu is not None:
         if len(obs) < 2:
@@ -403,7 +486,7 @@ def _record_terms(model, nu, nu_prime, obs, D: LDSet, C: LDSet | None, grid) -> 
     s_psi[2:] = np.cumsum(log_psi[2:])
     log_phi = log_nuv = None
     if nu is not None:
-        kernel = transition_kernel(model, grid)
+        kernel = transition_kernel(model, grid) if kernel is None else kernel
         log_v = model.log_v(model.support(grid))
         with np.errstate(divide="ignore"):
             log_phi = tuple(float(np.log(phi(model, law, D, obs[0], obs[1], grid, kernel)))
@@ -452,17 +535,19 @@ def sharp_bound(model, nu, nu_prime, obs, beta, C: LDSet, D: LDSet,
 
 
 def geometric_bound(model, nu, nu_prime, obs, cfg: BoundConfig, C: LDSet,
-                    grid: GridSpec | None = None) -> BoundReport:
+                    grid: GridSpec | None = None, kernel=None) -> BoundReport:
     """Geometric form of the bound under the K-frequency hypothesis.
 
     ``C`` must satisfy the eta envelope Upsilon_{C^c} <= eta Upsilon_X on K
     (as returned by find_ld_set_for_eta).  Steps n where the K-frequency rule
     of check_conditions fails, #{0 <= i <= n : y_i in K} < (1 + gamma)(n + 1)/2,
     are flagged as not applicable.  The report's ``conditions`` are those of
-    check_conditions, read from the record the bound evaluated.
+    check_conditions, read from the record the bound evaluated.  ``kernel``
+    is as in ``gridfilter.filter_step``: the transition matrix on ``grid``,
+    built here when None.
     """
     obs = np.asarray(obs)
-    terms = _record_terms(model, nu, nu_prime, obs, cfg.D, C, grid)
+    terms = _record_terms(model, nu, nu_prime, obs, cfg.D, C, grid, kernel)
     conditions, (k_ok, _, _) = _conditions(obs, terms, cfg)
     ns = np.arange(len(obs))
     log_num = (cfg.gamma - cfg.beta) * ns / 2.0 * np.log(cfg.eta) + 2.0 * terms.s_ups

@@ -65,11 +65,16 @@ def _holds_numbers(value, key):
     return arr.dtype.kind in "iuf" and shape_ok
 
 
-def section(d, what, nullable=()):
+def section(d, what, nullable=(), keys=None):
     """``d`` if it is a JSON object whose NUMBERS, PAIRS and ARRAYS entries
-    hold numbers (or null, for the keys in ``nullable``); else a ConfigError."""
+    hold numbers (or null, for the keys in ``nullable``) and, when ``keys``
+    is given, whose every key is one of them; else a ConfigError."""
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be a JSON object, got {d!r}")
+    unknown = sorted(d.keys() - set(keys)) if keys is not None else []
+    if unknown:
+        raise ConfigError(f"{what} has unknown key {unknown[0]!r} "
+                          f"(known keys: {', '.join(sorted(keys))})")
     for key in (NUMBERS | PAIRS | ARRAYS) & d.keys():
         value = d[key]
         if not (value is None and key in nullable or _holds_numbers(value, key)):
@@ -99,6 +104,12 @@ MODELS = {"finite": FiniteStateModel, "lgssm": LGSSM, "tobit": TobitModel,
 # InitialDistribution constructor of each form, and the config keys of its arguments
 INITS = {"gaussian": ("mean", "sd"), "uniform": ("lo", "hi"), "point_mass": ("at",),
          "finite": ("weights",)}
+# the keys of the other sections
+GRID_KEYS = ("lo", "hi", "m")
+LD_SET_KEYS = ("interval", "states")
+BOUND_KEYS = ("form", "beta", "gamma", "eta", "C", "D", "K", "M0", "M1", "M2")
+OBSERVATION_KEYS = ("file", "simulate")
+SIMULATE_KEYS = ("model", "init", "n", "replication")
 
 
 def build_model(d):
@@ -117,12 +128,14 @@ def build_model(d):
         raise ConfigError(f"model kind {kind!r}: {exc}") from exc
 
 
-def build_init(d):
-    if "form" not in section(d, "initial distribution"):
-        raise ConfigError("initial distribution needs a 'form'")
+def build_init(d, what):
+    """The initial law of section ``what``: its 'form' and that form's keys."""
+    if "form" not in section(d, what):
+        raise ConfigError(f"{what} needs a 'form'")
     form = d["form"]
     if not isinstance(form, str) or form not in INITS:
         raise ConfigError(f"unknown initial distribution form {form!r}")
+    section(d, what, keys=("form", *INITS[form]))
     try:
         return getattr(InitialDistribution, form)(*(d[key] for key in INITS[form]))
     except KeyError as exc:
@@ -130,7 +143,7 @@ def build_init(d):
 
 
 def build_grid(cfg, model):
-    g = section(cfg.get("grid", {}), "grid", nullable=("lo", "hi", "m"))
+    g = section(cfg.get("grid", {}), "grid", nullable=GRID_KEYS, keys=GRID_KEYS)
     lo, hi = g.get("lo"), g.get("hi")
     m = DEFAULT_GRID_M if g.get("m") is None else int(g["m"])
     grid = None if lo is None or hi is None else GridSpec(float(lo), float(hi), m)
@@ -138,7 +151,7 @@ def build_grid(cfg, model):
 
 
 def build_ld_set(d, model):
-    if "interval" in section(d, "LD-set"):
+    if "interval" in section(d, "LD-set", keys=LD_SET_KEYS):
         return certify_ld_set(model, tuple(d["interval"]))
     if "states" in d:
         return certify_ld_set(model, d["states"])
@@ -146,7 +159,7 @@ def build_ld_set(d, model):
 
 
 def build_bound_cfg(d, model):
-    D = build_ld_set(section(d, "bound", nullable=("K",))["D"], model)
+    D = build_ld_set(section(d, "bound", nullable=("K",), keys=BOUND_KEYS)["D"], model)
     K = tuple(d["K"]) if d.get("K") is not None else None
     return BoundConfig(beta=d["beta"], gamma=d["gamma"], eta=d["eta"], D=D, K=K,
                        M0=d.get("M0", 1.0), M1=d.get("M1", 1.0), M2=d.get("M2", 1.0))
@@ -220,7 +233,7 @@ def get_observations(cfg, model):
     obs_cfg = cfg.get("observations")
     if obs_cfg is None:
         raise ConfigError("config needs an 'observations' section")
-    if "file" in section(obs_cfg, "observations"):
+    if "file" in section(obs_cfg, "observations", keys=OBSERVATION_KEYS):
         path = obs_cfg["file"]
         if not isinstance(path, str):
             raise ConfigError(f"observations entry 'file' must be a path, got {path!r}")
@@ -232,10 +245,10 @@ def get_observations(cfg, model):
             raise ConfigError(f"observation file {path} needs a 'y' column")
         return np.atleast_1d(data["y"])
     if "simulate" in obs_cfg:
-        sim = section(obs_cfg["simulate"], "observations.simulate")
+        sim = section(obs_cfg["simulate"], "observations.simulate", keys=SIMULATE_KEYS)
         seed = require_seed(cfg)
         star = build_model(sim["model"]) if "model" in sim else model
-        init = build_init(sim["init"])
+        init = build_init(sim["init"], "observations.simulate.init")
         traj = simulate(star, int(sim["n"]), init, seed,
                         replication=int(sim.get("replication", 0)))
         return traj.obs
@@ -249,7 +262,7 @@ def get_observations(cfg, model):
 def cmd_simulate(cfg, out_dir):
     seed = require_seed(cfg)
     model = build_model(cfg["model"])
-    init = build_init(cfg["init"])
+    init = build_init(cfg["init"], "init")
     n = int(cfg["n"])
     reps = int(cfg.get("replications", 1))
     for rep in range(reps):
@@ -261,7 +274,7 @@ def cmd_simulate(cfg, out_dir):
 def filter_inputs(cfg):
     """The model, grid, initial laws and record that filter and bound run on."""
     model = build_model(cfg["model"])
-    nu, nu_prime = build_init(cfg["nu"]), build_init(cfg["nu_prime"])
+    nu, nu_prime = build_init(cfg["nu"], "nu"), build_init(cfg["nu_prime"], "nu_prime")
     return model, build_grid(cfg, model), nu, nu_prime, get_observations(cfg, model)
 
 
@@ -276,7 +289,7 @@ def cmd_bound(cfg, out_dir):
     bnd = cfg.get("bound")
     if bnd is None:
         raise ConfigError("config needs a 'bound' section")
-    form = section(bnd, "bound", nullable=("K",)).get("form", "geometric")
+    form = section(bnd, "bound", nullable=("K",), keys=BOUND_KEYS).get("form", "geometric")
     if form == "sharp":
         C = build_ld_set(bnd["C"], model)
         D = build_ld_set(bnd["D"], model)
@@ -309,8 +322,8 @@ def cmd_experiment(cfg, out_dir):
             raise ConfigError("experiment bound section needs an explicit 'C'")
     ecfg = ExperimentConfig(
         model=model, star_model=star,
-        nu=build_init(cfg["nu"]), nu_prime=build_init(cfg["nu_prime"]),
-        nu_star=build_init(cfg["nu_star"]),
+        nu=build_init(cfg["nu"], "nu"), nu_prime=build_init(cfg["nu_prime"], "nu_prime"),
+        nu_star=build_init(cfg["nu_star"], "nu_star"),
         n=int(cfg["n"]), replications=int(cfg["replications"]), seed=seed,
         grid=grid, bound_cfg=bound_cfg, ld_set=ld_set,
         threads=int(cfg.get("threads", 1)),

@@ -123,7 +123,7 @@ def run_forgetting(cfg: ExperimentConfig) -> ExperimentResult:
         extra = None
         if cfg.bound_cfg is not None:
             report = geometric_bound(cfg.model, cfg.nu, cfg.nu_prime, traj.obs,
-                                     cfg.bound_cfg, cfg.ld_set, grid=grid)
+                                     cfg.bound_cfg, cfg.ld_set, grid=grid, kernel=kernel)
             extra = (report.total_clipped, report.applies, report.conditions)
         return tv, za, zb, extra
 

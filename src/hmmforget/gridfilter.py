@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import GridSpec, InitialDistribution
+from .grids import GridSpec, InitialDistribution, logsumexp
 
 
 class DegenerateFilterError(RuntimeError):
@@ -59,21 +59,12 @@ def transition_kernel(model, grid: GridSpec | None) -> np.ndarray:
 
 
 def _normalize(logu, logZ_prev, y=None):
-    """Normalize the rows of ``logu`` and add their log-sum-exp z to ``logZ_prev``.
-
-    z is SciPy 1.17's logsumexp, bit for bit: with c entries equal to the row
-    max a and s = sum exp(u - a) over the rest, z = log1p(s / c) + log c + a.
-    """
-    amax = np.max(logu, axis=1, keepdims=True)
-    if not np.isfinite(amax).all():  # z is finite exactly when a is
+    """Normalize the rows of ``logu`` and add their log-sum-exp to ``logZ_prev``."""
+    z = logsumexp(logu, axis=1)
+    if not np.isfinite(z).all():  # z is finite exactly when the row maximum is
         where = "initialization" if y is None else f"observation {y}"
         raise DegenerateFilterError(f"filter weights underflowed to zero ({where})")
-    top = logu == amax
-    e = np.exp(logu - amax)
-    e[top] = 0.0
-    c = np.count_nonzero(top, axis=1, keepdims=True)
-    z = np.log1p(e.sum(axis=1, keepdims=True) / c) + np.log(c) + amax
-    return logu - z, logZ_prev + z[:, 0]
+    return logu - z[:, None], logZ_prev + z
 
 
 def _step(logw, logZ, kernel, loglik, y):

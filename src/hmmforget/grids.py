@@ -10,9 +10,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 _NORM_LOG_C = np.log(np.sqrt(2 * np.pi))
+
+
+def logsumexp(u, axis=None):
+    """log sum exp(u) over ``axis`` (every entry when None).
+
+    The operations and their order are those of SciPy 1.17's
+    ``special.logsumexp``, so the two agree bit for bit, ties and -inf
+    entries included: with c entries equal to the maximum a and s the sum of
+    exp(u - a) over the rest, the result is log1p(s / c) + log c + a, which
+    is -inf when every entry is -inf.
+    """
+    u = np.asarray(u, dtype=float)
+    amax = np.max(u, axis=axis, keepdims=True)
+    top = u == amax
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e = np.subtract(u, amax)  # one buffer, updated in place
+        np.exp(e, out=e)
+        np.copyto(e, 0.0, where=top)
+        c = np.count_nonzero(top, axis=axis, keepdims=True)
+        z = np.log1p(e.sum(axis=axis, keepdims=True) / c) + np.log(c) + amax
+    z = np.squeeze(z, axis=axis)
+    return z[()] if z.ndim == 0 else z
 
 
 def norm_logpdf(x, loc, scale):

@@ -10,7 +10,8 @@ machinery.  The filter and the bounds use only the surface of
 ``log_init(nu, grid)``, ``log_v(x)``, ``log_qv(x)`` (None when V == 1) and
 ``loglik(x, y)`` (log g broadcast over x and y, with y checked against the
 observation domain and x unchecked, so quadrature may leave the filter's
-domain).  A subclass supplies the others plus ``_obs_logpdf``,
+domain) and ``obs_mode(y)`` (the state where the channel's location equals
+y, NaN where there is none).  A subclass supplies the others plus ``_obs_logpdf``,
 ``_check_state``, ``_check_obs`` and the two samplers; the base derives
 ``loglik``, the domain-checked ``log_likelihood`` and ``sample_step``.
 
@@ -102,6 +103,12 @@ class StateSpaceModel:
     """Members shared by all models, written against the surface above."""
 
     mean_slope = None
+
+    def obs_mode(self, y):
+        """For each y, the state x where the channel's location equals y, so
+        that log g(x, y) falls as the location moves away from y; NaN where
+        there is no such state (every y by default)."""
+        return np.full(np.shape(y), np.nan)
 
     def loglik(self, x, y):
         return self._obs_logpdf(x, self._check_obs(y))
@@ -217,6 +224,11 @@ class LGSSM(GaussianStateModel):
         super().__init__(phi, sigma, beta, drift, domain_halfwidth)
         self.h0 = float(h0)
 
+    def obs_mode(self, y):
+        if self.h0 == 0.0:
+            return super().obs_mode(y)
+        return np.asarray(y, dtype=float) / self.h0
+
     def _obs_logpdf(self, x, y):
         return norm_logpdf(y, self.h0 * x, self.beta)
 
@@ -240,6 +252,10 @@ class TobitModel(GaussianStateModel):
         if bad.any():
             raise DomainError(f"tobit {_first_offender(bad, y, 'observation')} is negative")
         return y
+
+    def obs_mode(self, y):
+        y = np.asarray(y, dtype=float)
+        return np.where(y > 0, y, np.nan)  # y = 0 is censored: no location
 
     def _obs_logpdf(self, x, y):
         # the censoring branch depends on x alone: O(grid), broadcast by where
@@ -292,6 +308,14 @@ class NLSSM(GaussianStateModel):
         if self.obs_form == "identity":
             return x
         return self.obs_a * x + self.obs_b
+
+    def obs_mode(self, y):
+        y = np.asarray(y, dtype=float)
+        if self.obs_form == "identity":
+            return y
+        if self.obs_a == 0.0:
+            return super().obs_mode(y)
+        return (y - self.obs_b) / self.obs_a
 
     def _obs_logpdf(self, x, y):
         return norm_logpdf(y, self.obs_map(x), self.beta)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.special import logsumexp
 
 from hmmforget import (LGSSM, NLSSM, BoundConfig, DomainError, DriftFunction,
@@ -13,7 +14,8 @@ from hmmforget import (LGSSM, NLSSM, BoundConfig, DomainError, DriftFunction,
                        check_conditions, geometric_bound, find_ld_set_for_eta,
                        sharp_bound, log_upsilon_batch, phi, rho,
                        random_finite_model, run_two_filters, simulate, upsilon)
-from hmmforget.bounds import (_RECORD_BLOCK, _record_series, _record_terms,
+from hmmforget.bounds import (_RECORD_BLOCK, UPSILON_QUAD_M, _log_g_qv, _log_upsilon,
+                              _polish_bracket, _record_series, _record_terms,
                               log_psi_batch)
 
 
@@ -363,30 +365,157 @@ def test_sharp_ratio_term_matches_public_batches(model, form):
     np.testing.assert_allclose(report.log_term_ratio[1:], expected, rtol=1e-12)
 
 
+def dense_grid(model):
+    """The Upsilon quadrature grid (None on a finite state set) and its support."""
+    if model.kind == "finite":
+        return None, np.arange(model.m)
+    quad = GridSpec(*model.domain, UPSILON_QUAD_M)
+    return quad, quad.centers
+
+
+def dense_region_mask(model, region, x):
+    if region == "all":
+        return np.ones(len(x), dtype=bool)
+    if model.kind == "finite":
+        return ~np.isin(x, region[1])
+    lo, hi = region[1]
+    return (x < lo) | (x > hi)
+
+
+def dense_log_upsilon(model, region, ys):
+    """The reference grid envelope: log g QV/V on every support point, then
+    the column maximum over the region."""
+    _, x = dense_grid(model)
+    vals = _log_g_qv(model, x[:, None], np.asarray(ys)[None, :])
+    mask = dense_region_mask(model, region, x)
+    return np.max(vals, axis=0, where=mask[:, None], initial=-np.inf)
+
+
+def dense_upsilon(model, region, y):
+    """The reference upsilon: the dense grid maximum, polished from the first
+    support point that reaches it."""
+    quad, x = dense_grid(model)
+    xs = x[dense_region_mask(model, region, x)]
+    vals = _log_g_qv(model, xs, y)
+    best = vals.max(initial=-np.inf)
+    if quad is not None and len(xs):
+        a, b = _polish_bracket(xs[int(np.argmax(vals))], quad.delta, region, model.domain)
+        res = optimize.minimize_scalar(lambda t: -_log_g_qv(model, np.array([t]), y)[0],
+                                       bounds=(a, b), method="bounded",
+                                       options={"xatol": 1e-12})
+        best = max(best, -res.fun)
+    return float(np.exp(best))
+
+
 SERIES_MODELS = {
     "tobit": (TobitModel(0.5, 1.0, 1.0), (-3.0, 3.0), (-2.0, 2.0)),
     "lgssm-exp-abs": (LGSSM(0.9, 1.0, 1.0, drift=DriftFunction.exp_abs(0.5)),
                       (-3.0, 3.0), (-2.0, 2.0)),
     "finite": (random_finite_model(4), (1,), (0, 2)),
+    "lgssm": (LGSSM(0.9, 1.0, 1.0), (-3.0, 3.0), (-2.0, 2.0)),
+    "lgssm-h0-neg": (LGSSM(0.9, 1.0, 1.0, h0=-1.7), (-0.7, 1.3), (-2.0, 2.0)),
+    "nlssm-tanh-affine": (NLSSM("tanh", 0.5, 1.0, 1.0, kappa=0.4, obs_form="affine",
+                                obs_a=1.3, obs_b=0.2), (-0.7, 1.3), (-2.0, 2.0)),
+    "nlssm-affine-neg": (NLSSM("linear_shrink", 0.5, 1.0, 0.7, obs_form="affine",
+                               obs_a=-0.8, obs_b=-0.3), (-3.0, 3.0), (-2.0, 2.0)),
+    "nlssm-identity": (NLSSM("linear_shrink", 0.5, 1.0, 1.0), (-3.0, 3.0), (-2.0, 2.0)),
+    "stochvol": (StochVolModel(0.9, 0.3, 1.0), (-0.7, 1.3), (-2.0, 2.0)),
 }
+
+
+def check_record_series(model, obs, D, C):
+    """_record_series against the dense envelopes and Psi over the whole record."""
+    log_ups_x, log_ups_cc, log_psi = _record_series(model, obs, D, C)
+    assert np.array_equal(log_ups_x, dense_log_upsilon(model, "all", obs))
+    region = ("complement", C.interval or C.states)
+    assert np.array_equal(log_ups_cc, dense_log_upsilon(model, region, obs))
+    assert np.array_equal(log_psi, log_psi_batch(model, D, obs))
+    assert np.array_equal(log_upsilon_batch(model, "all", obs), log_ups_x)
+    assert np.array_equal(log_upsilon_batch(model, region, obs), log_ups_cc)
+    assert _record_series(model, obs, D)[1] is None
 
 
 @pytest.mark.parametrize("length", [_RECORD_BLOCK - 1, _RECORD_BLOCK, _RECORD_BLOCK + 1,
                                     2 * _RECORD_BLOCK + 1])
 @pytest.mark.parametrize("name", list(SERIES_MODELS))
 def test_record_series_blocks_equal_single_block_batches(name, length):
-    # bit for bit: the blocks must not change a single envelope or Psi value
+    # bit for bit: neither the blocks nor the evaluation once per distinct
+    # observation nor the mode windows may change a single envelope or Psi
     model, c, d = SERIES_MODELS[name]
     C, D = certify_ld_set(model, c), certify_ld_set(model, d)
     init = InitialDistribution.finite([0.2, 0.3, 0.5]) if model.kind == "finite" \
         else InitialDistribution.gaussian(0, 1)
     obs = simulate(model, length - 1, init, seed=12).obs
-    log_ups_x, log_ups_cc, log_psi = _record_series(model, obs, D, C)
-    assert np.array_equal(log_ups_x, log_upsilon_batch(model, "all", obs))
-    members = C.interval or C.states
-    assert np.array_equal(log_ups_cc, log_upsilon_batch(model, ("complement", members), obs))
-    assert np.array_equal(log_psi, log_psi_batch(model, D, obs))
-    assert _record_series(model, obs, D)[1] is None
+    check_record_series(model, obs, D, C)
+
+
+def adversarial_observations(model):
+    """Grid centres, midpoints between them, points beyond both grid ends,
+    +-0.0 and, on tobit, censored zeros; mapped through the channel's
+    location, so that they sit on and between the grid points in state space."""
+    quad, x = dense_grid(model)
+    lo, hi = model.domain
+    ys = np.concatenate([x[::97], 0.5 * (x[:-1] + x[1:])[::89], x[:3], x[-3:],
+                         [lo - 3.0, hi + 3.0, 4 * lo, 4 * hi, 0.0, -0.0, 1e-300]])
+    if model.kind == "lgssm":
+        ys = model.h0 * ys
+    elif model.kind == "nlssm":
+        ys = model.obs_map(ys)
+    elif model.kind == "tobit":
+        ys = np.abs(ys)
+        ys[::4] = 0.0
+    return ys
+
+
+@pytest.mark.parametrize("name", [n for n in SERIES_MODELS if n != "finite"])
+def test_record_series_equals_dense_scan_on_adversarial_observations(name):
+    model, c, d = SERIES_MODELS[name]
+    C, D = certify_ld_set(model, c), certify_ld_set(model, d)
+    ys = adversarial_observations(model)
+    check_record_series(model, ys, D, C)
+    for y in (ys[5], ys[-3], ys[-2], 0.0):  # one distinct value, +-0.0 among them
+        for length in (1, 2, 3, _RECORD_BLOCK + 1):
+            check_record_series(model, np.full(length, y), D, C)
+    check_record_series(model, np.array([0.0, -0.0, 0.0]), D, C)
+
+
+@pytest.mark.parametrize("h0", [1.0, -1.7])
+def test_upsilon_equals_dense_scan_with_polish(h0):
+    model = LGSSM(0.9, 1.0, 1.0, h0=h0)
+    probes = np.concatenate([simulate(model, 7, InitialDistribution.gaussian(0, 1),
+                                      seed=3).obs, adversarial_observations(model)[::7]])
+    for y in probes:
+        for region in ("all", ("complement", (-3.0, 3.0)), ("complement", (-0.4, 2.0))):
+            assert upsilon(model, region, y) == dense_upsilon(model, region, y)
+
+
+@pytest.mark.parametrize("beta", [1.0, 1e6, 1e7])
+def test_polish_starts_at_the_first_of_a_run_of_tied_maxima(beta):
+    # with a wide beta log g is flat to the last bit across many grid points
+    # around the mode, wider than the mode window: the polish must still
+    # start where the dense scan first reaches the maximum
+    model = LGSSM(0.9, 1.0, beta)
+    _, x = dense_grid(model)
+    ys = np.array([0.0, 3.0, -7.5, 1e7, x[100], 0.5 * (x[2000] + x[2001])])
+    for region in ("all", ("complement", (-3.0, 3.0)), ("complement", (-0.5, 0.5))):
+        _, _, best, first = _log_upsilon(model, [region], ys, first=True)
+        vals = _log_g_qv(model, x[:, None], ys[None, :])
+        vals[~dense_region_mask(model, region, x)] = -np.inf
+        assert np.array_equal(first[0], vals.argmax(axis=0))
+        assert np.array_equal(best[0], vals.max(axis=0))
+        for y in ys:
+            assert upsilon(model, region, y) == dense_upsilon(model, region, y)
+
+
+@pytest.mark.parametrize("h0, eta, radius", [
+    (1.0, 0.5, 5.45326782983102), (1.0, 0.2, 6.069980447569833),
+    (-1.7, 0.5, 2.4638005367378355), (-1.7, 0.2, 2.8265726075296698),
+])
+def test_find_ld_set_for_eta_interval_unchanged(h0, eta, radius):
+    # the radii the search returned with the dense Upsilon scan
+    model = LGSSM(0.9, 1.0, 1.0, h0=h0)
+    probes = simulate(model, 7, InitialDistribution.gaussian(0, 1), seed=3).obs
+    assert find_ld_set_for_eta(model, eta, None, probes).interval == (-radius, radius)
 
 
 def test_sharp_bound_memory_is_flat_in_the_horizon():

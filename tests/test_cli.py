@@ -96,6 +96,45 @@ def test_null_entries_select_defaults(tmp_path):
     assert main(["bound", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "b")]) == 0
 
 
+def bound_experiment_cfg():
+    return {**experiment_cfg(), "grid": {"m": 64},
+            "bound": {"beta": 0.2, "gamma": 0.5, "eta": 0.5, "M1": 2.0,
+                      "D": {"interval": [-2, 2]}, "C": {"interval": [-3, 3]}}}
+
+
+@pytest.mark.parametrize("override, section, key", [
+    ("bound.m1=5", "bound", "m1"), ("nu.sdd=3", "nu", "sdd"), ("grid.mm=5", "grid", "mm"),
+    ("bound.D.intervall=[-1, 1]", "LD-set", "intervall"),
+    ("nu_star.mean_=0", "nu_star", "mean_"),
+])
+def test_unknown_section_key_exits_2_and_names_it(tmp_path, capsys, override, section, key):
+    cfg = write_cfg(tmp_path, bound_experiment_cfg())
+    assert main(["experiment", "--config", cfg, "--seed", "1", "--set", override,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {section} has unknown key {key!r}")
+
+
+@pytest.mark.parametrize("command, observations", [
+    ("filter", {"simulate": {"init": GAUSS(0), "n": 6, "seed": 3}}),
+    ("filter", {"simulate": {"init": {**GAUSS(0), "scale": 2}, "n": 6}}),
+    ("bound", {"simulate": {"init": GAUSS(0), "n": 6}, "files": "y.csv"}),
+])
+def test_unknown_observation_key_exits_2(tmp_path, capsys, command, observations):
+    payload = {**bound_experiment_cfg(), "observations": observations}
+    cfg = write_cfg(tmp_path, payload)
+    assert main([command, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+def test_every_known_section_key_still_runs(tmp_path):
+    cfg = write_cfg(tmp_path, {**bound_experiment_cfg(), "r_sequences": True,
+                               "grid": {"lo": -10, "hi": 10, "m": 64}})
+    assert main(["experiment", "--config", cfg, "--seed", "1", "--set", "bound.M0=2",
+                 "--set", "bound.K=[-5, 5]", "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "r_seq.csv").exists()
+
+
 def test_unknown_model_kind_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {**experiment_cfg(), "model": {"kind": "bogus"}})
     code = main(["experiment", "--config", cfg, "--seed", "1",

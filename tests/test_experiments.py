@@ -8,7 +8,7 @@ from hmmforget import (BoundConfig, ExperimentConfig, FiniteStateModel,
                        GridSpec, InitialDistribution, LGSSM, TobitModel,
                        certify_ld_set, check_conditions, emit_report, estimate_r_sequences,
                        fit_rate, log_psi_batch, rho, run_forgetting, simulate)
-from hmmforget import experiments, gridfilter
+from hmmforget import bounds, experiments, gridfilter
 from hmmforget.experiments import TV_FLOOR, dyadic_horizons
 
 
@@ -71,9 +71,17 @@ def test_kernel_built_once_per_experiment(small_cfg, monkeypatch):
         calls.append(grid)
         return build(model, grid)
 
-    monkeypatch.setattr(experiments, "transition_kernel", counted)
-    monkeypatch.setattr(gridfilter, "transition_kernel", counted)
+    for module in (experiments, gridfilter, bounds):
+        monkeypatch.setattr(module, "transition_kernel", counted)
     assert run_forgetting(small_cfg).tv.shape == (4, 26)
+    assert calls == [small_cfg.grid]
+    # with a bound section, each record's bound reads the experiment's kernel
+    calls.clear()
+    model = small_cfg.model
+    bound_cfg = BoundConfig(beta=0.2, gamma=0.5, eta=0.5, D=certify_ld_set(model, (-2.0, 2.0)))
+    with_bound = dataclasses.replace(small_cfg, bound_cfg=bound_cfg,
+                                     ld_set=certify_ld_set(model, (-3.0, 3.0)))
+    assert run_forgetting(with_bound).bound_totals.shape == (4, 26)
     assert calls == [small_cfg.grid]
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import logsumexp
+from scipy.special import logsumexp as scipy_logsumexp
 
 from hmmforget import GridSpec, InitialDistribution
-from hmmforget.grids import norm_logpdf
+from hmmforget.grids import logsumexp, norm_logpdf
 from hmmforget.reports import fmt, write_csv
 
 
@@ -102,4 +102,40 @@ def test_gaussian_initial_weights_equal_scipy_bit_for_bit():
     g = GridSpec(-8.0, 8.0, 400)
     nu = InitialDistribution.gaussian(0.4, 1.3)
     logw = stats.norm.logpdf(g.centers, loc=0.4, scale=1.3)
-    assert np.array_equal(nu.log_weights_on(g), logw - logsumexp(logw))
+    assert np.array_equal(nu.log_weights_on(g), logw - scipy_logsumexp(logw))
+
+
+def adversarial_rows(shape, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(-5.0, 2.0, size=shape).round(1)  # rounded: many ties
+    a[rng.random(shape) < 0.2] = -np.inf
+    return a
+
+
+@pytest.mark.parametrize("shape, axis", [((7,), None), ((7,), 0), ((1,), None),
+                                         ((2048, 256), 0), ((2048, 256), 1),
+                                         ((2048, 1), 0), ((2, 400), 1), ((5, 3), 0)])
+def test_logsumexp_equals_scipy_bit_for_bit(shape, axis):
+    a = adversarial_rows(shape, 3)
+    if a.ndim == 2:
+        a[0] = -np.inf    # a row and a column of -inf only
+        a[:, 0] = -np.inf
+        a[-1] = a[-1, -1]  # a row of ties
+    ours, theirs = logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis)
+    assert np.array_equal(ours, theirs)
+    assert np.shape(ours) == np.shape(theirs) and type(ours) is type(theirs)
+
+
+@pytest.mark.parametrize("row", [[np.inf, 1.0], [np.inf, np.inf], [np.inf, -np.inf],
+                                 [np.nan, 1.0], [-np.inf, 3.0], [1e308, 1e308]])
+def test_logsumexp_equals_scipy_on_non_finite_and_huge_entries(row):
+    ours, theirs = logsumexp(np.array(row)), scipy_logsumexp(np.array(row))
+    assert np.array_equal(ours, theirs, equal_nan=True)
+
+
+def test_logsumexp_of_no_mass_is_minus_inf_and_an_error_on_the_grid():
+    assert logsumexp(np.full(4, -np.inf)) == -np.inf
+    assert np.array_equal(logsumexp(np.full((3, 2), -np.inf), axis=0), [-np.inf, -np.inf])
+    g = GridSpec(-1.0, 1.0, 64)
+    with pytest.raises(ValueError, match="no mass on the grid"):
+        InitialDistribution.uniform(5.0, 6.0).log_weights_on(g)

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmmforget import (DriftPreconditionError, FiniteStateModel,
-                       InitialDistribution, PairChainSpec, certify_ld_set,
+from hmmforget import (LGSSM, NLSSM, DriftPreconditionError, FiniteStateModel,
+                       InitialDistribution, PairChainSpec, StochVolModel, certify_ld_set,
                        counting_inequality_check, exact_delta,
                        exact_denominator_bound, random_finite_model, rho,
                        run_suite, run_two_filters, simulate,
-                       supermartingale_check)
+                       substream, supermartingale_check)
 from hmmforget.verify import random_g_seq, random_probability_vector
 
 
@@ -171,6 +171,36 @@ def test_supermartingale_precondition_error():
     W = np.full(3, 5.0)  # demands far more contraction than V = 1 offers
     with pytest.raises(DriftPreconditionError):
         supermartingale_check(model, V, W, 0.0, [np.zeros(3)], 1, x0=0)
+
+
+def _monte_carlo_one_replication_at_a_time(model, F_seq, n, x0, replications, seed):
+    """The continuous Monte Carlo as a loop over replications and steps, with
+    scalar draws: the reference the vectorised check must equal bit for bit."""
+    totals = np.zeros(replications)
+    for r in range(replications):
+        rng = substream(seed, r)
+        x = float(x0)
+        acc = 0.0
+        for k in range(n):
+            acc += abs(float(F_seq[k](np.array([x]))[0]))
+            x = model.state_mean(x) + model.state_sd * rng.standard_normal()
+        totals[r] = np.exp(acc)
+    return float(totals.mean()), float(totals.std(ddof=1) / np.sqrt(replications))
+
+
+@pytest.mark.parametrize("model", [LGSSM(0.9, 1.0, 1.0),
+                                   NLSSM("tanh", 0.5, 1.0, 1.0, kappa=0.4),
+                                   StochVolModel(0.9, 0.3, 1.0)], ids=lambda m: m.kind)
+def test_supermartingale_monte_carlo_equals_the_replication_loop(model):
+    V = lambda x: np.exp(0.5 * np.abs(x))
+    W = lambda x: np.full_like(np.asarray(x, float), 0.05)
+    F = [lambda x: 0.05 * np.clip(np.abs(np.asarray(x, float)), 0, 2.0),
+         lambda x: 0.02 * np.tanh(x)] * 3
+    mc, rhs, holds = supermartingale_check(model, V, W, 3.0, F, 6, x0=0.3,
+                                           replications=300, seed=4)
+    ref_mc, ref_se = _monte_carlo_one_replication_at_a_time(model, F, 6, 0.3, 300, 4)
+    assert mc == ref_mc
+    assert holds == (ref_mc + 3 * ref_se <= rhs)
 
 
 @pytest.mark.parametrize("suite", ["numerator", "denominator", "counting", "exponential"])

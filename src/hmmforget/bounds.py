@@ -11,6 +11,10 @@ subset-maximum form and its coarser geometric form).
 The index ranges of a record's sums live in ``_RecordTerms`` alone: both
 bounds, ``_conditions`` (which holds the one K-frequency rule) and the
 r-sequences of ``experiments`` read the record ``_record_terms`` returns.
+A record's envelopes are grid maxima (``_log_upsilon``).  ``upsilon`` and
+the LD-set search ``find_ld_set_for_eta`` take Upsilon from ``_log_sup``,
+exact where V == 1 and polished by ``scipy.optimize`` (imported there, on
+that path alone) where the drift V != 1.
 
 The reference measure lambda_C is always normalized Lebesgue on C
 (normalized counting measure on finite state sets).  All bound terms are
@@ -20,11 +24,11 @@ astronomically loose and would overflow in linear arithmetic.
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .gridfilter import resolve_grid, transition_kernel
 from .grids import GridSpec, logsumexp
@@ -36,6 +40,7 @@ _RECORD_BLOCK = 256  # observations per dense envelope block
 # log g on any index range (see _log_upsilon)
 _MODE_HALF = 3
 _MODE_WINDOW = np.arange(-_MODE_HALF, _MODE_HALF + 1)
+_SUP_SLACK = 1e-13  # upward rounding of the closed-form log Upsilon (see _log_sup)
 
 
 class NotCertifiableError(RuntimeError):
@@ -199,16 +204,14 @@ def _log_upsilon(model, regions, ys, first=False):
     log g(x, y) QV(x)/V(x) over the region; with ``first`` also the support
     index where each maximum is first reached (-1 on an empty region).
 
-    Where V == 1 and the channel has a mode m (``model.obs_mode``), log g is
-    a non-increasing function of the computed |z|, z = (y - location(x))/beta,
-    and z is monotone along the sorted grid, as every floating-point
-    operation on the way is.  So on each index range of a region the maxima
-    form one run of indices, which meets the point or two next to m (or the
-    range's end nearest m), and the window _MODE_WINDOW there, kept inside
-    the range, gives the maximum bit for bit.  A run that starts before the
-    window shows as a maximum at the window's first point; where ``first``
-    is asked for, such observations take the dense scan, as does every
-    observation without a mode.  The dense scan goes in blocks.
+    Where V == 1, ``first`` is not asked for and the channel has a mode m
+    (``model.obs_mode``), log g is a non-increasing function of the computed
+    |z|, z = (y - location(x))/beta, and z is monotone along the sorted grid,
+    as every floating-point operation on the way is.  So on each index range
+    of a region the maxima form one run of indices, which meets the point or
+    two next to m (or the range's end nearest m), and the window _MODE_WINDOW
+    there, kept inside the range, gives the maximum bit for bit.  Every other
+    observation takes the dense scan, in blocks.
     """
     quad = resolve_grid(model, None, UPSILON_QUAD_M)
     x = model.support(quad)
@@ -218,7 +221,7 @@ def _log_upsilon(model, regions, ys, first=False):
     best = np.full((len(regions), len(ys)), -np.inf)
     arg = np.full(best.shape, -1)
     dense = np.ones(len(ys), dtype=bool)
-    if quad is not None and model.log_qv(x[:1]) is None:  # V == 1
+    if quad is not None and not first and model.log_qv(x[:1]) is None:  # V == 1
         modes = model.obs_mode(ys)
         near = np.flatnonzero(~np.isnan(modes))
         spans = [(r, part) for r, region_parts in enumerate(parts)
@@ -231,17 +234,9 @@ def _log_upsilon(model, regions, ys, first=False):
             centre = np.minimum(np.maximum(k, lo + _MODE_HALF), hi - _MODE_HALF)
             idx = np.minimum(np.maximum(centre[..., None] + _MODE_WINDOW, lo[:, None]),
                              hi[:, None])  # (observations, spans, window)
-            vals = model.loglik(x[idx], ys[near, None, None]).reshape(-1, len(_MODE_WINDOW))
-            j = vals.argmax(axis=1)  # the window's first maximum
-            rows = np.arange(len(j))
-            vals = vals[rows, j].reshape(len(near), -1)
-            idx = idx.reshape(-1, len(_MODE_WINDOW))[rows, j].reshape(len(near), -1)
+            vals = model.loglik(x[idx], ys[near, None, None]).max(axis=2)
             for s, (r, _) in enumerate(spans):
-                _keep_first(best[r], arg[r], near, vals[:, s], idx[:, s])
-            if first:  # a run that may start before its window: scan densely
-                early = near[((j.reshape(len(near), -1) == 0) & (idx > lo)).any(axis=1)]
-                dense[early] = True
-                best[:, early], arg[:, early] = -np.inf, -1
+                best[r, near] = np.maximum(best[r, near], vals[:, s])
     dense = np.flatnonzero(dense)
     for block in _blocks(len(dense)):
         cols = dense[block]
@@ -261,25 +256,74 @@ def _log_upsilon(model, regions, ys, first=False):
     return quad, x, best, arg
 
 
-def upsilon(model, region, y) -> float:
-    """Supremum over the region of g(x, y) QV(x)/V(x).
+def _components(region, domain):
+    """The intervals (a, b), a < b, whose union is the continuous ``region``
+    (as in _region_parts) within ``domain``; none when C covers the domain."""
+    lo, hi = domain
+    if region == "all":
+        return [(lo, hi)]
+    kind, (c_lo, c_hi) = region
+    if kind != "complement":
+        raise ValueError(f"unknown region {region!r}")
+    return [(a, b) for a, b in ((lo, min(c_lo, hi)), (max(c_hi, lo), hi)) if a < b]
 
-    ``region`` is "all" or ("complement", C).  The supremum is located on
-    the support points (exact on finite state sets) and, on continuous
-    models, polished by a bounded 1-d maximization (the QV/V factor has a
-    closed form on all Gaussian kernels, so the objective is exact).
+
+def _log_sup(model, region, ys) -> np.ndarray:
+    """log Upsilon_region(y) for each y of ``ys``.
+
+    Finite state sets: the exact maximum over the states.  Continuous models
+    with V == 1: exact over the region within the truncation domain.  There
+    log g(., y) is concave or monotone in x on every model, so on each
+    interval of the region its sup is at the channel's peak
+    (``model.obs_peak``) clamped into the interval, or at one of the ends:
+    log g is evaluated at those three points, and the maximum is rounded up
+    by _SUP_SLACK (1 + |log Upsilon|), past the last-bit error of one
+    evaluation of log g (at a flat peak a nearby point can read an ulp
+    higher, as on SV).  With a drift V != 1 g QV/V has no such form: the
+    grid maximum of _log_upsilon is polished, one observation at a time, by
+    a bounded 1-d maximization started at the first support point that
+    reaches it (the QV/V factor has a closed form on all Gaussian kernels,
+    so the objective is exact).
     """
-    quad, x, best, first = _log_upsilon(model, [region], np.array([y]), first=True)
-    best, i = best[0, 0], first[0, 0]
-    if quad is not None and i >= 0:
+    ys = np.asarray(ys)
+    if model.kind == "finite":
+        return _log_upsilon(model, [region], ys)[2][0]
+    model._check_obs(ys)  # names a bad observation by its index in ys
+    if model.log_qv(np.zeros(1)) is None:  # V == 1
+        ends = np.array(_components(region, model.domain)).reshape(-1, 2)
+        a, b = ends[:, 0], ends[:, 1]
+        peak = model.obs_peak(ys)[:, None]
+        mid = np.where(np.isnan(peak), a, np.clip(peak, a, b))  # (observations, intervals)
+        points = np.stack(np.broadcast_arrays(a, b, mid), axis=-1)
+        v = model.loglik(points, ys[:, None, None]).max(axis=(1, 2), initial=-np.inf)
+        # rounded up by _SUP_SLACK (1 + |v|), as a product so that -inf stays -inf
+        return np.where(v < 0, v * (1.0 - _SUP_SLACK), v * (1.0 + _SUP_SLACK)) + _SUP_SLACK
+    from scipy import optimize  # only the polish of a drift V != 1 needs it
+
+    quad, x, best, first = _log_upsilon(model, [region], ys, first=True)
+    best = best[0]
+    for j, (y, i) in enumerate(zip(ys, first[0])):
+        if i < 0:  # the region holds no support point
+            continue
         a, b = _polish_bracket(x[i], quad.delta, region, model.domain)
         res = optimize.minimize_scalar(
             lambda t: -_log_g_qv(model, np.array([t]), y)[0],
             bounds=(a, b), method="bounded",
             options={"xatol": 1e-12},
         )
-        best = max(best, -res.fun)
-    return float(np.exp(best))
+        best[j] = max(best[j], -res.fun)
+    return best
+
+
+def upsilon(model, region, y) -> float:
+    """Supremum over the region of g(x, y) QV(x)/V(x).
+
+    ``region`` is "all" or ("complement", C).  Exact on finite state sets
+    and, where V == 1, on the continuous models' truncation domain (a closed
+    form); with a drift V != 1 the grid maximum polished by a bounded 1-d
+    maximization (see _log_sup).
+    """
+    return float(np.exp(_log_sup(model, region, np.array([y]))[0]))
 
 
 def _polish_bracket(x0, delta, region, domain):
@@ -304,25 +348,25 @@ def find_ld_set_for_eta(model, eta, K, y_probe) -> LDSet:
     """Smallest symmetric interval C with Upsilon_{C^c} <= eta Upsilon_X on the probes.
 
     Doubles the radius until the envelope holds for every probe, then
-    bisects down, and certifies the result.  Raises H2UnverifiedError when
-    the radius passes the domain's half-width.
+    bisects down, and certifies the result.  Upsilon is that of ``upsilon``
+    (exact where V == 1), taken for all probes in one call per radius.
+    Raises H2UnverifiedError when the radius passes the domain's half-width.
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
+    if model.kind == "finite":
+        raise TypeError("interval search applies to continuous models only")
     y_probe = np.atleast_1d(y_probe)
+    model._check_obs(y_probe)  # before K, which a NaN probe would silently miss
     y_probe = y_probe[indicator_K(K, y_probe) > 0]
     if not len(y_probe):
         raise ValueError("need at least one probe observation in K")
-    if model.kind == "finite":
-        raise TypeError("interval search applies to continuous models only")
     max_radius = model.domain[1]
-    ups_all = {y: upsilon(model, "all", y) for y in y_probe}
+    ups_all = np.exp(_log_sup(model, "all", y_probe))
 
     def ok(radius):
-        return all(
-            upsilon(model, ("complement", (-radius, radius)), y) <= eta * ups_all[y]
-            for y in y_probe
-        )
+        ups_cc = np.exp(_log_sup(model, ("complement", (-radius, radius)), y_probe))
+        return bool(np.all(ups_cc <= eta * ups_all))
 
     r = max(model.state_sd / 4.0, max_radius / 1024.0)
     while not ok(r):
@@ -404,6 +448,33 @@ def a_n(n: int, beta: float) -> int:
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
     return int(np.floor(n * (1.0 - beta) / 2.0))
+
+
+def _a_column(n_obs, beta) -> np.ndarray:
+    """a_n(n, beta) for n = 0..n_obs - 1, with a_n's arithmetic."""
+    return np.floor(np.arange(n_obs) * (1.0 - beta) / 2.0).astype(int)
+
+
+def _top_sums(gaps, counts) -> np.ndarray:
+    """sums[n] = the sum of the counts[n] largest of gaps[0..n], for counts
+    non-decreasing with counts[n] <= n + 1; -inf where fewer than counts[n]
+    of them are above -inf.  The counts[n] largest so far sit in a min-heap
+    and the others in a max-heap (negated), so each n costs O(log n)."""
+    top, rest = [], []
+    total = 0.0  # the sum over top
+    sums = np.empty(len(gaps))
+    for n, (g, k) in enumerate(zip(np.asarray(gaps).tolist(), np.asarray(counts).tolist())):
+        if top and g > top[0]:
+            total += g - top[0]
+            heapq.heappush(rest, -heapq.heapreplace(top, g))
+        elif g != -np.inf:  # a -inf gap stays out of both heaps
+            heapq.heappush(rest, -g)
+        while len(top) < k and rest:
+            g = -heapq.heappop(rest)
+            total += g
+            heapq.heappush(top, g)
+        sums[n] = total if len(top) == k else -np.inf
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +580,7 @@ def _assemble(terms: _RecordTerms, beta, C, D, log_num, applies, inputs):
     log_tot = np.logaddexp(log_geo, log_ratio)
     total = np.where(log_tot >= 0.0, 1.0, np.exp(np.minimum(log_tot, 0.0)))
     total[0] = 1.0
-    ans = np.array([a_n(int(n), beta) for n in ns])
+    ans = _a_column(len(ns), beta)
     return BoundReport(n=ns, log_term_geo=log_geo, log_term_ratio=log_ratio,
                        total_clipped=total, applies=applies, a_n=ans, rho=rho_c,
                        inputs=inputs)
@@ -520,16 +591,14 @@ def sharp_bound(model, nu, nu_prime, obs, beta, C: LDSet, D: LDSet,
     """Sharp pathwise bound with the exact maximum over excursion subsets.
 
     The maximum of prod_{i in I} Upsilon_{C^c}(y_i) prod_{i not in I}
-    Upsilon_X(y_i) over |I| = a_n factorizes: sort the per-index log ratios
-    and keep the a_n largest.
+    Upsilon_X(y_i) over |I| = a_n factorizes: keep the a_n largest per-index
+    log ratios, whose sum runs over n in O(n log n) (_top_sums).
     """
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
     terms = _record_terms(model, nu, nu_prime, obs, D, C, grid)
     gaps = terms.log_ups_cc - terms.log_ups_x
-    log_num = 2.0 * terms.s_ups
-    for n in range(1, len(gaps)):
-        log_num[n] += np.sum(np.sort(gaps[:n + 1])[::-1][:a_n(n, beta)])
+    log_num = 2.0 * terms.s_ups + _top_sums(gaps, _a_column(len(gaps), beta))
     applies = np.arange(len(gaps)) > 0
     return _assemble(terms, beta, C, D, log_num, applies, {"beta": beta, "C": C, "D": D})
 

@@ -10,10 +10,12 @@ machinery.  The filter and the bounds use only the surface of
 ``log_init(nu, grid)``, ``log_v(x)``, ``log_qv(x)`` (None when V == 1) and
 ``loglik(x, y)`` (log g broadcast over x and y, with y checked against the
 observation domain and x unchecked, so quadrature may leave the filter's
-domain) and ``obs_mode(y)`` (the state where the channel's location equals
-y, NaN where there is none).  A subclass supplies the others plus ``_obs_logpdf``,
-``_check_state``, ``_check_obs`` and the two samplers; the base derives
-``loglik``, the domain-checked ``log_likelihood`` and ``sample_step``.
+domain), ``obs_mode(y)`` (the state where the channel's location equals
+y, NaN where there is none) and ``obs_peak(y)`` (the state where log g(., y)
+peaks, NaN where it is monotone).  A subclass supplies the others plus
+``_obs_logpdf``, ``_check_state``, ``_check_obs`` and the two samplers; the
+base derives ``loglik``, the domain-checked ``log_likelihood`` and
+``sample_step``.
 
 Dominating measures: Lebesgue for all continuous transitions; Lebesgue for
 the observations of the linear-Gaussian, nonlinear and stochastic
@@ -109,6 +111,14 @@ class StateSpaceModel:
         that log g(x, y) falls as the location moves away from y; NaN where
         there is no such state (every y by default)."""
         return np.full(np.shape(y), np.nan)
+
+    def obs_peak(self, y):
+        """For each y, the state where log g(., y) peaks; NaN where it is
+        monotone or constant in x.  On every continuous model log g(., y) is
+        concave or monotone in x, so its sup over an interval is at the peak
+        clamped into it or at one of its ends.  A location channel peaks at
+        its mode."""
+        return self.obs_mode(y)
 
     def loglik(self, x, y):
         return self._obs_logpdf(x, self._check_obs(y))
@@ -333,6 +343,13 @@ class StochVolModel(GaussianStateModel):
         x, y = np.broadcast_arrays(x, y)
         b2 = self.beta * self.beta
         return -0.5 * np.log(2 * np.pi * b2) - y * y * np.exp(-x) / (2 * b2) - x / 2
+
+    def obs_peak(self, y):
+        # d/dx log g = y^2 e^{-x} / (2 beta^2) - 1/2 vanishes at log(y^2/beta^2);
+        # at y = 0 log g = const - x/2 falls in x
+        y = np.abs(np.asarray(y, dtype=float))
+        with np.errstate(divide="ignore"):
+            return np.where(y > 0, 2.0 * (np.log(y) - np.log(self.beta)), np.nan)
 
     def sample_observation(self, x, rng):
         return self.beta * np.exp(x / 2) * rng.standard_normal()

@@ -1,12 +1,16 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy import optimize
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 
+import hmmforget
 from hmmforget import (LGSSM, NLSSM, BoundConfig, DomainError, DriftFunction,
                        FiniteStateModel, GridSpec, HypothesisWarning,
                        InitialDistribution, LDSet, NotCertifiableError,
@@ -14,9 +18,9 @@ from hmmforget import (LGSSM, NLSSM, BoundConfig, DomainError, DriftFunction,
                        check_conditions, geometric_bound, find_ld_set_for_eta,
                        sharp_bound, log_upsilon_batch, phi, rho,
                        random_finite_model, run_two_filters, simulate, upsilon)
-from hmmforget.bounds import (_RECORD_BLOCK, UPSILON_QUAD_M, _log_g_qv, _log_upsilon,
-                              _polish_bracket, _record_series, _record_terms,
-                              log_psi_batch)
+from hmmforget.bounds import (_RECORD_BLOCK, UPSILON_QUAD_M, _a_column, _log_g_qv,
+                              _log_sup, _log_upsilon, _polish_bracket, _record_series,
+                              _record_terms, _top_sums, log_psi_batch)
 
 
 @pytest.mark.parametrize("model", [
@@ -72,10 +76,13 @@ def test_ld_set_validation():
 
 
 def test_upsilon_sv_closed_form():
+    # (2 pi e y^2)^{-1/2}, reached at log(y^2 / beta^2), inside the domain;
+    # SV has a peak but no location mode, so it stays off the mode window
     sv = StochVolModel(0.9, 0.3, 1.0)
-    for y in (0.5, 1.0, 2.0, 4.0):
+    for y in (0.1, 0.5, 1.0, 2.0, 4.0, -2.0):
         exact = (2 * np.pi * np.e) ** -0.5 / abs(y)
-        assert upsilon(sv, "all", y) == pytest.approx(exact, rel=1e-6)
+        assert upsilon(sv, "all", y) == pytest.approx(exact, rel=1e-12)
+    assert np.isnan(sv.obs_mode(1.0)) and np.isnan(sv.obs_peak(0.0))
 
 
 def test_upsilon_monotone_in_region():
@@ -481,7 +488,9 @@ def test_record_series_equals_dense_scan_on_adversarial_observations(name):
 
 @pytest.mark.parametrize("h0", [1.0, -1.7])
 def test_upsilon_equals_dense_scan_with_polish(h0):
-    model = LGSSM(0.9, 1.0, 1.0, h0=h0)
+    # only a drift V != 1 keeps the polish (V == 1 has a closed form, tested
+    # below): there upsilon is the old scalar value, bit for bit
+    model = LGSSM(0.9, 1.0, 1.0, h0=h0, drift=DriftFunction.exp_abs(0.5))
     probes = np.concatenate([simulate(model, 7, InitialDistribution.gaussian(0, 1),
                                       seed=3).obs, adversarial_observations(model)[::7]])
     for y in probes:
@@ -492,8 +501,10 @@ def test_upsilon_equals_dense_scan_with_polish(h0):
 @pytest.mark.parametrize("beta", [1.0, 1e6, 1e7])
 def test_polish_starts_at_the_first_of_a_run_of_tied_maxima(beta):
     # with a wide beta log g is flat to the last bit across many grid points
-    # around the mode, wider than the mode window: the polish must still
-    # start where the dense scan first reaches the maximum
+    # around the mode, wider than the mode window: asked for the first
+    # argmax (the polish's start), the grid stage must still find where the
+    # dense scan first reaches the maximum.  V == 1, so upsilon itself is the
+    # closed form, at least the old polished value
     model = LGSSM(0.9, 1.0, beta)
     _, x = dense_grid(model)
     ys = np.array([0.0, 3.0, -7.5, 1e7, x[100], 0.5 * (x[2000] + x[2001])])
@@ -504,18 +515,156 @@ def test_polish_starts_at_the_first_of_a_run_of_tied_maxima(beta):
         assert np.array_equal(first[0], vals.argmax(axis=0))
         assert np.array_equal(best[0], vals.max(axis=0))
         for y in ys:
-            assert upsilon(model, region, y) == dense_upsilon(model, region, y)
+            assert upsilon(model, region, y) >= dense_upsilon(model, region, y)
+
+
+def envelope_holds(model, eta, radius, probes):
+    return all(upsilon(model, ("complement", (-radius, radius)), y)
+               <= eta * upsilon(model, "all", y) for y in probes)
 
 
 @pytest.mark.parametrize("h0, eta, radius", [
-    (1.0, 0.5, 5.45326782983102), (1.0, 0.2, 6.069980447569833),
-    (-1.7, 0.5, 2.4638005367378355), (-1.7, 0.2, 2.8265726075296698),
+    (1.0, 0.5, 5.453267989112646), (1.0, 0.2, 6.06998054459109),
+    (-1.7, 0.5, 2.463800585037461), (-1.7, 0.2, 2.826572676494834),
 ])
-def test_find_ld_set_for_eta_interval_unchanged(h0, eta, radius):
-    # the radii the search returned with the dense Upsilon scan
+def test_find_ld_set_for_eta_radius_and_envelope(h0, eta, radius):
+    # the radii of the search on the closed-form Upsilon (the grid-plus-polish
+    # Upsilon gave 5.45326782983102, 6.069980447569833, 2.4638005367378355
+    # and 2.8265726075296698).  The last bisection bracket is [r_lo, r] with
+    # r - r_lo <= r 2^-40, and the envelope fails at r_lo, so it fails at
+    # r (1 - 2^-40) too: Upsilon_{C^c} only grows as C shrinks
     model = LGSSM(0.9, 1.0, 1.0, h0=h0)
     probes = simulate(model, 7, InitialDistribution.gaussian(0, 1), seed=3).obs
     assert find_ld_set_for_eta(model, eta, None, probes).interval == (-radius, radius)
+    assert envelope_holds(model, eta, radius, probes)
+    assert not envelope_holds(model, eta, radius * (1 - 2.0**-40), probes)
+
+
+CLOSED_FORM_MODELS = {
+    "lgssm": LGSSM(0.9, 1.0, 1.0),
+    "lgssm-h0-neg": LGSSM(0.9, 1.0, 1.0, h0=-1.7),
+    "lgssm-h0-zero": LGSSM(0.9, 1.0, 1.0, h0=0.0),
+    "nlssm-identity": NLSSM("linear_shrink", 0.5, 1.0, 1.0),
+    "nlssm-affine-neg": NLSSM("tanh", 0.5, 1.0, 0.7, kappa=0.4, obs_form="affine",
+                              obs_a=-0.8, obs_b=-0.3),
+    "tobit": TobitModel(0.5, 1.0, 1.0),
+    "stochvol": StochVolModel(0.9, 0.3, 1.0),
+}
+
+
+def closed_form_cases(model):
+    """Regions and observations for the closed form: "all"; C inside the
+    domain, C straddling either end and C covering it; observations whose
+    peak lies inside C, on its edges, at and beyond the domain's ends, and
+    tobit's and SV's y = 0."""
+    lo, hi = model.domain
+    regions = ["all", ("complement", (-0.7, 1.3)), ("complement", (lo - 1.0, lo + 2.0)),
+               ("complement", (hi - 2.0, hi + 5.0)), ("complement", (lo - 1.0, hi + 1.0))]
+    peaks = np.array([0.3, -0.7, 1.3, lo + 2.0, hi - 2.0, lo + 1.0, hi - 1.0, lo, hi,
+                      lo - 3.0, hi + 3.0, 0.0, -4.1, 2.7])
+    if model.kind == "lgssm":
+        ys = model.h0 * peaks if model.h0 else peaks
+    elif model.kind == "nlssm":
+        ys = model.obs_map(peaks)
+    elif model.kind == "tobit":
+        ys = np.concatenate([np.abs(peaks), [0.0]])
+    else:  # stochvol peaks at log(y^2 / beta^2), either sign of y
+        ys = model.beta * np.exp(peaks / 2)
+        ys = np.concatenate([ys, -ys[::3], [0.0]])
+    return regions, ys
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORM_MODELS))
+def test_upsilon_closed_form_against_a_dense_grid(name):
+    # exact sup over the region within the domain: at least the maximum of
+    # a 2^16-cell grid and above it by at most one cell times the largest
+    # slope of log g, plus the upward rounding; and at least the old
+    # grid-plus-polish value
+    model = CLOSED_FORM_MODELS[name]
+    quad = GridSpec(*model.domain, 2**16)
+    x = quad.centers
+    regions, ys = closed_form_cases(model)
+    for y in ys:
+        vals = model.loglik(x, y)
+        lipschitz = np.abs(np.diff(vals)).max() / quad.delta
+        for region in regions:
+            grid_max = vals[dense_region_mask(model, region, x)].max(initial=-np.inf)
+            ups = upsilon(model, region, y)
+            assert ups >= dense_upsilon(model, region, y)
+            if grid_max == -np.inf:  # C covers the domain
+                assert ups == 0.0
+                continue
+            excess = np.log(ups) - grid_max
+            assert excess >= 0.0
+            assert excess <= 1.01 * lipschitz * quad.delta + 2e-13 * (1 + abs(grid_max))
+        batch = np.exp(_log_sup(model, regions[1], ys))
+        assert np.array_equal(batch, [upsilon(model, regions[1], y) for y in ys])
+
+
+def test_upsilon_closed_form_on_censored_and_gaussian_channels():
+    tobit = TobitModel(0.5, 1.0, 1.0)  # Phi(-x) falls: its sup is at the domain's left end
+    lo = tobit.domain[0]
+    assert upsilon(tobit, "all", 0.0) == pytest.approx(ndtr(-lo), rel=1e-12)
+    assert upsilon(tobit, ("complement", (lo - 1.0, 0.5)), 0.0) == pytest.approx(
+        ndtr(-0.5), rel=1e-12)
+    lgssm = LGSSM(0.9, 1.0, 2.0)  # 1/(sqrt(2 pi) beta) wherever the peak is in the region
+    assert upsilon(lgssm, "all", 1.0) == pytest.approx(1 / (np.sqrt(2 * np.pi) * 2.0),
+                                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [LGSSM(0.9, 1.0, 1.0), StochVolModel(0.9, 0.3, 1.0),
+                                   LGSSM(0.9, 1.0, 1.0, drift=DriftFunction.exp_abs(0.5))],
+                         ids=["lgssm", "stochvol", "lgssm-exp-abs"])
+def test_non_finite_probe_named_by_its_index(model):
+    for K in (None, (-5.0, 5.0)):  # NaN is in no K: it must not be filtered out unseen
+        with pytest.raises(DomainError,
+                           match=rf"^{model.kind} observation 2 \(nan\) is not finite$"):
+            find_ld_set_for_eta(model, 0.5, K, [0.3, -1.0, np.nan, 0.8])
+    with pytest.raises(DomainError, match=rf"^{model.kind} observation 0 \(inf\) is not finite$"):
+        upsilon(model, ("complement", (-1.0, 1.0)), np.inf)
+
+
+def test_search_and_upsilon_leave_scipy_optimize_unloaded():
+    # V == 1 needs no polish, so neither the CLI's imports nor the LD-set
+    # search load scipy.optimize (nor scipy.stats); a drift V != 1 does
+    src = os.path.dirname(os.path.dirname(hmmforget.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "\n".join([
+        "import sys",
+        "import hmmforget.cli",
+        "from hmmforget import LGSSM, DriftFunction, find_ld_set_for_eta, upsilon",
+        "model = LGSSM(0.9, 1.0, 1.0)",
+        "find_ld_set_for_eta(model, 0.5, None, [0.3, -1.2, 2.0])",
+        "upsilon(model, ('complement', (-1.0, 1.0)), 0.4)",
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))",
+        "upsilon(LGSSM(0.9, 1.0, 1.0, drift=DriftFunction.exp_abs(0.5)), 'all', 0.4)",
+        "print('scipy.optimize' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split("\n")[:2] == ["[]", "True"]
+
+
+def top_sums_by_sorting(gaps, beta):
+    """The sharp bound's excursion sums as it took them before the heaps: for
+    each n, sort gaps[0..n] and add up the a_n largest."""
+    return np.array([np.sum(np.sort(gaps[:n + 1])[::-1][:a_n(n, beta)])
+                     for n in range(len(gaps))])
+
+
+@pytest.mark.parametrize("beta", [1e-9, 0.2, 0.5, 1 - 1e-9])
+@pytest.mark.parametrize("kind", ["normal", "ties", "one-step", "with -inf"])
+def test_top_sums_equal_the_per_n_sort(kind, beta):
+    rng = np.random.default_rng(4)
+    gaps = {"normal": -np.abs(rng.normal(size=4001)) * 3.0,
+            "ties": rng.integers(-3, 1, size=600).astype(float),
+            "one-step": np.array([-0.7, -0.2]),  # n = 1
+            "with -inf": np.where(rng.random(300) < 0.7, -np.inf, -rng.random(300))}[kind]
+    counts = _a_column(len(gaps), beta)
+    assert np.array_equal(counts, [a_n(n, beta) for n in range(len(gaps))])
+    np.testing.assert_allclose(_top_sums(gaps, counts), top_sums_by_sorting(gaps, beta),
+                               rtol=1e-12)
 
 
 def test_sharp_bound_memory_is_flat_in_the_horizon():

@@ -52,6 +52,8 @@ class ConfigError(ValueError):
 NUMBERS = {"phi", "sigma", "beta", "h0", "delta", "sigma0", "kappa", "obs_a", "obs_b",
            "domain_halfwidth", "c", "mean", "sd", "lo", "hi", "at", "m", "gamma",
            "eta", "M0", "M1", "M2", "n", "replications", "replication", "seed", "threads"}
+# NUMBERS entries that count or key something: a float must be a whole number
+INTEGERS = {"m", "n", "replications", "replication", "seed", "threads"}
 PAIRS = {"interval", "K"}
 ARRAYS = {"transition", "emission", "drift_values", "weights", "states"}
 
@@ -67,8 +69,9 @@ def _holds_numbers(value, key):
 
 def section(d, what, nullable=(), keys=None):
     """``d`` if it is a JSON object whose NUMBERS, PAIRS and ARRAYS entries
-    hold numbers (or null, for the keys in ``nullable``) and, when ``keys``
-    is given, whose every key is one of them; else a ConfigError."""
+    hold numbers (whole ones for INTEGERS; or null, for the keys in
+    ``nullable``) and, when ``keys`` is given, whose every key is one of
+    them; else a ConfigError."""
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be a JSON object, got {d!r}")
     unknown = sorted(d.keys() - set(keys)) if keys is not None else []
@@ -81,6 +84,9 @@ def section(d, what, nullable=(), keys=None):
             kind = ("a pair of numbers" if key in PAIRS else
                     "an array of numbers" if key in ARRAYS else "a number")
             raise ConfigError(f"{what} entry {key!r} must be {kind}, got {value!r}")
+    for key in INTEGERS & d.keys():
+        if isinstance(d[key], float) and not d[key].is_integer():
+            raise ConfigError(f"{what} entry {key!r} must be an integer, got {d[key]!r}")
     return d
 
 
@@ -265,6 +271,8 @@ def cmd_simulate(cfg, out_dir):
     init = build_init(cfg["init"], "init")
     n = int(cfg["n"])
     reps = int(cfg.get("replications", 1))
+    if reps < 1:
+        raise ConfigError(f"need at least one replication, got {reps}")
     for rep in range(reps):
         traj = simulate(model, n, init, seed, replication=rep)
         write_trajectory_csv(traj, os.path.join(out_dir, f"trajectory_{rep:04d}.csv"))

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .grids import InitialDistribution, norm_logpdf
-from .rng import substream
+from .rng import substreams
 
 DOMAIN_SD_MULTIPLE = 8.0
 
@@ -449,17 +449,18 @@ def _check_index(v, size, what):
 def simulate(model, n, init: InitialDistribution, seed, replication=0):
     """Simulate a length-(n+1) path (x, y) of the generating model.
 
-    The path is bit-reproducible from (seed, replication): step k draws from
-    the stream keyed (seed, replication, k).
+    The path is bit-reproducible from (seed, replication): step k draws what
+    ``substream(seed, replication, k)`` draws.  The n + 1 keys are hashed in
+    one pass, and one generator is re-keyed per step (``rng.substreams``).
     """
     if n < 0:
         raise ValueError("horizon must be >= 0")
-    rng0 = substream(seed, replication, 0)
-    x = init.sample(rng0)
+    streams = substreams(seed, replication, n=n + 1)
+    rng = next(streams)
+    x = init.sample(rng)
     hidden = [x]
-    obs = [model.sample_observation(x, rng0)]
-    for k in range(1, n + 1):
-        rng = substream(seed, replication, k)
+    obs = [model.sample_observation(x, rng)]
+    for rng in streams:
         x, y = model.sample_step(x, rng)
         hidden.append(x)
         obs.append(y)

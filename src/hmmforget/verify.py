@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import certify_ld_set, rho
 from .models import FiniteStateModel
-from .rng import substream
+from .rng import substream, substreams
 
 MAX_STATES = 8
 MAX_HORIZON = 25
@@ -235,8 +235,8 @@ def supermartingale_check(model, V, W, b, F_seq, n, x0, replications=10_000, see
     # that yields the draws of n scalar calls; the replications then step
     # together, so each F_k is called once on all of them
     z = np.empty((replications, n))
-    for r in range(replications):
-        z[r] = substream(seed, r).standard_normal(n)
+    for r, rng in enumerate(substreams(seed, n=replications)):
+        z[r] = rng.standard_normal(n)
     x = np.full(replications, float(x0))
     acc = np.zeros(replications)
     for k in range(n):

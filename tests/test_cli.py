@@ -56,6 +56,10 @@ def test_bad_config_exits_2(tmp_path, capsys):
     (["--set", "n=null"], 2),
     (["--set", "model.kind=[1]"], 2),
     (["--set", "nu.form=[1]"], 2),
+    (["--set", "n=20.7"], 2),
+    (["--set", "replications=2.5"], 2),
+    (["--set", "grid.m=64.9"], 2),
+    (["--set", "threads=1.5"], 2),
 ])
 def test_invalid_values_exit_code(tmp_path, capsys, extra, code):
     cfg = write_cfg(tmp_path, experiment_cfg())
@@ -63,6 +67,36 @@ def test_invalid_values_exit_code(tmp_path, capsys, extra, code):
                  "--out", str(tmp_path / "o"), *extra]) == code
     err = capsys.readouterr().err
     assert err.startswith("configuration error" if code == 2 else "error")
+
+
+@pytest.mark.parametrize("command, override, section, key", [
+    ("experiment", "n=20.7", "config", "n"),
+    ("experiment", "seed=1.5", "config", "seed"),
+    ("experiment", "grid.m=64.9", "grid", "m"),
+    ("filter", "observations.simulate.n=6.5", "observations.simulate", "n"),
+    ("filter", "observations.simulate.replication=0.5", "observations.simulate",
+     "replication"),
+    ("simulate", "replications=1.5", "config", "replications"),
+])
+def test_non_integral_count_exits_2_and_names_it(tmp_path, capsys, command, override,
+                                                 section, key):
+    cfg = write_cfg(tmp_path, {**experiment_cfg(), "init": GAUSS(0),
+                               "observations": {"simulate": {"init": GAUSS(0), "n": 6}}})
+    seed = [] if key == "seed" else ["--seed", "1"]
+    assert main([command, "--config", cfg, *seed, "--set", override,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: {section} entry {key!r} must be an integer")
+
+
+@pytest.mark.parametrize("replications", [0, -1])
+def test_simulate_without_replications_exits_2(tmp_path, capsys, replications):
+    cfg = write_cfg(tmp_path, {"model": MODEL, "init": GAUSS(0), "n": 10,
+                               "replications": replications})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--seed", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error")
+    assert not list(out.glob("trajectory_*.csv"))
 
 
 @pytest.mark.parametrize("observations", [3, {"file": 3}, {"simulate": 3}])

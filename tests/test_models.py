@@ -12,7 +12,8 @@ import hmmforget
 
 from hmmforget import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateModel,
                        GridSpec, InitialDistribution, StochVolModel, TobitModel,
-                       simulate, substream)
+                       random_finite_model, simulate, substream)
+from hmmforget.rng import _keys, substreams
 from hmmforget.verify import _qv_numeric
 
 INV_SQRT_2PI = 1.0 / np.sqrt(2 * np.pi)
@@ -249,3 +250,92 @@ def test_substream_independent_of_call_order():
     _ = substream(9, 9).standard_normal(100)
     b = substream(1, 2, 3).standard_normal(4)
     assert np.array_equal(a, b)
+
+
+SEEDS = [0, 5, 2**32 - 1, 2**32, 2**70 + 12345]
+PATHS = [(), (3,), (778, 1), (2**33,)]
+
+
+@pytest.mark.parametrize("path", PATHS, ids=str)
+@pytest.mark.parametrize("seed", SEEDS, ids=str)
+def test_keys_equal_seed_sequence(seed, path):
+    draw = np.random.default_rng([seed % 2**32, len(path)])
+    ks = [0, 1, 4000, int(draw.integers(2**32)), int(draw.integers(2**32, 2**63))]
+    expected = [np.random.SeedSequence([seed, *path, k]).generate_state(2, np.uint64)
+                for k in ks]
+    assert np.array_equal(_keys(seed, path, ks), expected)
+    # substreams re-keys one Philox with exactly these keys, in order
+    keys = [gen.bit_generator.state["state"]["key"].copy()
+            for gen in substreams(seed, *path, n=4001)]
+    assert np.array_equal(np.take(keys, ks[:3], axis=0), expected[:3])
+
+
+DRAWS = {
+    "raw": lambda g: g.bit_generator.random_raw(6),
+    "uint32": lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+    "random": lambda g: g.random(5),
+    "standard_normal": lambda g: g.standard_normal(7),
+    "choice": lambda g: g.choice(4, size=5, p=[0.1, 0.2, 0.3, 0.4]),
+    "dirichlet": lambda g: g.dirichlet(np.ones(3), size=2),
+}
+
+
+@pytest.mark.parametrize("kind", DRAWS)
+def test_rekeyed_draws_equal_a_fresh_substream(kind):
+    draw = DRAWS[kind]
+    for k, gen in enumerate(substreams(2**40, 3, n=6)):
+        assert np.array_equal(draw(gen), draw(substream(2**40, 3, k)))
+        # leave a cached 32-bit half and a half-used output buffer behind
+        gen.bit_generator.random_raw(k % 3)
+        state = {"has_uint32": 0}
+        while not (state["has_uint32"] and state["buffer_pos"] < 4):
+            gen.integers(0, 2**32, dtype=np.uint32)
+            state = gen.bit_generator.state
+
+
+@pytest.mark.parametrize("seed, path", [(-1, ()), (0, (-3,)), (5, (2, -1))])
+def test_negative_entries_raise_as_substream_does(seed, path):
+    with pytest.raises(ValueError) as ref:
+        substream(seed, *path, 0)
+    with pytest.raises(ValueError, match=f"^{ref.value}$"):
+        substreams(seed, *path, n=3)
+    with pytest.raises(ValueError, match=f"^{ref.value}$"):
+        _keys(seed, path, [0])
+    with pytest.raises(ValueError) as ref:
+        substream(0, -1)
+    with pytest.raises(ValueError, match=f"^{ref.value}$"):
+        _keys(0, (), [2, -1])
+
+
+def simulate_per_step(model, n, init, seed, replication):
+    """``simulate``'s path, drawing each step k from a fresh
+    ``substream(seed, replication, k)``."""
+    rng = substream(seed, replication, 0)
+    x = init.sample(rng)
+    hidden, obs = [x], [model.sample_observation(x, rng)]
+    for k in range(1, n + 1):
+        x, y = model.sample_step(x, substream(seed, replication, k))
+        hidden.append(x)
+        obs.append(y)
+    return np.asarray(obs), np.asarray(hidden)
+
+
+SIMULATED = {
+    "lgssm": (LGSSM(0.9, 1.0, 1.0), InitialDistribution.gaussian(0.0, 1.0)),
+    "tobit": (TobitModel(0.5, 1.0, 1.0), InitialDistribution.gaussian(0.0, 1.0)),
+    "nlssm-tanh-affine": (NLSSM("tanh", 0.5, 1.0, 1.0, kappa=0.4, obs_form="affine",
+                                obs_a=1.3, obs_b=0.2), InitialDistribution.uniform(-1.0, 1.0)),
+    "stochvol": (StochVolModel(0.9, 0.3, 1.0), InitialDistribution.gaussian(0.0, 1.0)),
+    "finite": (random_finite_model(4), InitialDistribution.finite([0.5, 0.3, 0.2])),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 500])
+@pytest.mark.parametrize("replication", [0, 3])
+@pytest.mark.parametrize("name", SIMULATED)
+def test_simulate_equals_per_step_substreams(name, replication, n):
+    model, init = SIMULATED[name]
+    traj = simulate(model, n, init, seed=2**40, replication=replication)
+    obs, hidden = simulate_per_step(model, n, init, 2**40, replication)
+    assert np.array_equal(traj.obs, obs) and np.array_equal(traj.hidden, hidden)
+    assert traj.obs.dtype == obs.dtype and traj.hidden.dtype == hidden.dtype

@@ -11,10 +11,12 @@ subset-maximum form and its coarser geometric form).
 The index ranges of a record's sums live in ``_RecordTerms`` alone: both
 bounds, ``_conditions`` (which holds the one K-frequency rule) and the
 r-sequences of ``experiments`` read the record ``_record_terms`` returns.
-A record's envelopes are grid maxima (``_log_upsilon``).  ``upsilon`` and
-the LD-set search ``find_ld_set_for_eta`` take Upsilon from ``_log_sup``,
-exact where V == 1 and polished by ``scipy.optimize`` (imported there, on
-that path alone) where the drift V != 1.
+A record's envelopes are evaluated once per distinct observation: Upsilon
+as grid maxima (``_log_upsilon``, from a window around the channel's peak
+where V == 1), Psi one observation per row, so that no value depends on its
+batch.  ``upsilon`` and the LD-set search ``find_ld_set_for_eta`` take
+Upsilon from ``_log_sup``, exact where V == 1 and polished by
+``scipy.optimize`` (imported there, on that path alone) where V != 1.
 
 The reference measure lambda_C is always normalized Lebesgue on C
 (normalized counting measure on finite state sets).  All bound terms are
@@ -139,8 +141,7 @@ def certify_ld_set(model, candidate, m_probe: int = 256) -> LDSet:
 
 def rho(ld: LDSet) -> float:
     """Contraction coefficient 1 - (eps-/eps+)^2 of the pair chain."""
-    r = 1.0 - (ld.eps_minus / ld.eps_plus) ** 2
-    return min(max(r, 0.0), 1.0 - np.finfo(float).tiny)
+    return 1.0 - (ld.eps_minus / ld.eps_plus) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -154,83 +155,61 @@ def _log_g_qv(model, x, y):
     return logg if log_qv is None else logg + log_qv
 
 
-def _region_parts(region, x, discrete):
-    """The support points ``x`` that lie in ``region``, "all" or
-    ("complement", C), where C lists states on a finite state set and is
-    (lo, hi) otherwise, as selectors in support order: one slice for "all";
-    for a complement, the slices x < lo and x > hi of the sorted grid, or one
-    index array on a finite state set."""
+def _region_parts(region, x, domain):
+    """The support points ``x`` in ``region``, "all" or ("complement", C), as
+    selectors in support order: one slice per interval of _components, of the
+    grid points strictly inside it; on a finite state set (``domain`` None),
+    where C lists states, one index array."""
+    if domain is not None:
+        return [slice(int(np.searchsorted(x, a, "right")), int(np.searchsorted(x, b, "left")))
+                for a, b in _components(region, domain)]
     if region == "all":
         return [slice(0, len(x))]
     kind, members = region
     if kind != "complement":
         raise ValueError(f"unknown region {region!r}")
-    if discrete:
-        return [np.flatnonzero(~np.isin(x, members))]
-    lo, hi = members
-    left = int(np.searchsorted(x, lo, "left"))
-    return [slice(0, left), slice(max(int(np.searchsorted(x, hi, "right")), left), len(x))]
-
-
-def _region_mask(region, x, discrete):
-    """Which support points x lie in ``region`` (as in _region_parts)."""
-    mask = np.zeros(len(x), dtype=bool)
-    for part in _region_parts(region, x, discrete):
-        mask[part] = True
-    return mask
+    return [np.flatnonzero(~np.isin(x, members))]
 
 
 def _blocks(n):
-    """Slices of _RECORD_BLOCK columns that cover n columns.  A lone last
-    column joins the block before: NumPy sums a one-column matrix pairwise,
-    not row by row, which moves the last bit of a sum such as Psi."""
-    edges = list(range(0, n, _RECORD_BLOCK))
-    if len(edges) > 1 and n % _RECORD_BLOCK == 1:
-        edges.pop()
-    return [slice(a, b) for a, b in zip(edges, edges[1:] + [n])]
+    """Slices of _RECORD_BLOCK columns that cover n columns."""
+    return [slice(a, a + _RECORD_BLOCK) for a in range(0, n, _RECORD_BLOCK)]
 
 
-def _keep_first(best, arg, cols, vals, idx):
-    """Raise best[cols] to ``vals`` where that is strictly larger, and record
-    the support index ``idx`` of each new maximum in arg."""
-    up = vals > best[cols]
-    best[cols[up]] = vals[up]
-    arg[cols[up]] = idx[up]
+def _log_upsilon(model, regions, ys):
+    """For each region of ``regions`` (rows) and each y of ``ys`` (columns),
+    the grid maximum of log g(x, y) QV(x)/V(x) over the region.
 
-
-def _log_upsilon(model, regions, ys, first=False):
-    """The quadrature grid, its support points and, for each region of
-    ``regions`` (rows) and each y of ``ys`` (columns), the grid maximum of
-    log g(x, y) QV(x)/V(x) over the region; with ``first`` also the support
-    index where each maximum is first reached (-1 on an empty region).
-
-    Where V == 1, ``first`` is not asked for and the channel has a mode m
-    (``model.obs_mode``), log g is a non-increasing function of the computed
-    |z|, z = (y - location(x))/beta, and z is monotone along the sorted grid,
-    as every floating-point operation on the way is.  So on each index range
-    of a region the maxima form one run of indices, which meets the point or
-    two next to m (or the range's end nearest m), and the window _MODE_WINDOW
-    there, kept inside the range, gives the maximum bit for bit.  Every other
-    observation takes the dense scan, in blocks.
+    Where V == 1 and log g(., y) peaks at p (``model.obs_peak``), the
+    maximum on each index range of a region is at the point or two next to p
+    clamped into the range, and the window _MODE_WINDOW there, kept inside
+    the range, gives it bit for bit.  On a location channel log g is a
+    non-increasing function of the computed |z|, z = (y - location(x))/beta,
+    and z is monotone along the sorted grid, as every floating-point
+    operation on the way is.  On SV log g is strictly concave, with curvature
+    1/2 at p and |d/dx log g| growing away from p, so adjacent grid values
+    differ by far more than their rounding, except at the two nodes that
+    bracket the clamped peak.  Every other observation takes the dense scan,
+    in blocks.
     """
     quad = resolve_grid(model, None, UPSILON_QUAD_M)
     x = model.support(quad)
     ys = np.asarray(ys)
     model._check_obs(ys)  # names a bad observation by its index in ys
-    parts = [_region_parts(region, x, quad is None) for region in regions]
+    domain = None if quad is None else model.domain
+    parts = [_region_parts(region, x, domain) for region in regions]
     best = np.full((len(regions), len(ys)), -np.inf)
-    arg = np.full(best.shape, -1)
     dense = np.ones(len(ys), dtype=bool)
-    if quad is not None and not first and model.log_qv(x[:1]) is None:  # V == 1
-        modes = model.obs_mode(ys)
-        near = np.flatnonzero(~np.isnan(modes))
+    peaks = model.obs_peak(ys)
+    near = np.flatnonzero(~np.isnan(peaks))  # NaN on every finite state set
+    if len(near) and model.log_qv(x[:1]) is None:  # V == 1
         spans = [(r, part) for r, region_parts in enumerate(parts)
                  for part in region_parts if part.start < part.stop]
-        if len(near) and spans:
+        if spans:
             dense[near] = False
             lo = np.array([part.start for _, part in spans])
             hi = np.array([part.stop - 1 for _, part in spans])
-            k = np.searchsorted(x, modes[near])[:, None]
+            k = np.searchsorted(x, peaks[near])[:, None]
             centre = np.minimum(np.maximum(k, lo + _MODE_HALF), hi - _MODE_HALF)
             idx = np.minimum(np.maximum(centre[..., None] + _MODE_WINDOW, lo[:, None]),
                              hi[:, None])  # (observations, spans, window)
@@ -242,18 +221,10 @@ def _log_upsilon(model, regions, ys, first=False):
         cols = dense[block]
         vals = _log_g_qv(model, x[:, None], ys[None, cols])
         for r, region_parts in enumerate(parts):
-            for part in region_parts:
-                part_vals = vals[part]
-                if not len(part_vals):
-                    continue
-                if first:
-                    j = part_vals.argmax(axis=0)
-                    _keep_first(best[r], arg[r], cols, part_vals[j, np.arange(len(cols))],
-                                np.arange(len(x))[part][j])
-                else:  # a maximum is exact, so the parts combine in any order
-                    best[r, cols] = np.maximum(best[r, cols], part_vals.max(axis=0))
-        del vals, part_vals
-    return quad, x, best, arg
+            for part in region_parts:  # a maximum is exact, so the parts combine in any order
+                best[r, cols] = np.maximum(best[r, cols], vals[part].max(axis=0, initial=-np.inf))
+        del vals
+    return best
 
 
 def _components(region, domain):
@@ -271,25 +242,24 @@ def _components(region, domain):
 def _log_sup(model, region, ys) -> np.ndarray:
     """log Upsilon_region(y) for each y of ``ys``.
 
-    Finite state sets: the exact maximum over the states.  Continuous models
-    with V == 1: exact over the region within the truncation domain.  There
-    log g(., y) is concave or monotone in x on every model, so on each
-    interval of the region its sup is at the channel's peak
-    (``model.obs_peak``) clamped into the interval, or at one of the ends:
-    log g is evaluated at those three points, and the maximum is rounded up
-    by _SUP_SLACK (1 + |log Upsilon|), past the last-bit error of one
-    evaluation of log g (at a flat peak a nearby point can read an ulp
-    higher, as on SV).  With a drift V != 1 g QV/V has no such form: the
-    grid maximum of _log_upsilon is polished, one observation at a time, by
-    a bounded 1-d maximization started at the first support point that
-    reaches it (the QV/V factor has a closed form on all Gaussian kernels,
-    so the objective is exact).
+    Continuous models with V == 1: exact over the region within the
+    truncation domain.  There log g(., y) is concave or monotone in x on
+    every model, so on each interval of the region its sup is at the
+    channel's peak (``model.obs_peak``) clamped into the interval, or at one
+    of the ends: log g is evaluated at those three points, and the maximum is
+    rounded up by _SUP_SLACK (1 + |log Upsilon|), past the last-bit error of
+    one evaluation of log g (at a flat peak a nearby point can read an ulp
+    higher, as on SV).  Otherwise a dense scan of the region's support
+    points: exact on finite state sets.  With a drift V != 1 g QV/V has no
+    closed form, and the scan's maximum is polished, one observation at a
+    time, by a bounded 1-d maximization started at the first support point
+    that reaches it (the QV/V factor has a closed form on all Gaussian
+    kernels, so the objective is exact).
     """
     ys = np.asarray(ys)
-    if model.kind == "finite":
-        return _log_upsilon(model, [region], ys)[2][0]
     model._check_obs(ys)  # names a bad observation by its index in ys
-    if model.log_qv(np.zeros(1)) is None:  # V == 1
+    quad = resolve_grid(model, None, UPSILON_QUAD_M)
+    if quad is not None and model.log_qv(np.zeros(1)) is None:  # V == 1
         ends = np.array(_components(region, model.domain)).reshape(-1, 2)
         a, b = ends[:, 0], ends[:, 1]
         peak = model.obs_peak(ys)[:, None]
@@ -298,12 +268,18 @@ def _log_sup(model, region, ys) -> np.ndarray:
         v = model.loglik(points, ys[:, None, None]).max(axis=(1, 2), initial=-np.inf)
         # rounded up by _SUP_SLACK (1 + |v|), as a product so that -inf stays -inf
         return np.where(v < 0, v * (1.0 - _SUP_SLACK), v * (1.0 + _SUP_SLACK)) + _SUP_SLACK
+    x = model.support(quad)
+    vals = np.full((len(x), len(ys)), -np.inf)  # -inf off the region; few probes, one block
+    for part in _region_parts(region, x, None if quad is None else model.domain):
+        vals[part] = _log_g_qv(model, x[part, None], ys[None, :])
+    first = np.argmax(vals, axis=0)
+    best = vals[first, np.arange(len(ys))]
+    if quad is None:
+        return best
     from scipy import optimize  # only the polish of a drift V != 1 needs it
 
-    quad, x, best, first = _log_upsilon(model, [region], ys, first=True)
-    best = best[0]
-    for j, (y, i) in enumerate(zip(ys, first[0])):
-        if i < 0:  # the region holds no support point
+    for j, (y, i) in enumerate(zip(ys, first)):
+        if best[j] == -np.inf:  # the region holds no support point where g > 0
             continue
         a, b = _polish_bracket(x[i], quad.delta, region, model.domain)
         res = optimize.minimize_scalar(
@@ -316,32 +292,22 @@ def _log_sup(model, region, ys) -> np.ndarray:
 
 
 def upsilon(model, region, y) -> float:
-    """Supremum over the region of g(x, y) QV(x)/V(x).
-
-    ``region`` is "all" or ("complement", C).  Exact on finite state sets
-    and, where V == 1, on the continuous models' truncation domain (a closed
-    form); with a drift V != 1 the grid maximum polished by a bounded 1-d
-    maximization (see _log_sup).
-    """
+    """Supremum over the region, "all" or ("complement", C), of g(x, y)
+    QV(x)/V(x): exact where V == 1 or the state set is finite, else a
+    polished grid maximum (see _log_sup)."""
     return float(np.exp(_log_sup(model, region, np.array([y]))[0]))
 
 
 def _polish_bracket(x0, delta, region, domain):
-    lo, hi = domain
-    a, b = max(lo, x0 - 2 * delta), min(hi, x0 + 2 * delta)
-    if region != "all":
-        _, (c_lo, c_hi) = region
-        # stay inside the complement component containing x0
-        if x0 <= c_lo:
-            b = min(b, c_lo)
-        else:
-            a = max(a, c_hi)
-    return a, b
+    """[x0 - 2 delta, x0 + 2 delta] within the interval of the region
+    (_components) that holds the support point x0."""
+    a, b = next((a, b) for a, b in _components(region, domain) if a < x0 < b)
+    return max(a, x0 - 2 * delta), min(b, x0 + 2 * delta)
 
 
 def log_upsilon_batch(model, region, ys) -> np.ndarray:
     """Grid-based log Upsilon_region(y) for an array of observations."""
-    return _log_upsilon(model, [region], ys)[2][0]
+    return _log_upsilon(model, [region], ys)[0]
 
 
 def find_ld_set_for_eta(model, eta, K, y_probe) -> LDSet:
@@ -387,10 +353,12 @@ def find_ld_set_for_eta(model, eta, K, y_probe) -> LDSet:
 
 def log_psi_batch(model, D: LDSet, ys) -> np.ndarray:
     """log lambda_D(g(., y) 1_D), the likelihood averaged over D, for an array
-    of observations (PSI_QUAD_M midpoints on an interval D)."""
+    of observations (PSI_QUAD_M midpoints on an interval D).  Each y is one
+    row, whose sum NumPy takes pairwise over the row alone: a value does not
+    depend on the batch it is evaluated in."""
     x = np.asarray(D.states) if D.interval is None else GridSpec(*D.interval, PSI_QUAD_M).centers
-    logg = model.loglik(x[:, None], np.asarray(ys)[None, :])
-    return logsumexp(logg, axis=0) - np.log(len(x))
+    logg = model.loglik(x[None, :], np.asarray(ys)[:, None])
+    return logsumexp(logg, axis=1) - np.log(len(x))
 
 
 def _record_series(model, obs, D: LDSet, C: LDSet | None = None):
@@ -399,21 +367,16 @@ def _record_series(model, obs, D: LDSet, C: LDSet | None = None):
 
     Each entry depends on its own observation alone, so all three are
     evaluated once per distinct observation and read back by index; the
-    dense evaluations go in blocks, so memory does not grow with n.  Psi is
-    a sum, which NumPy takes pairwise on a one-column matrix and row by row
-    otherwise: its blocks never have one column (_blocks), and a longer record
-    with one distinct value is evaluated as two identical columns, as its
-    own blocks would be.
+    dense evaluations go in blocks, so memory does not grow with n.
     """
     obs = np.asarray(obs)
     model._check_obs(obs)  # names a bad observation by its index in the record
     u, inv = np.unique(obs, return_inverse=True)
     regions = ["all"] if C is None else ["all", ("complement", C.interval or C.states)]
-    log_ups = _log_upsilon(model, regions, u)[2]
-    cols = np.repeat(u, 2) if len(u) == 1 < len(obs) else u
-    log_psi = np.empty(len(cols))
-    for block in _blocks(len(cols)):
-        log_psi[block] = log_psi_batch(model, D, cols[block])
+    log_ups = _log_upsilon(model, regions, u)
+    log_psi = np.empty(len(u))
+    for block in _blocks(len(u)):
+        log_psi[block] = log_psi_batch(model, D, u[block])
     return log_ups[0][inv], None if C is None else log_ups[1][inv], log_psi[inv]
 
 
@@ -429,7 +392,8 @@ def phi(model, nu, D: LDSet, y0, y1, grid: GridSpec | None = None,
         kernel = transition_kernel(model, grid)
     x = model.support(grid)
     w = np.exp(model.log_init(nu, grid))
-    mask = ~_region_mask(("complement", D.interval or D.states), x, grid is None)
+    mask = (np.isin(x, D.states) if D.interval is None
+            else (x >= D.interval[0]) & (x <= D.interval[1]))
     g0 = np.exp(model.loglik(x, y0))
     g1 = np.where(mask, np.exp(model.loglik(x, y1)), 0.0)
     reach = w @ kernel[:, mask].sum(axis=1)

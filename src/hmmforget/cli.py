@@ -59,6 +59,8 @@ ARRAYS = {"transition", "emission", "drift_values", "weights", "states"}
 
 
 def _holds_numbers(value, key):
+    if key in INTEGERS and type(value) is int:  # of any size: np.asarray holds 2^64 as an object
+        return True
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged nested array

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reports
-from .bounds import BoundConfig, LDSet, _conditions, _record_terms, geometric_bound, phi
+from .bounds import BoundConfig, LDSet, _conditions, _record_terms, geometric_bound
 from .gridfilter import resolve_grid, run_two_filters, transition_kernel
 from .grids import GridSpec, InitialDistribution
 from .models import simulate
@@ -181,11 +181,10 @@ def estimate_r_sequences(cfg: ExperimentConfig) -> RSequenceResult:
 
     def one(rep):
         traj = simulate(cfg.star_model, cfg.n, cfg.nu_star, cfg.seed, rep)
-        terms = _record_terms(cfg.model, None, None, traj.obs, b.D, None, None)
+        terms = _record_terms(cfg.model, cfg.nu, cfg.nu_prime, traj.obs, b.D, None, grid,
+                              kernel)
         k_ok, ups_ok, psi_ok = _conditions(traj.obs, terms, b)[1]
-        with np.errstate(divide="ignore"):
-            lphi, lphi2 = (np.log(phi(cfg.model, law, b.D, traj.obs[0], traj.obs[1],
-                                      grid, kernel)) for law in (cfg.nu, cfg.nu_prime))
+        lphi, lphi2 = terms.log_phi
         return np.stack([lphi <= -b.M0 * ns, lphi2 <= -b.M0 * ns,
                          ~ups_ok[ns], ~psi_ok[ns], ~k_ok[ns]])
 

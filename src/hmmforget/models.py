@@ -7,15 +7,13 @@ function V >= 1, exact samplers, and the ratio QV/V used by the bound
 machinery.  The filter and the bounds use only the surface of
 ``StateSpaceModel``, listed in the README: ``kind``, ``mean_slope``,
 ``domain`` (continuous models), ``support(grid)``, ``kernel(grid)``,
-``log_init(nu, grid)``, ``log_v(x)``, ``log_qv(x)`` (None when V == 1) and
+``log_init(nu, grid)``, ``log_v(x)``, ``log_qv(x)`` (None when V == 1),
 ``loglik(x, y)`` (log g broadcast over x and y, with y checked against the
 observation domain and x unchecked, so quadrature may leave the filter's
-domain), ``obs_mode(y)`` (the state where the channel's location equals
-y, NaN where there is none) and ``obs_peak(y)`` (the state where log g(., y)
-peaks, NaN where it is monotone).  A subclass supplies the others plus
-``_obs_logpdf``, ``_check_state``, ``_check_obs`` and the two samplers; the
-base derives ``loglik``, the domain-checked ``log_likelihood`` and
-``sample_step``.
+domain) and ``obs_peak(y)`` (the state where log g(., y) peaks, NaN where
+it is monotone).  A subclass supplies the others plus ``_obs_logpdf``,
+``_check_state``, ``_check_obs`` and the two samplers; the base derives
+``loglik``, the domain-checked ``log_likelihood`` and ``sample_step``.
 
 Dominating measures: Lebesgue for all continuous transitions; Lebesgue for
 the observations of the linear-Gaussian, nonlinear and stochastic
@@ -106,19 +104,13 @@ class StateSpaceModel:
 
     mean_slope = None
 
-    def obs_mode(self, y):
-        """For each y, the state x where the channel's location equals y, so
-        that log g(x, y) falls as the location moves away from y; NaN where
-        there is no such state (every y by default)."""
-        return np.full(np.shape(y), np.nan)
-
     def obs_peak(self, y):
         """For each y, the state where log g(., y) peaks; NaN where it is
-        monotone or constant in x.  On every continuous model log g(., y) is
-        concave or monotone in x, so its sup over an interval is at the peak
-        clamped into it or at one of its ends.  A location channel peaks at
-        its mode."""
-        return self.obs_mode(y)
+        monotone or constant in x (every y by default).  On every continuous
+        model log g(., y) is concave or monotone in x, so its sup over an
+        interval is at the peak clamped into it or at one of its ends.  A
+        location channel peaks where its location equals y."""
+        return np.full(np.shape(y), np.nan)
 
     def loglik(self, x, y):
         return self._obs_logpdf(x, self._check_obs(y))
@@ -234,9 +226,9 @@ class LGSSM(GaussianStateModel):
         super().__init__(phi, sigma, beta, drift, domain_halfwidth)
         self.h0 = float(h0)
 
-    def obs_mode(self, y):
+    def obs_peak(self, y):
         if self.h0 == 0.0:
-            return super().obs_mode(y)
+            return super().obs_peak(y)
         return np.asarray(y, dtype=float) / self.h0
 
     def _obs_logpdf(self, x, y):
@@ -263,9 +255,9 @@ class TobitModel(GaussianStateModel):
             raise DomainError(f"tobit {_first_offender(bad, y, 'observation')} is negative")
         return y
 
-    def obs_mode(self, y):
+    def obs_peak(self, y):
         y = np.asarray(y, dtype=float)
-        return np.where(y > 0, y, np.nan)  # y = 0 is censored: no location
+        return np.where(y > 0, y, np.nan)  # at y = 0, log Phi(-x/beta) falls in x
 
     def _obs_logpdf(self, x, y):
         # the censoring branch depends on x alone: O(grid), broadcast by where
@@ -319,12 +311,12 @@ class NLSSM(GaussianStateModel):
             return x
         return self.obs_a * x + self.obs_b
 
-    def obs_mode(self, y):
+    def obs_peak(self, y):
         y = np.asarray(y, dtype=float)
         if self.obs_form == "identity":
             return y
         if self.obs_a == 0.0:
-            return super().obs_mode(y)
+            return super().obs_peak(y)
         return (y - self.obs_b) / self.obs_a
 
     def _obs_logpdf(self, x, y):

@@ -26,6 +26,8 @@ the reference that ``substreams`` is tested against.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # SeedSequence's hash (numpy/random/bit_generator.pyx): a pool of 4 uint32
@@ -39,7 +41,7 @@ _MASK = 0xFFFFFFFF
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return a fresh generator for the given (seed, *path) key."""
-    ss = np.random.SeedSequence([int(seed), *[int(p) for p in path]])
+    ss = np.random.SeedSequence(_words(seed, *path))  # hashes as SeedSequence([seed, *path])
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -67,15 +69,19 @@ def _rekeyed(keys):
         yield gen
 
 
-def _words(value):
-    """The uint32 words SeedSequence takes from one entropy entry, low first."""
-    value = int(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK]
-    while value > _MASK:
-        value >>= 32
+def _words(*entries):
+    """The uint32 words SeedSequence takes from its entropy entries, low
+    first within each.  An entry is a non-negative integer of any size and
+    integer type (``operator.index``): a float raises TypeError rather than
+    being truncated."""
+    words = []
+    for value in map(operator.index, entries):
+        if value < 0:
+            raise ValueError("expected non-negative integer")
         words.append(value & _MASK)
+        while value > _MASK:
+            value >>= 32
+            words.append(value & _MASK)
     return words
 
 
@@ -87,7 +93,7 @@ def _keys(seed, path, ks):
     if ks.size and ks.min() < 0:
         raise ValueError("expected non-negative integer")
     ks = ks.astype(np.uint64)
-    prefix = [w for entry in (seed, *path) for w in _words(entry)]
+    prefix = _words(seed, *path)
     keys = np.empty((len(ks), 2), np.uint64)
     # an entry of 2^32 or more adds a word: hash each entropy length apart
     wide = ks > _MASK

@@ -19,7 +19,7 @@ from hmmforget import (LGSSM, NLSSM, BoundConfig, DomainError, DriftFunction,
                        sharp_bound, log_upsilon_batch, phi, rho,
                        random_finite_model, run_two_filters, simulate, upsilon)
 from hmmforget.bounds import (_RECORD_BLOCK, UPSILON_QUAD_M, _a_column, _log_g_qv,
-                              _log_sup, _log_upsilon, _polish_bracket, _record_series,
+                              _log_sup, _polish_bracket, _record_series,
                               _record_terms, _top_sums, log_psi_batch)
 
 
@@ -77,12 +77,12 @@ def test_ld_set_validation():
 
 def test_upsilon_sv_closed_form():
     # (2 pi e y^2)^{-1/2}, reached at log(y^2 / beta^2), inside the domain;
-    # SV has a peak but no location mode, so it stays off the mode window
+    # at y = 0 log g falls in x: there is no peak
     sv = StochVolModel(0.9, 0.3, 1.0)
     for y in (0.1, 0.5, 1.0, 2.0, 4.0, -2.0):
         exact = (2 * np.pi * np.e) ** -0.5 / abs(y)
         assert upsilon(sv, "all", y) == pytest.approx(exact, rel=1e-12)
-    assert np.isnan(sv.obs_mode(1.0)) and np.isnan(sv.obs_peak(0.0))
+    assert np.isnan(sv.obs_peak(0.0))
 
 
 def test_upsilon_monotone_in_region():
@@ -459,7 +459,8 @@ def test_record_series_blocks_equal_single_block_batches(name, length):
 def adversarial_observations(model):
     """Grid centres, midpoints between them, points beyond both grid ends,
     +-0.0 and, on tobit, censored zeros; mapped through the channel's
-    location, so that they sit on and between the grid points in state space."""
+    location (on SV, its peak), so that they sit on and between the grid
+    points in state space."""
     quad, x = dense_grid(model)
     lo, hi = model.domain
     ys = np.concatenate([x[::97], 0.5 * (x[:-1] + x[1:])[::89], x[:3], x[-3:],
@@ -471,6 +472,9 @@ def adversarial_observations(model):
     elif model.kind == "tobit":
         ys = np.abs(ys)
         ys[::4] = 0.0
+    elif model.kind == "stochvol":  # the peak log(y^2 / beta^2), either sign of y
+        ys = np.where(ys == 0.0, ys, model.beta * np.exp(ys / 2))
+        ys[1::2] *= -1
     return ys
 
 
@@ -501,21 +505,32 @@ def test_upsilon_equals_dense_scan_with_polish(h0):
 @pytest.mark.parametrize("beta", [1.0, 1e6, 1e7])
 def test_polish_starts_at_the_first_of_a_run_of_tied_maxima(beta):
     # with a wide beta log g is flat to the last bit across many grid points
-    # around the mode, wider than the mode window: asked for the first
-    # argmax (the polish's start), the grid stage must still find where the
-    # dense scan first reaches the maximum.  V == 1, so upsilon itself is the
-    # closed form, at least the old polished value
+    # around the mode, wider than the mode window.  With a drift V != 1 the
+    # polish starts at the first argmax of the dense scan, so upsilon is the
+    # reference value bit for bit; with V == 1 the mode window still gives
+    # the dense grid maximum
+    drifted = LGSSM(0.9, 1.0, beta, drift=DriftFunction.exp_abs(0.5))
     model = LGSSM(0.9, 1.0, beta)
     _, x = dense_grid(model)
     ys = np.array([0.0, 3.0, -7.5, 1e7, x[100], 0.5 * (x[2000] + x[2001])])
     for region in ("all", ("complement", (-3.0, 3.0)), ("complement", (-0.5, 0.5))):
-        _, _, best, first = _log_upsilon(model, [region], ys, first=True)
-        vals = _log_g_qv(model, x[:, None], ys[None, :])
-        vals[~dense_region_mask(model, region, x)] = -np.inf
-        assert np.array_equal(first[0], vals.argmax(axis=0))
-        assert np.array_equal(best[0], vals.max(axis=0))
         for y in ys:
-            assert upsilon(model, region, y) >= dense_upsilon(model, region, y)
+            assert upsilon(drifted, region, y) == dense_upsilon(drifted, region, y)
+        assert np.array_equal(log_upsilon_batch(model, region, ys),
+                              dense_log_upsilon(model, region, ys))
+
+
+@pytest.mark.parametrize("name", list(SERIES_MODELS))
+def test_psi_does_not_depend_on_its_batch(name):
+    # each observation is one row, summed pairwise over that row alone
+    model, _, d = SERIES_MODELS[name]
+    D = certify_ld_set(model, d)
+    init = InitialDistribution.finite([0.2, 0.3, 0.5]) if model.kind == "finite" \
+        else InitialDistribution.gaussian(0, 1)
+    ys = simulate(model, 300, init, seed=8).obs
+    batch = log_psi_batch(model, D, ys)
+    for j in range(len(ys)):
+        assert batch[j] == log_psi_batch(model, D, ys[j:j + 1])[0]
 
 
 def envelope_holds(model, eta, radius, probes):

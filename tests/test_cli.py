@@ -6,6 +6,7 @@ import pytest
 
 from hmmforget import LGSSM, GridSpec, InitialDistribution, run_two_filters, simulate
 from hmmforget.cli import main
+from hmmforget.reports import write_trajectory_csv
 
 MODEL = {"kind": "lgssm", "phi": 0.9, "sigma": 1.0, "beta": 1.0}
 GAUSS = lambda m: {"form": "gaussian", "mean": m, "sd": 1.0}
@@ -87,6 +88,21 @@ def test_non_integral_count_exits_2_and_names_it(tmp_path, capsys, command, over
                  "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(
         f"configuration error: {section} entry {key!r} must be an integer")
+
+
+def test_seed_of_2_to_the_64_is_taken_whole(tmp_path, capsys):
+    # NumPy holds such an int as an object array, which is still a number
+    cfg = write_cfg(tmp_path, {"model": MODEL, "init": GAUSS(0), "n": 12})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--seed", str(2**64), "--out", str(out)]) == 0
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    traj = simulate(LGSSM(0.9, 1.0, 1.0), 12, InitialDistribution.gaussian(0, 1.0), 2**64)
+    write_trajectory_csv(traj, str(ref / "trajectory_0000.csv"))
+    assert (out / "trajectory_0000.csv").read_bytes() == (ref / "trajectory_0000.csv").read_bytes()
+    assert main(["simulate", "--config", cfg, "--set", "seed=1.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: config entry 'seed' must be an integer")
 
 
 @pytest.mark.parametrize("replications", [0, -1])

@@ -307,6 +307,21 @@ def test_negative_entries_raise_as_substream_does(seed, path):
         _keys(0, (), [2, -1])
 
 
+def test_non_integral_entries_raise_and_numpy_integers_key_as_ints():
+    # a float seed or replication is refused, not truncated
+    model, init = LGSSM(0.9, 1.0, 1.0), InitialDistribution.gaussian(0, 1)
+    for seed, replication in [(1.5, 0), (1, 0.7), (2.0, 0), (np.float64(1), 0)]:
+        with pytest.raises(TypeError):
+            simulate(model, 5, init, seed=seed, replication=replication)
+        with pytest.raises(TypeError):
+            substream(seed, replication)
+    expected = simulate(model, 5, init, seed=3, replication=2).obs
+    assert np.array_equal(simulate(model, 5, init, seed=np.int64(3),
+                                   replication=np.uint16(2)).obs, expected)
+    assert np.array_equal(substream(np.int64(3), np.int32(2)).random(4),
+                          substream(3, 2).random(4))
+
+
 def simulate_per_step(model, n, init, seed, replication):
     """``simulate``'s path, drawing each step k from a fresh
     ``substream(seed, replication, k)``."""

@@ -10,10 +10,12 @@ machinery.  The filter and the bounds use only the surface of
 ``log_init(nu, grid)``, ``log_v(x)``, ``log_qv(x)`` (None when V == 1),
 ``loglik(x, y)`` (log g broadcast over x and y, with y checked against the
 observation domain and x unchecked, so quadrature may leave the filter's
-domain) and ``obs_peak(y)`` (the state where log g(., y) peaks, NaN where
-it is monotone).  A subclass supplies the others plus ``_obs_logpdf``,
-``_check_state``, ``_check_obs`` and the two samplers; the base derives
-``loglik``, the domain-checked ``log_likelihood`` and ``sample_step``.
+domain), ``obs_peak(y)`` (the state where log g(., y) peaks, NaN where
+it is monotone) and ``obs_slope`` (h of a Gaussian location channel g(x, y)
+= phi(h (x - obs_peak(y))/beta)/beta, else None).  A subclass supplies the
+others plus ``_obs_logpdf``, ``_check_state``, ``_check_obs`` and the two
+samplers; the base derives ``loglik``, the domain-checked
+``log_likelihood`` and ``sample_step``.
 
 Dominating measures: Lebesgue for all continuous transitions; Lebesgue for
 the observations of the linear-Gaussian, nonlinear and stochastic
@@ -103,6 +105,7 @@ class StateSpaceModel:
     """Members shared by all models, written against the surface above."""
 
     mean_slope = None
+    obs_slope = None
 
     def obs_peak(self, y):
         """For each y, the state where log g(., y) peaks; NaN where it is
@@ -224,7 +227,7 @@ class LGSSM(GaussianStateModel):
 
     def __init__(self, phi, sigma, beta, h0=1.0, drift=None, domain_halfwidth=None):
         super().__init__(phi, sigma, beta, drift, domain_halfwidth)
-        self.h0 = float(h0)
+        self.h0 = self.obs_slope = float(h0)
 
     def obs_peak(self, y):
         if self.h0 == 0.0:
@@ -247,6 +250,7 @@ class TobitModel(GaussianStateModel):
     """
 
     kind = "tobit"
+    obs_slope = 1.0  # at y > 0; y = 0 has no peak
 
     def _check_obs(self, y):
         y = super()._check_obs(y)
@@ -297,6 +301,7 @@ class NLSSM(GaussianStateModel):
         self.obs_form = obs_form
         self.obs_a = float(obs_a)
         self.obs_b = float(obs_b)
+        self.obs_slope = 1.0 if obs_form == "identity" else self.obs_a
 
     def state_mean(self, x):
         x = np.asarray(x, dtype=float)

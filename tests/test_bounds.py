@@ -18,9 +18,11 @@ from hmmforget import (LGSSM, NLSSM, BoundConfig, DomainError, DriftFunction,
                        check_conditions, geometric_bound, find_ld_set_for_eta,
                        sharp_bound, log_upsilon_batch, phi, rho,
                        random_finite_model, run_two_filters, simulate, upsilon)
-from hmmforget.bounds import (_RECORD_BLOCK, UPSILON_QUAD_M, _a_column, _log_g_qv,
-                              _log_sup, _polish_bracket, _record_series,
-                              _record_terms, _top_sums, log_psi_batch)
+from hmmforget.bounds import (_EM_LIMIT, _RECORD_BLOCK, PSI_QUAD_M, UPSILON_QUAD_M,
+                              _a_column, _log_g_qv, _log_psi_location, _log_sup,
+                              _polish_bracket, _record_series, _record_terms,
+                              _top_sums, log_psi_batch)
+from hmmforget.grids import logsumexp as grid_logsumexp
 
 
 @pytest.mark.parametrize("model", [
@@ -533,6 +535,70 @@ def test_psi_does_not_depend_on_its_batch(name):
         assert batch[j] == log_psi_batch(model, D, ys[j:j + 1])[0]
 
 
+def quadrature_log_psi(model, D, ys):
+    """The reference Psi: the log of the mean of g over the PSI_QUAD_M
+    midpoints of D (over the states of a finite D), one row per observation."""
+    x = np.asarray(D.states) if D.interval is None else GridSpec(*D.interval, PSI_QUAD_M).centers
+    logg = model.loglik(x[None, :], np.asarray(ys)[:, None])
+    return grid_logsumexp(logg, axis=1) - np.log(len(x))
+
+
+def location(model, x):
+    """The observations whose peak is x, on a location channel."""
+    return model.obs_map(x) if model.kind == "nlssm" else model.obs_slope * np.asarray(x)
+
+
+def series_limit_observations(model, D):
+    """Observations whose rows sit just inside and just outside kappa T =
+    _EM_LIMIT, the reach of Psi's closed form, with the peak on either side
+    of D (tobit: the right side alone), as (inside, outside)."""
+    a, b = D.interval
+    kappa = abs(model.obs_slope) * (b - a) / (PSI_QUAD_M * model.beta)
+    reach = _EM_LIMIT / kappa * model.beta / abs(model.obs_slope)  # |peak - far end of D|
+    sides = [(a, 1.0)] if model.kind == "tobit" else [(a, 1.0), (b, -1.0)]
+    return tuple(location(model, np.array([end + sign * reach * f for end, sign in sides]))
+                 for f in (1 - 1e-6, 1 + 1e-6))
+
+
+GAUSSIAN_SERIES = [name for name in SERIES_MODELS if name not in ("finite", "stochvol")]
+
+
+@pytest.mark.parametrize("name", GAUSSIAN_SERIES)
+def test_psi_equals_the_quadrature(name):
+    # the closed form plus the midpoint rule's error series is the 2048-cell
+    # mean to rounding: on simulated records (tobit's mix zeros and positive
+    # values), on the adversarial observations, at |y| >= 30 beta and on rows
+    # at the series' limit.  Rows it leaves (no peak, or past the limit) are
+    # the quadrature bit for bit
+    model, _, d = SERIES_MODELS[name]
+    D = certify_ld_set(model, d)
+    inside, outside = series_limit_observations(model, D)
+    far = model.beta * np.array([30.0, 45.0, 80.0, -30.0, -45.0, -80.0])
+    ys = np.concatenate([
+        *(simulate(model, 400, InitialDistribution.gaussian(0, 1), seed=s).obs for s in (2, 3)),
+        adversarial_observations(model), np.abs(far) if model.kind == "tobit" else far,
+        inside, outside])
+    psi, ref = log_psi_batch(model, D, ys), quadrature_log_psi(model, D, ys)
+    np.testing.assert_allclose(psi, ref, rtol=1e-14, atol=0)
+    rest = _log_psi_location(model, D.interval, ys, np.empty(len(ys)))
+    assert np.array_equal(psi[rest], ref[rest])
+    k = len(outside)
+    assert not rest[-2 * k:-k].any() and rest[-k:].all()
+    if model.kind == "tobit":
+        assert 300 < np.count_nonzero(ys == 0) < len(ys) - 300
+
+
+@pytest.mark.parametrize("model", [
+    StochVolModel(0.9, 0.3, 1.0), LGSSM(0.9, 1.0, 1.0, h0=0.0), TobitModel(0.5, 1.0, 1.0),
+], ids=["stochvol", "lgssm-h0-zero", "tobit-zeros"])
+def test_psi_without_a_peak_is_the_quadrature_bit_for_bit(model):
+    D = certify_ld_set(model, (-2.0, 2.0))
+    ys = np.concatenate([simulate(model, 600, InitialDistribution.gaussian(0, 1), seed=4).obs,
+                         adversarial_observations(model)])
+    rows = ys == 0 if model.kind == "tobit" else slice(None)  # tobit: records mix both
+    assert np.array_equal(log_psi_batch(model, D, ys)[rows], quadrature_log_psi(model, D, ys)[rows])
+
+
 def envelope_holds(model, eta, radius, probes):
     return all(upsilon(model, ("complement", (-radius, radius)), y)
                <= eta * upsilon(model, "all", y) for y in probes)
@@ -684,18 +750,19 @@ def test_top_sums_equal_the_per_n_sort(kind, beta):
 
 def test_sharp_bound_memory_is_flat_in_the_horizon():
     # the envelopes are taken in blocks: a dense 4096 x 4001 evaluation
-    # alone would take 131 MB, and the whole bound took 892 MB that way
-    model = TobitModel(0.5, 1.0, 1.0)
-    obs = simulate(model, 4000, InitialDistribution.gaussian(0, 1), seed=5).obs
-    C, D = certify_ld_set(model, (-3.0, 3.0)), certify_ld_set(model, (-2.0, 2.0))
-    nu, nup = InitialDistribution.gaussian(-2, 1), InitialDistribution.gaussian(2, 1)
-    tracemalloc.start()
-    try:
-        sharp_bound(model, nu, nup, obs, 0.2, C, D, grid=GridSpec(*model.domain, 400))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    # alone would take 131 MB, and the whole bound took 892 MB that way.  On
+    # SV every Psi row is a 2048-cell quadrature, so Psi's blocks count too
+    for model in (TobitModel(0.5, 1.0, 1.0), StochVolModel(0.9, 0.3, 1.0)):
+        obs = simulate(model, 4000, InitialDistribution.gaussian(0, 1), seed=5).obs
+        C, D = certify_ld_set(model, (-3.0, 3.0)), certify_ld_set(model, (-2.0, 2.0))
+        nu, nup = InitialDistribution.gaussian(-2, 1), InitialDistribution.gaussian(2, 1)
+        tracemalloc.start()
+        try:
+            sharp_bound(model, nu, nup, obs, 0.2, C, D, grid=GridSpec(*model.domain, 400))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, model.kind
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -127,6 +127,24 @@ def test_closed_form_densities_equal_scipy_bit_for_bit(name):
         assert np.shape(ours) == np.shape(ref) and np.array_equal(ours, ref)
 
 
+@pytest.mark.parametrize("name", list(GAUSS_CHANNELS))
+def test_obs_slope_and_peak_give_the_location_channel(name):
+    # g(x, y) = phi(h (x - p)/beta)/beta with h = obs_slope and p = obs_peak(y)
+    # wherever y has a peak (tobit: y > 0); SV has no location channel
+    m, _ = GAUSS_CHANNELS[name]
+    if m.kind == "stochvol":
+        assert m.obs_slope is None
+        return
+    obs = simulate(m, 300, InitialDistribution.gaussian(0, 1), seed=4).obs
+    peaks = m.obs_peak(obs)
+    no_peak = obs == 0 if m.kind == "tobit" else np.zeros(len(obs), dtype=bool)
+    assert np.array_equal(np.isnan(peaks), no_peak)
+    x = GridSpec(*m.domain, 200).centers[:, None]
+    ys, peaks = obs[~np.isnan(peaks)], peaks[~np.isnan(peaks)]
+    expected = stats.norm.logpdf(m.obs_slope * (x - peaks) / m.beta) - np.log(m.beta)
+    np.testing.assert_allclose(m.loglik(x, ys), expected, rtol=1e-12)
+
+
 def test_import_leaves_scipy_stats_unloaded():
     src = os.path.dirname(os.path.dirname(hmmforget.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

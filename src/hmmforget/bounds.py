@@ -44,6 +44,7 @@ from .grids import GridSpec, logsumexp, norm_logpdf
 
 UPSILON_QUAD_M = 4096  # Upsilon quadrature cells over the domain
 PSI_QUAD_M = 2048  # Psi quadrature cells over an interval D
+LD_PROBE_M = 256  # lattice points per axis of certify_ld_set where the mean is not affine
 _RECORD_BLOCK = 256  # observations per dense envelope block
 # support offsets around an observation's mode that hold the grid maximum of
 # log g on any index range (see _log_upsilon)
@@ -96,15 +97,15 @@ class LDSet:
             raise ValueError("LD state subset must be nonempty")
 
 
-def certify_ld_set(model, candidate, m_probe: int = 256) -> LDSet:
+def certify_ld_set(model, candidate) -> LDSet:
     """Certify ``candidate`` as an LD-set and compute eps-, eps+.
 
     ``candidate`` is an (lo, hi) interval for continuous models, or an
     iterable of state indices for finite ones.  The constants are the
     extrema of |C| q(x, x') over C x C; for Gaussian kernels with an
     affine conditional mean the extrema are located analytically (nearest
-    and farthest mean offset), otherwise an m_probe x m_probe lattice
-    search is used.
+    and farthest mean offset), otherwise an LD_PROBE_M x LD_PROBE_M
+    lattice search is used.
     """
     if model.kind == "finite":
         states = tuple(sorted(int(s) for s in candidate))
@@ -136,7 +137,7 @@ def certify_ld_set(model, candidate, m_probe: int = 256) -> LDSet:
         q_max = norm * np.exp(-t_min * t_min / (2 * sd * sd))
         q_min = norm * np.exp(-t_max * t_max / (2 * sd * sd))
     else:
-        x = np.linspace(lo, hi, m_probe)
+        x = np.linspace(lo, hi, LD_PROBE_M)
         logq = model._trans_logpdf(x[:, None], x[None, :])
         q_max = float(np.exp(logq.max()))
         q_min = float(np.exp(logq.min()))

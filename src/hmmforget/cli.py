@@ -99,7 +99,7 @@ def section(d, what, nullable=(), keys=None):
 def build_drift(d):
     if d is None:
         return DriftFunction.one()
-    d = section(d, "drift")
+    d = section(d, "drift", keys=("form", "c"))
     if d.get("form") == "one":
         return DriftFunction.one()
     if d.get("form") == "exp_abs":

@@ -17,6 +17,13 @@ others plus ``_obs_logpdf``, ``_check_state``, ``_check_obs`` and the two
 samplers; the base derives ``loglik``, the domain-checked
 ``log_likelihood`` and ``sample_step``.
 
+The linear-Gaussian, nonlinear and tobit (at y > 0) models observe the
+state through one Gaussian location channel y = h x + b + beta e, with
+h = ``obs_slope`` and b = ``obs_offset``.  ``GaussianStateModel`` writes
+it once: its log density, its peak (y - b)/h (NaN at h = 0) and its
+sampler.  Those models only set h and b; tobit adds the censoring, and
+stochastic volatility overrides the three with its own channel.
+
 Dominating measures: Lebesgue for all continuous transitions; Lebesgue for
 the observations of the linear-Gaussian, nonlinear and stochastic
 volatility models; delta_0 + Lebesgue for the censored (tobit)
@@ -79,17 +86,16 @@ class DriftFunction:
 
 @dataclass
 class Trajectory:
-    """A simulated path (or observation-only record) of the generating model."""
+    """A simulated path of the generating model."""
 
     obs: np.ndarray
-    hidden: np.ndarray | None = None
+    hidden: np.ndarray
 
     def __post_init__(self):
         self.obs = np.asarray(self.obs)
-        if self.hidden is not None:
-            self.hidden = np.asarray(self.hidden)
-            if len(self.hidden) != len(self.obs):
-                raise ValueError("hidden and observed paths must have equal length")
+        self.hidden = np.asarray(self.hidden)
+        if len(self.hidden) != len(self.obs):
+            raise ValueError("hidden and observed paths must have equal length")
 
 
 def _folded_exp_moment(mean, sd, c):
@@ -130,12 +136,16 @@ class GaussianStateModel(StateSpaceModel):
     """Base for models whose hidden chain is a Gaussian AR(1)-like chain.
 
     The next state is N(phi x, sigma^2) unless a subclass overrides
-    ``state_mean``, and beta scales the observation noise.  The default
-    truncation domain is DOMAIN_SD_MULTIPLE stationary s.d.s of the AR(1)
-    chain with slope phi.  Subclasses define the observation channel.
+    ``state_mean``.  The observation is y = h x + b + beta e with h =
+    ``obs_slope`` (set by the subclass) and b = ``obs_offset`` (0 unless
+    set); a subclass with another channel overrides ``obs_peak``,
+    ``_obs_logpdf`` and ``sample_observation``.  The default truncation
+    domain is DOMAIN_SD_MULTIPLE stationary s.d.s of the AR(1) chain with
+    slope phi.
     """
 
     kind = "abstract"
+    obs_offset = 0.0
 
     def __init__(self, phi, sigma, beta, drift=None, domain_halfwidth=None):
         if not abs(phi) < 1:
@@ -191,8 +201,16 @@ class GaussianStateModel(StateSpaceModel):
             raise DomainError(f"{self.kind} {obs} is not finite")
         return y
 
+    def _obs_location(self, x):
+        return self.obs_slope * x + self.obs_offset  # the sampler's scalar x stays a scalar
+
+    def obs_peak(self, y):
+        if not self.obs_slope:
+            return super().obs_peak(y)
+        return (np.asarray(y, dtype=float) - self.obs_offset) / self.obs_slope
+
     def _obs_logpdf(self, x, y):
-        raise NotImplementedError
+        return norm_logpdf(y, self._obs_location(np.asarray(x, dtype=float)), self.beta)
 
     # -- sampling -----------------------------------------------------------
 
@@ -200,7 +218,7 @@ class GaussianStateModel(StateSpaceModel):
         return self.state_mean(x) + self.state_sd * rng.standard_normal()
 
     def sample_observation(self, x, rng):
-        raise NotImplementedError
+        return self._obs_location(x) + self.beta * rng.standard_normal()
 
     # -- drift --------------------------------------------------------------
 
@@ -227,26 +245,15 @@ class LGSSM(GaussianStateModel):
 
     def __init__(self, phi, sigma, beta, h0=1.0, drift=None, domain_halfwidth=None):
         super().__init__(phi, sigma, beta, drift, domain_halfwidth)
-        self.h0 = self.obs_slope = float(h0)
-
-    def obs_peak(self, y):
-        if self.h0 == 0.0:
-            return super().obs_peak(y)
-        return np.asarray(y, dtype=float) / self.h0
-
-    def _obs_logpdf(self, x, y):
-        return norm_logpdf(y, self.h0 * x, self.beta)
-
-    def sample_observation(self, x, rng):
-        return self.h0 * x + self.beta * rng.standard_normal()
+        self.obs_slope = float(h0)
 
 
 class TobitModel(GaussianStateModel):
     """Dynamic tobit: AR(1) state, observation max(x + beta e, 0).
 
     Observation dominating measure is delta_0 + Lebesgue: the likelihood at
-    y = 0 is the censoring probability P(x + beta e <= 0), at y > 0 a
-    Gaussian density.
+    y = 0 is the censoring probability P(x + beta e <= 0), at y > 0 the
+    density of the location channel with h = 1, b = 0.
     """
 
     kind = "tobit"
@@ -260,48 +267,48 @@ class TobitModel(GaussianStateModel):
         return y
 
     def obs_peak(self, y):
+        # at y = 0, log Phi(-x/beta) falls in x
         y = np.asarray(y, dtype=float)
-        return np.where(y > 0, y, np.nan)  # at y = 0, log Phi(-x/beta) falls in x
+        return np.where(y > 0, super().obs_peak(y), np.nan)
 
     def _obs_logpdf(self, x, y):
         # the censoring branch depends on x alone: O(grid), broadcast by where
         x = np.asarray(x, dtype=float)
-        return np.where(y == 0, log_ndtr(-x / self.beta), norm_logpdf(y, x, self.beta))
+        return np.where(y == 0, log_ndtr(-x / self.beta), super()._obs_logpdf(x, y))
 
     def sample_observation(self, x, rng):
-        return max(x + self.beta * rng.standard_normal(), 0.0)
+        return max(super().sample_observation(x, rng), 0.0)
 
 
 class NLSSM(GaussianStateModel):
-    """1-d nonlinear Gaussian model x' = x + b(x) + sigma0 z, y = h(x) + beta e.
+    """1-d nonlinear Gaussian model x' = x + b(x) + sigma0 z, y = a x + b_off + beta e.
 
     Catalog of drifts b: ``linear_shrink`` gives b(x) = -delta x (contracts for
     delta in (0, 2)); ``tanh`` gives b(x) = -delta x + kappa tanh(x) (bounded
-    perturbation of the shrink).  Observation maps: identity or affine
-    h(x) = a x + b_off.  Both catalogs keep |x + b(x)| - |x| -> -infinity.
+    perturbation of the shrink; kappa must be 0 under ``linear_shrink``).
+    Both keep |x + b(x)| - |x| -> -infinity.  The observation is the location
+    channel with h = ``obs_a`` and offset ``obs_b`` (the identity by default).
     """
 
     kind = "nlssm"
 
-    def __init__(self, drift_form, delta, sigma0, beta, kappa=0.0,
-                 obs_form="identity", obs_a=1.0, obs_b=0.0,
+    def __init__(self, drift_form, delta, sigma0, beta, kappa=0.0, obs_a=1.0, obs_b=0.0,
                  drift=None, domain_halfwidth=None):
         if drift_form not in ("linear_shrink", "tanh"):
             raise ValueError(f"unknown state drift form {drift_form!r}")
         if not 0 < delta < 2:
             raise ValueError("linear shrink needs delta in (0, 2)")
-        if obs_form not in ("identity", "affine"):
-            raise ValueError(f"unknown observation map {obs_form!r}")
+        if drift_form == "linear_shrink" and kappa != 0:
+            raise ValueError(f"'kappa' = {kappa!r} needs drift_form 'tanh'; "
+                             "'linear_shrink' has no tanh term")
         super().__init__(1 - delta, sigma0, beta, drift, domain_halfwidth)
         self.drift_form = drift_form
         self.delta = float(delta)
         if drift_form == "tanh":
             self.mean_slope = None  # the mean is not affine in x
         self.kappa = float(kappa)
-        self.obs_form = obs_form
-        self.obs_a = float(obs_a)
-        self.obs_b = float(obs_b)
-        self.obs_slope = 1.0 if obs_form == "identity" else self.obs_a
+        self.obs_slope = float(obs_a)
+        self.obs_offset = float(obs_b)
 
     def state_mean(self, x):
         x = np.asarray(x, dtype=float)
@@ -309,26 +316,6 @@ class NLSSM(GaussianStateModel):
         if self.drift_form == "tanh":
             mean = mean + self.kappa * np.tanh(x)
         return mean
-
-    def obs_map(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.obs_form == "identity":
-            return x
-        return self.obs_a * x + self.obs_b
-
-    def obs_peak(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.obs_form == "identity":
-            return y
-        if self.obs_a == 0.0:
-            return super().obs_peak(y)
-        return (y - self.obs_b) / self.obs_a
-
-    def _obs_logpdf(self, x, y):
-        return norm_logpdf(y, self.obs_map(x), self.beta)
-
-    def sample_observation(self, x, rng):
-        return float(self.obs_map(x)) + self.beta * rng.standard_normal()
 
 
 class StochVolModel(GaussianStateModel):

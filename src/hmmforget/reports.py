@@ -54,8 +54,7 @@ def write_bound_summary(report, path):
 
 
 def write_trajectory_csv(traj, path):
-    hidden = traj.hidden if traj.hidden is not None else [""] * len(traj.obs)
-    rows = [(k, hidden[k], traj.obs[k]) for k in range(len(traj.obs))]
+    rows = [(k, traj.hidden[k], traj.obs[k]) for k in range(len(traj.obs))]
     write_csv(path, ["step", "x", "y"], rows)
 
 

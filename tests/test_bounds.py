@@ -53,10 +53,12 @@ def test_certify_probe_refinement_is_stable():
     # the tanh drift forces the lattice path; doubling the probes moves
     # the constants by well under 1%
     model = NLSSM("tanh", 0.5, 1.0, 1.0, kappa=0.5)
-    a = certify_ld_set(model, (-1.0, 1.0), m_probe=256)
-    b = certify_ld_set(model, (-1.0, 1.0), m_probe=512)
-    assert abs(a.eps_plus - b.eps_plus) / b.eps_plus < 0.01
-    assert abs(a.eps_minus - b.eps_minus) / b.eps_minus < 0.01
+    a = certify_ld_set(model, (-1.0, 1.0))
+    x = np.linspace(-1.0, 1.0, 512)
+    logq = model._trans_logpdf(x[:, None], x[None, :])
+    b_plus, b_minus = 2.0 * np.exp(logq.max()), 2.0 * np.exp(logq.min())
+    assert abs(a.eps_plus - b_plus) / b_plus < 0.01
+    assert abs(a.eps_minus - b_minus) / b_minus < 0.01
 
 
 def test_certify_finite_and_failure():
@@ -423,10 +425,10 @@ SERIES_MODELS = {
     "finite": (random_finite_model(4), (1,), (0, 2)),
     "lgssm": (LGSSM(0.9, 1.0, 1.0), (-3.0, 3.0), (-2.0, 2.0)),
     "lgssm-h0-neg": (LGSSM(0.9, 1.0, 1.0, h0=-1.7), (-0.7, 1.3), (-2.0, 2.0)),
-    "nlssm-tanh-affine": (NLSSM("tanh", 0.5, 1.0, 1.0, kappa=0.4, obs_form="affine",
-                                obs_a=1.3, obs_b=0.2), (-0.7, 1.3), (-2.0, 2.0)),
-    "nlssm-affine-neg": (NLSSM("linear_shrink", 0.5, 1.0, 0.7, obs_form="affine",
-                               obs_a=-0.8, obs_b=-0.3), (-3.0, 3.0), (-2.0, 2.0)),
+    "nlssm-tanh-affine": (NLSSM("tanh", 0.5, 1.0, 1.0, kappa=0.4, obs_a=1.3, obs_b=0.2),
+                          (-0.7, 1.3), (-2.0, 2.0)),
+    "nlssm-affine-neg": (NLSSM("linear_shrink", 0.5, 1.0, 0.7, obs_a=-0.8, obs_b=-0.3),
+                         (-3.0, 3.0), (-2.0, 2.0)),
     "nlssm-identity": (NLSSM("linear_shrink", 0.5, 1.0, 1.0), (-3.0, 3.0), (-2.0, 2.0)),
     "stochvol": (StochVolModel(0.9, 0.3, 1.0), (-0.7, 1.3), (-2.0, 2.0)),
 }
@@ -467,10 +469,8 @@ def adversarial_observations(model):
     lo, hi = model.domain
     ys = np.concatenate([x[::97], 0.5 * (x[:-1] + x[1:])[::89], x[:3], x[-3:],
                          [lo - 3.0, hi + 3.0, 4 * lo, 4 * hi, 0.0, -0.0, 1e-300]])
-    if model.kind == "lgssm":
-        ys = model.h0 * ys
-    elif model.kind == "nlssm":
-        ys = model.obs_map(ys)
+    if model.kind in ("lgssm", "nlssm"):
+        ys = np.append(location(model, ys), -0.0)  # h (-0.0) + b drops the sign
     elif model.kind == "tobit":
         ys = np.abs(ys)
         ys[::4] = 0.0
@@ -545,7 +545,7 @@ def quadrature_log_psi(model, D, ys):
 
 def location(model, x):
     """The observations whose peak is x, on a location channel."""
-    return model.obs_map(x) if model.kind == "nlssm" else model.obs_slope * np.asarray(x)
+    return model.obs_slope * np.asarray(x) + model.obs_offset
 
 
 def series_limit_observations(model, D):
@@ -626,8 +626,7 @@ CLOSED_FORM_MODELS = {
     "lgssm-h0-neg": LGSSM(0.9, 1.0, 1.0, h0=-1.7),
     "lgssm-h0-zero": LGSSM(0.9, 1.0, 1.0, h0=0.0),
     "nlssm-identity": NLSSM("linear_shrink", 0.5, 1.0, 1.0),
-    "nlssm-affine-neg": NLSSM("tanh", 0.5, 1.0, 0.7, kappa=0.4, obs_form="affine",
-                              obs_a=-0.8, obs_b=-0.3),
+    "nlssm-affine-neg": NLSSM("tanh", 0.5, 1.0, 0.7, kappa=0.4, obs_a=-0.8, obs_b=-0.3),
     "tobit": TobitModel(0.5, 1.0, 1.0),
     "stochvol": StochVolModel(0.9, 0.3, 1.0),
 }
@@ -643,10 +642,8 @@ def closed_form_cases(model):
                ("complement", (hi - 2.0, hi + 5.0)), ("complement", (lo - 1.0, hi + 1.0))]
     peaks = np.array([0.3, -0.7, 1.3, lo + 2.0, hi - 2.0, lo + 1.0, hi - 1.0, lo, hi,
                       lo - 3.0, hi + 3.0, 0.0, -4.1, 2.7])
-    if model.kind == "lgssm":
-        ys = model.h0 * peaks if model.h0 else peaks
-    elif model.kind == "nlssm":
-        ys = model.obs_map(peaks)
+    if model.kind in ("lgssm", "nlssm"):
+        ys = location(model, peaks) if model.obs_slope else peaks
     elif model.kind == "tobit":
         ys = np.concatenate([np.abs(peaks), [0.0]])
     else:  # stochvol peaks at log(y^2 / beta^2), either sign of y

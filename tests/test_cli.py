@@ -9,6 +9,8 @@ from hmmforget.cli import main
 from hmmforget.reports import write_trajectory_csv
 
 MODEL = {"kind": "lgssm", "phi": 0.9, "sigma": 1.0, "beta": 1.0}
+NLSSM_MODEL = {"kind": "nlssm", "drift_form": "linear_shrink", "delta": 0.5,
+               "sigma0": 1.0, "beta": 0.7}
 GAUSS = lambda m: {"form": "gaussian", "mean": m, "sd": 1.0}
 
 
@@ -155,7 +157,7 @@ def bound_experiment_cfg():
 @pytest.mark.parametrize("override, section, key", [
     ("bound.m1=5", "bound", "m1"), ("nu.sdd=3", "nu", "sdd"), ("grid.mm=5", "grid", "mm"),
     ("bound.D.intervall=[-1, 1]", "LD-set", "intervall"),
-    ("nu_star.mean_=0", "nu_star", "mean_"),
+    ("nu_star.mean_=0", "nu_star", "mean_"), ("model.drift.cc=1", "drift", "cc"),
 ])
 def test_unknown_section_key_exits_2_and_names_it(tmp_path, capsys, override, section, key):
     cfg = write_cfg(tmp_path, bound_experiment_cfg())
@@ -354,11 +356,21 @@ def test_failed_runs_leave_resolved_config(tmp_path):
     {"kind": "finite", "transition": [[0.9, 0.1], [0.2, 0.8]],
      "emission": [[0.3, 0.7], [0.6, 0.4]], "drift": {"form": "one"}},
     {"kind": "lgssm", "sigma": 1.0, "beta": 1.0},
+    {**NLSSM_MODEL, "obs_form": "affine", "obs_a": -0.8, "obs_b": -0.3},
 ])
 def test_unknown_or_missing_model_key_exits_2_and_names_it(tmp_path, capsys, model):
     cfg = write_cfg(tmp_path, {**experiment_cfg(), "model": model})
     assert main(["experiment", "--config", cfg, "--seed", "1",
                  "--out", str(tmp_path / "o")]) == 2
-    key = ({"bogus", "drift"} & model.keys() or {"phi"}).pop()
+    key = ({"bogus", "drift", "obs_form"} & model.keys() or {"phi"}).pop()
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and repr(key) in err
+
+
+def test_kappa_without_the_tanh_drift_exits_2_and_names_it(tmp_path, capsys):
+    # linear_shrink has no tanh term, so a kappa there would be ignored
+    cfg = write_cfg(tmp_path, {**experiment_cfg(), "model": {**NLSSM_MODEL, "kappa": 0.4}})
+    assert main(["experiment", "--config", cfg, "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "'kappa'" in err

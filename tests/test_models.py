@@ -13,6 +13,7 @@ import hmmforget
 from hmmforget import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateModel,
                        GridSpec, InitialDistribution, StochVolModel, TobitModel,
                        random_finite_model, simulate, substream)
+from hmmforget.grids import norm_logpdf
 from hmmforget.rng import _keys, substreams
 from hmmforget.verify import _qv_numeric
 
@@ -99,13 +100,12 @@ def tobit_scipy_logpdf(m, x, y):
 
 GAUSS_CHANNELS = {
     "lgssm": (LGSSM(0.9, 1.0, 0.7, h0=1.3, drift=DriftFunction.exp_abs(0.5)),
-              lambda m, x, y: stats.norm.logpdf(y, loc=m.h0 * x, scale=m.beta)),
+              lambda m, x, y: stats.norm.logpdf(y, loc=1.3 * x, scale=m.beta)),
     "tobit": (TobitModel(0.5, 1.0, 1.0), tobit_scipy_logpdf),
     "nlssm": (NLSSM("linear_shrink", 0.3, 1.0, 1.0),
               lambda m, x, y: stats.norm.logpdf(y, loc=x, scale=m.beta)),
-    "nlssm-tanh": (NLSSM("tanh", 0.3, 1.0, 0.7, kappa=0.5, obs_form="affine",
-                         obs_a=2.0, obs_b=0.5),
-                   lambda m, x, y: stats.norm.logpdf(y, loc=m.obs_map(x), scale=m.beta)),
+    "nlssm-tanh": (NLSSM("tanh", 0.3, 1.0, 0.7, kappa=0.5, obs_a=2.0, obs_b=0.5),
+                   lambda m, x, y: stats.norm.logpdf(y, loc=2.0 * x + 0.5, scale=m.beta)),
     "stochvol": (StochVolModel(0.9, 0.5, 1.0), None),
 }
 
@@ -129,8 +129,9 @@ def test_closed_form_densities_equal_scipy_bit_for_bit(name):
 
 @pytest.mark.parametrize("name", list(GAUSS_CHANNELS))
 def test_obs_slope_and_peak_give_the_location_channel(name):
-    # g(x, y) = phi(h (x - p)/beta)/beta with h = obs_slope and p = obs_peak(y)
-    # wherever y has a peak (tobit: y > 0); SV has no location channel
+    # y = h x + b + beta e with h = obs_slope and b = obs_offset, so g(x, y) =
+    # phi(h (x - p)/beta)/beta with p = obs_peak(y) = (y - b)/h wherever y has
+    # a peak (tobit: y > 0); SV has no location channel
     m, _ = GAUSS_CHANNELS[name]
     if m.kind == "stochvol":
         assert m.obs_slope is None
@@ -141,8 +142,21 @@ def test_obs_slope_and_peak_give_the_location_channel(name):
     assert np.array_equal(np.isnan(peaks), no_peak)
     x = GridSpec(*m.domain, 200).centers[:, None]
     ys, peaks = obs[~np.isnan(peaks)], peaks[~np.isnan(peaks)]
-    expected = stats.norm.logpdf(m.obs_slope * (x - peaks) / m.beta) - np.log(m.beta)
+    h, b = m.obs_slope, m.obs_offset
+    assert np.array_equal(peaks, (ys - b) / h)
+    assert np.array_equal(m.loglik(x, ys), norm_logpdf(ys, h * x + b, m.beta))
+    expected = stats.norm.logpdf(h * (x - peaks) / m.beta) - np.log(m.beta)
     np.testing.assert_allclose(m.loglik(x, ys), expected, rtol=1e-12)
+
+
+def test_nlssm_observes_through_obs_a_and_obs_b():
+    # y = a x + b + beta e for whatever drift; neither keyword needs a switch
+    m = NLSSM("linear_shrink", 0.5, 1.0, 0.7, obs_a=-0.8, obs_b=-0.3)
+    ys = np.array([-2.0, -0.3, 0.0, 0.5, 3.1])
+    assert np.array_equal(m.obs_peak(ys), (ys + 0.3) / -0.8)
+    assert (m.obs_slope, m.obs_offset) == (-0.8, -0.3)
+    x = np.linspace(-2.0, 2.0, 9)[:, None]
+    assert np.array_equal(m.loglik(x, ys), norm_logpdf(ys, -0.8 * x - 0.3, 0.7))
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -356,8 +370,8 @@ def simulate_per_step(model, n, init, seed, replication):
 SIMULATED = {
     "lgssm": (LGSSM(0.9, 1.0, 1.0), InitialDistribution.gaussian(0.0, 1.0)),
     "tobit": (TobitModel(0.5, 1.0, 1.0), InitialDistribution.gaussian(0.0, 1.0)),
-    "nlssm-tanh-affine": (NLSSM("tanh", 0.5, 1.0, 1.0, kappa=0.4, obs_form="affine",
-                                obs_a=1.3, obs_b=0.2), InitialDistribution.uniform(-1.0, 1.0)),
+    "nlssm-tanh-affine": (NLSSM("tanh", 0.5, 1.0, 1.0, kappa=0.4, obs_a=1.3, obs_b=0.2),
+                          InitialDistribution.uniform(-1.0, 1.0)),
     "stochvol": (StochVolModel(0.9, 0.3, 1.0), InitialDistribution.gaussian(0.0, 1.0)),
     "finite": (random_finite_model(4), InitialDistribution.finite([0.5, 0.3, 0.2])),
 }

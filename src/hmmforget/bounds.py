@@ -19,9 +19,8 @@ location channel (``model.obs_slope``) that mean is taken in closed form,
 O(1) per observation: the Gaussian integral over D plus the midpoint rule's
 Euler-Maclaurin error series (``_log_psi_location``), equal to the
 quadrature to rounding.  ``upsilon`` and the LD-set search
-``find_ld_set_for_eta`` take Upsilon from ``_log_sup``, exact where V == 1
-and polished by ``scipy.optimize`` (imported there, on that path alone)
-where V != 1.
+``find_ld_set_for_eta`` take Upsilon from the closed-form ``_log_sup``:
+exact where V == 1, an upper bound cell by cell where V != 1.
 
 The reference measure lambda_C is always normalized Lebesgue on C
 (normalized counting measure on finite state sets).  All bound terms are
@@ -44,20 +43,20 @@ from .grids import GridSpec, logsumexp, norm_logpdf
 
 UPSILON_QUAD_M = 4096  # Upsilon quadrature cells over the domain
 PSI_QUAD_M = 2048  # Psi quadrature cells over an interval D
-LD_PROBE_M = 256  # lattice points per axis of certify_ld_set where the mean is not affine
 _RECORD_BLOCK = 256  # observations per dense envelope block
 # support offsets around an observation's mode that hold the grid maximum of
 # log g on any index range (see _log_upsilon)
 _MODE_HALF = 3
 _MODE_WINDOW = np.arange(-_MODE_HALF, _MODE_HALF + 1)
 _SUP_SLACK = 1e-13  # upward rounding of the closed-form log Upsilon (see _log_sup)
+_SUP_BLOCK = 2**16  # (observation, interval) pairs per block of _log_sup
 # c_p = B_2p(1/2)/(2p)!, p = 1..5: the midpoint rule's Euler-Maclaurin coefficients
 _MIDPOINT_EM = np.array([-1 / 24, 7 / 5760, -31 / 967680, 127 / 154828800, -73 / 3503554560])
 _EM_LIMIT = 0.25  # largest kappa T at which Psi takes the series (see _log_psi_location)
 
 
 class NotCertifiableError(RuntimeError):
-    """The candidate set is not local-Doeblin at the probing resolution."""
+    """The candidate set is not local-Doeblin in floating point."""
 
 
 class H2UnverifiedError(RuntimeError):
@@ -102,10 +101,10 @@ def certify_ld_set(model, candidate) -> LDSet:
 
     ``candidate`` is an (lo, hi) interval for continuous models, or an
     iterable of state indices for finite ones.  The constants are the
-    extrema of |C| q(x, x') over C x C; for Gaussian kernels with an
-    affine conditional mean the extrema are located analytically (nearest
-    and farthest mean offset), otherwise an LD_PROBE_M x LD_PROBE_M
-    lattice search is used.
+    extrema of |C| q(x, x') over C x C.  On the Gaussian kernels q depends
+    on the offset x' - m(x) alone, and the means over C form the interval
+    ``model.mean_range(lo, hi)``, so the extrema sit at the nearest and the
+    farthest offset.
     """
     if model.kind == "finite":
         states = tuple(sorted(int(s) for s in candidate))
@@ -124,28 +123,20 @@ def certify_ld_set(model, candidate) -> LDSet:
     if not lo < hi:
         raise ValueError("interval must be nonempty")
     width = hi - lo
-    slope = model.mean_slope
-    if slope is not None:
-        # means over C form the interval [m_lo, m_hi]; the offset x' - m(x)
-        # then ranges over [lo - m_hi, hi - m_lo]
-        m_lo, m_hi = sorted((slope * lo, slope * hi))
-        t_lo, t_hi = lo - m_hi, hi - m_lo
-        t_min = 0.0 if t_lo <= 0.0 <= t_hi else min(abs(t_lo), abs(t_hi))
-        t_max = max(abs(t_lo), abs(t_hi))
-        sd = model.state_sd
-        norm = 1.0 / (np.sqrt(2 * np.pi) * sd)
-        q_max = norm * np.exp(-t_min * t_min / (2 * sd * sd))
-        q_min = norm * np.exp(-t_max * t_max / (2 * sd * sd))
-    else:
-        x = np.linspace(lo, hi, LD_PROBE_M)
-        logq = model._trans_logpdf(x[:, None], x[None, :])
-        q_max = float(np.exp(logq.max()))
-        q_min = float(np.exp(logq.min()))
+    # the offset x' - m(x) ranges over [lo - m_hi, hi - m_lo]
+    m_lo, m_hi = (float(m) for m in model.mean_range(lo, hi))
+    t_lo, t_hi = lo - m_hi, hi - m_lo
+    t_min = 0.0 if t_lo <= 0.0 <= t_hi else min(abs(t_lo), abs(t_hi))
+    t_max = max(abs(t_lo), abs(t_hi))
+    sd = model.state_sd
+    norm = 1.0 / (np.sqrt(2 * np.pi) * sd)
+    q_max = norm * np.exp(-t_min * t_min / (2 * sd * sd))
+    q_min = norm * np.exp(-t_max * t_max / (2 * sd * sd))
     eps_minus = width * q_min
     eps_plus = width * q_max
     if eps_minus <= 0:
         raise NotCertifiableError(
-            f"kernel minimum underflows on [{lo}, {hi}]^2; the set is not LD at this resolution"
+            f"kernel minimum underflows on [{lo}, {hi}]^2; the set is not LD in floating point"
         )
     return LDSet(eps_minus=eps_minus, eps_plus=eps_plus, interval=(lo, hi))
 
@@ -182,9 +173,9 @@ def _region_parts(region, x, domain):
     return [np.flatnonzero(~np.isin(x, members))]
 
 
-def _blocks(n):
-    """Slices of _RECORD_BLOCK columns that cover n columns."""
-    return [slice(a, a + _RECORD_BLOCK) for a in range(0, n, _RECORD_BLOCK)]
+def _blocks(n, size=_RECORD_BLOCK):
+    """Slices of ``size`` columns that cover n columns."""
+    return [slice(a, a + size) for a in range(0, n, size)]
 
 
 def _log_upsilon(model, regions, ys):
@@ -253,67 +244,45 @@ def _components(region, domain):
 def _log_sup(model, region, ys) -> np.ndarray:
     """log Upsilon_region(y) for each y of ``ys``.
 
-    Continuous models with V == 1: exact over the region within the
-    truncation domain.  There log g(., y) is concave or monotone in x on
-    every model, so on each interval of the region its sup is at the
-    channel's peak (``model.obs_peak``) clamped into the interval, or at one
-    of the ends: log g is evaluated at those three points, and the maximum is
-    rounded up by _SUP_SLACK (1 + |log Upsilon|), past the last-bit error of
-    one evaluation of log g (at a flat peak a nearby point can read an ulp
-    higher, as on SV).  Otherwise a dense scan of the region's support
-    points: exact on finite state sets.  With a drift V != 1 g QV/V has no
-    closed form, and the scan's maximum is polished, one observation at a
-    time, by a bounded 1-d maximization started at the first support point
-    that reaches it (the QV/V factor has a closed form on all Gaussian
-    kernels, so the objective is exact).
+    Continuous models: an upper bound over the region within the truncation
+    domain, exact where V == 1.  log g(., y) is concave or monotone in x on
+    every model, so its sup over an interval is at the channel's peak
+    (``model.obs_peak``) clamped into it or at one of its ends.  Where V == 1
+    the intervals are those of the region; with a drift V != 1 they are cut
+    at the UPSILON_QUAD_M cell edges of the domain, and each cell adds its
+    ``model.log_qv_sup``, above log QV/V there by at most c (1 + |phi| +
+    |kappa|) times the cell width.  The maximum is rounded up by _SUP_SLACK
+    (1 + |log Upsilon|), past the last-bit error of one evaluation of log g
+    (at a flat peak a nearby point can read an ulp higher, as on SV).  The
+    observations go in blocks of about _SUP_BLOCK (observation, interval)
+    pairs.  Finite state sets: the maximum over the region's states.
     """
     ys = np.asarray(ys)
     model._check_obs(ys)  # names a bad observation by its index in ys
-    quad = resolve_grid(model, None, UPSILON_QUAD_M)
-    if quad is not None and model.log_qv(np.zeros(1)) is None:  # V == 1
-        ends = np.array(_components(region, model.domain)).reshape(-1, 2)
-        a, b = ends[:, 0], ends[:, 1]
-        peak = model.obs_peak(ys)[:, None]
+    if model.kind == "finite":
+        return _log_upsilon(model, [region], ys)[0]
+    a, b = np.array(_components(region, model.domain)).reshape(-1, 2).T
+    log_qv = 0.0  # V == 1
+    if model.log_qv_sup(a, b) is not None:
+        cuts = np.union1d(np.concatenate([a, b]), np.linspace(*model.domain, UPSILON_QUAD_M + 1))
+        keep = ((a[:, None] <= cuts[:-1]) & (cuts[1:] <= b[:, None])).any(axis=0)
+        a, b = cuts[:-1][keep], cuts[1:][keep]
+        log_qv = model.log_qv_sup(a, b)[:, None]
+    v = np.empty(len(ys))
+    for rows in _blocks(len(ys), _SUP_BLOCK // (len(a) + 1)):
+        peak = model.obs_peak(ys[rows])[:, None]
         mid = np.where(np.isnan(peak), a, np.clip(peak, a, b))  # (observations, intervals)
         points = np.stack(np.broadcast_arrays(a, b, mid), axis=-1)
-        v = model.loglik(points, ys[:, None, None]).max(axis=(1, 2), initial=-np.inf)
-        # rounded up by _SUP_SLACK (1 + |v|), as a product so that -inf stays -inf
-        return np.where(v < 0, v * (1.0 - _SUP_SLACK), v * (1.0 + _SUP_SLACK)) + _SUP_SLACK
-    x = model.support(quad)
-    vals = np.full((len(x), len(ys)), -np.inf)  # -inf off the region; few probes, one block
-    for part in _region_parts(region, x, None if quad is None else model.domain):
-        vals[part] = _log_g_qv(model, x[part, None], ys[None, :])
-    first = np.argmax(vals, axis=0)
-    best = vals[first, np.arange(len(ys))]
-    if quad is None:
-        return best
-    from scipy import optimize  # only the polish of a drift V != 1 needs it
-
-    for j, (y, i) in enumerate(zip(ys, first)):
-        if best[j] == -np.inf:  # the region holds no support point where g > 0
-            continue
-        a, b = _polish_bracket(x[i], quad.delta, region, model.domain)
-        res = optimize.minimize_scalar(
-            lambda t: -_log_g_qv(model, np.array([t]), y)[0],
-            bounds=(a, b), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        best[j] = max(best[j], -res.fun)
-    return best
+        vals = model.loglik(points, ys[rows, None, None]) + log_qv
+        v[rows] = vals.max(axis=(1, 2), initial=-np.inf)
+    # rounded up by _SUP_SLACK (1 + |v|), as a product so that -inf stays -inf
+    return np.where(v < 0, v * (1.0 - _SUP_SLACK), v * (1.0 + _SUP_SLACK)) + _SUP_SLACK
 
 
 def upsilon(model, region, y) -> float:
-    """Supremum over the region, "all" or ("complement", C), of g(x, y)
-    QV(x)/V(x): exact where V == 1 or the state set is finite, else a
-    polished grid maximum (see _log_sup)."""
+    """Sup over the region, "all" or ("complement", C), of g(x, y) QV(x)/V(x):
+    exact where V == 1 or on a finite state set, else an upper bound (_log_sup)."""
     return float(np.exp(_log_sup(model, region, np.array([y]))[0]))
-
-
-def _polish_bracket(x0, delta, region, domain):
-    """[x0 - 2 delta, x0 + 2 delta] within the interval of the region
-    (_components) that holds the support point x0."""
-    a, b = next((a, b) for a, b in _components(region, domain) if a < x0 < b)
-    return max(a, x0 - 2 * delta), min(b, x0 + 2 * delta)
 
 
 def log_upsilon_batch(model, region, ys) -> np.ndarray:

@@ -40,7 +40,7 @@ from .models import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateModel,
                      StochVolModel, TobitModel, simulate)
 from .reports import (ensure_dir, write_bound_csv, write_bound_summary, write_csv,
                       write_filter_trace_csv, write_trajectory_csv)
-from .verify import DriftPreconditionError, run_suite
+from .verify import SUITES, DriftPreconditionError, run_suite
 
 
 class ConfigError(ValueError):
@@ -112,7 +112,9 @@ MODELS = {"finite": FiniteStateModel, "lgssm": LGSSM, "tobit": TobitModel,
 # InitialDistribution constructor of each form, and the config keys of its arguments
 INITS = {"gaussian": ("mean", "sd"), "uniform": ("lo", "hi"), "point_mass": ("at",),
          "finite": ("weights",)}
-# the keys of the other sections
+# the keys of the config root and of the other sections
+ROOT_KEYS = ("model", "star_model", "nu", "nu_prime", "nu_star", "init", "n", "replications",
+             "seed", "threads", "suite", "grid", "observations", "bound", "r_sequences")
 GRID_KEYS = ("lo", "hi", "m")
 LD_SET_KEYS = ("interval", "states")
 BOUND_KEYS = ("form", "beta", "gamma", "eta", "C", "D", "K", "M0", "M1", "M2")
@@ -216,7 +218,7 @@ def load_config(args):
     for name in ("seed", "threads", "suite"):  # a flag wins over the config
         if getattr(args, name, None) is not None:
             cfg[name] = getattr(args, name)
-    return section(cfg, "config", nullable=("seed",))
+    return section(cfg, "config", nullable=("seed",), keys=ROOT_KEYS)
 
 
 def require_seed(cfg):
@@ -324,8 +326,15 @@ def cmd_experiment(cfg, out_dir):
     star = build_model(cfg.get("star_model", cfg["model"]))
     grid = build_grid(cfg, model)
     bound_cfg = ld_set = None
+    r_sequences = cfg.get("r_sequences", False)
+    if type(r_sequences) is not bool or r_sequences and "bound" not in cfg:
+        raise ConfigError("config entry 'r_sequences' must be true or false, and true only "
+                          f"with a 'bound' section; got {r_sequences!r}")
     if "bound" in cfg:
         bound_cfg = build_bound_cfg(cfg["bound"], model)
+        if cfg["bound"].get("form", "geometric") != "geometric":
+            raise ConfigError("experiment runs the geometric bound: bound entry 'form' must "
+                              f"be 'geometric', got {cfg['bound']['form']!r}")
         if "C" in cfg["bound"]:
             ld_set = build_ld_set(cfg["bound"]["C"], model)
         else:
@@ -339,16 +348,12 @@ def cmd_experiment(cfg, out_dir):
         threads=int(cfg.get("threads", 1)),
     )
     result = run_forgetting(ecfg)
-    r_seq = None
-    if cfg.get("r_sequences") and bound_cfg is not None:
-        r_seq = estimate_r_sequences(ecfg)
-    emit_report(result, out_dir, r_seq=r_seq)
+    emit_report(result, out_dir, r_seq=estimate_r_sequences(ecfg) if r_sequences else None)
     return 0
 
 
 def cmd_verify(cfg, out_dir):
-    suites = ([cfg["suite"]] if cfg.get("suite", "all") != "all"
-              else ["numerator", "denominator", "counting", "exponential"])
+    suites = [cfg["suite"]] if cfg.get("suite", "all") != "all" else SUITES
     rows = []
     all_hold = True
     for name in suites:
@@ -382,8 +387,7 @@ def make_parser():
         p.add_argument("--threads", type=int,
                        help="worker threads; results are independent of it")
         if name == "verify":
-            p.add_argument("--suite",
-                           choices=["numerator", "denominator", "counting", "exponential", "all"])
+            p.add_argument("--suite", choices=[*SUITES, "all"])
     return parser
 
 

@@ -5,17 +5,19 @@ respect to the state dominating measure, a strictly positive likelihood
 g(x, y) with respect to the observation dominating measure, a drift
 function V >= 1, exact samplers, and the ratio QV/V used by the bound
 machinery.  The filter and the bounds use only the surface of
-``StateSpaceModel``, listed in the README: ``kind``, ``mean_slope``,
-``domain`` (continuous models), ``support(grid)``, ``kernel(grid)``,
-``log_init(nu, grid)``, ``log_v(x)``, ``log_qv(x)`` (None when V == 1),
-``loglik(x, y)`` (log g broadcast over x and y, with y checked against the
-observation domain and x unchecked, so quadrature may leave the filter's
-domain), ``obs_peak(y)`` (the state where log g(., y) peaks, NaN where
-it is monotone) and ``obs_slope`` (h of a Gaussian location channel g(x, y)
-= phi(h (x - obs_peak(y))/beta)/beta, else None).  A subclass supplies the
-others plus ``_obs_logpdf``, ``_check_state``, ``_check_obs`` and the two
-samplers; the base derives ``loglik``, the domain-checked
-``log_likelihood`` and ``sample_step``.
+``StateSpaceModel``, listed in the README: ``kind``, ``support(grid)``,
+``kernel(grid)``, ``log_init(nu, grid)``, ``log_v(x)``, ``log_qv(x)``
+(None when V == 1), ``loglik(x, y)`` (log g broadcast over x and y, with y
+checked against the observation domain and x unchecked, so quadrature may
+leave the filter's domain), ``obs_peak(y)`` (the state where log g(., y)
+peaks, NaN where it is monotone) and ``obs_slope`` (h of a Gaussian
+location channel g(x, y) = phi(h (x - obs_peak(y))/beta)/beta, else None);
+continuous models add ``domain`` and two closed-form sups over an interval
+[lo, hi], ``mean_range(lo, hi)`` (the least and greatest conditional state
+mean) and ``log_qv_sup(lo, hi)`` (an upper bound on log QV/V, None when
+V == 1).  A subclass supplies the others plus ``_obs_logpdf``,
+``_check_state``, ``_check_obs`` and the two samplers; the base derives
+``loglik``, the domain-checked ``log_likelihood`` and ``sample_step``.
 
 The linear-Gaussian, nonlinear and tobit (at y > 0) models observe the
 state through one Gaussian location channel y = h x + b + beta e, with
@@ -110,7 +112,6 @@ def _folded_exp_moment(mean, sd, c):
 class StateSpaceModel:
     """Members shared by all models, written against the surface above."""
 
-    mean_slope = None
     obs_slope = None
 
     def obs_peak(self, y):
@@ -146,6 +147,7 @@ class GaussianStateModel(StateSpaceModel):
 
     kind = "abstract"
     obs_offset = 0.0
+    mean_turns = ()  # the states where state_mean turns
 
     def __init__(self, phi, sigma, beta, drift=None, domain_halfwidth=None):
         if not abs(phi) < 1:
@@ -154,7 +156,7 @@ class GaussianStateModel(StateSpaceModel):
             raise ValueError("state noise s.d. must be positive")
         if beta <= 0:
             raise ValueError("observation noise s.d. must be positive")
-        self.phi = self.mean_slope = float(phi)
+        self.phi = float(phi)
         self.state_sd = float(sigma)
         self.beta = float(beta)
         self.drift = drift if drift is not None else DriftFunction.one()
@@ -166,6 +168,13 @@ class GaussianStateModel(StateSpaceModel):
 
     def state_mean(self, x):
         return self.phi * np.asarray(x, dtype=float)
+
+    def mean_range(self, lo, hi):
+        """The least and greatest ``state_mean`` over [lo, hi], elementwise:
+        among its values at the ends and at the ``mean_turns`` in [lo, hi]."""
+        x = np.broadcast_arrays(lo, hi, *(np.clip(t, lo, hi) for t in self.mean_turns))
+        means = self.state_mean(np.stack(x))
+        return means.min(axis=0), means.max(axis=0)
 
     def support(self, grid):
         return grid.centers
@@ -227,6 +236,17 @@ class GaussianStateModel(StateSpaceModel):
 
     def log_qv(self, x):
         return None if self.drift.form == "one" else np.log(self.qv_ratio_exact(x))
+
+    def log_qv_sup(self, lo, hi):
+        """An upper bound on log QV/V over [lo, hi], elementwise; None when
+        V == 1.  QV(x) = E exp(c |m + sigma Z|), m = ``state_mean(x)``, grows
+        with |m|, so it is at most its value at the largest |m| of
+        ``mean_range``; and 1/V(x) = exp(-c |x|) at the least |x|."""
+        if self.drift.form == "one":
+            return None
+        c = self.drift.c
+        qv = _folded_exp_moment(np.abs(self.mean_range(lo, hi)).max(axis=0), self.state_sd, c)
+        return np.log(qv) - c * np.abs(np.clip(0.0, lo, hi))
 
     def qv_ratio_exact(self, x):
         """QV(x)/V(x) in closed form (Gaussian folded exponential moment)."""
@@ -304,9 +324,11 @@ class NLSSM(GaussianStateModel):
         super().__init__(1 - delta, sigma0, beta, drift, domain_halfwidth)
         self.drift_form = drift_form
         self.delta = float(delta)
-        if drift_form == "tanh":
-            self.mean_slope = None  # the mean is not affine in x
         self.kappa = float(kappa)
+        if self.phi * kappa < 0 and abs(self.phi) <= abs(kappa):
+            # phi + kappa sech^2(x) vanishes where cosh^2(x) = -kappa/phi >= 1
+            turn = float(np.arccosh(np.sqrt(-kappa / self.phi)))
+            self.mean_turns = (-turn, turn)
         self.obs_slope = float(obs_a)
         self.obs_offset = float(obs_b)
 

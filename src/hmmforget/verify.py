@@ -21,6 +21,7 @@ from .rng import substream, substreams
 MAX_STATES = 8
 MAX_HORIZON = 25
 DRIFT_TEST_M = 201  # test points of the drift precondition on continuous models
+SUITES = ("numerator", "denominator", "counting", "exponential")  # the names run_suite takes
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,10 @@ def random_g_seq(seed, n, m) -> np.ndarray:
 
 
 def run_suite(name, seeds=range(50), horizon=20):
-    """Run a named verification suite; returns a list of per-case records."""
+    """Run the verification suite ``name``, one of SUITES; returns a list of
+    per-case records.  ``seeds`` and ``horizon`` apply to numerator and
+    denominator only: counting is exhaustive at n = 12, and exponential runs
+    20 fixed cases."""
     cases = []
     if name == "numerator":
         for s in seeds:

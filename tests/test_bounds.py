@@ -19,9 +19,9 @@ from hmmforget import (LGSSM, NLSSM, BoundConfig, DomainError, DriftFunction,
                        sharp_bound, log_upsilon_batch, phi, rho,
                        random_finite_model, run_two_filters, simulate, upsilon)
 from hmmforget.bounds import (_EM_LIMIT, _RECORD_BLOCK, PSI_QUAD_M, UPSILON_QUAD_M,
-                              _a_column, _log_g_qv, _log_psi_location, _log_sup,
-                              _polish_bracket, _record_series, _record_terms,
-                              _top_sums, log_psi_batch)
+                              _a_column, _components, _log_g_qv, _log_psi_location,
+                              _log_sup, _record_series, _record_terms, _top_sums,
+                              log_psi_batch)
 from hmmforget.grids import logsumexp as grid_logsumexp
 
 
@@ -30,8 +30,8 @@ from hmmforget.grids import logsumexp as grid_logsumexp
     NLSSM("linear_shrink", 0.5, 1.0, 1.0),
 ], ids=lambda m: m.kind)
 def test_certify_lgssm_hand_values(model):
-    # every affine-mean model at slope 0.5 takes the analytic path; 1e-12 is
-    # beyond what the 256-point lattice fallback reaches
+    # every affine-mean model at slope 0.5: the means over C are phi C, so the
+    # offsets x' - phi x range over [-1.5, 1.5] and the constants are exact
     ld = certify_ld_set(model, (-1.0, 1.0))
     assert ld.eps_plus == pytest.approx(2.0 / np.sqrt(2 * np.pi), rel=1e-12)
     assert ld.eps_minus == pytest.approx(
@@ -39,26 +39,53 @@ def test_certify_lgssm_hand_values(model):
     assert rho(ld) == pytest.approx(0.894602, abs=5e-6)
 
 
+TANH_MODELS = {  # the mean 0.5 x + kappa tanh(x) turns at +-1.146 when kappa = -1.5,
+    # -0.5 x + 0.9 tanh(x) at +-0.795 and 0.8 x - 0.9 tanh(x) at +-0.345
+    "tanh-0.4": NLSSM("tanh", 0.5, 1.0, 1.0, kappa=0.4),
+    "tanh--1.5": NLSSM("tanh", 0.5, 1.0, 1.0, kappa=-1.5),
+    "tanh-1.5-0.9": NLSSM("tanh", 1.5, 1.0, 1.0, kappa=0.9),
+    "tanh-0.2--0.9": NLSSM("tanh", 0.2, 1.0, 1.0, kappa=-0.9),
+}
+
+
 def test_certify_matches_lattice_search():
-    # the analytic shortcut and a dense lattice agree on an affine-mean kernel
-    model = LGSSM(0.7, 1.0, 1.0)
-    analytic = certify_ld_set(model, (-2.0, 1.0))
-    x = np.linspace(-2.0, 1.0, 2001)
-    logq = model._trans_logpdf(x[:, None], x[None, :])
-    assert analytic.eps_plus == pytest.approx(3.0 * np.exp(logq.max()), rel=1e-5)
-    assert analytic.eps_minus == pytest.approx(3.0 * np.exp(logq.min()), rel=1e-5)
+    # the closed form brackets a 2001-point lattice of |C| q over C x C,
+    # eps- below its minimum and eps+ above its maximum to rounding (where an
+    # extremum sits on a lattice point, the two arithmetics may differ in the
+    # last bits), and is within 1e-5 of it: on an affine mean and on the tanh
+    # mean, whose extrema over C sit at its turning points where C holds them
+    cases = [(LGSSM(0.7, 1.0, 1.0), (-2.0, 1.0))] + [
+        (model, C) for model in TANH_MODELS.values()
+        for C in [(-1.0, 1.0), (-3.0, 3.0), (0.2, 2.5), (-4.0, -0.5), (-2.0, 2.0)]]
+    for model, C in cases:
+        ld = certify_ld_set(model, C)
+        x = np.linspace(*C, 2001)
+        logq = model._trans_logpdf(x[:, None], x[None, :])
+        width = C[1] - C[0]
+        lattice_minus, lattice_plus = width * np.exp(logq.min()), width * np.exp(logq.max())
+        assert ld.eps_minus <= lattice_minus * (1 + 1e-12)
+        assert ld.eps_plus >= lattice_plus * (1 - 1e-12)
+        assert ld.eps_minus == pytest.approx(lattice_minus, rel=1e-5)
+        assert ld.eps_plus == pytest.approx(lattice_plus, rel=1e-5)
 
 
-def test_certify_probe_refinement_is_stable():
-    # the tanh drift forces the lattice path; doubling the probes moves
-    # the constants by well under 1%
-    model = NLSSM("tanh", 0.5, 1.0, 1.0, kappa=0.5)
-    a = certify_ld_set(model, (-1.0, 1.0))
-    x = np.linspace(-1.0, 1.0, 512)
-    logq = model._trans_logpdf(x[:, None], x[None, :])
-    b_plus, b_minus = 2.0 * np.exp(logq.max()), 2.0 * np.exp(logq.min())
-    assert abs(a.eps_plus - b_plus) / b_plus < 0.01
-    assert abs(a.eps_minus - b_minus) / b_minus < 0.01
+@pytest.mark.parametrize("model", [
+    LGSSM(0.9, 1.0, 1.0), LGSSM(-0.7, 2.0, 1.0), TobitModel(0.5, 1.0, 1.0),
+    StochVolModel(0.9, 0.3, 1.0), NLSSM("linear_shrink", 1.5, 1.0, 1.0), *TANH_MODELS.values(),
+], ids=lambda m: getattr(m, "drift_form", m.kind) + f"-{m.phi}-{getattr(m, 'kappa', 0)}")
+def test_mean_range_against_a_dense_grid(model):
+    # the least and greatest state mean over [lo, hi], elementwise: at most
+    # a few ulps outside a 2^16-cell grid with both ends, and within 1e-9 of
+    # it; the intervals hold none, one or both tanh turning points
+    lo = np.array([-1.0, -3.0, 0.2, -4.0, -2.0, 0.5, -0.5, 1.1, -0.4])
+    hi = np.array([1.0, 3.0, 2.5, -0.5, 2.0, 1.2, -0.2, 6.0, 0.4])
+    m_lo, m_hi = model.mean_range(lo, hi)
+    for j in range(len(lo)):
+        means = model.state_mean(np.linspace(lo[j], hi[j], 2**16 + 1))
+        slack = 1e-14 * (1 + np.abs(means).max())
+        assert means.min() - 1e-9 <= m_lo[j] <= means.min() + slack
+        assert means.max() - slack <= m_hi[j] <= means.max() + 1e-9
+        assert (m_lo[j], m_hi[j]) == model.mean_range(lo[j], hi[j])
 
 
 def test_certify_finite_and_failure():
@@ -402,20 +429,27 @@ def dense_log_upsilon(model, region, ys):
     return np.max(vals, axis=0, where=mask[:, None], initial=-np.inf)
 
 
-def dense_upsilon(model, region, y):
-    """The reference upsilon: the dense grid maximum, polished from the first
-    support point that reaches it."""
+def dense_log_sup(model, region, y):
+    """The reference log upsilon: the dense grid maximum, polished from the
+    first support point that reaches it by SciPy's bounded Brent search on
+    the interval of the region around it."""
     quad, x = dense_grid(model)
     xs = x[dense_region_mask(model, region, x)]
     vals = _log_g_qv(model, xs, y)
     best = vals.max(initial=-np.inf)
     if quad is not None and len(xs):
-        a, b = _polish_bracket(xs[int(np.argmax(vals))], quad.delta, region, model.domain)
+        x0 = xs[int(np.argmax(vals))]
+        a, b = next((a, b) for a, b in _components(region, model.domain) if a < x0 < b)
         res = optimize.minimize_scalar(lambda t: -_log_g_qv(model, np.array([t]), y)[0],
-                                       bounds=(a, b), method="bounded",
-                                       options={"xatol": 1e-12})
+                                       bounds=(max(a, x0 - 2 * quad.delta),
+                                               min(b, x0 + 2 * quad.delta)),
+                                       method="bounded", options={"xatol": 1e-12})
         best = max(best, -res.fun)
-    return float(np.exp(best))
+    return best
+
+
+def dense_upsilon(model, region, y):
+    return float(np.exp(dense_log_sup(model, region, y)))
 
 
 SERIES_MODELS = {
@@ -492,32 +526,40 @@ def test_record_series_equals_dense_scan_on_adversarial_observations(name):
     check_record_series(model, np.array([0.0, -0.0, 0.0]), D, C)
 
 
+def assert_above_the_polish(model, region, y):
+    """With a drift V != 1 upsilon is at least the polished dense maximum,
+    and above it by at most drift_excess."""
+    log_ups = _log_sup(model, region, np.array([y]))[0]
+    excess = log_ups - dense_log_sup(model, region, y)
+    assert 0.0 <= excess <= drift_excess(model, log_ups)
+
+
 @pytest.mark.parametrize("h0", [1.0, -1.7])
 def test_upsilon_equals_dense_scan_with_polish(h0):
-    # only a drift V != 1 keeps the polish (V == 1 has a closed form, tested
-    # below): there upsilon is the old scalar value, bit for bit
+    # a drift V != 1: at least the grid-plus-polish value, within the cell
+    # rule's excess (V == 1 has its own closed form, tested below)
     model = LGSSM(0.9, 1.0, 1.0, h0=h0, drift=DriftFunction.exp_abs(0.5))
     probes = np.concatenate([simulate(model, 7, InitialDistribution.gaussian(0, 1),
                                       seed=3).obs, adversarial_observations(model)[::7]])
     for y in probes:
         for region in ("all", ("complement", (-3.0, 3.0)), ("complement", (-0.4, 2.0))):
-            assert upsilon(model, region, y) == dense_upsilon(model, region, y)
+            assert_above_the_polish(model, region, y)
 
 
 @pytest.mark.parametrize("beta", [1.0, 1e6, 1e7])
 def test_polish_starts_at_the_first_of_a_run_of_tied_maxima(beta):
     # with a wide beta log g is flat to the last bit across many grid points
-    # around the mode, wider than the mode window.  With a drift V != 1 the
-    # polish starts at the first argmax of the dense scan, so upsilon is the
-    # reference value bit for bit; with V == 1 the mode window still gives
-    # the dense grid maximum
+    # around the mode, wider than the mode window.  With a drift V != 1
+    # upsilon is at least the polish started at the first argmax of the
+    # dense scan, within the cell rule's excess; with V == 1 the mode window
+    # still gives the dense grid maximum
     drifted = LGSSM(0.9, 1.0, beta, drift=DriftFunction.exp_abs(0.5))
     model = LGSSM(0.9, 1.0, beta)
     _, x = dense_grid(model)
     ys = np.array([0.0, 3.0, -7.5, 1e7, x[100], 0.5 * (x[2000] + x[2001])])
     for region in ("all", ("complement", (-3.0, 3.0)), ("complement", (-0.5, 0.5))):
         for y in ys:
-            assert upsilon(drifted, region, y) == dense_upsilon(drifted, region, y)
+            assert_above_the_polish(drifted, region, y)
         assert np.array_equal(log_upsilon_batch(model, region, ys),
                               dense_log_upsilon(model, region, ys))
 
@@ -679,6 +721,51 @@ def test_upsilon_closed_form_against_a_dense_grid(name):
         assert np.array_equal(batch, [upsilon(model, regions[1], y) for y in ys])
 
 
+DRIFT = DriftFunction.exp_abs(0.5)
+DRIFT_MODELS = {
+    "lgssm": LGSSM(0.9, 1.0, 1.0, drift=DRIFT),
+    "lgssm-h0-neg": LGSSM(0.9, 1.0, 1.0, h0=-1.7, drift=DRIFT),
+    "tobit": TobitModel(0.5, 1.0, 1.0, drift=DRIFT),
+    "nlssm-tanh": NLSSM("tanh", 0.5, 1.0, 1.0, kappa=-1.5, drift=DRIFT),
+    "stochvol": StochVolModel(0.9, 0.3, 1.0, drift=DRIFT),
+}
+
+
+def drift_excess(model, log_ups):
+    """How far log Upsilon may sit above the sup where V = exp(c|x|): the
+    oscillation of log QV/V over one UPSILON_QUAD_M cell, c (1 + |phi| +
+    |kappa|) times its width, plus the upward rounding."""
+    delta = (model.domain[1] - model.domain[0]) / UPSILON_QUAD_M
+    slope = 1 + abs(model.phi) + abs(getattr(model, "kappa", 0.0))
+    return model.drift.c * slope * delta + 2e-13 * (1 + np.abs(log_ups))
+
+
+def fine_log_sup(model, region, ys):
+    """The maximum of log g + log QV/V on a 2^16-cell grid of each interval
+    of the region, ends included; -inf where C covers the domain."""
+    best = np.full(len(ys), -np.inf)
+    for a, b in _components(region, model.domain):
+        x = np.linspace(a, b, 2**16 + 1)
+        best = np.maximum(best, _log_g_qv(model, x[:, None], ys[None, :]).max(axis=0))
+    return best
+
+
+@pytest.mark.parametrize("name", list(DRIFT_MODELS))
+def test_upsilon_with_a_drift_is_an_upper_bound(name):
+    # cell by cell, log g at its clamped peak and ends plus the cell's bound
+    # on log QV/V: never below the fine grid's maximum, and above it by at
+    # most drift_excess
+    model = DRIFT_MODELS[name]
+    regions, ys = closed_form_cases(model)
+    for region in regions:
+        log_ups, ref = _log_sup(model, region, ys), fine_log_sup(model, region, ys)
+        assert np.array_equal(np.isinf(log_ups), np.isinf(ref))
+        finite = np.isfinite(ref)
+        excess = log_ups[finite] - ref[finite]
+        assert np.all(excess >= 0.0)
+        assert np.all(excess <= drift_excess(model, log_ups[finite]))
+
+
 def test_upsilon_closed_form_on_censored_and_gaussian_channels():
     tobit = TobitModel(0.5, 1.0, 1.0)  # Phi(-x) falls: its sup is at the domain's left end
     lo = tobit.domain[0]
@@ -703,8 +790,8 @@ def test_non_finite_probe_named_by_its_index(model):
 
 
 def test_search_and_upsilon_leave_scipy_optimize_unloaded():
-    # V == 1 needs no polish, so neither the CLI's imports nor the LD-set
-    # search load scipy.optimize (nor scipy.stats); a drift V != 1 does
+    # neither the CLI's imports nor the LD-set search nor upsilon, with or
+    # without a drift V != 1, load scipy.optimize (nor scipy.stats)
     src = os.path.dirname(os.path.dirname(hmmforget.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -721,7 +808,7 @@ def test_search_and_upsilon_leave_scipy_optimize_unloaded():
     ])
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split("\n")[:2] == ["[]", "True"]
+    assert out.split("\n")[:2] == ["[]", "False"]
 
 
 def top_sums_by_sorting(gaps, beta):
@@ -760,6 +847,20 @@ def test_sharp_bound_memory_is_flat_in_the_horizon():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, model.kind
+
+
+def test_upsilon_with_a_drift_memory_is_flat_in_the_observations():
+    # with a drift each observation meets 4096 cells x 3 points: 1024
+    # observations in one block would take 100 MB per array
+    model = DRIFT_MODELS["lgssm"]
+    ys = simulate(model, 1023, InitialDistribution.gaussian(0, 1), seed=5).obs
+    tracemalloc.start()
+    try:
+        _log_sup(model, ("complement", (-3.0, 3.0)), ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

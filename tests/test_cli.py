@@ -158,6 +158,7 @@ def bound_experiment_cfg():
     ("bound.m1=5", "bound", "m1"), ("nu.sdd=3", "nu", "sdd"), ("grid.mm=5", "grid", "mm"),
     ("bound.D.intervall=[-1, 1]", "LD-set", "intervall"),
     ("nu_star.mean_=0", "nu_star", "mean_"), ("model.drift.cc=1", "drift", "cc"),
+    ("r_sequence=true", "config", "r_sequence"),
 ])
 def test_unknown_section_key_exits_2_and_names_it(tmp_path, capsys, override, section, key):
     cfg = write_cfg(tmp_path, bound_experiment_cfg())
@@ -177,6 +178,30 @@ def test_unknown_observation_key_exits_2(tmp_path, capsys, command, observations
     cfg = write_cfg(tmp_path, payload)
     assert main([command, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, with_bound", [
+    ("r_sequences=3", True), ('r_sequences="yes"', True), ("r_sequences=1", True),
+    ("r_sequences=true", False),
+])
+def test_r_sequences_must_be_true_or_false_and_have_a_bound(tmp_path, capsys, override,
+                                                            with_bound):
+    cfg = write_cfg(tmp_path, bound_experiment_cfg() if with_bound else experiment_cfg())
+    assert main(["experiment", "--config", cfg, "--seed", "1", "--set", override,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: config entry 'r_sequences'")
+    assert not (tmp_path / "o" / "r_seq.csv").exists()
+
+
+@pytest.mark.parametrize("form", ["sharp", "sharpp", "Geometric"])
+def test_experiment_bound_form_other_than_geometric_exits_2(tmp_path, capsys, form):
+    cfg = write_cfg(tmp_path, bound_experiment_cfg())
+    assert main(["experiment", "--config", cfg, "--seed", "1", "--set", f'bound.form="{form}"',
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    assert f"'form' must be 'geometric', got {form!r}" in err
 
 
 def test_every_known_section_key_still_runs(tmp_path):

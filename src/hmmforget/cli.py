@@ -112,9 +112,17 @@ MODELS = {"finite": FiniteStateModel, "lgssm": LGSSM, "tobit": TobitModel,
 # InitialDistribution constructor of each form, and the config keys of its arguments
 INITS = {"gaussian": ("mean", "sd"), "uniform": ("lo", "hi"), "point_mass": ("at",),
          "finite": ("weights",)}
-# the keys of the config root and of the other sections
-ROOT_KEYS = ("model", "star_model", "nu", "nu_prime", "nu_star", "init", "n", "replications",
-             "seed", "threads", "suite", "grid", "observations", "bound", "r_sequences")
+# the root keys each subcommand reads, besides seed and threads, which every one
+# takes since --seed and --threads set them (verify's suite is what --suite sets)
+COMMAND_KEYS = {
+    "simulate": ("model", "init", "n", "replications"),
+    "filter": ("model", "nu", "nu_prime", "grid", "observations"),
+    "bound": ("model", "nu", "nu_prime", "grid", "observations", "bound"),
+    "experiment": ("model", "star_model", "nu", "nu_prime", "nu_star", "n", "replications",
+                   "grid", "bound", "r_sequences"),
+    "verify": ("suite",),
+}
+# the keys of the other sections
 GRID_KEYS = ("lo", "hi", "m")
 LD_SET_KEYS = ("interval", "states")
 BOUND_KEYS = ("form", "beta", "gamma", "eta", "C", "D", "K", "M0", "M1", "M2")
@@ -218,7 +226,8 @@ def load_config(args):
     for name in ("seed", "threads", "suite"):  # a flag wins over the config
         if getattr(args, name, None) is not None:
             cfg[name] = getattr(args, name)
-    return section(cfg, "config", nullable=("seed",), keys=ROOT_KEYS)
+    keys = ("seed", "threads", *COMMAND_KEYS[args.command])
+    return section(cfg, "config", nullable=("seed",), keys=keys)
 
 
 def require_seed(cfg):

@@ -24,16 +24,32 @@ def logsumexp(u, axis=None):
     is -inf when every entry is -inf.
     """
     u = np.asarray(u, dtype=float)
-    amax = np.max(u, axis=axis, keepdims=True)
-    top = u == amax
+    kept = tuple(1 if axis is None or k == axis % u.ndim else n for k, n in enumerate(u.shape))
+    z, amax, c = (np.empty(kept) for _ in range(3))
     with np.errstate(invalid="ignore", divide="ignore"):
-        e = np.subtract(u, amax)  # one buffer, updated in place
-        np.exp(e, out=e)
-        np.copyto(e, 0.0, where=top)
-        c = np.count_nonzero(top, axis=axis, keepdims=True)
-        z = np.log1p(e.sum(axis=axis, keepdims=True) / c) + np.log(c) + amax
+        logsumexp_into(u, axis, z, amax, c, np.empty_like(u), np.empty(u.shape, bool))
     z = np.squeeze(z, axis=axis)
     return z[()] if z.ndim == 0 else z
+
+
+def logsumexp_into(u, axis, z, amax, c, e, top):
+    """``logsumexp(u, axis)`` with the reduced axis kept, written into ``z``.
+
+    Allocates nothing: ``amax`` and ``c`` are scratch of z's shape, ``e`` (float)
+    and ``top`` (bool) scratch of u's.  NumPy's error state must ignore
+    invalid and divide, for rows whose every entry is -inf.
+    """
+    np.maximum.reduce(u, axis=axis, keepdims=True, out=amax)
+    np.equal(u, amax, out=top)
+    np.subtract(u, amax, out=e)
+    np.exp(e, out=e)
+    np.copyto(e, 0.0, where=top)
+    np.add.reduce(top, axis=axis, keepdims=True, out=c)  # the count of maxima, exact
+    np.add.reduce(e, axis=axis, keepdims=True, out=z)
+    np.divide(z, c, out=z)
+    np.log1p(z, out=z)
+    np.add(z, np.log(c, out=c), out=z)
+    np.add(z, amax, out=z)
 
 
 def norm_logpdf(x, loc, scale):

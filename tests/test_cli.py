@@ -83,8 +83,7 @@ def test_invalid_values_exit_code(tmp_path, capsys, extra, code):
 ])
 def test_non_integral_count_exits_2_and_names_it(tmp_path, capsys, command, override,
                                                  section, key):
-    cfg = write_cfg(tmp_path, {**experiment_cfg(), "init": GAUSS(0),
-                               "observations": {"simulate": {"init": GAUSS(0), "n": 6}}})
+    cfg = write_cfg(tmp_path, ROUND_TRIP[command])
     seed = [] if key == "seed" else ["--seed", "1"]
     assert main([command, "--config", cfg, *seed, "--set", override,
                  "--out", str(tmp_path / "o")]) == 2
@@ -174,8 +173,7 @@ def test_unknown_section_key_exits_2_and_names_it(tmp_path, capsys, override, se
     ("bound", {"simulate": {"init": GAUSS(0), "n": 6}, "files": "y.csv"}),
 ])
 def test_unknown_observation_key_exits_2(tmp_path, capsys, command, observations):
-    payload = {**bound_experiment_cfg(), "observations": observations}
-    cfg = write_cfg(tmp_path, payload)
+    cfg = write_cfg(tmp_path, {**ROUND_TRIP[command], "observations": observations})
     assert main([command, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 2
     assert "unknown key" in capsys.readouterr().err
 
@@ -339,14 +337,29 @@ def read_dir(path):
 def test_rerun_from_resolved_config_is_byte_identical(tmp_path, command):
     cfg = write_cfg(tmp_path, ROUND_TRIP[command])
     first, second = tmp_path / "first", tmp_path / "second"
-    assert main([command, "--config", cfg, "--seed", "4", "--threads", "2",
-                 "--set", "grid.lo=-7", "--set", "grid.hi=7", "--set", "grid.m=128",
+    grid = [] if command == "simulate" else ["--set", "grid.lo=-7", "--set", "grid.hi=7",
+                                             "--set", "grid.m=128"]
+    assert main([command, "--config", cfg, "--seed", "4", "--threads", "2", *grid,
                  "--out", str(first)]) == 0
     assert main([command, "--config", str(first / "resolved_config.json"),
                  "--out", str(second)]) == 0
     outputs = read_dir(first)
     assert len(outputs) > 1
     assert read_dir(second) == outputs
+
+
+@pytest.mark.parametrize("command, foreign", [
+    ("simulate", "grid.m=64"), ("filter", 'suite="counting"'), ("bound", "replications=7"),
+    ("experiment", 'observations.file="y.csv"'), ("verify", "model.phi=0.5"),
+])
+def test_a_root_key_the_subcommand_does_not_read_exits_2_and_names_it(tmp_path, capsys,
+                                                                       command, foreign):
+    cfg = write_cfg(tmp_path, ROUND_TRIP.get(command, {}))
+    assert main([command, "--config", cfg, "--seed", "1", "--set", foreign,
+                 "--out", str(tmp_path / "o")]) == 2
+    key = foreign.split(".")[0].split("=")[0]
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: config has unknown key {key!r}")
 
 
 def test_rerun_verify_from_resolved_config(tmp_path):

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hmmforget import (LGSSM, NLSSM, DegenerateFilterError, DomainError,
                        StochVolModel, TobitModel, filter_step, init_filter,
                        random_finite_model, run_two_filters, simulate,
                        transition_kernel, tv_distance)
-from hmmforget.gridfilter import _normalize
+from hmmforget.gridfilter import _Rows
 
 
 def two_state(transition=None, emission=None):
@@ -183,7 +185,16 @@ def test_degenerate_filter_raises():
 
 def test_degenerate_two_filters_name_the_observation():
     model, grid, nu, obs = degenerate_setup()
-    with pytest.raises(DegenerateFilterError, match=r"\(observation 0\.0\)"):
+    with pytest.raises(DegenerateFilterError, match=r" at step 1 \(observation 0\.0\)"):
+        run_two_filters(model, grid, nu, nu, obs)
+    # centers j * delta, j = -31..31: x' = x / 2 keeps a point mass on a
+    # center while j is even, so the one at j = 16 goes 8, 4, 2, 1 and
+    # falls between two centers at step 5
+    grid = GridSpec(-10.0, 10.0, 63)
+    nu = InitialDistribution.point_mass(16 * grid.delta)
+    obs = [0.5, -0.25, 1.0, 0.0, 2.0, 0.75, 0.5, 0.0]
+    assert run_two_filters(model, grid, nu, nu, obs[:5])[-1][1] == 0.0
+    with pytest.raises(DegenerateFilterError, match=r" at step 5 \(observation 0\.75\)$"):
         run_two_filters(model, grid, nu, nu, obs)
 
 
@@ -240,13 +251,101 @@ def test_normalizer_matches_logsumexp_with_ties_and_zero_weights():
     # bit for bit: the forgetting rates are fitted on TV values near 1e-14,
     # where a last-bit change in a normalizer moves a rate by about 1e-5
     rng = np.random.default_rng(5)
-    rows = rng.normal(-5.0, 2.0, size=(200, 64))
-    rows[1, [3, 9, 60]] = rows[1].max() + 1.0  # a three-way tie for the max
-    rows[2, ::2] = -np.inf
-    rows[3] = rows[3, 0]                       # all entries equal
-    logw, logZ = _normalize(rows, np.zeros(200))
-    assert np.array_equal(logZ, [logsumexp(row) for row in rows])
-    np.testing.assert_allclose(np.exp(logw).sum(axis=1), 1.0, rtol=1e-13)
-    rows[4] = -np.inf
-    with pytest.raises(DegenerateFilterError, match="initialization"):
-        _normalize(rows, np.zeros(200))
+    rows = _Rows(200, 64)
+    rows.u[:] = rng.normal(-5.0, 2.0, size=(200, 64))
+    rows.u[1, [3, 9, 60]] = rows.u[1].max() + 1.0  # a three-way tie for the max
+    rows.u[2, ::2] = -np.inf
+    rows.u[3] = rows.u[3, 0]                         # all entries equal
+    u, logZ = rows.u.copy(), np.empty(200)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows.normalize(np.zeros(200), logZ)
+    assert np.array_equal(logZ, [logsumexp(row) for row in u])
+    np.testing.assert_allclose(np.exp(rows.logw).sum(axis=1), 1.0, rtol=1e-13)
+    rows.u[:] = u
+    rows.u[4] = -np.inf
+    with pytest.raises(DegenerateFilterError, match=r"zero \(initialization\)"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows.normalize(np.zeros(200), logZ)
+
+
+def reference_logsumexp(u, axis):
+    """log-sum-exp over ``axis`` in the operations the fingerprints were taken with."""
+    amax = np.max(u, axis=axis, keepdims=True)
+    top = u == amax
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e = np.subtract(u, amax)
+        np.exp(e, out=e)
+        np.copyto(e, 0.0, where=top)
+        c = np.count_nonzero(top, axis=axis, keepdims=True)
+        z = np.log1p(e.sum(axis=axis, keepdims=True) / c) + np.log(c) + amax
+    return np.squeeze(z, axis=axis)
+
+
+def reference_two_filters(model, grid, nu, nup, obs):
+    """(tv, logZ, logZ') per step, from the two-filter recursion written out
+    as the fingerprints were taken: a fresh array per operation, one GEMV per
+    row, the shift with np.max and the TV as half the L1 norm of Δexp."""
+    loglik = model.log_likelihood(model.support(grid)[None, :], obs[:, None])
+    kernel = transition_kernel(model, grid)
+
+    def normalize(logu, logZ):
+        z = reference_logsumexp(logu, 1)
+        return logu - z[:, None], logZ + z
+
+    def tv(logw):
+        return 0.5 * float(np.abs(np.subtract(*np.exp(logw))).sum())
+
+    logu = np.stack([model.log_init(nu, grid), model.log_init(nup, grid)])
+    logw, logZ = normalize(logu + loglik[0], 0.0)
+    out = [(tv(logw), *logZ)]
+    for n in range(1, len(obs)):
+        shift = np.max(logw, axis=1, keepdims=True)
+        pred = np.stack([row @ kernel for row in np.exp(logw - shift)])
+        with np.errstate(divide="ignore"):
+            logu = np.log(pred) + shift + loglik[n]
+        logw, logZ = normalize(logu, logZ)
+        out.append((tv(logw), *logZ))
+    return np.array(out)
+
+
+def reference_cases():
+    star = InitialDistribution.gaussian(0, 1)
+    for model in (TobitModel(0.5, 1.0, 1.0), NLSSM("linear_shrink", 0.5, 1.0, 1.0),
+                  StochVolModel(0.9, 0.3, 1.0), LGSSM(0.9, 1.0, 1.0)):
+        grid = GridSpec(*model.domain, 400)
+        for seed in range(3):
+            yield model, grid, *GAUSS, simulate(model, 200, star, seed=seed).obs
+    for seed in range(20):
+        model = random_finite_model(seed)
+        nu, nup = (InitialDistribution.finite(p)
+                   for p in np.random.default_rng(seed).dirichlet(np.ones(model.m), size=2))
+        yield model, None, nu, nup, simulate(model, 20, nu, seed=seed).obs
+
+
+def test_two_filters_equal_the_reference_recursion_bit_for_bit():
+    cases = list(reference_cases())
+    assert len(cases) == 32
+    for model, grid, nu, nup, obs in cases:
+        got = np.array([r[1:] for r in run_two_filters(model, grid, nu, nup, obs)])
+        assert np.array_equal(got, reference_two_filters(model, grid, nu, nup, obs))
+
+
+def test_the_recursion_leaves_its_inputs_alone_and_keeps_no_state():
+    model, m, n, (nu, nup) = RECORDS["tobit"]
+    grid = GridSpec(*model.domain, m)
+    obs = simulate(model, 30, InitialDistribution.gaussian(0, 1), seed=3).obs
+    kern = transition_kernel(model, grid)
+    kern_bytes, obs_bytes = kern.tobytes(), obs.tobytes()
+    state = init_filter(model, grid, nu, obs[0])
+    logw_bytes = state.logw.tobytes()
+    nxt = filter_step(state, model, obs[1], kern)
+    assert state.logw.tobytes() == logw_bytes
+    assert not np.shares_memory(nxt.logw, state.logw)
+    first = run_two_filters(model, grid, nu, nup, obs, kernel=kern)
+    assert run_two_filters(model, grid, nu, nup, obs, kernel=kern) == first
+    # the threads of run_forgetting share one kernel
+    with ThreadPoolExecutor(4) as pool:
+        runs = [pool.submit(run_two_filters, model, grid, nu, nup, obs, kern)
+                for _ in range(8)]
+        assert all(run.result(timeout=60) == first for run in runs)
+    assert kern.tobytes() == kern_bytes and obs.tobytes() == obs_bytes

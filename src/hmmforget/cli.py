@@ -5,7 +5,7 @@ Subcommands::
     hmmforget simulate   --config cfg.json --seed S --out DIR
     hmmforget filter     --config cfg.json [--seed S] --out DIR
     hmmforget bound      --config cfg.json [--seed S] --out DIR
-    hmmforget experiment --config cfg.json --seed S --out DIR
+    hmmforget experiment --config cfg.json --seed S [--threads T] --out DIR
     hmmforget verify     --suite NAME --out DIR
 
 Configuration is a JSON file; ``--set key=value`` (repeatable, dotted
@@ -112,14 +112,14 @@ MODELS = {"finite": FiniteStateModel, "lgssm": LGSSM, "tobit": TobitModel,
 # InitialDistribution constructor of each form, and the config keys of its arguments
 INITS = {"gaussian": ("mean", "sd"), "uniform": ("lo", "hi"), "point_mass": ("at",),
          "finite": ("weights",)}
-# the root keys each subcommand reads, besides seed and threads, which every one
-# takes since --seed and --threads set them (verify's suite is what --suite sets)
+# the root keys each subcommand reads; a subcommand takes the flags --seed,
+# --threads and --suite where it reads the key the flag sets
 COMMAND_KEYS = {
-    "simulate": ("model", "init", "n", "replications"),
-    "filter": ("model", "nu", "nu_prime", "grid", "observations"),
-    "bound": ("model", "nu", "nu_prime", "grid", "observations", "bound"),
-    "experiment": ("model", "star_model", "nu", "nu_prime", "nu_star", "n", "replications",
-                   "grid", "bound", "r_sequences"),
+    "simulate": ("seed", "model", "init", "n", "replications"),
+    "filter": ("seed", "model", "nu", "nu_prime", "grid", "observations"),
+    "bound": ("seed", "model", "nu", "nu_prime", "grid", "observations", "bound"),
+    "experiment": ("seed", "threads", "model", "star_model", "nu", "nu_prime", "nu_star",
+                   "n", "replications", "grid", "bound", "r_sequences"),
     "verify": ("suite",),
 }
 # the keys of the other sections
@@ -226,8 +226,7 @@ def load_config(args):
     for name in ("seed", "threads", "suite"):  # a flag wins over the config
         if getattr(args, name, None) is not None:
             cfg[name] = getattr(args, name)
-    keys = ("seed", "threads", *COMMAND_KEYS[args.command])
-    return section(cfg, "config", nullable=("seed",), keys=keys)
+    return section(cfg, "config", nullable=("seed",), keys=COMMAND_KEYS[args.command])
 
 
 def require_seed(cfg):
@@ -391,11 +390,14 @@ def make_parser():
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config entry (dotted path, JSON value)")
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int,
-                       help="worker threads; results are independent of it")
-        if name == "verify":
+        keys = COMMAND_KEYS[name]
+        if "seed" in keys:
+            p.add_argument("--seed", type=int)
+        if "threads" in keys:
+            p.add_argument("--threads", type=int,
+                           help="worker threads; results are independent of it")
+        if "suite" in keys:
             p.add_argument("--suite", choices=[*SUITES, "all"])
     return parser
 

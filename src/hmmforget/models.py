@@ -23,8 +23,10 @@ The linear-Gaussian, nonlinear and tobit (at y > 0) models observe the
 state through one Gaussian location channel y = h x + b + beta e, with
 h = ``obs_slope`` and b = ``obs_offset``.  ``GaussianStateModel`` writes
 it once: its log density, its peak (y - b)/h (NaN at h = 0) and its
-sampler.  Those models only set h and b; tobit adds the censoring, and
-stochastic volatility overrides the three with its own channel.
+channel ``observe(x, e)``, the observation of states x under standard
+normal noise e, which the scalar sampler and ``simulate``'s whole-record
+pass both call.  Those models only set h and b; tobit adds the censoring,
+and stochastic volatility overrides the three with its own channel.
 
 Dominating measures: Lebesgue for all continuous transitions; Lebesgue for
 the observations of the linear-Gaussian, nonlinear and stochastic
@@ -43,13 +45,14 @@ observations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .grids import InitialDistribution, norm_logpdf
-from .rng import substreams
+from .rng import normal_pairs, substreams
 
 DOMAIN_SD_MULTIPLE = 8.0
 
@@ -140,7 +143,7 @@ class GaussianStateModel(StateSpaceModel):
     ``state_mean``.  The observation is y = h x + b + beta e with h =
     ``obs_slope`` (set by the subclass) and b = ``obs_offset`` (0 unless
     set); a subclass with another channel overrides ``obs_peak``,
-    ``_obs_logpdf`` and ``sample_observation``.  The default truncation
+    ``_obs_logpdf`` and ``observe``.  The default truncation
     domain is DOMAIN_SD_MULTIPLE stationary s.d.s of the AR(1) chain with
     slope phi.
     """
@@ -167,7 +170,8 @@ class GaussianStateModel(StateSpaceModel):
     # -- transition ---------------------------------------------------------
 
     def state_mean(self, x):
-        return self.phi * np.asarray(x, dtype=float)
+        # a Python float stays one: simulate's state loop calls this per step
+        return self.phi * x
 
     def mean_range(self, lo, hi):
         """The least and greatest ``state_mean`` over [lo, hi], elementwise:
@@ -226,8 +230,13 @@ class GaussianStateModel(StateSpaceModel):
     def sample_transition(self, x, rng):
         return self.state_mean(x) + self.state_sd * rng.standard_normal()
 
+    def observe(self, x, e):
+        """The observation of the state(s) x under standard normal noise e,
+        elementwise."""
+        return self._obs_location(x) + self.beta * e
+
     def sample_observation(self, x, rng):
-        return self._obs_location(x) + self.beta * rng.standard_normal()
+        return self.observe(x, rng.standard_normal())
 
     # -- drift --------------------------------------------------------------
 
@@ -296,8 +305,8 @@ class TobitModel(GaussianStateModel):
         x = np.asarray(x, dtype=float)
         return np.where(y == 0, log_ndtr(-x / self.beta), super()._obs_logpdf(x, y))
 
-    def sample_observation(self, x, rng):
-        return max(super().sample_observation(x, rng), 0.0)
+    def observe(self, x, e):
+        return np.maximum(super().observe(x, e), 0.0)
 
 
 class NLSSM(GaussianStateModel):
@@ -333,7 +342,6 @@ class NLSSM(GaussianStateModel):
         self.obs_offset = float(obs_b)
 
     def state_mean(self, x):
-        x = np.asarray(x, dtype=float)
         mean = self.phi * x
         if self.drift_form == "tanh":
             mean = mean + self.kappa * np.tanh(x)
@@ -357,8 +365,8 @@ class StochVolModel(GaussianStateModel):
         with np.errstate(divide="ignore"):
             return np.where(y > 0, 2.0 * (np.log(y) - np.log(self.beta)), np.nan)
 
-    def sample_observation(self, x, rng):
-        return self.beta * np.exp(x / 2) * rng.standard_normal()
+    def observe(self, x, e):
+        return self.beta * np.exp(x / 2) * e
 
 
 class FiniteStateModel(StateSpaceModel):
@@ -456,18 +464,35 @@ def simulate(model, n, init: InitialDistribution, seed, replication=0):
     """Simulate a length-(n+1) path (x, y) of the generating model.
 
     The path is bit-reproducible from (seed, replication): step k draws what
-    ``substream(seed, replication, k)`` draws.  The n + 1 keys are hashed in
-    one pass, and one generator is re-keyed per step (``rng.substreams``).
+    ``substream(seed, replication, k)`` draws.  A continuous model's steps
+    k >= 1 take their two normals, the transition's and the observation's,
+    from one record pass (``rng.normal_pairs``); the state recursion then
+    runs as one scalar loop in ``state_mean``'s arithmetic, and the
+    observation channel (``observe``) is applied to the whole record at
+    once.  Step 0 draws from its own generator, as does every step of a
+    finite model (``rng.substreams``).
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError("horizon must be >= 0")
-    streams = substreams(seed, replication, n=n + 1)
-    rng = next(streams)
+    if not isinstance(model, GaussianStateModel):
+        streams = substreams(seed, replication, n=n + 1)
+        rng = next(streams)
+        x = init.sample(rng)
+        hidden = [x]
+        obs = [model.sample_observation(x, rng)]
+        for rng in streams:
+            x, y = model.sample_step(x, rng)
+            hidden.append(x)
+            obs.append(y)
+        return Trajectory(obs=np.asarray(obs), hidden=np.asarray(hidden))
+    rng, pairs = normal_pairs(seed, replication, n=n + 1)
     x = init.sample(rng)
+    noise = np.concatenate([[rng.standard_normal()], pairs[:, 1]])
     hidden = [x]
-    obs = [model.sample_observation(x, rng)]
-    for rng in streams:
-        x, y = model.sample_step(x, rng)
+    mean, sd = model.state_mean, model.state_sd
+    for z in pairs[:, 0].tolist():
+        x = mean(x) + sd * z
         hidden.append(x)
-        obs.append(y)
-    return Trajectory(obs=np.asarray(obs), hidden=np.asarray(hidden))
+    hidden = np.asarray(hidden)
+    return Trajectory(obs=model.observe(hidden, noise), hidden=hidden)

@@ -21,11 +21,31 @@ record cheaply, with the same draws bit for bit:
 
 So a generator that ``substreams`` yields is valid for its own step only:
 the next step re-keys it.  ``substream`` stays the single-stream API and
-the reference that ``substreams`` is tested against.
+the reference that ``substreams`` and ``normal_pairs`` are tested against.
+
+``normal_pairs`` serves a record whose steps k >= 1 each draw two
+``standard_normal()`` values, as the continuous models' ``simulate`` does,
+without a generator per step.  Those draws are a pure function of the key:
+
+- Philox4x64-10 runs at counter (1, 0, 0, 0), the first block a fresh
+  Philox outputs, on the keys of all steps at once (``_philox_words``);
+  the 64 x 64 -> 128 multiply is built from 32-bit halves;
+- NumPy's ziggurat takes one word per draw on its fast path: ``idx = w &
+  0xff``, sign bit 8, ``rabs`` the next 52 bits, ``x = +-rabs wi[idx]``,
+  accepted when ``rabs < ki[idx]``, so words 0 and 1 give the two draws;
+- a step with a word off the fast path (about 3% of steps) is redrawn by
+  the scalar generator on its key, which is exact whatever path it takes.
+
+``wi`` is read from the installed NumPy by feeding it chosen words through
+Philox's output buffer; ``ki`` is a conservative bound derived from the
+``wi`` ratios, so a word it passes is on NumPy's fast path.  At first use a
+few fixed keys are compared with the scalar generator; if they differ,
+every ``ki`` is 0 and every step takes the scalar fallback.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -37,6 +57,12 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK = 0xFFFFFFFF
+# Philox4x64's round multipliers of counter words 0 and 2, and its key bumps
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], np.uint64)
+_PHILOX_ROUNDS = 10
+_LO32, _SHIFT32 = np.uint64(_MASK), np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -54,6 +80,20 @@ def substreams(seed: int, *path: int, n: int):
     """
     # the keys are hashed here, so a bad entry raises now, not at the first step
     return _rekeyed(_keys(seed, path, np.arange(n)))
+
+
+def normal_pairs(seed, *path, n):
+    """Return ``(first, pairs)`` for the n >= 1 steps of a record: ``first``
+    is a generator whose draws equal those of ``substream(seed, *path, 0)``,
+    and row k - 1 of the (n - 1, 2) float array ``pairs`` holds the first two
+    ``standard_normal()`` draws of ``substream(seed, *path, k)``."""
+    keys = _keys(seed, path, np.arange(n))
+    pairs, slow = _fast_pairs(keys[1:], *_ziggurat())
+    # the steps off the fast path first, then step 0, on one generator
+    gens = _rekeyed(np.concatenate([keys[1:][slow], keys[:1]]))
+    for i, gen in zip(np.flatnonzero(slow), gens):
+        pairs[i] = gen.standard_normal(2)
+    return next(gens), pairs
 
 
 def _rekeyed(keys):
@@ -136,3 +176,68 @@ def _hash_columns(entropy):
     const = _INIT_B  # generate_state hashes the pool words with its own constants
     w = [hashmix(word, _MULT_B).astype(np.uint64) for word in pool]
     return np.column_stack([w[0] | w[1] << np.uint64(32), w[2] | w[3] << np.uint64(32)])
+
+
+def _philox_words(keys):
+    """Words 0 and 1 of Philox4x64-10's block at counter (1, 0, 0, 0) under
+    each row of the (n, 2) uint64 ``keys``, as a (2, n) uint64 array."""
+    key = keys.T.copy()
+    # counter words 0 and 2, and 1 and 3: the first round maps the counter
+    # (1, 0, 0, 0) to (k0, 0, k1, M0)
+    even, odd = key.copy(), np.array([[0], _PHILOX_M[0]], np.uint64)
+    for _ in range(_PHILOX_ROUNDS - 1):
+        key += _PHILOX_W
+        hi, lo = _mulhilo(even)
+        # a round maps (c0, c1, c2, c3) to (hi1^c1^k0, lo1, hi0^c3^k1, lo0)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    return np.stack([even[0], odd[0]])
+
+
+def _mulhilo(b):
+    """The high and low 64-bit words of ``_PHILOX_M * b``, elementwise, for
+    a (2, n) uint64 array, from products of 32-bit halves."""
+    b_lo, b_hi = b & _LO32, b >> _SHIFT32
+    lo_lo, hi_lo = _M_LO * b_lo, _M_HI * b_lo
+    cross = (lo_lo >> _SHIFT32) + (hi_lo & _LO32) + _M_LO * b_hi  # below 2^64
+    return _M_HI * b_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32), _PHILOX_M * b
+
+
+def _fast_pairs(keys, wi, ki):
+    """The first two ``standard_normal()`` draws under each key, as an
+    (n, 2) float array, on the ziggurat's fast path, and the (n,) mask of
+    the keys whose rows are not on it and must be redrawn."""
+    words = _philox_words(keys)
+    idx = (words & np.uint64(0xFF)).astype(np.intp)
+    rabs = words >> np.uint64(9) & np.uint64(2**52 - 1)
+    draws = rabs * wi[idx]  # rabs < 2^52 converts exactly
+    draws[(words >> np.uint64(8) & np.uint64(1)).astype(bool)] *= -1
+    return draws.T, (rabs >= ki[idx]).any(axis=0)
+
+
+@functools.cache
+def _ziggurat():
+    """NumPy's ziggurat ``wi``, and a ``ki`` that is at most NumPy's: from
+    the ``wi`` ratios, as the ziggurat's own construction derives it, less 2
+    for rounding.  All 0 if a few fixed keys do not draw as the scalar
+    generator does."""
+    bit = np.random.Philox(0)
+    gen = np.random.Generator(bit)
+    state = bit.state
+    state["buffer_pos"] = 0
+    wi = np.empty(256)
+    # the word of rabs = 1 on layer i draws wi[i], four words to a buffer;
+    # layer 1 has ki = 0 and takes the slow path, which reads the next word
+    # as a uniform and accepts x = wi[1] at 0
+    for layers in [*np.r_[0, 2:256, 0].reshape(64, 4), [1]]:
+        state["buffer"] = np.zeros(4, np.uint64)
+        state["buffer"][:len(layers)] = np.bitwise_or(1 << 9, layers)
+        bit.state = state
+        wi[layers] = gen.standard_normal(len(layers))
+    ratio = np.concatenate([wi[-1:] / wi[:1], [0.0], wi[1:-1] / wi[2:]])
+    ki = (np.floor(ratio * 2**52) - 2).clip(0).astype(np.uint64)
+    keys = _keys(0, (), np.arange(16))
+    draws, slow = _fast_pairs(keys, wi, ki)
+    scalar = np.array([g.standard_normal(2) for g in _rekeyed(keys)])
+    if not np.array_equal(draws[~slow], scalar[~slow]):
+        ki[:] = 0
+    return wi, ki

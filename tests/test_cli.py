@@ -339,7 +339,8 @@ def test_rerun_from_resolved_config_is_byte_identical(tmp_path, command):
     first, second = tmp_path / "first", tmp_path / "second"
     grid = [] if command == "simulate" else ["--set", "grid.lo=-7", "--set", "grid.hi=7",
                                              "--set", "grid.m=128"]
-    assert main([command, "--config", cfg, "--seed", "4", "--threads", "2", *grid,
+    threads = ["--threads", "2"] if command == "experiment" else []
+    assert main([command, "--config", cfg, "--seed", "4", *threads, *grid,
                  "--out", str(first)]) == 0
     assert main([command, "--config", str(first / "resolved_config.json"),
                  "--out", str(second)]) == 0
@@ -355,9 +356,29 @@ def test_rerun_from_resolved_config_is_byte_identical(tmp_path, command):
 def test_a_root_key_the_subcommand_does_not_read_exits_2_and_names_it(tmp_path, capsys,
                                                                        command, foreign):
     cfg = write_cfg(tmp_path, ROUND_TRIP.get(command, {}))
-    assert main([command, "--config", cfg, "--seed", "1", "--set", foreign,
+    seed = [] if command == "verify" else ["--seed", "1"]
+    assert main([command, "--config", cfg, *seed, "--set", foreign,
                  "--out", str(tmp_path / "o")]) == 2
     key = foreign.split(".")[0].split("=")[0]
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: config has unknown key {key!r}")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--threads"), ("filter", "--threads"), ("bound", "--threads"),
+    ("verify", "--threads"), ("verify", "--seed"),
+])
+def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    cfg = write_cfg(tmp_path, ROUND_TRIP.get(command, {}))
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, flag, "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert not out.exists()
+    # nor may the config set the key the flag would have set
+    key = flag.lstrip("-")
+    assert main([command, "--config", cfg, "--set", f"{key}=2", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
         f"configuration error: config has unknown key {key!r}")
 

@@ -14,6 +14,7 @@ from hmmforget import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateMode
                        GridSpec, InitialDistribution, StochVolModel, TobitModel,
                        random_finite_model, simulate, substream)
 from hmmforget.grids import norm_logpdf
+from hmmforget import rng
 from hmmforget.rng import _keys, substreams
 from hmmforget.verify import _qv_numeric
 
@@ -347,8 +348,12 @@ def test_non_integral_entries_raise_and_numpy_integers_key_as_ints():
             simulate(model, 5, init, seed=seed, replication=replication)
         with pytest.raises(TypeError):
             substream(seed, replication)
+    # so is a float horizon
+    for n in (5.5, 5.0, np.float64(3)):
+        with pytest.raises(TypeError):
+            simulate(model, n, init, seed=1)
     expected = simulate(model, 5, init, seed=3, replication=2).obs
-    assert np.array_equal(simulate(model, 5, init, seed=np.int64(3),
+    assert np.array_equal(simulate(model, np.int64(5), init, seed=np.int64(3),
                                    replication=np.uint16(2)).obs, expected)
     assert np.array_equal(substream(np.int64(3), np.int32(2)).random(4),
                           substream(3, 2).random(4))
@@ -374,6 +379,7 @@ SIMULATED = {
                           InitialDistribution.uniform(-1.0, 1.0)),
     "stochvol": (StochVolModel(0.9, 0.3, 1.0), InitialDistribution.gaussian(0.0, 1.0)),
     "finite": (random_finite_model(4), InitialDistribution.finite([0.5, 0.3, 0.2])),
+    "lgssm-point-mass": (LGSSM(0.5, 2.0, 0.3, h0=-0.7), InitialDistribution.point_mass(0.3)),
 }
 
 
@@ -386,3 +392,71 @@ def test_simulate_equals_per_step_substreams(name, replication, n):
     obs, hidden = simulate_per_step(model, n, init, 2**40, replication)
     assert np.array_equal(traj.obs, obs) and np.array_equal(traj.hidden, hidden)
     assert traj.obs.dtype == obs.dtype and traj.hidden.dtype == hidden.dtype
+
+
+def test_a_long_record_equals_per_step_substreams():
+    # n = 4000 holds about 120 steps off the ziggurat's fast path; a
+    # replication of 2^32 or more adds a word to every key
+    model, init = SIMULATED["nlssm-tanh-affine"]
+    traj = simulate(model, 4000, init, seed=2**64 + 9, replication=2**33)
+    obs, hidden = simulate_per_step(model, 4000, init, 2**64 + 9, 2**33)
+    assert np.array_equal(traj.obs, obs) and np.array_equal(traj.hidden, hidden)
+
+
+@pytest.mark.parametrize("name", SIMULATED)
+def test_the_scalar_fallback_alone_gives_the_same_records(name, monkeypatch):
+    # every ki 0 sends every step to the scalar generator, as a failed
+    # self-check does
+    wi, _ = rng._ziggurat()
+    monkeypatch.setattr(rng, "_ziggurat", lambda: (wi, np.zeros(256, np.uint64)))
+    model, init = SIMULATED[name]
+    traj = simulate(model, 300, init, seed=5, replication=1)
+    obs, hidden = simulate_per_step(model, 300, init, 5, 1)
+    assert np.array_equal(traj.obs, obs) and np.array_equal(traj.hidden, hidden)
+
+
+def test_philox_words_equal_the_bit_generator():
+    keys = np.concatenate([_keys(2**64 + 3, (2**32 + 7,), np.arange(50_000)),
+                           _keys(7, (0,), np.arange(10**9, 10**9 + 50_000))])
+    raw = np.array([gen.bit_generator.random_raw(4) for gen in rng._rekeyed(keys)])
+    assert np.array_equal(rng._philox_words(keys), raw[:, :2].T)
+
+
+def _draw_words(bit, gen, words):
+    """``gen.standard_normal()`` on the Philox output ``words``, and whether
+    it took the fast path (one word).  A slow path reads a uniform 0, then
+    0.5, which ends the tail loop of layer 0 within the buffer."""
+    state = bit.state
+    state["buffer"] = np.array([words, 0, 2**63, 0], np.uint64)
+    state["buffer_pos"] = 0
+    bit.state = state
+    x = gen.standard_normal()
+    return x, bit.state["buffer_pos"] == 1
+
+
+def test_ziggurat_tables_match_numpy():
+    wi, ki = rng._ziggurat()
+    bit = np.random.Philox(0)
+    gen = np.random.Generator(bit)
+    for i in range(256):
+        # NumPy's ki[i]: the least rabs off the fast path, by bisection
+        lo, hi = 0, 2**52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _draw_words(bit, gen, mid << 9 | i)[1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        assert ki[i] <= lo, i
+        if lo:  # the largest rabs on the fast path, with the sign bit set
+            x, fast = _draw_words(bit, gen, (lo - 1) << 9 | 1 << 8 | i)
+            assert fast and x == -(lo - 1) * wi[i], i
+    assert ki[1] == 0 and np.all(ki[np.arange(256) != 1] > 2**51)
+
+
+def test_self_check_turns_the_fast_path_off(monkeypatch):
+    assert np.any(rng._ziggurat.__wrapped__()[1])
+    words = rng._philox_words
+    monkeypatch.setattr(rng, "_philox_words", lambda keys: words(keys) ^ np.uint64(1 << 20))
+    wi, ki = rng._ziggurat.__wrapped__()
+    assert not np.any(ki)

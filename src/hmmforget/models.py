@@ -45,6 +45,7 @@ observations.
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .grids import InitialDistribution, norm_logpdf
-from .rng import normal_pairs, substreams
+from .rng import normal_pairs, uniform_pairs
 
 DOMAIN_SD_MULTIPLE = 8.0
 
@@ -460,6 +461,16 @@ def _check_index(v, size, what):
     return i
 
 
+def _choice_cdf(rows, rng):
+    """Each row's cdf as ``rng.choice(p=row)`` searches it.  A row that
+    ``choice`` refuses raises its ValueError; one that sums to 1 well within
+    its tolerance, √eps, passes unasked."""
+    for row in rows[~(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9) | np.any(rows < 0, axis=1)]:
+        rng.choice(len(row), p=row, size=0)  # checks p, draws nothing
+    cdf = rows.cumsum(axis=1)
+    return cdf / cdf[:, -1:]
+
+
 def simulate(model, n, init: InitialDistribution, seed, replication=0):
     """Simulate a length-(n+1) path (x, y) of the generating model.
 
@@ -469,23 +480,32 @@ def simulate(model, n, init: InitialDistribution, seed, replication=0):
     from one record pass (``rng.normal_pairs``); the state recursion then
     runs as one scalar loop in ``state_mean``'s arithmetic, and the
     observation channel (``observe``) is applied to the whole record at
-    once.  Step 0 draws from its own generator, as does every step of a
-    finite model (``rng.substreams``).
+    once.  A finite model's steps take their two uniforms from one record
+    pass (``rng.uniform_pairs``) and search them in each row's cdf as
+    ``choice`` does: the path in one scalar loop, then the symbols state by
+    state over the whole record.
+    A row ``choice`` refuses raises its ValueError before step 1, visited or
+    not.  Step 0 draws from its own generator.
     """
     n = operator.index(n)
     if n < 0:
         raise ValueError("horizon must be >= 0")
     if not isinstance(model, GaussianStateModel):
-        streams = substreams(seed, replication, n=n + 1)
-        rng = next(streams)
+        rng, uniforms = uniform_pairs(seed, replication, n=n + 1)
         x = init.sample(rng)
-        hidden = [x]
-        obs = [model.sample_observation(x, rng)]
-        for rng in streams:
-            x, y = model.sample_step(x, rng)
-            hidden.append(x)
-            obs.append(y)
-        return Trajectory(obs=np.asarray(obs), hidden=np.asarray(hidden))
+        obs = np.empty(n + 1, dtype=int)
+        obs[0] = model.sample_observation(x, rng)
+        P, E = (_choice_cdf(rows, rng) for rows in (model.transition, model.emission))
+        # bisect_right on a row's floats is searchsorted(cdf, u, "right")
+        cdfs, i, hidden = P.tolist(), model._check_state(x), [x]
+        for u in uniforms[:, 0].tolist():
+            i = bisect.bisect_right(cdfs[i], u)
+            hidden.append(i)
+        hidden = np.asarray(hidden)
+        for state, cdf in enumerate(E):
+            at = hidden[1:] == state
+            obs[1:][at] = cdf.searchsorted(uniforms[at, 1], "right")
+        return Trajectory(obs=obs, hidden=hidden)
     rng, pairs = normal_pairs(seed, replication, n=n + 1)
     x = init.sample(rng)
     noise = np.concatenate([[rng.standard_normal()], pairs[:, 1]])

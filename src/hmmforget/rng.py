@@ -9,38 +9,33 @@ The key of ``substream(seed, *path)`` is NumPy's
 ``SeedSequence([seed, *path]).generate_state(2, np.uint64)``, and the
 stream is Philox from counter 0 under that key.  Philox is counter-based
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): the
-key fixes the stream, so a record needs no generator state carried from
-one step to the next.  ``substreams`` uses this to serve the steps of a
-record cheaply, with the same draws bit for bit:
+key fixes the stream, so the record passes serve many streams at once,
+with the same draws bit for bit.  ``normal_pairs`` and ``uniform_pairs``
+give the first two ``standard_normal()`` or ``random()`` draws of every
+step k >= 1 of a record, and step 0 its own generator; ``normal_rows``
+gives the first k ``standard_normal()`` draws of each of n streams.
+``substream`` stays the single-stream API and their reference:
 
-- the keys of all steps come from one vectorised pass of SeedSequence's
-  uint32 hash (``_keys``), not from one SeedSequence per step;
-- one Philox/Generator pair is built per call and re-keyed before each
-  step with the state of a freshly built Philox (counter 0, an empty
-  output buffer, no cached 32-bit half).
-
-So a generator that ``substreams`` yields is valid for its own step only:
-the next step re-keys it.  ``substream`` stays the single-stream API and
-the reference that ``substreams`` and ``normal_pairs`` are tested against.
-
-``normal_pairs`` serves a record whose steps k >= 1 each draw two
-``standard_normal()`` values, as the continuous models' ``simulate`` does,
-without a generator per step.  Those draws are a pure function of the key:
-
-- Philox4x64-10 runs at counter (1, 0, 0, 0), the first block a fresh
-  Philox outputs, on the keys of all steps at once (``_philox_words``);
-  the 64 x 64 -> 128 multiply is built from 32-bit halves;
+- the keys of all streams come from one vectorised pass of SeedSequence's
+  uint32 hash (``_keys``), not from one SeedSequence per stream;
+- Philox4x64-10 runs on all keys at once, at the counters (1, 0, 0, 0),
+  (2, 0, 0, 0), ... whose blocks of four words a fresh Philox outputs in
+  turn (``_philox_words``); the 64 x 64 -> 128 multiply is built from
+  32-bit halves;
+- ``random()`` is ``(word >> 11) 2^-53``, one word a draw;
 - NumPy's ziggurat takes one word per draw on its fast path: ``idx = w &
   0xff``, sign bit 8, ``rabs`` the next 52 bits, ``x = +-rabs wi[idx]``,
-  accepted when ``rabs < ki[idx]``, so words 0 and 1 give the two draws;
-- a step with a word off the fast path (about 3% of steps) is redrawn by
-  the scalar generator on its key, which is exact whatever path it takes.
+  accepted when ``rabs < ki[idx]``, so words 0..k-1 give the first k draws;
+- a stream with a word off the fast path (about 1.5% of words) is redrawn
+  by the scalar generator on its key, which is exact whatever path it
+  takes: one Philox/Generator pair re-keyed to the state of a freshly
+  built Philox (``_rekeyed``), which also serves step 0.
 
 ``wi`` is read from the installed NumPy by feeding it chosen words through
 Philox's output buffer; ``ki`` is a conservative bound derived from the
 ``wi`` ratios, so a word it passes is on NumPy's fast path.  At first use a
 few fixed keys are compared with the scalar generator; if they differ,
-every ``ki`` is 0 and every step takes the scalar fallback.
+every ``ki`` is 0 and every stream takes the scalar fallback.
 """
 
 from __future__ import annotations
@@ -71,29 +66,42 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def substreams(seed: int, *path: int, n: int):
-    """Yield, for k = 0..n-1 in order, a generator whose draws equal those of
-    ``substream(seed, *path, k)``.
-
-    Every yielded generator is the same object, re-keyed per step: draw
-    from it before asking for the next, and do not keep it past its step.
-    """
-    # the keys are hashed here, so a bad entry raises now, not at the first step
-    return _rekeyed(_keys(seed, path, np.arange(n)))
-
-
 def normal_pairs(seed, *path, n):
     """Return ``(first, pairs)`` for the n >= 1 steps of a record: ``first``
     is a generator whose draws equal those of ``substream(seed, *path, 0)``,
     and row k - 1 of the (n - 1, 2) float array ``pairs`` holds the first two
     ``standard_normal()`` draws of ``substream(seed, *path, k)``."""
     keys = _keys(seed, path, np.arange(n))
-    pairs, slow = _fast_pairs(keys[1:], *_ziggurat())
-    # the steps off the fast path first, then step 0, on one generator
-    gens = _rekeyed(np.concatenate([keys[1:][slow], keys[:1]]))
-    for i, gen in zip(np.flatnonzero(slow), gens):
-        pairs[i] = gen.standard_normal(2)
+    pairs, gens = _normals(keys[1:], 2, then=keys[:1])
     return next(gens), pairs
+
+
+def normal_rows(seed, *path, n, k):
+    """Row i of the (n, k) float array holds the first k ``standard_normal()``
+    draws of ``substream(seed, *path, i)``, i = 0..n-1."""
+    return _normals(_keys(seed, path, np.arange(n)), k)[0]
+
+
+def uniform_pairs(seed, *path, n):
+    """``normal_pairs`` for ``random()``: the first two draws of steps k >= 1
+    are Philox words 0 and 1 as ``(word >> 11) 2^-53``, and no word is
+    refused, so no step is redrawn."""
+    keys = _keys(seed, path, np.arange(n))
+    words = _philox_words(keys[1:]) >> np.uint64(11)  # below 2^53: converts exactly
+    return next(_rekeyed(keys[:1])), words.T * 2.0**-53
+
+
+def _normals(keys, k, then=()):
+    """The first k ``standard_normal()`` draws under each row of the (n, 2)
+    uint64 ``keys``, as an (n, k) float array, and an iterator that re-keys
+    the generator which redrew the rows off the fast path to each key of
+    ``then`` in turn."""
+    draws, slow = _fast_normals(keys, k, *_ziggurat())
+    # the rows off the fast path first, then the keys of ``then``, on one generator
+    gens = _rekeyed([*keys[slow], *then])
+    for i, gen in zip(np.flatnonzero(slow), gens):
+        draws[i] = gen.standard_normal(k)
+    return draws, gens
 
 
 def _rekeyed(keys):
@@ -178,19 +186,27 @@ def _hash_columns(entropy):
     return np.column_stack([w[0] | w[1] << np.uint64(32), w[2] | w[3] << np.uint64(32)])
 
 
-def _philox_words(keys):
-    """Words 0 and 1 of Philox4x64-10's block at counter (1, 0, 0, 0) under
-    each row of the (n, 2) uint64 ``keys``, as a (2, n) uint64 array."""
-    key = keys.T.copy()
-    # counter words 0 and 2, and 1 and 3: the first round maps the counter
-    # (1, 0, 0, 0) to (k0, 0, k1, M0)
-    even, odd = key.copy(), np.array([[0], _PHILOX_M[0]], np.uint64)
+def _philox_words(keys, k=2):
+    """Words 0..k-1 of the Philox4x64-10 stream under each row of the (n, 2)
+    uint64 ``keys``: the blocks at counters (1, 0, 0, 0), (2, 0, 0, 0), ...,
+    four words each, that a fresh Philox outputs in turn, as a (k, n) uint64
+    array."""
+    n, blocks = len(keys), -(-k // 4)
+    # counter words 0 and 2, and 1 and 3, of every block side by side, each
+    # row contiguous; the first round maps the counter (c, 0, 0, 0) to
+    # (k0, 0, k1 ^ hi, lo), with hi and lo the words of M0 c
+    key = np.repeat(keys.T[:, None], blocks, axis=1).reshape(2, -1)
+    m0c = [int(_PHILOX_M[0, 0]) * c for c in range(1, blocks + 1)]
+    hi, lo = (np.repeat(np.array([[0] * blocks, w], np.uint64), n, axis=1)
+              for w in ([p >> 64 for p in m0c], [p & 2**64 - 1 for p in m0c]))
+    even, odd = key ^ hi, lo
     for _ in range(_PHILOX_ROUNDS - 1):
         key += _PHILOX_W
         hi, lo = _mulhilo(even)
         # a round maps (c0, c1, c2, c3) to (hi1^c1^k0, lo1, hi0^c3^k1, lo0)
         even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
-    return np.stack([even[0], odd[0]])
+    words = np.stack([even[0], odd[0], even[1], odd[1]]).reshape(4, blocks, n)
+    return words.swapaxes(0, 1).reshape(4 * blocks, n)[:k]
 
 
 def _mulhilo(b):
@@ -202,11 +218,11 @@ def _mulhilo(b):
     return _M_HI * b_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32), _PHILOX_M * b
 
 
-def _fast_pairs(keys, wi, ki):
-    """The first two ``standard_normal()`` draws under each key, as an
-    (n, 2) float array, on the ziggurat's fast path, and the (n,) mask of
-    the keys whose rows are not on it and must be redrawn."""
-    words = _philox_words(keys)
+def _fast_normals(keys, k, wi, ki):
+    """The first k ``standard_normal()`` draws under each key, as an (n, k)
+    float array, on the ziggurat's fast path, one word each, and the (n,)
+    mask of the keys whose rows are not on it and must be redrawn."""
+    words = _philox_words(keys, k)
     idx = (words & np.uint64(0xFF)).astype(np.intp)
     rabs = words >> np.uint64(9) & np.uint64(2**52 - 1)
     draws = rabs * wi[idx]  # rabs < 2^52 converts exactly
@@ -235,9 +251,10 @@ def _ziggurat():
         wi[layers] = gen.standard_normal(len(layers))
     ratio = np.concatenate([wi[-1:] / wi[:1], [0.0], wi[1:-1] / wi[2:]])
     ki = (np.floor(ratio * 2**52) - 2).clip(0).astype(np.uint64)
+    # five draws a key read words of two blocks
     keys = _keys(0, (), np.arange(16))
-    draws, slow = _fast_pairs(keys, wi, ki)
-    scalar = np.array([g.standard_normal(2) for g in _rekeyed(keys)])
+    draws, slow = _fast_normals(keys, 5, wi, ki)
+    scalar = np.array([g.standard_normal(5) for g in _rekeyed(keys)])
     if not np.array_equal(draws[~slow], scalar[~slow]):
         ki[:] = 0
     return wi, ki

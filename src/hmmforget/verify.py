@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import certify_ld_set, rho
 from .models import FiniteStateModel
-from .rng import substream, substreams
+from .rng import normal_rows, substream
 
 MAX_STATES = 8
 MAX_HORIZON = 25
@@ -98,20 +98,24 @@ def exact_delta(spec: PairChainSpec, nu, nu_prime, g_seq, N: int) -> ExactDeltaR
     delta = np.zeros(N + 1)
     rhs = np.zeros(N + 1)
 
+    powers = rho_c ** np.arange(N + 1)
+    out_cc = ~in_cc
+    from_in, from_out = qbar[in_cc].T, qbar[out_cc].T
+
     def record(n, fwd, rev, mass):
         diff = fwd.reshape(m, m).sum(axis=1) - rev.reshape(m, m).sum(axis=1)
         assert abs(diff.sum()) <= 1e-8 * max(fwd.sum(), 1e-300)
         delta[n] = diff[diff > 0].sum()
-        rhs[n] = float(mass.sum(axis=0) @ rho_c ** np.arange(N + 1))
+        rhs[n] = float(mass.sum(axis=0) @ powers)
 
     record(0, fwd, rev, mass)
     for i in range(1, N + 1):
         fwd = (fwd @ qbar) * gbar[i]
         rev = (rev @ qbar) * gbar[i]
-        to_from_in = (qbar[in_cc].T @ mass[in_cc]) * gbar[i][:, None]
-        to_from_out = (qbar[~in_cc].T @ mass[~in_cc]) * gbar[i][:, None]
+        to_from_in = (from_in @ mass[in_cc]) * gbar[i][:, None]
+        to_from_out = (from_out @ mass[out_cc]) * gbar[i][:, None]
         new = to_from_out.copy()            # source outside C x C: count unchanged
-        new[~in_cc] += to_from_in[~in_cc]   # in -> out: count unchanged
+        new[out_cc] += to_from_in[out_cc]   # in -> out: count unchanged
         new[in_cc, 1:] += to_from_in[in_cc, :-1]  # in -> in: one more joint visit
         mass = new
         record(i, fwd, rev, mass)
@@ -169,10 +173,14 @@ def counting_inequality_check(bits, n: int | None = None):
         n = len(x)
     padded = np.zeros(n + 1, dtype=int)
     padded[:min(len(x), n + 1)] = x[:n + 1]
-    m_n = int(padded[:n].sum())
-    n_n = int((padded[:n] & padded[1:n + 1]).sum())
+    m_n, n_n = (int(c) for c in _counts(padded, n))
     bound = (n + 1) / 2.0 + n_n / 2.0
     return m_n, n_n, bound, m_n <= bound
+
+
+def _counts(padded, n):
+    """M_n and N_n along the last axis of 0/1 sequences of length n + 1."""
+    return padded[..., :n].sum(axis=-1), (padded[..., :n] & padded[..., 1:]).sum(axis=-1)
 
 
 def _qv_numeric(model, v_fn, x):
@@ -232,12 +240,10 @@ def supermartingale_check(model, V, W, b, F_seq, n, x0, replications=10_000, see
     sup_terms = sum(float(np.max(np.abs(f(xs)) - W(xs))) for f in F_seq)
     rhs = float(V(np.array([x0]))[0] * np.exp(b * n + sup_terms))
 
-    # replication r draws its n normals from stream (seed, r), in one call
-    # that yields the draws of n scalar calls; the replications then step
-    # together, so each F_k is called once on all of them
-    z = np.empty((replications, n))
-    for r, rng in enumerate(substreams(seed, n=replications)):
-        z[r] = rng.standard_normal(n)
+    # replication r draws its n normals from stream (seed, r), as n scalar
+    # calls would; all are taken in one record pass (``rng.normal_rows``),
+    # and the replications step together, so each F_k is called once on all
+    z = normal_rows(seed, n=replications, k=n)
     x = np.full(replications, float(x0))
     acc = np.zeros(replications)
     for k in range(n):
@@ -299,16 +305,14 @@ def run_suite(name, seeds=range(50), horizon=20):
             cases.append({"suite": name, "case": s, "metric": margin,
                           "holds": bool(np.all(pairs[:, 0] >= pairs[:, 1] * (1 - 1e-12)))})
     elif name == "counting":
+        # every binary sequence of the length at once, each code's bits
+        # 0..length, the last one zero as the padding
         length = 12
-        all_hold = True
-        worst = np.inf
-        for code in range(2 ** length):
-            bits = [(code >> i) & 1 for i in range(length)]
-            m_n, n_n, bound, holds = counting_inequality_check(bits, n=length)
-            all_hold &= holds
-            worst = min(worst, bound - m_n)
+        bits = np.arange(2 ** length)[:, None] >> np.arange(length + 1) & 1
+        m_n, n_n = _counts(bits, length)
+        bound = (length + 1) / 2.0 + n_n / 2.0
         cases.append({"suite": name, "case": f"exhaustive-n{length}",
-                      "metric": float(worst), "holds": bool(all_hold)})
+                      "metric": float(np.min(bound - m_n)), "holds": bool(np.all(m_n <= bound))})
     elif name == "exponential":
         for s in range(20):
             model = random_finite_model(s)

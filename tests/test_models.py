@@ -15,7 +15,7 @@ from hmmforget import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateMode
                        random_finite_model, simulate, substream)
 from hmmforget.grids import norm_logpdf
 from hmmforget import rng
-from hmmforget.rng import _keys, substreams
+from hmmforget.rng import _keys, _rekeyed, normal_pairs, normal_rows, uniform_pairs
 from hmmforget.verify import _qv_numeric
 
 INV_SQRT_2PI = 1.0 / np.sqrt(2 * np.pi)
@@ -297,10 +297,14 @@ def test_keys_equal_seed_sequence(seed, path):
     expected = [np.random.SeedSequence([seed, *path, k]).generate_state(2, np.uint64)
                 for k in ks]
     assert np.array_equal(_keys(seed, path, ks), expected)
-    # substreams re-keys one Philox with exactly these keys, in order
+    # _rekeyed re-keys one Philox with exactly these keys, in order, and a
+    # record pass hands out step 0's generator under its key
     keys = [gen.bit_generator.state["state"]["key"].copy()
-            for gen in substreams(seed, *path, n=4001)]
+            for gen in _rekeyed(_keys(seed, path, np.arange(4001)))]
     assert np.array_equal(np.take(keys, ks[:3], axis=0), expected[:3])
+    for record_pass in (normal_pairs, uniform_pairs):
+        first, _ = record_pass(seed, *path, n=3)
+        assert np.array_equal(first.bit_generator.state["state"]["key"], expected[0])
 
 
 DRAWS = {
@@ -316,7 +320,7 @@ DRAWS = {
 @pytest.mark.parametrize("kind", DRAWS)
 def test_rekeyed_draws_equal_a_fresh_substream(kind):
     draw = DRAWS[kind]
-    for k, gen in enumerate(substreams(2**40, 3, n=6)):
+    for k, gen in enumerate(_rekeyed(_keys(2**40, (3,), np.arange(6)))):
         assert np.array_equal(draw(gen), draw(substream(2**40, 3, k)))
         # leave a cached 32-bit half and a half-used output buffer behind
         gen.bit_generator.random_raw(k % 3)
@@ -330,8 +334,11 @@ def test_rekeyed_draws_equal_a_fresh_substream(kind):
 def test_negative_entries_raise_as_substream_does(seed, path):
     with pytest.raises(ValueError) as ref:
         substream(seed, *path, 0)
+    for record_pass in (normal_pairs, uniform_pairs):
+        with pytest.raises(ValueError, match=f"^{ref.value}$"):
+            record_pass(seed, *path, n=3)
     with pytest.raises(ValueError, match=f"^{ref.value}$"):
-        substreams(seed, *path, n=3)
+        normal_rows(seed, *path, n=3, k=2)
     with pytest.raises(ValueError, match=f"^{ref.value}$"):
         _keys(seed, path, [0])
     with pytest.raises(ValueError) as ref:
@@ -418,8 +425,55 @@ def test_the_scalar_fallback_alone_gives_the_same_records(name, monkeypatch):
 def test_philox_words_equal_the_bit_generator():
     keys = np.concatenate([_keys(2**64 + 3, (2**32 + 7,), np.arange(50_000)),
                            _keys(7, (0,), np.arange(10**9, 10**9 + 50_000))])
-    raw = np.array([gen.bit_generator.random_raw(4) for gen in rng._rekeyed(keys)])
+    raw = np.array([gen.bit_generator.random_raw(9) for gen in rng._rekeyed(keys)])
     assert np.array_equal(rng._philox_words(keys), raw[:, :2].T)
+    # words past the first block come from the blocks at counters 2, 3, ...
+    for k in (1, 4, 5, 9):
+        assert np.array_equal(rng._philox_words(keys[::97], k), raw[::97, :k].T)
+
+
+FINITE_INITS = {"finite": lambda m: InitialDistribution.finite(np.arange(1.0, m + 1)),
+                "point-mass": lambda m: InitialDistribution.point_mass(m - 1),
+                "float-point-mass": lambda m: InitialDistribution.point_mass(1.0)}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 500])
+@pytest.mark.parametrize("init", FINITE_INITS)
+@pytest.mark.parametrize("m, n_symbols", [(2, 2), (5, 6), (8, 3)])
+def test_finite_records_equal_per_step_substreams(m, n_symbols, init, n):
+    # the uniforms of steps k >= 1 are Philox words 0 and 1, searched in each
+    # state's cdf; a replication of 2^32 or more adds a word to every key
+    model = random_finite_model(m + n_symbols, m=m, n_symbols=n_symbols)
+    init = FINITE_INITS[init](m)
+    for seed, replication in [(7, 0), (2**40, 2**33)]:
+        traj = simulate(model, n, init, seed=seed, replication=replication)
+        obs, hidden = simulate_per_step(model, n, init, seed, replication)
+        assert np.array_equal(traj.obs, obs) and np.array_equal(traj.hidden, hidden)
+        assert traj.obs.dtype == obs.dtype and traj.hidden.dtype == hidden.dtype
+
+
+@pytest.mark.parametrize("emission", [[[1.0, 0.2], [1.0, 0.8]], [[0.5, 0.5], [np.nan, 1.0]]],
+                         ids=["likelihood-weights", "nan"])
+def test_a_finite_record_refuses_rows_that_are_not_probabilities(emission):
+    # FiniteStateModel takes such rows as likelihood weights, but they cannot
+    # be sampled: the record pass raises choice's own error, as the per-step
+    # loop does at its first visit
+    model = FiniteStateModel([[0.5, 0.5], [0.3, 0.7]], emission)
+    init = InitialDistribution.point_mass(0)
+    with pytest.raises(ValueError) as ref:
+        simulate_per_step(model, 50, init, 3, 0)
+    with pytest.raises(ValueError, match=f"^{ref.value}$"):
+        simulate(model, 50, init, seed=3)
+
+
+@pytest.mark.parametrize("slack", [1e-13, 5e-9])
+def test_a_finite_record_takes_rows_within_choices_tolerance(slack):
+    # choice takes rows within √eps of 1 and scales their cdf by the sum
+    model = FiniteStateModel([[0.5, 0.5], [0.3, 0.7]], [[0.25, 0.75 + slack], [0.6, 0.4]])
+    init = InitialDistribution.finite([0.5, 0.5])
+    traj = simulate(model, 500, init, seed=4)
+    obs, hidden = simulate_per_step(model, 500, init, 4, 0)
+    assert np.array_equal(traj.obs, obs) and np.array_equal(traj.hidden, hidden)
 
 
 def _draw_words(bit, gen, words):
@@ -457,6 +511,6 @@ def test_ziggurat_tables_match_numpy():
 def test_self_check_turns_the_fast_path_off(monkeypatch):
     assert np.any(rng._ziggurat.__wrapped__()[1])
     words = rng._philox_words
-    monkeypatch.setattr(rng, "_philox_words", lambda keys: words(keys) ^ np.uint64(1 << 20))
+    monkeypatch.setattr(rng, "_philox_words", lambda *args: words(*args) ^ np.uint64(1 << 20))
     wi, ki = rng._ziggurat.__wrapped__()
     assert not np.any(ki)

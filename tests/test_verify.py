@@ -9,6 +9,7 @@ from hmmforget import (LGSSM, NLSSM, DriftPreconditionError, FiniteStateModel,
                        exact_denominator_bound, random_finite_model, rho,
                        run_suite, run_two_filters, simulate,
                        substream, supermartingale_check)
+from hmmforget import rng
 from hmmforget.verify import random_g_seq, random_probability_vector
 
 
@@ -201,6 +202,34 @@ def test_supermartingale_monte_carlo_equals_the_replication_loop(model):
     ref_mc, ref_se = _monte_carlo_one_replication_at_a_time(model, F, 6, 0.3, 300, 4)
     assert mc == ref_mc
     assert holds == (ref_mc + 3 * ref_se <= rhs)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["record-pass", "scalar-fallback"])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9])
+def test_supermartingale_draws_equal_per_replication_substreams(n, fallback, monkeypatch):
+    # n normals a replication read n Philox words: 4 and 5, 8 and 9 fill one
+    # block or cross into the next.  Every ki 0 sends every replication to
+    # the scalar generator, as a failed self-check does
+    if fallback:
+        wi, _ = rng._ziggurat()
+        monkeypatch.setattr(rng, "_ziggurat", lambda: (wi, np.zeros(256, np.uint64)))
+    z = rng.normal_rows(6, n=400, k=n)
+    assert np.array_equal(z, [substream(6, r).standard_normal(n) for r in range(400)])
+    model = LGSSM(0.9, 1.0, 1.0)
+    V = lambda x: np.exp(0.5 * np.abs(x))
+    W = lambda x: np.full_like(np.asarray(x, float), 0.05)
+    F = [lambda x: 0.05 * np.clip(np.abs(np.asarray(x, float)), 0, 2.0)] * n
+    mc, _, _ = supermartingale_check(model, V, W, 3.0, F, n, x0=0.3, replications=400, seed=6)
+    assert mc == _monte_carlo_one_replication_at_a_time(model, F, n, 0.3, 400, 6)[0]
+
+
+def test_counting_suite_equals_the_scalar_check_on_every_code():
+    length = 12
+    checks = [counting_inequality_check([(code >> i) & 1 for i in range(length)], n=length)
+              for code in range(2 ** length)]
+    (record,) = run_suite("counting")
+    assert record["metric"] == min(bound - m_n for m_n, _, bound, _ in checks)
+    assert record["holds"] is all(holds for *_, holds in checks)
 
 
 @pytest.mark.parametrize("suite", ["numerator", "denominator", "counting", "exponential"])

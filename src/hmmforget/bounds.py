@@ -397,20 +397,51 @@ def _log_psi_location(model, interval, ys, out):
 
 
 def _record_series(model, obs, D: LDSet, C: LDSet | None = None):
-    """log Upsilon_X(y_i), log Upsilon_{C^c}(y_i) (None without a C) and
-    log Psi_D(y_i) for i = 0..n.
+    """log Upsilon_X(y), log Upsilon_{C^c}(y) (None without a C) and
+    log Psi_D(y) for each observation y of ``obs``, in its shape: a record
+    y_0..y_n or a batch of them, one per row.
 
     Each entry depends on its own observation alone, so all three are
-    evaluated once per distinct observation and read back by index; the
-    dense evaluations go in blocks, so memory does not grow with n.
+    evaluated once per distinct observation of the batch and read back by
+    index; the dense evaluations go in blocks, so memory does not grow with n.
     """
     obs = np.asarray(obs)
     model._check_obs(obs)  # names a bad observation by its index in the record
     u, inv = np.unique(obs, return_inverse=True)
+    inv = inv.reshape(obs.shape)
     regions = ["all"] if C is None else ["all", ("complement", C.interval or C.states)]
     log_ups = _log_upsilon(model, regions, u)
     log_psi = log_psi_batch(model, D, u)
     return log_ups[0][inv], None if C is None else log_ups[1][inv], log_psi[inv]
+
+
+def _phi_laws(model, laws, D: LDSet, grid, kernel):
+    """Phi_{nu,D}(y0, y1) for each nu of ``laws``, as a function of (y0, y1)
+    that returns their list.  The weights of each law, its reach nu Q 1_D and
+    D's mask are built here once; a call takes g(., y0), g(., y1) 1_D and one
+    GEMV ``kernel @ g1``, shared by the laws.  A law whose reach is 0
+    violates the positivity hypothesis of the pathwise bound: it warns a
+    HypothesisWarning here and reads 0 at every call."""
+    x = model.support(grid)
+    mask = (np.isin(x, D.states) if D.interval is None
+            else (x >= D.interval[0]) & (x <= D.interval[1]))
+    in_d = kernel[:, mask].sum(axis=1)
+    weights = []
+    for nu in laws:
+        w = np.exp(model.log_init(nu, grid))
+        if w @ in_d <= 0:
+            warnings.warn("nu Q 1_D = 0: the positivity hypothesis fails for this initial law",
+                          HypothesisWarning)
+            w = None
+        weights.append(w)
+
+    def at(y0, y1):
+        g0 = np.exp(model.loglik(x, y0))
+        g1 = np.where(mask, np.exp(model.loglik(x, y1)), 0.0)
+        kg1 = kernel @ g1
+        return [0.0 if w is None else float((w * g0) @ kg1) for w in weights]
+
+    return at
 
 
 def phi(model, nu, D: LDSet, y0, y1, grid: GridSpec | None = None,
@@ -423,19 +454,7 @@ def phi(model, nu, D: LDSet, y0, y1, grid: GridSpec | None = None,
     grid = resolve_grid(model, grid)
     if kernel is None:
         kernel = transition_kernel(model, grid)
-    x = model.support(grid)
-    w = np.exp(model.log_init(nu, grid))
-    mask = (np.isin(x, D.states) if D.interval is None
-            else (x >= D.interval[0]) & (x <= D.interval[1]))
-    g0 = np.exp(model.loglik(x, y0))
-    g1 = np.where(mask, np.exp(model.loglik(x, y1)), 0.0)
-    reach = w @ kernel[:, mask].sum(axis=1)
-    value = float((w * g0) @ (kernel @ g1))
-    if reach <= 0:
-        warnings.warn("nu Q 1_D = 0: the positivity hypothesis fails for this initial law",
-                      HypothesisWarning)
-        return 0.0
-    return value
+    return _phi_laws(model, [nu], D, grid, kernel)(y0, y1)[0]
 
 
 def a_n(n: int, beta: float) -> int:
@@ -529,7 +548,8 @@ class BoundReport:
 @dataclass(frozen=True)
 class _RecordTerms:
     """What the bounds, their conditions and the r-sequences read of a record
-    y_0..y_n; the arrays have one entry per i or per n."""
+    y_0..y_n; the arrays have one entry per i or per n (a row per record
+    when the record is a batch)."""
 
     log_ups_x: np.ndarray  # log Upsilon_X(y_i)
     log_ups_cc: np.ndarray | None  # log Upsilon_{C^c}(y_i); None without a C
@@ -542,26 +562,34 @@ class _RecordTerms:
 def _record_terms(model, nu, nu_prime, obs, D: LDSet, C: LDSet | None, grid,
                   kernel=None) -> _RecordTerms:
     """The _RecordTerms of ``obs``.  Without initial laws (nu None, as
-    check_conditions and the r-sequences call it) log_phi and log_nuv are None.
-    ``kernel`` is as in ``gridfilter.filter_step``."""
+    check_conditions and the r-sequences call it) log_phi and log_nuv are
+    None, and ``obs`` may be a batch of records, one per row: its envelopes
+    are then evaluated once per distinct observation of the batch, and its
+    prefix sums run along each row.  ``kernel`` is as in
+    ``gridfilter.filter_step``."""
     obs = np.asarray(obs)
     if nu is not None:
         if len(obs) < 2:
             raise ValueError("the bound needs at least two observations")
         grid = resolve_grid(model, grid)
     log_ups_x, log_ups_cc, log_psi = _record_series(model, obs, D, C)
-    s_psi = np.zeros(len(obs))
-    s_psi[2:] = np.cumsum(log_psi[2:])
+    s_psi = np.zeros(obs.shape)
+    s_psi[..., 2:] = np.cumsum(log_psi[..., 2:], axis=-1)
     log_phi = log_nuv = None
     if nu is not None:
         kernel = transition_kernel(model, grid) if kernel is None else kernel
         log_v = model.log_v(model.support(grid))
-        with np.errstate(divide="ignore"):
-            log_phi = tuple(float(np.log(phi(model, law, D, obs[0], obs[1], grid, kernel)))
-                            for law in (nu, nu_prime))
+        log_phi = _log_phi(_phi_laws(model, (nu, nu_prime), D, grid, kernel)(obs[0], obs[1]))
         log_nuv = tuple(float(logsumexp(model.log_init(law, grid) + log_v))
                         for law in (nu, nu_prime))
-    return _RecordTerms(log_ups_x, log_ups_cc, np.cumsum(log_ups_x), s_psi, log_phi, log_nuv)
+    return _RecordTerms(log_ups_x, log_ups_cc, np.cumsum(log_ups_x, axis=-1), s_psi, log_phi,
+                        log_nuv)
+
+
+def _log_phi(values):
+    """The logs of Phi values as a tuple of floats, -inf at 0."""
+    with np.errstate(divide="ignore"):
+        return tuple(float(np.log(v)) for v in values)
 
 
 def _assemble(terms: _RecordTerms, beta, C, D, log_num, applies, inputs):

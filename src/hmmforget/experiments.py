@@ -9,9 +9,13 @@ Rate fits are least-squares slopes of log tv(n) over the second half of
 the horizon; steps where tv has underflowed below ``TV_FLOOR`` carry no
 rate information and are skipped.
 
-Everything is reproducible from (seed, replication): replication r only
-ever touches the streams keyed (seed, r, .), and reductions across
-replications happen in a fixed order regardless of the thread count.
+Everything is reproducible from (seed, replication): one record pass
+(``models._simulate_records``) draws every replication's record, and
+replication r still only ever touches the streams keyed (seed, r, .);
+reductions across replications happen in a fixed order regardless of the
+thread count.  The r-sequences evaluate the bound envelopes once per
+distinct observation of the experiment and build each law's Phi factors
+once; what is left per record (Phi and the conditions) runs on the pool.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reports
-from .bounds import BoundConfig, LDSet, _conditions, _record_terms, geometric_bound
+from .bounds import (BoundConfig, LDSet, _conditions, _log_phi, _phi_laws, _record_terms,
+                     _RecordTerms, geometric_bound)
 from .gridfilter import resolve_grid, run_two_filters, transition_kernel
 from .grids import GridSpec, InitialDistribution
-from .models import simulate
+from .models import _simulate_records
 
 DEFAULT_GRID_M = 400
 TV_FLOOR = 1e-14
@@ -102,6 +107,12 @@ class ExperimentResult:
         return float(q1), float(q3)
 
 
+def _records(cfg: ExperimentConfig) -> np.ndarray:
+    """The observations of every replication's record, one per row."""
+    return _simulate_records(cfg.star_model, cfg.n, cfg.nu_star, cfg.seed,
+                             range(cfg.replications))[0]
+
+
 def _map_ordered(fn, items, threads):
     if threads <= 1:
         return [fn(item) for item in items]
@@ -113,16 +124,16 @@ def run_forgetting(cfg: ExperimentConfig) -> ExperimentResult:
     """Simulate, filter twice per record, and fit per-replication rates."""
     grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
     kernel = transition_kernel(cfg.model, grid)
+    obs = _records(cfg)
 
     def one(rep):
-        traj = simulate(cfg.star_model, cfg.n, cfg.nu_star, cfg.seed, rep)
-        records = run_two_filters(cfg.model, grid, cfg.nu, cfg.nu_prime, traj.obs, kernel)
+        records = run_two_filters(cfg.model, grid, cfg.nu, cfg.nu_prime, obs[rep], kernel)
         tv = np.array([r[1] for r in records])
         za = np.array([r[2] for r in records])
         zb = np.array([r[3] for r in records])
         extra = None
         if cfg.bound_cfg is not None:
-            report = geometric_bound(cfg.model, cfg.nu, cfg.nu_prime, traj.obs,
+            report = geometric_bound(cfg.model, cfg.nu, cfg.nu_prime, obs[rep],
                                      cfg.bound_cfg, cfg.ld_set, grid=grid, kernel=kernel)
             extra = (report.total_clipped, report.applies, report.conditions)
         return tv, za, zb, extra
@@ -178,13 +189,15 @@ def estimate_r_sequences(cfg: ExperimentConfig) -> RSequenceResult:
     grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
     kernel = transition_kernel(cfg.model, grid)
     ns = dyadic_horizons(cfg.n)
+    obs = _records(cfg)
+    terms = _record_terms(cfg.model, None, None, obs, b.D, None, None)
+    phis = _phi_laws(cfg.model, (cfg.nu, cfg.nu_prime), b.D, grid, kernel)
 
     def one(rep):
-        traj = simulate(cfg.star_model, cfg.n, cfg.nu_star, cfg.seed, rep)
-        terms = _record_terms(cfg.model, cfg.nu, cfg.nu_prime, traj.obs, b.D, None, grid,
-                              kernel)
-        k_ok, ups_ok, psi_ok = _conditions(traj.obs, terms, b)[1]
-        lphi, lphi2 = terms.log_phi
+        record = _RecordTerms(terms.log_ups_x[rep], None, terms.s_ups[rep], terms.s_psi[rep],
+                              None, None)
+        k_ok, ups_ok, psi_ok = _conditions(obs[rep], record, b)[1]
+        lphi, lphi2 = _log_phi(phis(obs[rep, 0], obs[rep, 1]))
         return np.stack([lphi <= -b.M0 * ns, lphi2 <= -b.M0 * ns,
                          ~ups_ok[ns], ~psi_ok[ns], ~k_ok[ns]])
 

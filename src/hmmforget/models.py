@@ -24,9 +24,10 @@ state through one Gaussian location channel y = h x + b + beta e, with
 h = ``obs_slope`` and b = ``obs_offset``.  ``GaussianStateModel`` writes
 it once: its log density, its peak (y - b)/h (NaN at h = 0) and its
 channel ``observe(x, e)``, the observation of states x under standard
-normal noise e, which the scalar sampler and ``simulate``'s whole-record
-pass both call.  Those models only set h and b; tobit adds the censoring,
-and stochastic volatility overrides the three with its own channel.
+normal noise e, which the scalar sampler and the record pass (every record
+of an experiment at once) both call.  Those models only set h and b; tobit
+adds the censoring, and stochastic volatility overrides the three with its
+own channel.
 
 Dominating measures: Lebesgue for all continuous transitions; Lebesgue for
 the observations of the linear-Gaussian, nonlinear and stochastic
@@ -384,10 +385,12 @@ class FiniteStateModel(StateSpaceModel):
         E = np.asarray(emission, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 2:
             raise ValueError("transition must be a square matrix with m >= 2")
+        _check_finite_rows(P, "transition")
         if np.any(P < 0) or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("transition rows must be nonnegative and sum to 1 within 1e-12")
         if E.ndim != 2 or E.shape[0] != P.shape[0]:
             raise ValueError("emission must have one row per state")
+        _check_finite_rows(E, "emission")
         if np.any(E <= 0):
             raise ValueError("emission probabilities must be strictly positive")
         self.transition = P
@@ -434,6 +437,15 @@ class FiniteStateModel(StateSpaceModel):
         return np.log(self.transition[x] @ self.drift_values / self.drift_values[x])
 
 
+def _check_finite_rows(M, what):
+    """Raise a ValueError naming the first row of the matrix ``M`` that holds
+    NaN or an infinity, which every later check of its entries would pass."""
+    bad = ~np.isfinite(M).all(axis=1)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"{what} row {i} {M[i].tolist()} is not finite")
+
+
 def _first_offender(bad, v, what):
     """'<what> i (v_i)' for the first flagged entry of ``v`` in flat order
     (the record index of a row or column record); no index when ``v`` is a
@@ -461,58 +473,77 @@ def _check_index(v, size, what):
     return i
 
 
-def _choice_cdf(rows, rng):
-    """Each row's cdf as ``rng.choice(p=row)`` searches it.  A row that
+def _choice_cdf(rows):
+    """Each row's cdf as ``Generator.choice(p=row)`` searches it.  A row that
     ``choice`` refuses raises its ValueError; one that sums to 1 well within
     its tolerance, √eps, passes unasked."""
     for row in rows[~(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9) | np.any(rows < 0, axis=1)]:
-        rng.choice(len(row), p=row, size=0)  # checks p, draws nothing
+        np.random.Generator(np.random.Philox(0)).choice(len(row), p=row, size=0)  # checks p
     cdf = rows.cumsum(axis=1)
     return cdf / cdf[:, -1:]
 
 
 def simulate(model, n, init: InitialDistribution, seed, replication=0):
-    """Simulate a length-(n+1) path (x, y) of the generating model.
+    """Simulate a length-(n+1) path (x, y) of the generating model: the
+    one-replication case of ``_simulate_records``."""
+    obs, hidden = _simulate_records(model, n, init, seed, [replication])
+    return Trajectory(obs=obs[0], hidden=hidden[0])
 
-    The path is bit-reproducible from (seed, replication): step k draws what
-    ``substream(seed, replication, k)`` draws.  A continuous model's steps
-    k >= 1 take their two normals, the transition's and the observation's,
-    from one record pass (``rng.normal_pairs``); the state recursion then
-    runs as one scalar loop in ``state_mean``'s arithmetic, and the
-    observation channel (``observe``) is applied to the whole record at
-    once.  A finite model's steps take their two uniforms from one record
-    pass (``rng.uniform_pairs``) and search them in each row's cdf as
-    ``choice`` does: the path in one scalar loop, then the symbols state by
-    state over the whole record.
-    A row ``choice`` refuses raises its ValueError before step 1, visited or
-    not.  Step 0 draws from its own generator.
+
+def _simulate_records(model, n, init: InitialDistribution, seed, replications):
+    """The (len(replications), n + 1) arrays ``obs`` and ``hidden`` of one
+    path per replication, row r that of ``simulate(model, n, init, seed, r)``.
+
+    A path is bit-reproducible from (seed, r): step k draws what
+    ``substream(seed, r, k)`` draws, and no row depends on the others.  A
+    continuous model's steps k >= 1 take their two normals, the
+    transition's and the observation's, from one pass over every record
+    (``rng.normal_pairs``); each record's state recursion then runs as one
+    scalar loop in ``state_mean``'s arithmetic, and the observation channel
+    (``observe``) is applied to all records at once.  A finite model's steps
+    take their two uniforms from one pass (``rng.uniform_pairs``) and search
+    them in each row's cdf as ``choice`` does: each path in one scalar loop,
+    then the symbols state by state over every record.  A row ``choice``
+    refuses raises its ValueError before step 1, visited or not.  Step 0 of
+    each record draws from its own generator, record by record.
     """
     n = operator.index(n)
     if n < 0:
         raise ValueError("horizon must be >= 0")
+    paths = [(r,) for r in replications]
     if not isinstance(model, GaussianStateModel):
-        rng, uniforms = uniform_pairs(seed, replication, n=n + 1)
-        x = init.sample(rng)
-        obs = np.empty(n + 1, dtype=int)
-        obs[0] = model.sample_observation(x, rng)
-        P, E = (_choice_cdf(rows, rng) for rows in (model.transition, model.emission))
+        P, E = (_choice_cdf(rows) for rows in (model.transition, model.emission))
+        firsts, uniforms = uniform_pairs(seed, paths, n=n + 1)
+        starts = []
+        for _, rng in zip(paths, firsts):
+            x = init.sample(rng)
+            starts.append((x, model.sample_observation(x, rng)))
         # bisect_right on a row's floats is searchsorted(cdf, u, "right")
-        cdfs, i, hidden = P.tolist(), model._check_state(x), [x]
-        for u in uniforms[:, 0].tolist():
-            i = bisect.bisect_right(cdfs[i], u)
-            hidden.append(i)
-        hidden = np.asarray(hidden)
+        cdfs, hidden = P.tolist(), []
+        for (x, _), us in zip(starts, uniforms[:, :, 0].tolist()):
+            i, path = model._check_state(x), [x]
+            for u in us:
+                i = bisect.bisect_right(cdfs[i], u)
+                path.append(i)
+            hidden.append(np.asarray(path))
+        hidden = np.stack(hidden)
+        obs = np.empty(hidden.shape, dtype=int)
+        obs[:, 0] = [y for _, y in starts]
         for state, cdf in enumerate(E):
-            at = hidden[1:] == state
-            obs[1:][at] = cdf.searchsorted(uniforms[at, 1], "right")
-        return Trajectory(obs=obs, hidden=hidden)
-    rng, pairs = normal_pairs(seed, replication, n=n + 1)
-    x = init.sample(rng)
-    noise = np.concatenate([[rng.standard_normal()], pairs[:, 1]])
-    hidden = [x]
+            at = hidden[:, 1:] == state
+            obs[:, 1:][at] = cdf.searchsorted(uniforms[:, :, 1][at], "right")
+        return obs, hidden
+    firsts, pairs = normal_pairs(seed, paths, n=n + 1)
+    hidden, first_noise = [], []
     mean, sd = model.state_mean, model.state_sd
-    for z in pairs[:, 0].tolist():
-        x = mean(x) + sd * z
-        hidden.append(x)
-    hidden = np.asarray(hidden)
-    return Trajectory(obs=model.observe(hidden, noise), hidden=hidden)
+    for _, rng, zs in zip(paths, firsts, pairs[:, :, 0].tolist()):
+        x = init.sample(rng)
+        first_noise.append(rng.standard_normal())
+        path = [x]
+        for z in zs:
+            x = mean(x) + sd * z
+            path.append(x)
+        hidden.append(np.asarray(path))
+    hidden = np.stack(hidden)
+    noise = np.column_stack([first_noise, pairs[:, :, 1]])
+    return model.observe(hidden, noise), hidden

@@ -12,12 +12,16 @@ stream is Philox from counter 0 under that key.  Philox is counter-based
 key fixes the stream, so the record passes serve many streams at once,
 with the same draws bit for bit.  ``normal_pairs`` and ``uniform_pairs``
 give the first two ``standard_normal()`` or ``random()`` draws of every
-step k >= 1 of a record, and step 0 its own generator; ``normal_rows``
-gives the first k ``standard_normal()`` draws of each of n streams.
-``substream`` stays the single-stream API and their reference:
+step k >= 1 of every record of an experiment (one record per path, the
+path being the replication), and each record's step 0 its own generator;
+one pass serves them all, and record r still reads only the streams
+(seed, r, .).  ``normal_rows`` gives the first k ``standard_normal()``
+draws of each of n streams.  ``substream`` stays the single-stream API and
+their reference:
 
 - the keys of all streams come from one vectorised pass of SeedSequence's
-  uint32 hash (``_keys``), not from one SeedSequence per stream;
+  uint32 hash per entropy length (``_keys``), not from one SeedSequence
+  per stream;
 - Philox4x64-10 runs on all keys at once, at the counters (1, 0, 0, 0),
   (2, 0, 0, 0), ... whose blocks of four words a fresh Philox outputs in
   turn (``_philox_words``); the 64 x 64 -> 128 multiply is built from
@@ -29,7 +33,8 @@ gives the first k ``standard_normal()`` draws of each of n streams.
 - a stream with a word off the fast path (about 1.5% of words) is redrawn
   by the scalar generator on its key, which is exact whatever path it
   takes: one Philox/Generator pair re-keyed to the state of a freshly
-  built Philox (``_rekeyed``), which also serves step 0.
+  built Philox (``_rekeyed``), which then serves each record's step 0,
+  in record order.
 
 ``wi`` is read from the installed NumPy by feeding it chosen words through
 Philox's output buffer; ``ki`` is a conservative bound derived from the
@@ -66,29 +71,31 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def normal_pairs(seed, *path, n):
-    """Return ``(first, pairs)`` for the n >= 1 steps of a record: ``first``
-    is a generator whose draws equal those of ``substream(seed, *path, 0)``,
-    and row k - 1 of the (n - 1, 2) float array ``pairs`` holds the first two
-    ``standard_normal()`` draws of ``substream(seed, *path, k)``."""
-    keys = _keys(seed, path, np.arange(n))
-    pairs, gens = _normals(keys[1:], 2, then=keys[:1])
-    return next(gens), pairs
+def normal_pairs(seed, paths, n):
+    """Return ``(firsts, pairs)`` for the n >= 1 steps of one record per path
+    of ``paths``: ``pairs[p, k - 1]`` holds the first two ``standard_normal()``
+    draws of ``substream(seed, *paths[p], k)``, an (len(paths), n - 1, 2)
+    float array, and ``firsts`` yields, path by path, a generator whose draws
+    equal those of ``substream(seed, *paths[p], 0)``.  It is one generator,
+    re-keyed at each ``next``: draw a record's step 0 before the next one's."""
+    keys = _keys(seed, paths, np.arange(n))
+    pairs, firsts = _normals(keys[:, 1:].reshape(-1, 2), 2, then=keys[:, 0])
+    return firsts, pairs.reshape(len(paths), n - 1, 2)
 
 
 def normal_rows(seed, *path, n, k):
     """Row i of the (n, k) float array holds the first k ``standard_normal()``
     draws of ``substream(seed, *path, i)``, i = 0..n-1."""
-    return _normals(_keys(seed, path, np.arange(n)), k)[0]
+    return _normals(_keys(seed, [path], np.arange(n))[0], k)[0]
 
 
-def uniform_pairs(seed, *path, n):
+def uniform_pairs(seed, paths, n):
     """``normal_pairs`` for ``random()``: the first two draws of steps k >= 1
     are Philox words 0 and 1 as ``(word >> 11) 2^-53``, and no word is
     refused, so no step is redrawn."""
-    keys = _keys(seed, path, np.arange(n))
-    words = _philox_words(keys[1:]) >> np.uint64(11)  # below 2^53: converts exactly
-    return next(_rekeyed(keys[:1])), words.T * 2.0**-53
+    keys = _keys(seed, paths, np.arange(n))
+    words = _philox_words(keys[:, 1:].reshape(-1, 2)) >> np.uint64(11)  # below 2^53: exact
+    return _rekeyed(keys[:, 0]), (words.T * 2.0**-53).reshape(len(paths), n - 1, 2)
 
 
 def _normals(keys, k, then=()):
@@ -133,57 +140,80 @@ def _words(*entries):
     return words
 
 
-def _keys(seed, path, ks):
-    """Philox keys of ``substream(seed, *path, k)`` for every k of ``ks``:
-    ``SeedSequence([seed, *path, k]).generate_state(2, np.uint64)`` as a
-    (len(ks), 2) uint64 array, from one pass of the hash over ``ks``."""
+def _keys(seed, paths, ks):
+    """Philox keys of ``substream(seed, *path, k)`` for every path of
+    ``paths`` and k of ``ks``: ``SeedSequence([seed, *path, k])
+    .generate_state(2, np.uint64)`` as a (len(paths), len(ks), 2) uint64
+    array, from one pass of the hash over the rows of each entropy length."""
     ks = np.asarray(ks)
     if ks.size and ks.min() < 0:
         raise ValueError("expected non-negative integer")
     ks = ks.astype(np.uint64)
-    prefix = _words(seed, *path)
-    keys = np.empty((len(ks), 2), np.uint64)
+    prefixes = [_words(seed, *path) for path in paths]
+    keys = np.empty((len(paths), len(ks), 2), np.uint64)
     # an entry of 2^32 or more adds a word: hash each entropy length apart
     wide = ks > _MASK
-    for rows in (~wide, wide):
-        if rows.any():
-            k = ks[rows]
-            tail = [k & _MASK, k >> 32] if rows is wide else [k]
-            columns = [np.full(len(k), w, np.uint32) for w in prefix]
-            keys[rows] = _hash_columns(columns + [t.astype(np.uint32) for t in tail])
+    for length in sorted(set(map(len, prefixes))):
+        ps = [p for p, words in enumerate(prefixes) if len(words) == length]
+        # a path's words as a column, a k's as a row: the hash broadcasts them
+        prefix = np.array([prefixes[p] for p in ps], np.uint32).T[:, :, None]
+        for rows in (~wide, wide):
+            if rows.any():
+                k = ks[rows]
+                tail = [k & _MASK, k >> 32] if rows is wide else [k]
+                words = [*prefix, *(t.astype(np.uint32) for t in tail)]
+                keys[np.ix_(ps, rows)] = _hash_columns(words)
     return keys
 
 
 def _hash_columns(entropy):
     """SeedSequence's pool mixing and ``generate_state(2, np.uint64)`` for
-    rows of entropy words: ``entropy`` is a list of uint32 columns, one per
-    word; the hash constants are the same for every row."""
-    const = _INIT_A
+    rows of entropy words: ``entropy`` is a list of uint32 arrays, one per
+    word, that broadcast together to the rows' shape; the hash constants
+    are the same for every row.  The keys come out in that shape, by 2.
 
-    def hashmix(value, mult=_MULT_A):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK
-        value = value * np.uint32(const)
+    The pool's 4 words are one (4, *shape) array.  SeedSequence hashes one
+    value at a time, the i-th hash with constants i and i + 1 of a chain
+    (each the last times a multiplier); where it hashes one value for
+    several pool words in turn (a source word for the other three, an extra
+    entropy word for all four), those hashes are taken in one step."""
+    shape = np.broadcast_shapes(*(np.shape(word) for word in entropy))
+    extra = entropy[_POOL:]
+    chain_a = _chain(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * len(extra), len(shape))
+    chain_b = _chain(_INIT_B, _MULT_B, _POOL, len(shape))
+
+    def hashmix(value, chain):
+        # row j of value (or its one row) hashed with chain[j] and chain[j + 1]
+        value = (value ^ chain[:-1]) * chain[1:]
         return value ^ value >> 16
 
     def mix(x, y):
         r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
         return r ^ r >> 16
 
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    pool = np.zeros((_POOL, *shape), np.uint32)
+    for i, word in enumerate(entropy[:_POOL]):
+        pool[i] = word
+    pool, at = hashmix(pool, chain_a[:_POOL + 1]), _POOL
     for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src:src + 1], chain_a[at:at + _POOL]))
+        at += _POOL - 1
+    for word in extra:
+        pool = mix(pool, hashmix(np.asarray(word)[None], chain_a[at:at + _POOL + 1]))
+        at += _POOL
+    # generate_state hashes the pool words with its own constants
+    w = hashmix(pool, chain_b).astype(np.uint64)
+    return np.stack([w[0] | w[1] << np.uint64(32), w[2] | w[3] << np.uint64(32)], axis=-1)
 
-    const = _INIT_B  # generate_state hashes the pool words with its own constants
-    w = [hashmix(word, _MULT_B).astype(np.uint64) for word in pool]
-    return np.column_stack([w[0] | w[1] << np.uint64(32), w[2] | w[3] << np.uint64(32)])
+
+def _chain(first, mult, calls, ndim):
+    """The calls + 1 constants of SeedSequence's successive hashes, from
+    ``first``, as a uint32 column that broadcasts against ndim-d rows."""
+    chain = [first]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & _MASK)
+    return np.array(chain, np.uint32).reshape(-1, *(1,) * ndim)
 
 
 def _philox_words(keys, k=2):
@@ -252,7 +282,7 @@ def _ziggurat():
     ratio = np.concatenate([wi[-1:] / wi[:1], [0.0], wi[1:-1] / wi[2:]])
     ki = (np.floor(ratio * 2**52) - 2).clip(0).astype(np.uint64)
     # five draws a key read words of two blocks
-    keys = _keys(0, (), np.arange(16))
+    keys = _keys(0, [()], np.arange(16))[0]
     draws, slow = _fast_normals(keys, 5, wi, ki)
     scalar = np.array([g.standard_normal(5) for g in _rekeyed(keys)])
     if not np.array_equal(draws[~slow], scalar[~slow]):

@@ -433,3 +433,16 @@ def test_kappa_without_the_tanh_drift_exits_2_and_names_it(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and "'kappa'" in err
+
+
+@pytest.mark.parametrize("which", ["transition", "emission"])
+def test_a_finite_model_with_a_nan_row_exits_2_and_names_it(tmp_path, capsys, which):
+    rows = {"transition": [[0.9, 0.1], [0.2, 0.8]], "emission": [[0.3, 0.7], [0.6, 0.4]]}
+    rows[which][0][1] = float("nan")  # JSON's NaN, which json.load accepts
+    laws = {k: {"form": "finite", "weights": w}
+            for k, w in (("nu", [1, 0]), ("nu_prime", [0, 1]), ("nu_star", [1, 1]))}
+    cfg = write_cfg(tmp_path, {**experiment_cfg(), "model": {"kind": "finite", **rows}, **laws})
+    assert main(["experiment", "--config", cfg, "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and f"{which} row 0 [" in err

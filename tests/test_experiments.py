@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from hmmforget import (BoundConfig, ExperimentConfig, FiniteStateModel,
-                       GridSpec, InitialDistribution, LGSSM, TobitModel,
-                       certify_ld_set, check_conditions, emit_report, estimate_r_sequences,
-                       fit_rate, log_psi_batch, rho, run_forgetting, simulate)
+                       GridSpec, HypothesisWarning, InitialDistribution, LDSet, LGSSM,
+                       StochVolModel, TobitModel, certify_ld_set, check_conditions,
+                       emit_report, estimate_r_sequences, fit_rate, log_psi_batch, phi,
+                       random_finite_model, rho, run_forgetting, simulate, transition_kernel)
 from hmmforget import bounds, experiments, gridfilter
-from hmmforget.experiments import TV_FLOOR, dyadic_horizons
+from hmmforget.bounds import _conditions, _log_phi, _phi_laws, _record_terms
+from hmmforget.experiments import DEFAULT_GRID_M, TV_FLOOR, dyadic_horizons
+from hmmforget.gridfilter import resolve_grid
 
 
 def test_fit_rate_recovers_exact_geometric_decay():
@@ -215,3 +218,101 @@ def test_emit_report_is_deterministic(tmp_path, small_cfg):
     emit_report(run_forgetting(small_cfg), str(b))
     for name in os.listdir(a):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def r_sequences_per_record(cfg):
+    """estimate_r_sequences as a loop over records: each record simulated on
+    its own, its _record_terms (envelopes, prefix sums and both laws' Phi)
+    taken on it alone, then its _conditions; the frequencies of r0-r3."""
+    b = cfg.bound_cfg
+    grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
+    kernel = transition_kernel(cfg.model, grid)
+    ns = dyadic_horizons(cfg.n)
+    events = []
+    for rep in range(cfg.replications):
+        obs = simulate(cfg.star_model, cfg.n, cfg.nu_star, cfg.seed, rep).obs
+        terms = _record_terms(cfg.model, cfg.nu, cfg.nu_prime, obs, b.D, None, grid, kernel)
+        k_ok, ups_ok, psi_ok = _conditions(obs, terms, b)[1]
+        lphi, lphi2 = terms.log_phi
+        events.append(np.stack([lphi <= -b.M0 * ns, lphi2 <= -b.M0 * ns,
+                                ~ups_ok[ns], ~psi_ok[ns], ~k_ok[ns]]))
+    return np.mean(np.stack(events).astype(float), axis=0)
+
+
+def phi_by_double_sum(model, nu, D, y0, y1, grid, kernel):
+    """nu[g(., y0) Q g(., y1) 1_D] in the operations and order of a single
+    record's Phi: the law's weights, g0, g1 masked to D, then one GEMV."""
+    x = model.support(grid)
+    w = np.exp(model.log_init(nu, grid))
+    mask = (np.isin(x, D.states) if D.interval is None
+            else (x >= D.interval[0]) & (x <= D.interval[1]))
+    g0 = np.exp(model.loglik(x, y0))
+    g1 = np.where(mask, np.exp(model.loglik(x, y1)), 0.0)
+    return float((w * g0) @ (kernel @ g1))
+
+
+def r_config(model, D, C, nu, nu_prime, nu_star, M2, n=64, replications=50, seed=11):
+    bcfg = BoundConfig(beta=0.2, gamma=0.5, eta=0.5, D=certify_ld_set(model, D), K=None,
+                       M0=1.0, M1=0.1, M2=M2)
+    return ExperimentConfig(model=model, star_model=model, nu=nu, nu_prime=nu_prime,
+                            nu_star=nu_star, n=n, replications=replications, seed=seed,
+                            bound_cfg=bcfg, ld_set=certify_ld_set(model, C))
+
+
+G = InitialDistribution.gaussian
+R_CONFIGS = {
+    # the benchmark's rseq config: tobit, D = [-2, 2], M2 = 2.5
+    "tobit": lambda: tobit_r_config(2.5, n=64, replications=50),
+    "lgssm": lambda: r_config(LGSSM(0.9, 1.0, 1.0), (-2.0, 2.0), (-3.0, 3.0),
+                              G(-4, 1), G(4, 1), G(0, 1), M2=2.2),
+    "stochvol": lambda: r_config(StochVolModel(0.9, 0.3, 1.0), (-1.0, 1.0), (-1.5, 1.5),
+                                 G(-1, 0.5), G(1, 0.5), G(0, 0.5), M2=1.5),
+    "finite": lambda: r_config(random_finite_model(5), (0, 1), (0, 1, 2),
+                               InitialDistribution.finite([0.8, 0.1, 0.1]),
+                               InitialDistribution.finite([0.1, 0.1, 0.8]),
+                               InitialDistribution.finite([1.0, 1.0, 1.0]), M2=0.9),
+}
+
+
+@pytest.mark.parametrize("name", R_CONFIGS)
+def test_r_sequences_equal_the_per_record_loop(name):
+    # the experiment-wide passes (one record pass, one envelope batch over
+    # every distinct observation, each law's Phi factors once) give the
+    # frequencies of the record-by-record loop exactly, at any thread count
+    cfg = R_CONFIGS[name]()
+    expected = r_sequences_per_record(cfg)
+    assert np.any((expected > 0) & (expected < 1))
+    for threads in (1, 2):
+        rs = estimate_r_sequences(dataclasses.replace(cfg, threads=threads))
+        got = np.stack([rs.r0_nu, rs.r0_nu_prime, rs.r1, rs.r2, rs.r3])
+        assert got.tobytes() == expected.tobytes(), threads
+    # log Phi of every record, both laws, is np.log(phi(...)) bit for bit
+    grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
+    kernel = transition_kernel(cfg.model, grid)
+    laws = (cfg.nu, cfg.nu_prime)
+    phis = _phi_laws(cfg.model, laws, cfg.bound_cfg.D, grid, kernel)
+    obs = experiments._records(cfg)
+    for y0, y1 in obs[:, :2]:
+        batched = np.array(_log_phi(phis(y0, y1)))
+        one = [np.log(phi(cfg.model, law, cfg.bound_cfg.D, y0, y1, grid, kernel))
+               for law in laws]
+        direct = [np.log(phi_by_double_sum(cfg.model, law, cfg.bound_cfg.D, y0, y1, grid,
+                                           kernel)) for law in laws]
+        assert batched.tobytes() == np.array(one).tobytes() == np.array(direct).tobytes()
+
+
+def test_a_law_that_cannot_reach_D_warns_through_the_r_sequences():
+    # nu = delta_0 on a chain that never leaves state 0 has nu Q 1_D = 0 for
+    # D = {1}: its Phi reads 0, so log Phi = -inf and r0 is 1 at every n
+    model = FiniteStateModel([[1.0, 0.0], [0.0, 1.0]], [[0.6, 0.4], [0.3, 0.7]])
+    D = LDSet(0.5, 0.5, states=(1,))
+    cfg = ExperimentConfig(
+        model=model, star_model=model,
+        nu=InitialDistribution.finite([1.0, 0.0]),
+        nu_prime=InitialDistribution.finite([0.0, 1.0]),
+        nu_star=InitialDistribution.finite([0.5, 0.5]),
+        n=8, replications=3, seed=2,
+        bound_cfg=BoundConfig(beta=0.2, gamma=0.5, eta=0.5, D=D), ld_set=D)
+    with pytest.warns(HypothesisWarning):
+        rs = estimate_r_sequences(cfg)
+    assert np.all(rs.r0_nu == 1.0) and np.all(rs.r0_nu_prime < 1.0)

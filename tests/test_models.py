@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ import hmmforget
 from hmmforget import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateModel,
                        GridSpec, InitialDistribution, StochVolModel, TobitModel,
                        random_finite_model, simulate, substream)
+from hmmforget.models import _simulate_records
 from hmmforget.grids import norm_logpdf
 from hmmforget import rng
 from hmmforget.rng import _keys, _rekeyed, normal_pairs, normal_rows, uniform_pairs
@@ -231,6 +233,18 @@ def test_finite_model_validation():
     assert np.allclose(exact.transition.sum(axis=1), 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("which", ["transition", "emission"])
+def test_finite_model_refuses_non_finite_rows(which, bad):
+    # every later check (P < 0, |row sum - 1| > 1e-12, E <= 0) is false for
+    # NaN, so a NaN row used to construct and fail only in the filter
+    rows = {"transition": [[0.5, 0.5], [0.3, 0.7]], "emission": [[0.4, 0.6], [0.2, 0.8]]}
+    rows[which][1][1] = bad
+    message = f"{which} row 1 {rows[which][1]} is not finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FiniteStateModel(rows["transition"], rows["emission"])
+
+
 def test_simulate_determinism():
     m = TobitModel(0.5, 1.0, 1.0)
     init = InitialDistribution.gaussian(0.0, 1.0)
@@ -296,15 +310,20 @@ def test_keys_equal_seed_sequence(seed, path):
     ks = [0, 1, 4000, int(draw.integers(2**32)), int(draw.integers(2**32, 2**63))]
     expected = [np.random.SeedSequence([seed, *path, k]).generate_state(2, np.uint64)
                 for k in ks]
-    assert np.array_equal(_keys(seed, path, ks), expected)
+    assert np.array_equal(_keys(seed, [path], ks)[0], expected)
     # _rekeyed re-keys one Philox with exactly these keys, in order, and a
-    # record pass hands out step 0's generator under its key
+    # record pass hands out each record's step-0 generator under its key, in
+    # record order, whatever the entropy length of the others
     keys = [gen.bit_generator.state["state"]["key"].copy()
-            for gen in _rekeyed(_keys(seed, path, np.arange(4001)))]
+            for gen in _rekeyed(_keys(seed, [path], np.arange(4001))[0])]
     assert np.array_equal(np.take(keys, ks[:3], axis=0), expected[:3])
+    paths = [(2**32 + 1, 9), path, (2,)]
+    firsts = [np.random.SeedSequence([seed, *p, 0]).generate_state(2, np.uint64)
+              for p in paths]
     for record_pass in (normal_pairs, uniform_pairs):
-        first, _ = record_pass(seed, *path, n=3)
-        assert np.array_equal(first.bit_generator.state["state"]["key"], expected[0])
+        gens, _ = record_pass(seed, paths, n=3)
+        got = [gen.bit_generator.state["state"]["key"].copy() for _, gen in zip(paths, gens)]
+        assert np.array_equal(got, firsts)
 
 
 DRAWS = {
@@ -320,7 +339,7 @@ DRAWS = {
 @pytest.mark.parametrize("kind", DRAWS)
 def test_rekeyed_draws_equal_a_fresh_substream(kind):
     draw = DRAWS[kind]
-    for k, gen in enumerate(_rekeyed(_keys(2**40, (3,), np.arange(6)))):
+    for k, gen in enumerate(_rekeyed(_keys(2**40, [(3,)], np.arange(6))[0])):
         assert np.array_equal(draw(gen), draw(substream(2**40, 3, k)))
         # leave a cached 32-bit half and a half-used output buffer behind
         gen.bit_generator.random_raw(k % 3)
@@ -336,15 +355,15 @@ def test_negative_entries_raise_as_substream_does(seed, path):
         substream(seed, *path, 0)
     for record_pass in (normal_pairs, uniform_pairs):
         with pytest.raises(ValueError, match=f"^{ref.value}$"):
-            record_pass(seed, *path, n=3)
+            record_pass(seed, [(1,), path], n=3)
     with pytest.raises(ValueError, match=f"^{ref.value}$"):
         normal_rows(seed, *path, n=3, k=2)
     with pytest.raises(ValueError, match=f"^{ref.value}$"):
-        _keys(seed, path, [0])
+        _keys(seed, [path], [0])
     with pytest.raises(ValueError) as ref:
         substream(0, -1)
     with pytest.raises(ValueError, match=f"^{ref.value}$"):
-        _keys(0, (), [2, -1])
+        _keys(0, [()], [2, -1])
 
 
 def test_non_integral_entries_raise_and_numpy_integers_key_as_ints():
@@ -410,6 +429,30 @@ def test_a_long_record_equals_per_step_substreams():
     assert np.array_equal(traj.obs, obs) and np.array_equal(traj.hidden, hidden)
 
 
+RECORD_REPLICATIONS = [0, 1, 2**32 + 5, 2**40]
+
+
+@pytest.mark.parametrize("n", [0, 1, 64])
+@pytest.mark.parametrize("name", ["tobit", "stochvol", "lgssm", "nlssm-tanh-affine", "finite"])
+def test_record_pass_equals_per_replication_substreams(name, n):
+    # one pass draws every record of an experiment: each row must be the
+    # record that fresh substream(seed, r, k) draws give, byte for byte,
+    # whatever the entropy length of the other rows' keys
+    model, init = SIMULATED[name]
+    obs, hidden = _simulate_records(model, n, init, 11, RECORD_REPLICATIONS)
+    assert obs.shape == hidden.shape == (len(RECORD_REPLICATIONS), n + 1)
+    for row, replication in enumerate(RECORD_REPLICATIONS):
+        ref_obs, ref_hidden = simulate_per_step(model, n, init, 11, replication)
+        assert obs[row].tobytes() == ref_obs.tobytes(), replication
+        assert hidden[row].tobytes() == ref_hidden.tobytes(), replication
+        assert obs.dtype == ref_obs.dtype and hidden.dtype == ref_hidden.dtype
+    if n == 64 and name != "finite":
+        # some of these steps are off the ziggurat's fast path and were
+        # redrawn by the generator that then serves each record's step 0
+        keys = _keys(11, [(r,) for r in RECORD_REPLICATIONS], np.arange(n + 1))
+        assert rng._fast_normals(keys[:, 1:].reshape(-1, 2), 2, *rng._ziggurat())[1].any()
+
+
 @pytest.mark.parametrize("name", SIMULATED)
 def test_the_scalar_fallback_alone_gives_the_same_records(name, monkeypatch):
     # every ki 0 sends every step to the scalar generator, as a failed
@@ -423,8 +466,8 @@ def test_the_scalar_fallback_alone_gives_the_same_records(name, monkeypatch):
 
 
 def test_philox_words_equal_the_bit_generator():
-    keys = np.concatenate([_keys(2**64 + 3, (2**32 + 7,), np.arange(50_000)),
-                           _keys(7, (0,), np.arange(10**9, 10**9 + 50_000))])
+    keys = np.concatenate([_keys(2**64 + 3, [(2**32 + 7,)], np.arange(50_000))[0],
+                           _keys(7, [(0,)], np.arange(10**9, 10**9 + 50_000))[0]])
     raw = np.array([gen.bit_generator.random_raw(9) for gen in rng._rekeyed(keys)])
     assert np.array_equal(rng._philox_words(keys), raw[:, :2].T)
     # words past the first block come from the blocks at counters 2, 3, ...
@@ -452,12 +495,12 @@ def test_finite_records_equal_per_step_substreams(m, n_symbols, init, n):
         assert traj.obs.dtype == obs.dtype and traj.hidden.dtype == hidden.dtype
 
 
-@pytest.mark.parametrize("emission", [[[1.0, 0.2], [1.0, 0.8]], [[0.5, 0.5], [np.nan, 1.0]]],
-                         ids=["likelihood-weights", "nan"])
+@pytest.mark.parametrize("emission", [[[1.0, 0.2], [1.0, 0.8]]], ids=["likelihood-weights"])
 def test_a_finite_record_refuses_rows_that_are_not_probabilities(emission):
     # FiniteStateModel takes such rows as likelihood weights, but they cannot
     # be sampled: the record pass raises choice's own error, as the per-step
-    # loop does at its first visit
+    # loop does at its first visit.  A NaN row no longer constructs
+    # (test_finite_model_refuses_non_finite_rows)
     model = FiniteStateModel([[0.5, 0.5], [0.3, 0.7]], emission)
     init = InitialDistribution.point_mass(0)
     with pytest.raises(ValueError) as ref:

@@ -417,11 +417,14 @@ def _record_series(model, obs, D: LDSet, C: LDSet | None = None):
 
 def _phi_laws(model, laws, D: LDSet, grid, kernel):
     """Phi_{nu,D}(y0, y1) for each nu of ``laws``, as a function of (y0, y1)
-    that returns their list.  The weights of each law, its reach nu Q 1_D and
-    D's mask are built here once; a call takes g(., y0), g(., y1) 1_D and one
-    GEMV ``kernel @ g1``, shared by the laws.  A law whose reach is 0
-    violates the positivity hypothesis of the pathwise bound: it warns a
-    HypothesisWarning here and reads 0 at every call."""
+    that returns an array (laws,) + y0's shape: y0 and y1 are scalars or
+    1-D arrays of records' first two observations.  The weights of each
+    law, its reach nu Q 1_D and D's mask are built here once; a call takes
+    g(., y0) and g(., y1) 1_D of every record as one array each, then per
+    record one GEMV ``kernel @ g1``, shared by the laws, and a dot per law.
+    A law whose reach is 0 violates the positivity hypothesis of the
+    pathwise bound: it warns a HypothesisWarning here and reads 0 at every
+    call."""
     x = model.support(grid)
     mask = (np.isin(x, D.states) if D.interval is None
             else (x >= D.interval[0]) & (x <= D.interval[1]))
@@ -435,11 +438,19 @@ def _phi_laws(model, laws, D: LDSet, grid, kernel):
             w = None
         weights.append(w)
 
+    def lik(y):  # g(., y) for each y, one per row; a scalar keeps the models' scalar path
+        return np.exp(model.loglik(x, y if np.ndim(y) == 0 else y[:, None])).reshape(-1, len(x))
+
     def at(y0, y1):
-        g0 = np.exp(model.loglik(x, y0))
-        g1 = np.where(mask, np.exp(model.loglik(x, y1)), 0.0)
-        kg1 = kernel @ g1
-        return [0.0 if w is None else float((w * g0) @ kg1) for w in weights]
+        g0 = lik(y0)
+        g1 = np.where(mask, lik(y1), 0.0)
+        wg0 = [(i, w * g0) for i, w in enumerate(weights) if w is not None]
+        out = np.zeros((len(weights), len(g0)))
+        for r, g in enumerate(g1):
+            kg1 = kernel @ g  # not one GEMM of all records: it rounds differently
+            for i, wg in wg0:
+                out[i, r] = wg[r] @ kg1
+        return out.reshape((len(weights),) + np.shape(y0))
 
     return at
 
@@ -454,7 +465,7 @@ def phi(model, nu, D: LDSet, y0, y1, grid: GridSpec | None = None,
     grid = resolve_grid(model, grid)
     if kernel is None:
         kernel = transition_kernel(model, grid)
-    return _phi_laws(model, [nu], D, grid, kernel)(y0, y1)[0]
+    return float(_phi_laws(model, [nu], D, grid, kernel)(y0, y1)[0])
 
 
 def a_n(n: int, beta: float) -> int:
@@ -522,7 +533,7 @@ class BoundConfig:
 def indicator_K(K, ys) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     if K is None:
-        return np.ones(len(ys))
+        return np.ones(ys.shape)
     return ((ys >= K[0]) & (ys <= K[1])).astype(float)
 
 
@@ -675,18 +686,21 @@ class ConditionReport:
 
 def _conditions(obs, terms: _RecordTerms, cfg: BoundConfig):
     """The ConditionReport of a record, and where each of its three
-    conditions holds at every n.  The K-frequency condition
+    conditions holds at every n.  On a batch of records, one per row (as
+    ``_record_terms`` takes it), the conditions are arrays of its shape and
+    the report is None.  The K-frequency condition
     #{0 <= i <= n : y_i in K} / (n + 1) >= (1 + gamma)/2 is the one
     K-frequency rule: geometric_bound's ``applies`` is it, and the r3 event
     its complement."""
-    ns = np.arange(len(obs))
+    ns = np.arange(obs.shape[-1])
     denom = np.maximum(ns, 1)
-    avg_k = np.cumsum(indicator_K(cfg.K, obs)) / (ns + 1.0)
+    avg_k = np.cumsum(indicator_K(cfg.K, obs), axis=-1) / (ns + 1.0)
     avg_ups = terms.s_ups / denom
     avg_psi = terms.s_psi / denom
     oks = (avg_k >= (1.0 + cfg.gamma) / 2.0, avg_ups < cfg.M1, avg_psi > -cfg.M2)
-    report = ConditionReport(ns, avg_k, avg_ups, avg_psi, *(bool(ok[-1]) for ok in oks))
-    return report, oks
+    if obs.ndim > 1:
+        return None, oks
+    return ConditionReport(ns, avg_k, avg_ups, avg_psi, *(bool(ok[-1]) for ok in oks)), oks
 
 
 def check_conditions(obs, model, cfg: BoundConfig) -> ConditionReport:

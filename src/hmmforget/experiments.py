@@ -13,9 +13,14 @@ Everything is reproducible from (seed, replication): one record pass
 (``models._simulate_records``) draws every replication's record, and
 replication r still only ever touches the streams keyed (seed, r, .);
 reductions across replications happen in a fixed order regardless of the
-thread count.  The r-sequences evaluate the bound envelopes once per
-distinct observation of the experiment and build each law's Phi factors
-once; what is left per record (Phi and the conditions) runs on the pool.
+thread count.  ``run_forgetting`` splits the replications into ``threads``
+contiguous blocks and filters each block's records in one lock-step pass
+(``gridfilter._run_records``), whose rows equal those of one record at a
+time bit for bit, so the outputs do not depend on how the blocks fall.
+The r-sequences run as experiment-wide array passes, on one thread: the
+bound envelopes once per distinct observation of the experiment, each
+law's Phi factors once, Phi's likelihood rows and the conditions on all
+records at once; what is left per record is Phi's one GEMV and its dots.
 """
 
 from __future__ import annotations
@@ -27,9 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reports
-from .bounds import (BoundConfig, LDSet, _conditions, _log_phi, _phi_laws, _record_terms,
-                     _RecordTerms, geometric_bound)
-from .gridfilter import resolve_grid, run_two_filters, transition_kernel
+from .bounds import BoundConfig, LDSet, _conditions, _phi_laws, _record_terms, geometric_bound
+from .gridfilter import _run_records, resolve_grid, transition_kernel
 from .grids import GridSpec, InitialDistribution
 from .models import _simulate_records
 
@@ -103,8 +107,12 @@ class ExperimentResult:
 
     @property
     def rate_iqr(self) -> tuple[float, float]:
-        q1, q3 = np.percentile(self.rates, [25, 75])
-        return float(q1), float(q3)
+        """The quartiles of the rates.  A quartile between two -inf
+        sentinels is -inf, where linear interpolation reads NaN."""
+        with np.errstate(invalid="ignore"):
+            q = np.percentile(self.rates, [25, 75])
+        q[np.isnan(q)] = -np.inf  # the rates hold no NaN
+        return float(q[0]), float(q[1])
 
 
 def _records(cfg: ExperimentConfig) -> np.ndarray:
@@ -121,34 +129,38 @@ def _map_ordered(fn, items, threads):
 
 
 def run_forgetting(cfg: ExperimentConfig) -> ExperimentResult:
-    """Simulate, filter twice per record, and fit per-replication rates."""
+    """Simulate, filter twice per record, and fit per-replication rates.
+
+    The replications are split into ``threads`` contiguous blocks, each
+    filtered in one lock-step pass.  A degenerate record raises the
+    DegenerateFilterError of the lowest replication that degenerates.
+    """
     grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
     kernel = transition_kernel(cfg.model, grid)
     obs = _records(cfg)
+    reps = range(cfg.replications)
+    t = min(cfg.threads, len(reps))
+    blocks = [reps[len(reps) * i // t:len(reps) * (i + 1) // t] for i in range(t)]
 
-    def one(rep):
-        records = run_two_filters(cfg.model, grid, cfg.nu, cfg.nu_prime, obs[rep], kernel)
-        tv = np.array([r[1] for r in records])
-        za = np.array([r[2] for r in records])
-        zb = np.array([r[3] for r in records])
-        extra = None
-        if cfg.bound_cfg is not None:
-            report = geometric_bound(cfg.model, cfg.nu, cfg.nu_prime, obs[rep],
-                                     cfg.bound_cfg, cfg.ld_set, grid=grid, kernel=kernel)
-            extra = (report.total_clipped, report.applies, report.conditions)
-        return tv, za, zb, extra
+    def filtered(block):
+        return _run_records(cfg.model, grid, cfg.nu, cfg.nu_prime, obs[block.start:block.stop],
+                            kernel, block)
 
-    results = _map_ordered(one, range(cfg.replications), cfg.threads)
-    tv = np.stack([r[0] for r in results])
-    logZ_nu = np.stack([r[1] for r in results])
-    logZ_nu_prime = np.stack([r[2] for r in results])
-    rates = np.array([fit_rate(row) for row in tv])
-    out = ExperimentResult(config=cfg, tv=tv, logZ_nu=logZ_nu,
-                           logZ_nu_prime=logZ_nu_prime, rates=rates)
+    passes = _map_ordered(filtered, blocks, cfg.threads)
+    tv = np.concatenate([p[0] for p in passes])
+    logZ = np.concatenate([p[1] for p in passes])
+    out = ExperimentResult(config=cfg, tv=tv, logZ_nu=logZ[:, :, 0],
+                           logZ_nu_prime=logZ[:, :, 1],
+                           rates=np.array([fit_rate(row) for row in tv]))
     if cfg.bound_cfg is not None:
-        out.bound_totals = np.stack([r[3][0] for r in results])
-        out.bound_applies = np.stack([r[3][1] for r in results])
-        out.conditions = [r[3][2] for r in results]
+        def bound(rep):
+            return geometric_bound(cfg.model, cfg.nu, cfg.nu_prime, obs[rep], cfg.bound_cfg,
+                                   cfg.ld_set, grid=grid, kernel=kernel)
+
+        bound_reports = _map_ordered(bound, reps, cfg.threads)
+        out.bound_totals = np.stack([b.total_clipped for b in bound_reports])
+        out.bound_applies = np.stack([b.applies for b in bound_reports])
+        out.conditions = [b.conditions for b in bound_reports]
     return out
 
 
@@ -191,18 +203,13 @@ def estimate_r_sequences(cfg: ExperimentConfig) -> RSequenceResult:
     ns = dyadic_horizons(cfg.n)
     obs = _records(cfg)
     terms = _record_terms(cfg.model, None, None, obs, b.D, None, None)
-    phis = _phi_laws(cfg.model, (cfg.nu, cfg.nu_prime), b.D, grid, kernel)
-
-    def one(rep):
-        record = _RecordTerms(terms.log_ups_x[rep], None, terms.s_ups[rep], terms.s_psi[rep],
-                              None, None)
-        k_ok, ups_ok, psi_ok = _conditions(obs[rep], record, b)[1]
-        lphi, lphi2 = _log_phi(phis(obs[rep, 0], obs[rep, 1]))
-        return np.stack([lphi <= -b.M0 * ns, lphi2 <= -b.M0 * ns,
-                         ~ups_ok[ns], ~psi_ok[ns], ~k_ok[ns]])
-
-    events = _map_ordered(one, range(cfg.replications), cfg.threads)
-    freq = np.mean(np.stack(events).astype(float), axis=0)
+    k_ok, ups_ok, psi_ok = _conditions(obs, terms, b)[1]
+    phis = _phi_laws(cfg.model, (cfg.nu, cfg.nu_prime), b.D, grid, kernel)(obs[:, 0], obs[:, 1])
+    with np.errstate(divide="ignore"):
+        lphi, lphi2 = np.log(phis)[:, :, None]
+    events = np.stack([lphi <= -b.M0 * ns, lphi2 <= -b.M0 * ns,
+                       ~ups_ok[:, ns], ~psi_ok[:, ns], ~k_ok[:, ns]], axis=1)
+    freq = np.mean(events.astype(float), axis=0)
     return RSequenceResult(
         ns=ns, r0_nu=freq[0], r0_nu_prime=freq[1], r1=freq[2], r2=freq[3],
         r3=freq[4],

@@ -9,24 +9,33 @@ All weight arithmetic is done in the log domain with log-sum-exp, since
 likelihoods (the stochastic volatility one in particular) underflow for
 large |x|.
 
-``run_two_filters`` carries the filters from nu and nu' as the two rows of
-one (2, m) array and evaluates the record's likelihood once, as an
-(n + 1, m) matrix.  Its step is the one ``filter_step`` takes on one row, so
-its output equals an ``init_filter`` + ``filter_step`` loop bit for bit.
+``_run_records`` runs the filters from nu and nu' on every record of a
+batch in lock-step: the 2R rows of one array, the two of record r at rows
+2r and 2r + 1, so that each elementwise and reduction call of a step
+serves every record.  It evaluates the likelihood in blocks of about
+(n + 1) / R steps, so a pass holds about one record's (n + 1) x m matrix
+at any time.  ``run_two_filters`` is its one-record case and
+``run_forgetting`` (``experiments``) runs it on blocks of replications.  Its
+step is the one ``filter_step`` takes on one row, so its output equals an
+``init_filter`` + ``filter_step`` loop bit for bit, whatever the batch.
 
 The step's contract is its arithmetic, to the last bit: the forgetting
 rates are fitted on TV values near 1e-14, where the last bit counts.
-- The prediction is one matrix-vector product (GEMV) per row.  One
-  product of both rows (a GEMM) rounds differently: it moved tobit's
-  median forgetting rate by 1.7e-5.
-- The normalizer is ``grids.logsumexp``'s arithmetic.
+- The prediction is one matrix-vector product (GEMV) per row: one
+  ``np.matmul`` of the rows as a stack of (1, m) matrices, which NumPy
+  takes as a GEMV per row.  One product of several rows (a GEMM) rounds
+  differently: it moved tobit's median forgetting rate by 1.7e-5.
+- The normalizer is ``grids.logsumexp``'s arithmetic.  The next step's
+  shift, max(logw), is taken as amax - z from it: rounding is monotone,
+  so that is the same float.
 - A step allocates nothing: it writes into arrays allocated once per
-  ``run_two_filters`` call, never shared between calls, and NumPy's error
-  state is set once per record.
+  pass, never shared between passes, and NumPy's error state is set once
+  per pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,50 +79,71 @@ def transition_kernel(model, grid: GridSpec | None) -> np.ndarray:
 
 class _Rows:
     """The recursion on ``r`` rows of log-weights over ``m`` states, in
-    arrays allocated once and written in place at every step.
+    arrays allocated once and written in place at every step.  The rows
+    fall in consecutive groups of ``group``, which share a likelihood row
+    (the two filters of one record).
 
     NumPy's error state must ignore divide and invalid while its methods run:
     a weight that underflows has log -inf.
     """
 
-    def __init__(self, r, m):
+    def __init__(self, r, m, group=1):
         self.logw = np.empty((r, m))  # normalized log-weights
         self.u = np.empty((r, m))     # unnormalized ones
         self.w = np.empty((r, m))     # weights, and scratch of the normalizer
         self.top = np.empty((r, m), bool)
-        self.shift, self.z, self.amax, self.c = np.empty((4, r, 1))
+        self.shift, self.z, self.amax, self.c = np.empty((4, r, 1))  # shift: max of logw
         self.lse = self.z[:, 0]       # the rows' log-sum-exp
-        self.pairs = list(zip(self.w, self.u))  # the rows of w and u
+        self.groups = self.u.reshape(-1, group, m)
+        self.stacks = self.w[:, None], self.u[:, None]  # each row a (1, m) matrix
+        self.halves = self.w[0::2], self.w[1::2]  # the laws the TV compares
+        self.d = self.u[:r // 2]      # their difference; u is free between steps
 
-    def normalize(self, logZ_prev, logZ, y=None, n=None):
-        """logw = the rows of u normalized; logZ = logZ_prev + their log-sum-exp."""
+    def normalized(self, logZ_prev, logZ):
+        """logw = the rows of u normalized, shift = their maxima and logZ =
+        logZ_prev + their log-sum-exp; False, with logw and logZ left
+        unwritten, when a row underflowed to zero (its ``lse`` is not finite)."""
         logsumexp_into(self.u, 1, self.z, self.amax, self.c, self.w, self.top)
-        if not np.isfinite(self.z).all():  # z is finite exactly when the row maximum is
-            what = "initialization" if y is None else f"observation {y}"
-            at = "" if n is None else f" at step {n}"
-            raise DegenerateFilterError(f"filter weights underflowed to zero{at} ({what})")
+        if not math.isfinite(np.add.reduce(self.lse)):  # z is finite exactly when amax is
+            return False
         np.subtract(self.u, self.z, out=self.logw)
+        np.subtract(self.amax, self.z, out=self.shift)  # = max(u - z): rounding is monotone
         np.add(logZ_prev, self.lse, out=logZ)
+        return True
 
-    def step(self, kernel, loglik, logZ_prev, logZ, y, n=None):
-        """Predict the rows of logw through ``kernel``, update them with the
-        log-likelihood ``loglik`` of observation ``y`` and normalize."""
-        np.maximum.reduce(self.logw, axis=1, keepdims=True, out=self.shift)
+    def normalize(self, logZ_prev, logZ, y=None):
+        """``normalized``, raising a DegenerateFilterError that names the
+        observation ``y`` (None: the initialization) where it is False."""
+        if not self.normalized(logZ_prev, logZ):
+            raise _underflow(y)
+
+    def step(self, kernel, loglik, logZ_prev, logZ):
+        """Predict the rows of logw through ``kernel``, add the log-likelihood
+        ``loglik`` (one row per group, broadcast against ``groups``) and
+        normalize; False as ``normalized``."""
         np.subtract(self.logw, self.shift, out=self.w)
         np.exp(self.w, out=self.w)
-        for w, u in self.pairs:  # not one GEMM of all rows: it rounds differently
-            np.matmul(w, kernel, out=u)
+        np.matmul(self.stacks[0], kernel, out=self.stacks[1])  # a GEMV per row, not a GEMM
         np.log(self.u, out=self.u)
         np.add(self.u, self.shift, out=self.u)
-        np.add(self.u, loglik, out=self.u)
-        self.normalize(logZ_prev, logZ, y, n)
+        np.add(self.groups, loglik, out=self.groups)
+        return self.normalized(logZ_prev, logZ)
 
-    def tv(self):
-        """Total variation distance between the laws of the two rows."""
-        d = self.u[0]  # u is free between steps
+    def tv(self, out):
+        """The total variation distance between the laws of rows 2i and
+        2i + 1, into out[i]."""
         np.exp(self.logw, out=self.w)
-        np.subtract(self.w[0], self.w[1], out=d)
-        return 0.5 * float(np.abs(d, out=d).sum())
+        np.subtract(*self.halves, out=self.d)
+        np.abs(self.d, out=self.d)
+        np.add.reduce(self.d, axis=1, out=out)
+        np.multiply(out, 0.5, out=out)
+
+
+def _underflow(y=None, n=None, rep=None):
+    what = "initialization" if y is None else f"observation {y}"
+    of = "" if rep is None else f" in replication {rep}"
+    at = "" if n is None else f" at step {n}"
+    return DegenerateFilterError(f"filter weights underflowed to zero{of}{at} ({what})")
 
 
 def init_filter(model, grid: GridSpec | None, init: InitialDistribution, y0) -> FilterState:
@@ -138,9 +168,11 @@ def filter_step(state: FilterState, model, y, kernel: np.ndarray | None = None) 
     loglik = model.log_likelihood(model.support(state.grid), y)
     rows = _Rows(1, len(state.logw))
     rows.logw[0] = state.logw
+    np.maximum.reduce(rows.logw, axis=1, keepdims=True, out=rows.shift)
     logZ = np.empty(1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows.step(kernel, loglik, state.logZ, logZ, y)
+        if not rows.step(kernel, loglik, state.logZ, logZ):
+            raise _underflow(y)
     return replace(state, logw=rows.logw[0], logZ=float(logZ[0]))
 
 
@@ -150,7 +182,51 @@ def tv_distance(a: FilterState, b: FilterState) -> float:
         raise ValueError("filter states live on different grids")
     rows = _Rows(2, len(a.logw))
     rows.logw[:] = a.logw, b.logw
-    return rows.tv()
+    out = np.empty(1)
+    rows.tv(out)
+    return float(out[0])
+
+
+def _run_records(model, grid, nu, nu_prime, obs, kernel, reps=None):
+    """The filters from nu and nu_prime on each record of ``obs`` (R, n + 1),
+    one per row, in lock-step: the TV (R, n + 1) and the log-normalizers
+    (R, n + 1, 2), nu's then nu_prime's.
+
+    The likelihood is evaluated in blocks of max(1, (n + 1) // R) steps.  A
+    record whose weights underflow raises a DegenerateFilterError naming its
+    step and observation, and its replication ``reps[r]`` where ``reps`` is
+    given; a lower record that underflows at a later step is the one
+    raised, as a loop over the records would raise it.
+    """
+    R, steps = obs.shape
+    if R > 1:  # name a bad observation by its step in its record, not in a block
+        for row in obs:
+            model._check_obs(row)
+    x = model.support(grid)
+    rows = _Rows(2 * R, len(x), 2)
+    ys = obs.T[:, :, None, None]  # (step, record, filter, state)
+    block = max(1, steps // R)
+    tv, logZ = np.empty((steps, R)), np.empty((steps, 2 * R))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n in range(steps):
+            k = n % block
+            if k == 0:
+                loglik = None  # drop the last block before the next is evaluated
+                loglik = model.log_likelihood(x, ys[n:n + block])
+            if n == 0:
+                rows.groups[:] = model.log_init(nu, grid), model.log_init(nu_prime, grid)
+                np.add(rows.groups, loglik[0], out=rows.groups)
+                ok = rows.normalized(0.0, logZ[0])
+            else:
+                ok = rows.step(kernel, loglik[k], logZ[n - 1], logZ[n])
+            if not ok:
+                r = int(np.flatnonzero(~np.isfinite(rows.lse))[0]) // 2
+                if r:  # raises if a lower record underflows later
+                    _run_records(model, grid, nu, nu_prime, obs[:r], kernel,
+                                 None if reps is None else reps[:r])
+                raise _underflow(obs[r, n] if n else None, n, None if reps is None else reps[r])
+            rows.tv(tv[n])
+    return tv.T, logZ.reshape(steps, R, 2).transpose(1, 0, 2)
 
 
 def run_two_filters(model, grid, nu, nu_prime, obs, kernel=None):
@@ -163,16 +239,6 @@ def run_two_filters(model, grid, nu, nu_prime, obs, kernel=None):
     if len(obs) == 0:
         raise ValueError("need at least one observation")
     grid = resolve_grid(model, grid)
-    loglik = model.log_likelihood(model.support(grid)[None, :], obs[:, None])
     kernel = transition_kernel(model, grid) if kernel is None else kernel
-    rows = _Rows(2, loglik.shape[1])
-    rows.u[:] = model.log_init(nu, grid), model.log_init(nu_prime, grid)
-    np.add(rows.u, loglik[0], out=rows.u)
-    tv, logZ = np.empty(len(obs)), np.empty((len(obs), 2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rows.normalize(0.0, logZ[0], n=0)
-        tv[0] = rows.tv()
-        for n in range(1, len(obs)):
-            rows.step(kernel, loglik[n], logZ[n - 1], logZ[n], obs[n], n)
-            tv[n] = rows.tv()
-    return [(n, *row) for n, row in enumerate(zip(tv.tolist(), *logZ.T.tolist()))]
+    tv, logZ = _run_records(model, grid, nu, nu_prime, obs[None], kernel)
+    return [(n, *row) for n, row in enumerate(zip(tv[0].tolist(), *logZ[0].T.tolist()))]

@@ -2,7 +2,9 @@
 
 All CSVs are RFC-4180 with a leading header row and "\n" line endings;
 floats are serialized with 17 significant digits so that runs are
-byte-reproducible.
+byte-reproducible.  A row of numbers is written through a %-template
+that formats as ``fmt`` does (``_Templates``); any other row goes through
+``fmt`` and the csv module.
 """
 
 from __future__ import annotations
@@ -22,12 +24,38 @@ def fmt(value) -> str:
     return str(value)
 
 
+class _Templates(dict):
+    """The %-template of a row, keyed by the tuple of its cells' types:
+    "%d" per int or NumPy integer and "%.17g" per float or NumPy float, or
+    None where a cell is neither (bools, and subclasses of int or float,
+    which may print otherwise, are not)."""
+
+    def __missing__(self, types):
+        specs = []
+        for t in types:
+            if t is float or issubclass(t, np.floating):
+                specs.append("%.17g")
+            elif t is int or issubclass(t, np.integer):
+                specs.append("%d")
+            else:
+                self[types] = None
+                return None
+        self[types] = template = ",".join(specs) + "\n"
+        return template
+
+
 def write_csv(path, header, rows):
+    templates = _Templates()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([fmt(v) for v in row])
+            row = tuple(row)
+            template = templates[tuple(map(type, row))]
+            if template is None:
+                writer.writerow([fmt(v) for v in row])
+            else:
+                fh.write(template % row)
 
 
 def write_bound_csv(report, path):

@@ -1,17 +1,19 @@
 import dataclasses
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from hmmforget import (BoundConfig, ExperimentConfig, FiniteStateModel,
+from hmmforget import (BoundConfig, DegenerateFilterError, ExperimentConfig, FiniteStateModel,
                        GridSpec, HypothesisWarning, InitialDistribution, LDSet, LGSSM,
                        StochVolModel, TobitModel, certify_ld_set, check_conditions,
                        emit_report, estimate_r_sequences, fit_rate, log_psi_batch, phi,
-                       random_finite_model, rho, run_forgetting, simulate, transition_kernel)
+                       random_finite_model, rho, run_forgetting, run_two_filters, simulate,
+                       transition_kernel)
 from hmmforget import bounds, experiments, gridfilter
 from hmmforget.bounds import _conditions, _log_phi, _phi_laws, _record_terms
-from hmmforget.experiments import DEFAULT_GRID_M, TV_FLOOR, dyadic_horizons
+from hmmforget.experiments import DEFAULT_GRID_M, TV_FLOOR, ExperimentResult, dyadic_horizons
 from hmmforget.gridfilter import resolve_grid
 
 
@@ -93,6 +95,55 @@ def test_equal_initials_rate_sentinel(small_cfg):
     res = run_forgetting(small_cfg)
     assert np.all(res.tv == 0.0)
     assert np.all(res.rates == -np.inf)
+
+
+def test_rate_iqr_between_two_sentinels_is_minus_inf(tmp_path, small_cfg):
+    # linear interpolation between two -inf sentinels reads NaN
+    def iqr(rates):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return ExperimentResult(small_cfg, None, None, None, np.array(rates)).rate_iqr
+
+    assert iqr([-np.inf, -np.inf, -1.0]) == (-np.inf, -np.inf)
+    assert iqr([-np.inf] * 4) == (-np.inf, -np.inf)
+    assert iqr([-np.inf, -np.inf, -np.inf, -2.0, -1.0]) == (-np.inf, -2.0)
+    assert iqr([-np.inf, -1.0, -0.5]) == (-np.inf, -0.75)
+    rates = np.random.default_rng(3).normal(-1.0, 0.3, size=(20, 7))
+    for row in rates:  # all finite: the quartiles as np.percentile takes them
+        assert np.array(iqr(row)).tobytes() == np.percentile(row, [25, 75]).tobytes()
+    small_cfg.nu_prime = small_cfg.nu
+    emit_report(run_forgetting(small_cfg), str(tmp_path))
+    assert "rate_iqr: [-inf, -inf]\n" in (tmp_path / "summary.txt").read_text()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_a_degenerate_replication_is_named_at_every_thread_count(monkeypatch):
+    # y = 1e200 makes y^2 overflow, so SV's likelihood is 0 on the whole
+    # grid: replication 3 underflows at step 2 and replication 2 at step 5.
+    # The error is replication 2's, as a loop over the records raises it,
+    # whatever the blocks: {0..3}, {0, 1} {2, 3} or {0, 1} {2} {3}
+    model = StochVolModel(0.9, 0.3, 1.0)
+    cfg = ExperimentConfig(model=model, star_model=model,
+                           nu=InitialDistribution.gaussian(-1, 0.5),
+                           nu_prime=InitialDistribution.gaussian(1, 0.5),
+                           nu_star=InitialDistribution.gaussian(0, 0.5),
+                           n=12, replications=4, seed=3)
+    obs = experiments._records(cfg)
+    obs[2, 5] = obs[3, 2] = 1e200
+    monkeypatch.setattr(experiments, "_records", lambda cfg: obs.copy())
+    grid = resolve_grid(model, None, DEFAULT_GRID_M)
+    with pytest.raises(DegenerateFilterError) as one:
+        run_two_filters(model, grid, cfg.nu, cfg.nu_prime, obs[2])
+    assert str(one.value) == "filter weights underflowed to zero at step 5 (observation 1e+200)"
+    expected = "filter weights underflowed to zero in replication 2 at step 5 (observation 1e+200)"
+    for threads in (1, 2, 3):
+        with pytest.raises(DegenerateFilterError) as err:
+            run_forgetting(dataclasses.replace(cfg, threads=threads))
+        assert str(err.value) == expected, threads
+    obs[2, 5] = obs[0, 1]
+    assert run_forgetting(dataclasses.replace(cfg, replications=3)).tv.shape == (3, 13)
+    with pytest.raises(DegenerateFilterError, match=r"replication 3 at step 2 \("):
+        run_forgetting(cfg)
 
 
 def test_finite_tv_below_uniform_ergodicity_rate():

@@ -1,3 +1,4 @@
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -6,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from hmmforget import (LGSSM, NLSSM, DegenerateFilterError, DomainError,
+from hmmforget import (LGSSM, NLSSM, DegenerateFilterError, DomainError, ExperimentConfig,
                        FiniteStateModel, FilterState, GridSpec, InitialDistribution,
                        StochVolModel, TobitModel, filter_step, init_filter,
-                       random_finite_model, run_two_filters, simulate,
+                       random_finite_model, run_forgetting, run_two_filters, simulate,
                        transition_kernel, tv_distance)
-from hmmforget.gridfilter import _Rows
+from hmmforget.gridfilter import _Rows, _run_records
 
 
 def two_state(transition=None, emission=None):
@@ -349,3 +350,59 @@ def test_the_recursion_leaves_its_inputs_alone_and_keeps_no_state():
                 for _ in range(8)]
         assert all(run.result(timeout=60) == first for run in runs)
     assert kern.tobytes() == kern_bytes and obs.tobytes() == obs_bytes
+
+
+def forgetting_cases():
+    star = InitialDistribution.gaussian(0, 1)
+    for model in (TobitModel(0.5, 1.0, 1.0), NLSSM("linear_shrink", 0.5, 1.0, 1.0),
+                  StochVolModel(0.9, 0.3, 1.0), LGSSM(0.9, 1.0, 1.0)):
+        yield model, GridSpec(*model.domain, 400), *GAUSS, star, 80
+    for seed in range(10):
+        model = random_finite_model(seed)
+        nu, nup = (InitialDistribution.finite(p)
+                   for p in np.random.default_rng(seed).dirichlet(np.ones(model.m), size=2))
+        yield model, None, nu, nup, nu, 20
+
+
+@pytest.mark.parametrize("replications", [1, 3, 5])
+def test_every_replication_equals_the_reference_recursion(replications):
+    # one lock-step pass per block of replications, at any block sizes,
+    # gives each record the rows of the record-by-record recursion
+    for model, grid, nu, nup, star, n in forgetting_cases():
+        expected = [reference_two_filters(model, grid, nu, nup,
+                                          simulate(model, n, star, seed=5, replication=rep).obs)
+                    for rep in range(replications)]
+        for threads in (1, 2, 3):
+            res = run_forgetting(ExperimentConfig(
+                model=model, star_model=model, nu=nu, nu_prime=nup, nu_star=star, n=n,
+                replications=replications, seed=5, grid=grid, threads=threads))
+            for rep, want in enumerate(expected):
+                got = np.column_stack([res.tv[rep], res.logZ_nu[rep], res.logZ_nu_prime[rep]])
+                assert got.tobytes() == want.tobytes(), (model.kind, rep, threads)
+
+
+@pytest.mark.parametrize("replications", [1, 2, 5, 7, 60])
+def test_the_likelihood_block_holds_at_most_one_records_matrix(replications, monkeypatch):
+    # the pass evaluates the likelihood of every step exactly once, in
+    # blocks of at most (n + 1) x m entries while R <= n + 1 (one step's R
+    # rows beyond), and holds one block at a time, so its memory stays
+    # bounded in the horizon
+    model, m, n = TobitModel(0.5, 1.0, 1.0), 64, 40
+    grid = GridSpec(*model.domain, m)
+    obs = np.stack([simulate(model, n, GAUSS[0], seed=1, replication=r).obs
+                    for r in range(replications)])
+    sizes, blocks, evaluate = [], [], model.log_likelihood
+
+    def counted(x, y):
+        assert all(block() is None for block in blocks)
+        out = evaluate(x, y)
+        sizes.append(out.size)
+        blocks.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(model, "log_likelihood", counted)
+    tv, logZ = _run_records(model, grid, *GAUSS, obs, transition_kernel(model, grid))
+    assert tv.shape == (replications, n + 1) and logZ.shape == (replications, n + 1, 2)
+    assert sum(sizes) == replications * (n + 1) * m
+    assert max(sizes) <= max(n + 1, replications) * m
+    assert len(sizes) <= 2 * min(replications, n + 1)

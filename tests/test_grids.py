@@ -1,3 +1,6 @@
+import csv
+import enum
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -79,6 +82,35 @@ def test_empty_rows_give_header_only_csv(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv(path, ["a", "b"], [])
     assert path.read_text() == "a,b\n"
+
+
+def write_csv_cell_by_cell(path, header, rows):
+    """write_csv as every row was written before row templates: fmt on each
+    cell, then the csv module."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+def test_csv_rows_equal_the_cell_by_cell_formatter(tmp_path):
+    floats = [0.0, -0.0, 0.1 + 0.2, -1.5e300, 1e-300, 5e-324, -5e-324, np.inf, -np.inf,
+              np.nan, 1.0, 123456789.0, 2.0**60, 1 / 3]
+    ints = [0, -1, 7, 2**70, np.int64(-5), np.int32(3), np.uint64(2**64 - 1), np.int8(-128)]
+    with np.errstate(over="ignore"):  # -1.5e300 is -inf in float32
+        rows = [(i, f, np.float64(f), np.float32(f)) for i, f in zip(ints * 2, floats)]
+    rows += [(3, True, np.False_, 1.5), (np.True_, "a,b", 'say "hi"', "plain"),
+             ("x\ny", -0.0, 2, Level.LOW), (1, 2), (), [4, 0.25, np.int64(9)],
+             (1, 2.0), (1.0, 2), (np.float64(-0.0), np.int64(0))]
+    got, want = tmp_path / "rows.csv", tmp_path / "cells.csv"
+    write_csv(got, ["a", "b,c", "d"], iter(rows))
+    write_csv_cell_by_cell(want, ["a", "b,c", "d"], rows)
+    assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("x_shape,loc_shape", [

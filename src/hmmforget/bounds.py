@@ -10,7 +10,8 @@ subset-maximum form and its coarser geometric form).
 
 The index ranges of a record's sums live in ``_RecordTerms`` alone: both
 bounds, ``_conditions`` (which holds the one K-frequency rule) and the
-r-sequences of ``experiments`` read the record ``_record_terms`` returns.
+r-sequences of ``experiments`` read the record ``_record_terms`` returns;
+it, ``geometric_bound`` and ``_conditions`` also take a batch, one record per row.
 A record's envelopes are evaluated once per distinct observation: Upsilon
 as grid maxima (``_log_upsilon``, from a window around the channel's peak
 where V == 1), and Psi as the mean of g over PSI_QUAD_M midpoints of D, one
@@ -301,7 +302,7 @@ def find_ld_set_for_eta(model, eta, K, y_probe) -> LDSet:
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
     if model.kind == "finite":
-        raise TypeError("interval search applies to continuous models only")
+        raise ValueError("a finite model needs an explicit C: the LD-set search is on intervals")
     y_probe = np.atleast_1d(y_probe)
     model._check_obs(y_probe)  # before K, which a NaN probe would silently miss
     y_probe = y_probe[indicator_K(K, y_probe) > 0]
@@ -526,8 +527,10 @@ class BoundConfig:
             raise ValueError("the geometric bound needs beta < gamma")
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
-        if any(m <= 0 for m in (self.M0, self.M1, self.M2)):
-            raise ValueError("M thresholds must be positive")
+        if any(not m > 0 for m in (self.M0, self.M1, self.M2)):  # NaN too
+            raise ValueError(f"M thresholds must be positive, got {self.M0, self.M1, self.M2}")
+        if self.K is not None and not self.K[0] <= self.K[1]:
+            raise ValueError(f"K must be an interval (lo, hi) with lo <= hi, got {self.K}")
 
 
 def indicator_K(K, ys) -> np.ndarray:
@@ -559,28 +562,27 @@ class BoundReport:
 @dataclass(frozen=True)
 class _RecordTerms:
     """What the bounds, their conditions and the r-sequences read of a record
-    y_0..y_n; the arrays have one entry per i or per n (a row per record
-    when the record is a batch)."""
+    y_0..y_n or of a batch of them, one per row; the arrays have one entry
+    per i or per n (a row per record in a batch)."""
 
     log_ups_x: np.ndarray  # log Upsilon_X(y_i)
     log_ups_cc: np.ndarray | None  # log Upsilon_{C^c}(y_i); None without a C
     s_ups: np.ndarray  # S_Ups[n] = sum_{i=0..n} log Upsilon_X(y_i)
     s_psi: np.ndarray  # S_Psi[n] = sum_{i=2..n} log Psi_D(y_i); 0 for n < 2
-    log_phi: tuple[float, float] | None  # log Phi_{nu,D}(y_0, y_1), then for nu'
+    log_phi: np.ndarray | None  # log Phi_{nu,D}(y_0, y_1), then for nu'; a column per record
     log_nuv: tuple[float, float] | None  # log nu V, then log nu' V
 
 
 def _record_terms(model, nu, nu_prime, obs, D: LDSet, C: LDSet | None, grid,
                   kernel=None) -> _RecordTerms:
-    """The _RecordTerms of ``obs``.  Without initial laws (nu None, as
-    check_conditions and the r-sequences call it) log_phi and log_nuv are
-    None, and ``obs`` may be a batch of records, one per row: its envelopes
-    are then evaluated once per distinct observation of the batch, and its
-    prefix sums run along each row.  ``kernel`` is as in
-    ``gridfilter.filter_step``."""
+    """The _RecordTerms of ``obs``, a record or a batch of records, one per
+    row: a batch's envelopes are evaluated once per distinct observation of
+    the batch, and its prefix sums run along each row.  Without initial laws
+    (nu None, as check_conditions calls it) log_phi and log_nuv are None.
+    ``kernel`` is as in ``gridfilter.filter_step``."""
     obs = np.asarray(obs)
     if nu is not None:
-        if len(obs) < 2:
+        if obs.shape[-1] < 2:
             raise ValueError("the bound needs at least two observations")
         grid = resolve_grid(model, grid)
     log_ups_x, log_ups_cc, log_psi = _record_series(model, obs, D, C)
@@ -590,32 +592,30 @@ def _record_terms(model, nu, nu_prime, obs, D: LDSet, C: LDSet | None, grid,
     if nu is not None:
         kernel = transition_kernel(model, grid) if kernel is None else kernel
         log_v = model.log_v(model.support(grid))
-        log_phi = _log_phi(_phi_laws(model, (nu, nu_prime), D, grid, kernel)(obs[0], obs[1]))
+        # y_0 and y_1: scalars for one record, which keep the models' scalar path
+        phis = _phi_laws(model, (nu, nu_prime), D, grid, kernel)(obs.T[0], obs.T[1])
+        with np.errstate(divide="ignore"):  # a Phi of 0 reads -inf
+            log_phi = np.log(phis)
         log_nuv = tuple(float(logsumexp(model.log_init(law, grid) + log_v))
                         for law in (nu, nu_prime))
     return _RecordTerms(log_ups_x, log_ups_cc, np.cumsum(log_ups_x, axis=-1), s_psi, log_phi,
                         log_nuv)
 
 
-def _log_phi(values):
-    """The logs of Phi values as a tuple of floats, -inf at 0."""
-    with np.errstate(divide="ignore"):
-        return tuple(float(np.log(v)) for v in values)
-
-
 def _assemble(terms: _RecordTerms, beta, C, D, log_num, applies, inputs):
     """Geometric term + ratio term, clipped at 1.  ``log_num`` holds the log
     numerator of the ratio term at each n; the bound is stated for n >= 1."""
     rho_c = rho(C)
-    ns = np.arange(len(terms.s_ups))
+    ns = np.arange(terms.s_ups.shape[-1])
     log_geo = np.where(ns > 0, beta * ns * np.log(rho_c) if rho_c > 0 else -np.inf, 0.0)
-    log_den = (2.0 * (ns - 1) * np.log(D.eps_minus) + terms.log_phi[0] + terms.log_phi[1]
+    log_phi = terms.log_phi[..., None]  # a column per record, against its steps
+    log_den = (2.0 * (ns - 1) * np.log(D.eps_minus) + log_phi[0] + log_phi[1]
                + 2.0 * terms.s_psi)
     log_ratio = log_num - log_den + terms.log_nuv[0] + terms.log_nuv[1]
-    log_ratio[0] = np.inf
+    log_ratio[..., 0] = np.inf
     log_tot = np.logaddexp(log_geo, log_ratio)
     total = np.where(log_tot >= 0.0, 1.0, np.exp(np.minimum(log_tot, 0.0)))
-    total[0] = 1.0
+    total[..., 0] = 1.0
     ans = _a_column(len(ns), beta)
     return BoundReport(n=ns, log_term_geo=log_geo, log_term_ratio=log_ratio,
                        total_clipped=total, applies=applies, a_n=ans, rho=rho_c,
@@ -641,20 +641,22 @@ def sharp_bound(model, nu, nu_prime, obs, beta, C: LDSet, D: LDSet,
 
 def geometric_bound(model, nu, nu_prime, obs, cfg: BoundConfig, C: LDSet,
                     grid: GridSpec | None = None, kernel=None) -> BoundReport:
-    """Geometric form of the bound under the K-frequency hypothesis.
+    """Geometric form of the bound under the K-frequency hypothesis, on a
+    record y_0..y_n or a batch of records, one per row.
 
     ``C`` must satisfy the eta envelope Upsilon_{C^c} <= eta Upsilon_X on K
     (as returned by find_ld_set_for_eta).  Steps n where the K-frequency rule
     of check_conditions fails, #{0 <= i <= n : y_i in K} < (1 + gamma)(n + 1)/2,
     are flagged as not applicable.  The report's ``conditions`` are those of
-    check_conditions, read from the record the bound evaluated.  ``kernel``
+    check_conditions, read from the records the bound evaluated.  A batch
+    gives a row per record, bit for bit that record's own call's.  ``kernel``
     is as in ``gridfilter.filter_step``: the transition matrix on ``grid``,
     built here when None.
     """
     obs = np.asarray(obs)
     terms = _record_terms(model, nu, nu_prime, obs, cfg.D, C, grid, kernel)
     conditions, (k_ok, _, _) = _conditions(obs, terms, cfg)
-    ns = np.arange(len(obs))
+    ns = np.arange(obs.shape[-1])
     log_num = (cfg.gamma - cfg.beta) * ns / 2.0 * np.log(cfg.eta) + 2.0 * terms.s_ups
     inputs = {"beta": cfg.beta, "gamma": cfg.gamma, "eta": cfg.eta, "K": cfg.K,
               "C": C, "D": cfg.D}
@@ -669,27 +671,26 @@ def geometric_bound(model, nu, nu_prime, obs, cfg: BoundConfig, C: LDSet,
 
 @dataclass
 class ConditionReport:
-    """Running Cesaro averages behind the pathwise bound's conditions."""
+    """Running Cesaro averages behind the pathwise bound's conditions (a row per record)."""
 
     n: np.ndarray
     avg_k_frequency: np.ndarray
     avg_log_upsilon: np.ndarray
     avg_log_psi: np.ndarray
-    k_frequency_ok: bool
-    upsilon_ok: bool
-    psi_ok: bool
+    k_frequency_ok: bool | np.ndarray
+    upsilon_ok: bool | np.ndarray
+    psi_ok: bool | np.ndarray
 
     @property
-    def all_ok(self) -> bool:
-        return self.k_frequency_ok and self.upsilon_ok and self.psi_ok
+    def all_ok(self) -> bool | np.ndarray:
+        return self.k_frequency_ok & self.upsilon_ok & self.psi_ok
 
 
 def _conditions(obs, terms: _RecordTerms, cfg: BoundConfig):
-    """The ConditionReport of a record, and where each of its three
-    conditions holds at every n.  On a batch of records, one per row (as
-    ``_record_terms`` takes it), the conditions are arrays of its shape and
-    the report is None.  The K-frequency condition
-    #{0 <= i <= n : y_i in K} / (n + 1) >= (1 + gamma)/2 is the one
+    """The ConditionReport of a record, or of a batch of records, one per
+    row (as ``_record_terms`` takes it), and where each of its three
+    conditions holds at every n, in ``obs``' shape.  The K-frequency
+    condition #{0 <= i <= n : y_i in K} / (n + 1) >= (1 + gamma)/2 is the one
     K-frequency rule: geometric_bound's ``applies`` is it, and the r3 event
     its complement."""
     ns = np.arange(obs.shape[-1])
@@ -698,9 +699,7 @@ def _conditions(obs, terms: _RecordTerms, cfg: BoundConfig):
     avg_ups = terms.s_ups / denom
     avg_psi = terms.s_psi / denom
     oks = (avg_k >= (1.0 + cfg.gamma) / 2.0, avg_ups < cfg.M1, avg_psi > -cfg.M2)
-    if obs.ndim > 1:
-        return None, oks
-    return ConditionReport(ns, avg_k, avg_ups, avg_psi, *(bool(ok[-1]) for ok in oks)), oks
+    return ConditionReport(ns, avg_k, avg_ups, avg_psi, *(ok[..., -1] for ok in oks)), oks
 
 
 def check_conditions(obs, model, cfg: BoundConfig) -> ConditionReport:

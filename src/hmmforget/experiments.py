@@ -17,10 +17,10 @@ thread count.  ``run_forgetting`` splits the replications into ``threads``
 contiguous blocks and filters each block's records in one lock-step pass
 (``gridfilter._run_records``), whose rows equal those of one record at a
 time bit for bit, so the outputs do not depend on how the blocks fall.
-The r-sequences run as experiment-wide array passes, on one thread: the
-bound envelopes once per distinct observation of the experiment, each
-law's Phi factors once, Phi's likelihood rows and the conditions on all
-records at once; what is left per record is Phi's one GEMV and its dots.
+The threads split the filter only.  The bound and the r-sequences are one
+``bounds._record_terms`` pass each over all records: the envelopes once
+per distinct observation of the experiment, each law's Phi factors once;
+only Phi's GEMV and its dots are taken record by record.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reports
-from .bounds import BoundConfig, LDSet, _conditions, _phi_laws, _record_terms, geometric_bound
+from .bounds import BoundConfig, ConditionReport, LDSet, _conditions, _record_terms, geometric_bound
 from .gridfilter import _run_records, resolve_grid, transition_kernel
 from .grids import GridSpec, InitialDistribution
 from .models import _simulate_records
@@ -99,7 +99,7 @@ class ExperimentResult:
     rates: np.ndarray               # (replications,)
     bound_totals: np.ndarray | None = None
     bound_applies: np.ndarray | None = None
-    conditions: list = field(default_factory=list)
+    conditions: ConditionReport | None = None  # a row per replication
 
     @property
     def median_rate(self) -> float:
@@ -133,7 +133,8 @@ def run_forgetting(cfg: ExperimentConfig) -> ExperimentResult:
 
     The replications are split into ``threads`` contiguous blocks, each
     filtered in one lock-step pass.  A degenerate record raises the
-    DegenerateFilterError of the lowest replication that degenerates.
+    DegenerateFilterError of the lowest replication that degenerates.  One
+    ``geometric_bound`` call takes every record.
     """
     grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
     kernel = transition_kernel(cfg.model, grid)
@@ -153,14 +154,10 @@ def run_forgetting(cfg: ExperimentConfig) -> ExperimentResult:
                            logZ_nu_prime=logZ[:, :, 1],
                            rates=np.array([fit_rate(row) for row in tv]))
     if cfg.bound_cfg is not None:
-        def bound(rep):
-            return geometric_bound(cfg.model, cfg.nu, cfg.nu_prime, obs[rep], cfg.bound_cfg,
-                                   cfg.ld_set, grid=grid, kernel=kernel)
-
-        bound_reports = _map_ordered(bound, reps, cfg.threads)
-        out.bound_totals = np.stack([b.total_clipped for b in bound_reports])
-        out.bound_applies = np.stack([b.applies for b in bound_reports])
-        out.conditions = [b.conditions for b in bound_reports]
+        bound = geometric_bound(cfg.model, cfg.nu, cfg.nu_prime, obs, cfg.bound_cfg,
+                                cfg.ld_set, grid=grid, kernel=kernel)
+        out.bound_totals, out.bound_applies = bound.total_clipped, bound.applies
+        out.conditions = bound.conditions
     return out
 
 
@@ -202,11 +199,9 @@ def estimate_r_sequences(cfg: ExperimentConfig) -> RSequenceResult:
     kernel = transition_kernel(cfg.model, grid)
     ns = dyadic_horizons(cfg.n)
     obs = _records(cfg)
-    terms = _record_terms(cfg.model, None, None, obs, b.D, None, None)
+    terms = _record_terms(cfg.model, cfg.nu, cfg.nu_prime, obs, b.D, None, grid, kernel)
     k_ok, ups_ok, psi_ok = _conditions(obs, terms, b)[1]
-    phis = _phi_laws(cfg.model, (cfg.nu, cfg.nu_prime), b.D, grid, kernel)(obs[:, 0], obs[:, 1])
-    with np.errstate(divide="ignore"):
-        lphi, lphi2 = np.log(phis)[:, :, None]
+    lphi, lphi2 = terms.log_phi[:, :, None]
     events = np.stack([lphi <= -b.M0 * ns, lphi2 <= -b.M0 * ns,
                        ~ups_ok[:, ns], ~psi_ok[:, ns], ~k_ok[:, ns]], axis=1)
     freq = np.mean(events.astype(float), axis=0)
@@ -238,9 +233,9 @@ def emit_report(result: ExperimentResult, out_dir: str,
                 for rep in range(reps) for n in range(steps)]
         reports.write_csv(os.path.join(out_dir, "bound.csv"),
                           ["rep", "n", "total_clipped", "applies"], rows)
-        rows = [(rep, c.avg_k_frequency[-1], c.avg_log_upsilon[-1],
-                 c.avg_log_psi[-1], c.all_ok)
-                for rep, c in enumerate(result.conditions)]
+        c = result.conditions
+        rows = zip(range(reps), c.avg_k_frequency[:, -1], c.avg_log_upsilon[:, -1],
+                   c.avg_log_psi[:, -1], c.all_ok)
         reports.write_csv(os.path.join(out_dir, "conditions.csv"),
                           ["rep", "avg_k_frequency", "avg_log_upsilon",
                            "avg_log_psi", "all_ok"], rows)

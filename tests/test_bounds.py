@@ -238,6 +238,15 @@ def test_bound_config_validation():
     with pytest.raises(ValueError):
         BoundConfig(beta=0.2, gamma=0.5, eta=1.5, D=D)
     BoundConfig(beta=0.2, gamma=0.5, eta=0.5, D=D)
+    # a NaN M made an r-sequence read 1 at every n, and K = (2, 0) left the
+    # geometric bound applying at no step, both without a word
+    for bad in ({"M0": np.nan}, {"M1": np.nan}, {"M2": np.nan}, {"M1": 0.0}):
+        with pytest.raises(ValueError, match="M thresholds"):
+            BoundConfig(beta=0.2, gamma=0.5, eta=0.5, D=D, **bad)
+    for K in ((2.0, 0.0), (np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="K must"):
+            BoundConfig(beta=0.2, gamma=0.5, eta=0.5, D=D, K=K)
+    BoundConfig(beta=0.2, gamma=0.5, eta=0.5, D=D, K=(0.0, 0.0))  # one point is an interval
 
 
 def brute_force_subset_max(log_ups_x, log_ups_cc, an):

@@ -202,6 +202,37 @@ def test_experiment_bound_form_other_than_geometric_exits_2(tmp_path, capsys, fo
     assert f"'form' must be 'geometric', got {form!r}" in err
 
 
+@pytest.mark.parametrize("override, message", [
+    ("bound.M0=NaN", "M thresholds"), ("bound.M1=NaN", "M thresholds"),
+    ("bound.M2=NaN", "M thresholds"), ("bound.K=[2, 0]", "K must"),
+    ("bound.K=[NaN, 1]", "K must"),
+])
+def test_nan_threshold_or_empty_K_exits_2(tmp_path, capsys, override, message):
+    cfg = write_cfg(tmp_path, {**bound_experiment_cfg(), "r_sequences": True})
+    assert main(["experiment", "--config", cfg, "--seed", "1", "--set", override,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and message in err
+    assert not (tmp_path / "o" / "r_seq.csv").exists()
+
+
+def test_geometric_bound_on_a_finite_model_without_C_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "model": {"kind": "finite", "transition": [[0.8, 0.2], [0.3, 0.7]],
+                  "emission": [[0.6, 0.4], [0.3, 0.7]]},
+        "nu": {"form": "finite", "weights": [0.9, 0.1]},
+        "nu_prime": {"form": "finite", "weights": [0.1, 0.9]},
+        "observations": {"simulate": {"init": {"form": "finite", "weights": [0.5, 0.5]},
+                                      "n": 12}},
+        "bound": {"form": "geometric", "beta": 0.2, "gamma": 0.5, "eta": 0.5,
+                  "D": {"states": [0, 1]}},
+    })
+    assert main(["bound", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "explicit C" in err
+    assert not (tmp_path / "o" / "bound.csv").exists()
+
+
 def test_every_known_section_key_still_runs(tmp_path):
     cfg = write_cfg(tmp_path, {**bound_experiment_cfg(), "r_sequences": True,
                                "grid": {"lo": -10, "hi": 10, "m": 64}})

@@ -5,14 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from hmmforget import (BoundConfig, DegenerateFilterError, ExperimentConfig, FiniteStateModel,
-                       GridSpec, HypothesisWarning, InitialDistribution, LDSet, LGSSM,
-                       StochVolModel, TobitModel, certify_ld_set, check_conditions,
-                       emit_report, estimate_r_sequences, fit_rate, log_psi_batch, phi,
-                       random_finite_model, rho, run_forgetting, run_two_filters, simulate,
-                       transition_kernel)
+from hmmforget import (NLSSM, BoundConfig, DegenerateFilterError, DriftFunction,
+                       ExperimentConfig, FiniteStateModel, GridSpec, HypothesisWarning,
+                       InitialDistribution, LDSet, LGSSM, StochVolModel, TobitModel,
+                       certify_ld_set, check_conditions, emit_report, estimate_r_sequences,
+                       fit_rate, geometric_bound, log_psi_batch, phi, random_finite_model, rho,
+                       run_forgetting, run_two_filters, simulate, transition_kernel)
 from hmmforget import bounds, experiments, gridfilter
-from hmmforget.bounds import _conditions, _log_phi, _phi_laws, _record_terms
+from hmmforget.bounds import _conditions, _record_terms
 from hmmforget.experiments import DEFAULT_GRID_M, TV_FLOOR, ExperimentResult, dyadic_horizons
 from hmmforget.gridfilter import resolve_grid
 
@@ -80,7 +80,7 @@ def test_kernel_built_once_per_experiment(small_cfg, monkeypatch):
         monkeypatch.setattr(module, "transition_kernel", counted)
     assert run_forgetting(small_cfg).tv.shape == (4, 26)
     assert calls == [small_cfg.grid]
-    # with a bound section, each record's bound reads the experiment's kernel
+    # with a bound section, the bound reads the experiment's kernel
     calls.clear()
     model = small_cfg.model
     bound_cfg = BoundConfig(beta=0.2, gamma=0.5, eta=0.5, D=certify_ld_set(model, (-2.0, 2.0)))
@@ -204,17 +204,106 @@ def test_bound_curves_attached_when_configured():
     assert res.bound_totals.shape == res.tv.shape
     ok = res.bound_applies
     assert np.all(res.tv[ok] <= res.bound_totals[ok] + 1e-9)
-    assert len(res.conditions) == 3
+    # one ConditionReport: a row of averages and a verdict per replication
+    assert res.conditions.avg_k_frequency.shape == res.tv.shape
+    assert res.conditions.all_ok.shape == (3,)
 
 
 def test_conditions_equal_check_conditions_on_each_record():
     cfg = tobit_r_config(2.5, n=16, replications=3)
     res = run_forgetting(cfg)
-    for rep, cond in enumerate(res.conditions):
+    for rep in range(cfg.replications):
         obs = simulate(cfg.star_model, cfg.n, cfg.nu_star, cfg.seed, rep).obs
         direct = check_conditions(obs, cfg.model, cfg.bound_cfg)
         for f in dataclasses.fields(direct):
-            assert np.array_equal(getattr(cond, f.name), getattr(direct, f.name)), f.name
+            batched = getattr(res.conditions, f.name)
+            row = batched if f.name == "n" else batched[rep]
+            assert np.array_equal(row, getattr(direct, f.name)), f.name
+
+
+def bound_case(model, D, C, nu, nu_prime, nu_star, K, star_model=None, n=40):
+    bcfg = BoundConfig(beta=0.2, gamma=0.5, eta=0.5, D=certify_ld_set(model, D), K=K,
+                       M0=1.0, M1=0.1, M2=1.5)
+    return ExperimentConfig(model=model, star_model=star_model or model, nu=nu,
+                            nu_prime=nu_prime, nu_star=nu_star, n=n, replications=5, seed=9,
+                            bound_cfg=bcfg, ld_set=certify_ld_set(model, C))
+
+
+BOUND_CASES = {
+    "tobit": lambda: bound_case(TobitModel(0.5, 1.0, 1.0), (-2.0, 2.0), (-3.0, 3.0),
+                                G(-4, 1), G(4, 1), G(0, 1), K=(0.0, 1.5)),
+    # SV filtering tobit's records: every y = 0 takes Psi's quadrature and
+    # Upsilon's dense scan, and y_0 or y_1 = 0 Phi's likelihood at 0
+    "stochvol": lambda: bound_case(StochVolModel(0.9, 0.3, 1.0), (-1.0, 1.0), (-1.5, 1.5),
+                                   G(-1, 0.5), G(1, 0.5), G(0, 1), K=(-1.0, 1.0),
+                                   star_model=TobitModel(0.5, 1.0, 1.0)),
+    "lgssm": lambda: bound_case(LGSSM(0.9, 1.0, 1.0), (-2.0, 2.0), (-3.0, 3.0),
+                                G(-4, 1), G(4, 1), G(0, 1), K=(-1.5, 1.5)),
+    # V != 1: Upsilon's dense scan with log QV/V, and log nu V != 0
+    "nlssm_tanh": lambda: bound_case(
+        NLSSM("tanh", 0.5, 1.0, 1.0, kappa=-1.5, drift=DriftFunction.exp_abs(0.5)),
+        (-2.0, 2.0), (-3.0, 3.0), G(-4, 1), G(4, 1), G(0, 1), K=(-1.5, 1.5)),
+    "finite": lambda: bound_case(random_finite_model(5), (0, 1), (0, 1, 2),
+                                 InitialDistribution.finite([0.8, 0.1, 0.1]),
+                                 InitialDistribution.finite([0.1, 0.1, 0.8]),
+                                 InitialDistribution.finite([1.0, 1.0, 1.0]), K=(0, 1)),
+}
+
+
+def bounds_per_record(cfg):
+    """The experiment's bound as a loop over records: each record simulated
+    on its own and given to its own geometric_bound call, on the
+    experiment's grid and kernel."""
+    grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
+    kernel = transition_kernel(cfg.model, grid)
+    return [geometric_bound(cfg.model, cfg.nu, cfg.nu_prime,
+                            simulate(cfg.star_model, cfg.n, cfg.nu_star, cfg.seed, rep).obs,
+                            cfg.bound_cfg, cfg.ld_set, grid=grid, kernel=kernel)
+            for rep in range(cfg.replications)]
+
+
+@pytest.mark.parametrize("name", BOUND_CASES)
+def test_the_experiments_bound_equals_the_per_record_loop(name, monkeypatch):
+    # one geometric_bound call on every record of the experiment gives each
+    # record the bound, the verdicts and the conditions of its own call, bit
+    # for bit, at any replication and thread count
+    cfg = BOUND_CASES[name]()
+    expected = bounds_per_record(cfg)
+    applies = np.stack([b.applies for b in expected])
+    assert np.any(applies[:, 1:]) and not np.all(applies[:, 1:])
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[3]))
+        return geometric_bound(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "geometric_bound", counted)
+    for replications in (1, 3, 5):
+        want = expected[:replications]
+        for threads in (1, 2, 3):
+            calls.clear()
+            res = run_forgetting(dataclasses.replace(cfg, replications=replications,
+                                                     threads=threads))
+            assert calls == [(replications, cfg.n + 1)]
+            assert res.bound_totals.tobytes() == np.stack(
+                [b.total_clipped for b in want]).tobytes(), (replications, threads)
+            assert res.bound_applies.tobytes() == np.stack(
+                [b.applies for b in want]).tobytes(), (replications, threads)
+            for f in dataclasses.fields(res.conditions):
+                got = getattr(res.conditions, f.name)
+                rows = [getattr(b.conditions, f.name) for b in want]
+                assert got.tobytes() == (rows[0] if f.name == "n" else np.stack(rows)).tobytes()
+            assert res.conditions.all_ok.tobytes() == np.stack(
+                [b.conditions.all_ok for b in want]).tobytes()
+    # the totals clip at 1 on these horizons: the ratio term, a row per
+    # record, holds the bits of each record's own call too
+    grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
+    batch = geometric_bound(cfg.model, cfg.nu, cfg.nu_prime, experiments._records(cfg),
+                            cfg.bound_cfg, cfg.ld_set, grid=grid)
+    assert batch.log_term_ratio.tobytes() == np.stack(
+        [b.log_term_ratio for b in expected]).tobytes()
+    assert batch.log_term_geo.tobytes() == expected[0].log_term_geo.tobytes()
+    assert np.all(np.isfinite(batch.log_term_ratio[:, 1:]))
 
 
 def test_r2_sums_log_psi_from_index_two():
@@ -341,10 +430,9 @@ def test_r_sequences_equal_the_per_record_loop(name):
     grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
     kernel = transition_kernel(cfg.model, grid)
     laws = (cfg.nu, cfg.nu_prime)
-    phis = _phi_laws(cfg.model, laws, cfg.bound_cfg.D, grid, kernel)
     obs = experiments._records(cfg)
-    for y0, y1 in obs[:, :2]:
-        batched = np.array(_log_phi(phis(y0, y1)))
+    log_phi = _record_terms(cfg.model, *laws, obs, cfg.bound_cfg.D, None, grid, kernel).log_phi
+    for (y0, y1), batched in zip(obs[:, :2], log_phi.T):
         one = [np.log(phi(cfg.model, law, cfg.bound_cfg.D, y0, y1, grid, kernel))
                for law in laws]
         direct = [np.log(phi_by_double_sum(cfg.model, law, cfg.bound_cfg.D, y0, y1, grid,

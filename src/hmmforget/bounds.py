@@ -292,12 +292,13 @@ def log_upsilon_batch(model, region, ys) -> np.ndarray:
 
 
 def find_ld_set_for_eta(model, eta, K, y_probe) -> LDSet:
-    """Smallest symmetric interval C with Upsilon_{C^c} <= eta Upsilon_X on the probes.
+    """Smallest symmetric interval C with Upsilon_{C^c} <= eta Upsilon_X on the probes in K.
 
     Doubles the radius until the envelope holds for every probe, then
     bisects down, and certifies the result.  Upsilon is that of ``upsilon``
-    (exact where V == 1), taken for all probes in one call per radius.
-    Raises H2UnverifiedError when the radius passes the domain's half-width.
+    (exact where V == 1), taken for the distinct probes in one call per radius.
+    Raises H2UnverifiedError when the radius passes the domain's half-width,
+    as on tobit with 0 in K (at y = 0, Upsilon_{C^c} = Upsilon_X).
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
@@ -305,7 +306,7 @@ def find_ld_set_for_eta(model, eta, K, y_probe) -> LDSet:
         raise ValueError("a finite model needs an explicit C: the LD-set search is on intervals")
     y_probe = np.atleast_1d(y_probe)
     model._check_obs(y_probe)  # before K, which a NaN probe would silently miss
-    y_probe = y_probe[indicator_K(K, y_probe) > 0]
+    y_probe = np.unique(y_probe[indicator_K(K, y_probe) > 0])
     if not len(y_probe):
         raise ValueError("need at least one probe observation in K")
     max_radius = model.domain[1]
@@ -416,44 +417,38 @@ def _record_series(model, obs, D: LDSet, C: LDSet | None = None):
     return log_ups[0][inv], None if C is None else log_ups[1][inv], log_psi[inv]
 
 
-def _phi_laws(model, laws, D: LDSet, grid, kernel):
-    """Phi_{nu,D}(y0, y1) for each nu of ``laws``, as a function of (y0, y1)
-    that returns an array (laws,) + y0's shape: y0 and y1 are scalars or
-    1-D arrays of records' first two observations.  The weights of each
-    law, its reach nu Q 1_D and D's mask are built here once; a call takes
-    g(., y0) and g(., y1) 1_D of every record as one array each, then per
-    record one GEMV ``kernel @ g1``, shared by the laws, and a dot per law.
-    A law whose reach is 0 violates the positivity hypothesis of the
-    pathwise bound: it warns a HypothesisWarning here and reads 0 at every
-    call."""
+def _phi_laws(model, laws, D: LDSet, grid, kernel, y0, y1):
+    """Phi_{nu,D}(y0, y1) for each nu of ``laws``, as an array (laws,) + y0's
+    shape: y0 and y1 are scalars or 1-D arrays of records' first two
+    observations.  The weights of each law, its reach nu Q 1_D and D's mask
+    are built once; g(., y0) and g(., y1) 1_D of every record are taken as
+    one array each, then per record one GEMV ``kernel @ g1``, shared by the
+    laws, and a dot per law.  A law whose reach is 0 violates the positivity
+    hypothesis of the pathwise bound: it warns a HypothesisWarning and reads 0."""
     x = model.support(grid)
     mask = (np.isin(x, D.states) if D.interval is None
             else (x >= D.interval[0]) & (x <= D.interval[1]))
     in_d = kernel[:, mask].sum(axis=1)
-    weights = []
-    for nu in laws:
-        w = np.exp(model.log_init(nu, grid))
-        if w @ in_d <= 0:
-            warnings.warn("nu Q 1_D = 0: the positivity hypothesis fails for this initial law",
-                          HypothesisWarning)
-            w = None
-        weights.append(w)
 
     def lik(y):  # g(., y) for each y, one per row; a scalar keeps the models' scalar path
         return np.exp(model.loglik(x, y if np.ndim(y) == 0 else y[:, None])).reshape(-1, len(x))
 
-    def at(y0, y1):
-        g0 = lik(y0)
-        g1 = np.where(mask, lik(y1), 0.0)
-        wg0 = [(i, w * g0) for i, w in enumerate(weights) if w is not None]
-        out = np.zeros((len(weights), len(g0)))
-        for r, g in enumerate(g1):
-            kg1 = kernel @ g  # not one GEMM of all records: it rounds differently
-            for i, wg in wg0:
-                out[i, r] = wg[r] @ kg1
-        return out.reshape((len(weights),) + np.shape(y0))
-
-    return at
+    g0 = lik(y0)
+    g1 = np.where(mask, lik(y1), 0.0)
+    wg0 = []
+    for i, nu in enumerate(laws):
+        w = np.exp(model.log_init(nu, grid))
+        if w @ in_d <= 0:
+            warnings.warn("nu Q 1_D = 0: the positivity hypothesis fails for this initial law",
+                          HypothesisWarning)
+        else:
+            wg0.append((i, w * g0))
+    out = np.zeros((len(laws), len(g0)))
+    for r, g in enumerate(g1):
+        kg1 = kernel @ g  # not one GEMM of all records: it rounds differently
+        for i, wg in wg0:
+            out[i, r] = wg[r] @ kg1
+    return out.reshape((len(laws),) + np.shape(y0))
 
 
 def phi(model, nu, D: LDSet, y0, y1, grid: GridSpec | None = None,
@@ -466,7 +461,7 @@ def phi(model, nu, D: LDSet, y0, y1, grid: GridSpec | None = None,
     grid = resolve_grid(model, grid)
     if kernel is None:
         kernel = transition_kernel(model, grid)
-    return float(_phi_laws(model, [nu], D, grid, kernel)(y0, y1)[0])
+    return float(_phi_laws(model, [nu], D, grid, kernel, y0, y1)[0])
 
 
 def a_n(n: int, beta: float) -> int:
@@ -593,7 +588,7 @@ def _record_terms(model, nu, nu_prime, obs, D: LDSet, C: LDSet | None, grid,
         kernel = transition_kernel(model, grid) if kernel is None else kernel
         log_v = model.log_v(model.support(grid))
         # y_0 and y_1: scalars for one record, which keep the models' scalar path
-        phis = _phi_laws(model, (nu, nu_prime), D, grid, kernel)(obs.T[0], obs.T[1])
+        phis = _phi_laws(model, (nu, nu_prime), D, grid, kernel, obs.T[0], obs.T[1])
         with np.errstate(divide="ignore"):  # a Phi of 0 reads -inf
             log_phi = np.log(phis)
         log_nuv = tuple(float(logsumexp(model.log_init(law, grid) + log_v))

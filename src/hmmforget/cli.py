@@ -319,7 +319,7 @@ def cmd_bound(cfg, out_dir):
         if "C" in bnd:
             C = build_ld_set(bnd["C"], model)
         else:
-            C = find_ld_set_for_eta(model, bcfg.eta, bcfg.K, obs[:8])
+            C = find_ld_set_for_eta(model, bcfg.eta, bcfg.K, obs)
         report = geometric_bound(model, nu, nu_prime, obs, bcfg, C, grid=grid)
     else:
         raise ConfigError(f"unknown bound form {form!r}")

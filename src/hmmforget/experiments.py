@@ -20,7 +20,9 @@ time bit for bit, so the outputs do not depend on how the blocks fall.
 The threads split the filter only.  The bound and the r-sequences are one
 ``bounds._record_terms`` pass each over all records: the envelopes once
 per distinct observation of the experiment, each law's Phi factors once;
-only Phi's GEMV and its dots are taken record by record.
+only Phi's GEMV and its dots are taken record by record.  The experiment
+keeps that bound's BoundReport (``ExperimentResult.bound``) and writes it as
+``hmmforget bound`` does (``reports.write_bound_csv``), with ``rep`` first.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reports
-from .bounds import BoundConfig, ConditionReport, LDSet, _conditions, _record_terms, geometric_bound
+from .bounds import BoundConfig, BoundReport, LDSet, _conditions, _record_terms, geometric_bound
 from .gridfilter import _run_records, resolve_grid, transition_kernel
 from .grids import GridSpec, InitialDistribution
 from .models import _simulate_records
@@ -97,9 +99,7 @@ class ExperimentResult:
     logZ_nu: np.ndarray
     logZ_nu_prime: np.ndarray
     rates: np.ndarray               # (replications,)
-    bound_totals: np.ndarray | None = None
-    bound_applies: np.ndarray | None = None
-    conditions: ConditionReport | None = None  # a row per replication
+    bound: BoundReport | None = None  # a row per replication, conditions included
 
     @property
     def median_rate(self) -> float:
@@ -154,10 +154,8 @@ def run_forgetting(cfg: ExperimentConfig) -> ExperimentResult:
                            logZ_nu_prime=logZ[:, :, 1],
                            rates=np.array([fit_rate(row) for row in tv]))
     if cfg.bound_cfg is not None:
-        bound = geometric_bound(cfg.model, cfg.nu, cfg.nu_prime, obs, cfg.bound_cfg,
-                                cfg.ld_set, grid=grid, kernel=kernel)
-        out.bound_totals, out.bound_applies = bound.total_clipped, bound.applies
-        out.conditions = bound.conditions
+        out.bound = geometric_bound(cfg.model, cfg.nu, cfg.nu_prime, obs, cfg.bound_cfg,
+                                    cfg.ld_set, grid=grid, kernel=kernel)
     return out
 
 
@@ -228,12 +226,10 @@ def emit_report(result: ExperimentResult, out_dir: str,
                       ["rep", "n", "tv", "logZ_nu", "logZ_nuprime"], rows)
     reports.write_csv(os.path.join(out_dir, "rates.csv"), ["rep", "rate"],
                       [(rep, result.rates[rep]) for rep in range(reps)])
-    if result.bound_totals is not None:
-        rows = [(rep, n, result.bound_totals[rep, n], result.bound_applies[rep, n])
-                for rep in range(reps) for n in range(steps)]
-        reports.write_csv(os.path.join(out_dir, "bound.csv"),
-                          ["rep", "n", "total_clipped", "applies"], rows)
-        c = result.conditions
+    if result.bound is not None:
+        reports.write_bound_csv(result.bound, os.path.join(out_dir, "bound.csv"))
+        reports.write_bound_summary(result.bound, os.path.join(out_dir, "bound_summary.json"))
+        c = result.bound.conditions
         rows = zip(range(reps), c.avg_k_frequency[:, -1], c.avg_log_upsilon[:, -1],
                    c.avg_log_psi[:, -1], c.all_ok)
         reports.write_csv(os.path.join(out_dir, "conditions.csv"),

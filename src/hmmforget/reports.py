@@ -59,10 +59,17 @@ def write_csv(path, header, rows):
 
 
 def write_bound_csv(report, path):
-    rows = zip(report.n, report.log_term_geo, report.log_term_ratio,
-               report.log_total, report.total_clipped, report.applies)
-    write_csv(path, ["n", "log_term_geo", "log_term_ratio", "log_total",
-                     "total_clipped", "applies"], rows)
+    """A row per n of a record's report; a batch's (a record per row) gets
+    rep first and its records' rows one record after another."""
+    shape = report.total_clipped.shape
+    header = ["n", "log_term_geo", "log_term_ratio", "log_total", "total_clipped", "applies"]
+    cols = [np.broadcast_to(c, shape).ravel() for c in
+            (report.n, report.log_term_geo, report.log_term_ratio, report.log_total,
+             report.total_clipped, report.applies)]
+    if len(shape) == 2:
+        header.insert(0, "rep")
+        cols.insert(0, np.repeat(np.arange(shape[0]), shape[1]))
+    write_csv(path, header, zip(*cols))
 
 
 def write_bound_summary(report, path):

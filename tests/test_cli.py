@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hmmforget import LGSSM, GridSpec, InitialDistribution, run_two_filters, simulate
+from hmmforget.bounds import _log_sup
 from hmmforget.cli import main
 from hmmforget.reports import write_trajectory_csv
 
@@ -318,6 +319,98 @@ def test_bound_subcommand(tmp_path):
     assert main(["bound", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
     assert (out / "bound.csv").exists()
     assert (out / "bound_summary.json").exists()
+
+
+# LGSSM(0, 1, 0.05) from N(0, 1) and N(3, 1) under a bound with eta = 1e-20 on
+# K = D = [-2, 2]: its total falls below 1 with the K-frequency rule holding
+SHARP_LGSSM = {"kind": "lgssm", "phi": 0.0, "sigma": 1.0, "beta": 0.05}
+SHARP_BOUND = {"beta": 0.05, "gamma": 0.9, "eta": 1e-20, "K": [-2, 2],
+               "D": {"interval": [-2, 2]}, "C": {"interval": [-2.48, 2.48]}}
+
+
+def test_bound_searches_C_on_the_whole_record(tmp_path):
+    # a C searched on the first 8 observations (+-1.600 here) breaks the
+    # envelope Upsilon_{C^c} <= eta Upsilon_X at 717 of the 3790 observations
+    # in K of this record at n = 4000, the first at index 10
+    bound = {k: v for k, v in SHARP_BOUND.items() if k != "C"}
+    cfg = write_cfg(tmp_path, {
+        "model": SHARP_LGSSM, "nu": GAUSS(0), "nu_prime": GAUSS(3), "grid": {"m": 100},
+        "observations": {"simulate": {"init": GAUSS(0), "n": 200}},
+        "bound": {**bound, "eta": 1e-12}})
+    out = tmp_path / "b"
+    assert main(["bound", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+    C = json.loads((out / "bound_summary.json").read_text())["inputs"]["C"]["interval"]
+    model = LGSSM(0.0, 1.0, 0.05)
+    obs = simulate(model, 200, InitialDistribution.gaussian(0, 1), 1).obs
+    in_k = obs[(obs >= -2) & (obs <= 2)]
+    ups_cc = np.exp(_log_sup(model, ("complement", tuple(C)), in_k))
+    assert np.all(ups_cc <= 1e-12 * np.exp(_log_sup(model, "all", in_k)))
+
+
+def test_bound_search_on_tobit_with_0_in_K_exits_1(tmp_path, capsys):
+    # at y = 0 tobit's likelihood peaks at the domain's lower end, in C^c for
+    # every C: Upsilon_{C^c} = Upsilon_X, so no C meets the envelope.  From
+    # N(5, 1) the record's first zero comes after its first 8 observations
+    cfg = write_cfg(tmp_path, {
+        "model": {"kind": "tobit", "phi": 0.9, "sigma": 1.0, "beta": 1.0},
+        "nu": GAUSS(-2), "nu_prime": GAUSS(2), "grid": {"m": 64},
+        "observations": {"simulate": {"init": GAUSS(5), "n": 40}},
+        "bound": {"beta": 0.2, "gamma": 0.5, "eta": 0.5, "K": [0, 2],
+                  "D": {"interval": [-2, 2]}}})
+    assert main(["bound", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+    assert "eta" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "bound.csv").exists()
+
+
+def sharp_experiment_cfg():
+    return {"model": SHARP_LGSSM, "nu": GAUSS(0), "nu_prime": GAUSS(3), "nu_star": GAUSS(0),
+            "n": 300, "replications": 3, "grid": {"m": 100}, "bound": SHARP_BOUND}
+
+
+def test_experiment_bound_csv_is_the_bound_commands_on_each_record(tmp_path):
+    # one bound.csv layout: rep r's rows, the r-th block, are without rep
+    # the bytes that `hmmforget bound` writes on replication r's record,
+    # header included
+    exp = sharp_experiment_cfg()
+    assert main(["experiment", "--config", write_cfg(tmp_path, exp), "--seed", "1",
+                 "--out", str(tmp_path / "e")]) == 0
+    header, *rows = (tmp_path / "e" / "bound.csv").read_text().splitlines(keepends=True)
+    assert header.startswith("rep,")
+    below = [r for r in rows if float(r.split(",")[5]) < 1 and r.endswith(",true\n")]
+    assert below  # the ratio term shows through the total
+    for rep in range(3):
+        cfg = write_cfg(tmp_path, {
+            **{k: exp[k] for k in ("model", "nu", "nu_prime", "grid", "bound")},
+            "observations": {"simulate": {"init": exp["nu_star"], "n": exp["n"],
+                                          "replication": rep}}}, f"bound{rep}.json")
+        out = tmp_path / f"b{rep}"
+        assert main(["bound", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+        mine = rows[rep * (exp["n"] + 1):(rep + 1) * (exp["n"] + 1)]  # rep by rep
+        assert all(r.startswith(f"{rep},") for r in mine)
+        assert header.split(",", 1)[1] + "".join(r.split(",", 1)[1] for r in mine) == (
+            out / "bound.csv").read_text()
+
+
+def test_experiment_bound_summary_is_the_bound_commands(tmp_path):
+    # the experiment's output directory records the bound's inputs: rho_C,
+    # beta, gamma, eta, K, and C and D with their eps-/eps+, at any --threads
+    cfg = write_cfg(tmp_path, {**sharp_experiment_cfg(), "n": 20})
+    summaries = []
+    for threads in (1, 2, 3):
+        out = tmp_path / f"t{threads}"
+        assert main(["experiment", "--config", cfg, "--seed", "1", "--threads", str(threads),
+                     "--out", str(out)]) == 0
+        summaries.append((out / "bound_summary.json").read_bytes())
+    assert summaries[1:] == summaries[:1] * 2
+    bound_cfg = write_cfg(tmp_path, {
+        "model": SHARP_LGSSM, "nu": GAUSS(0), "nu_prime": GAUSS(3), "grid": {"m": 100},
+        "observations": {"simulate": {"init": GAUSS(0), "n": 20}}, "bound": SHARP_BOUND},
+        "bound.json")
+    assert main(["bound", "--config", bound_cfg, "--seed", "1", "--out", str(tmp_path / "b")]) == 0
+    summary = json.loads(summaries[0])
+    assert summary == json.loads((tmp_path / "b" / "bound_summary.json").read_text())
+    assert set(summary["inputs"]) == {"beta", "gamma", "eta", "K", "C", "D"}
+    assert {"eps_minus", "eps_plus"} <= set(summary["inputs"]["C"]) & set(summary["inputs"]["D"])
 
 
 def test_verify_subcommand(tmp_path, capsys):

@@ -86,7 +86,7 @@ def test_kernel_built_once_per_experiment(small_cfg, monkeypatch):
     bound_cfg = BoundConfig(beta=0.2, gamma=0.5, eta=0.5, D=certify_ld_set(model, (-2.0, 2.0)))
     with_bound = dataclasses.replace(small_cfg, bound_cfg=bound_cfg,
                                      ld_set=certify_ld_set(model, (-3.0, 3.0)))
-    assert run_forgetting(with_bound).bound_totals.shape == (4, 26)
+    assert run_forgetting(with_bound).bound.total_clipped.shape == (4, 26)
     assert calls == [small_cfg.grid]
 
 
@@ -201,12 +201,12 @@ def test_r_frequencies_in_unit_interval_and_monotone_in_threshold():
 def test_bound_curves_attached_when_configured():
     cfg = tobit_r_config(2.5, n=16, replications=3)
     res = run_forgetting(cfg)
-    assert res.bound_totals.shape == res.tv.shape
-    ok = res.bound_applies
-    assert np.all(res.tv[ok] <= res.bound_totals[ok] + 1e-9)
+    assert res.bound.total_clipped.shape == res.tv.shape
+    ok = res.bound.applies
+    assert np.all(res.tv[ok] <= res.bound.total_clipped[ok] + 1e-9)
     # one ConditionReport: a row of averages and a verdict per replication
-    assert res.conditions.avg_k_frequency.shape == res.tv.shape
-    assert res.conditions.all_ok.shape == (3,)
+    assert res.bound.conditions.avg_k_frequency.shape == res.tv.shape
+    assert res.bound.conditions.all_ok.shape == (3,)
 
 
 def test_conditions_equal_check_conditions_on_each_record():
@@ -216,7 +216,7 @@ def test_conditions_equal_check_conditions_on_each_record():
         obs = simulate(cfg.star_model, cfg.n, cfg.nu_star, cfg.seed, rep).obs
         direct = check_conditions(obs, cfg.model, cfg.bound_cfg)
         for f in dataclasses.fields(direct):
-            batched = getattr(res.conditions, f.name)
+            batched = getattr(res.bound.conditions, f.name)
             row = batched if f.name == "n" else batched[rep]
             assert np.array_equal(row, getattr(direct, f.name)), f.name
 
@@ -285,25 +285,20 @@ def test_the_experiments_bound_equals_the_per_record_loop(name, monkeypatch):
             res = run_forgetting(dataclasses.replace(cfg, replications=replications,
                                                      threads=threads))
             assert calls == [(replications, cfg.n + 1)]
-            assert res.bound_totals.tobytes() == np.stack(
-                [b.total_clipped for b in want]).tobytes(), (replications, threads)
-            assert res.bound_applies.tobytes() == np.stack(
-                [b.applies for b in want]).tobytes(), (replications, threads)
-            for f in dataclasses.fields(res.conditions):
-                got = getattr(res.conditions, f.name)
+            for name in ("total_clipped", "applies", "log_term_ratio"):
+                assert getattr(res.bound, name).tobytes() == np.stack(
+                    [getattr(b, name) for b in want]).tobytes(), (name, replications, threads)
+            for name in ("n", "log_term_geo", "a_n"):
+                assert np.array_equal(getattr(res.bound, name), getattr(want[0], name)), name
+            assert (res.bound.rho, res.bound.inputs) == (want[0].rho, want[0].inputs)
+            for f in dataclasses.fields(res.bound.conditions):
+                got = getattr(res.bound.conditions, f.name)
                 rows = [getattr(b.conditions, f.name) for b in want]
                 assert got.tobytes() == (rows[0] if f.name == "n" else np.stack(rows)).tobytes()
-            assert res.conditions.all_ok.tobytes() == np.stack(
+            assert res.bound.conditions.all_ok.tobytes() == np.stack(
                 [b.conditions.all_ok for b in want]).tobytes()
-    # the totals clip at 1 on these horizons: the ratio term, a row per
-    # record, holds the bits of each record's own call too
-    grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
-    batch = geometric_bound(cfg.model, cfg.nu, cfg.nu_prime, experiments._records(cfg),
-                            cfg.bound_cfg, cfg.ld_set, grid=grid)
-    assert batch.log_term_ratio.tobytes() == np.stack(
-        [b.log_term_ratio for b in expected]).tobytes()
-    assert batch.log_term_geo.tobytes() == expected[0].log_term_geo.tobytes()
-    assert np.all(np.isfinite(batch.log_term_ratio[:, 1:]))
+    # the totals clip at 1 on these horizons: the ratio term is finite past n = 0
+    assert np.all(np.isfinite(res.bound.log_term_ratio[:, 1:]))
 
 
 def test_r2_sums_log_psi_from_index_two():
@@ -326,7 +321,7 @@ def test_r3_is_the_complement_of_applies():
     cfg = tobit_r_config(2.5, n=16, replications=20, seed=3)
     cfg = dataclasses.replace(cfg, bound_cfg=dataclasses.replace(cfg.bound_cfg, K=(0.0, 1.5)))
     rs = estimate_r_sequences(cfg)
-    applies = run_forgetting(cfg).bound_applies
+    applies = run_forgetting(cfg).bound.applies
     assert np.array_equal(rs.r3, np.mean(~applies[:, rs.ns], axis=0))
     assert np.any((rs.r3 > 0) & (rs.r3 < 1))
 

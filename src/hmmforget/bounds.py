@@ -451,17 +451,14 @@ def _phi_laws(model, laws, D: LDSet, grid, kernel, y0, y1):
     return out.reshape((len(laws),) + np.shape(y0))
 
 
-def phi(model, nu, D: LDSet, y0, y1, grid: GridSpec | None = None,
-        kernel: np.ndarray | None = None) -> float:
+def phi(model, nu, D: LDSet, y0, y1, grid: GridSpec | None = None) -> float:
     """nu[g(., y0) Q g(., y1) 1_D] by double quadrature (exact when finite).
 
     Returns 0 with a HypothesisWarning when nu Q 1_D = 0, which violates
     the positivity hypothesis of the pathwise bound.
     """
     grid = resolve_grid(model, grid)
-    if kernel is None:
-        kernel = transition_kernel(model, grid)
-    return float(_phi_laws(model, [nu], D, grid, kernel, y0, y1)[0])
+    return float(_phi_laws(model, [nu], D, grid, transition_kernel(model, grid), y0, y1)[0])
 
 
 def a_n(n: int, beta: float) -> int:
@@ -574,7 +571,7 @@ def _record_terms(model, nu, nu_prime, obs, D: LDSet, C: LDSet | None, grid,
     row: a batch's envelopes are evaluated once per distinct observation of
     the batch, and its prefix sums run along each row.  Without initial laws
     (nu None, as check_conditions calls it) log_phi and log_nuv are None.
-    ``kernel`` is as in ``gridfilter.filter_step``."""
+    ``kernel`` is the transition matrix on ``grid``, built here when None."""
     obs = np.asarray(obs)
     if nu is not None:
         if obs.shape[-1] < 2:
@@ -645,8 +642,8 @@ def geometric_bound(model, nu, nu_prime, obs, cfg: BoundConfig, C: LDSet,
     are flagged as not applicable.  The report's ``conditions`` are those of
     check_conditions, read from the records the bound evaluated.  A batch
     gives a row per record, bit for bit that record's own call's.  ``kernel``
-    is as in ``gridfilter.filter_step``: the transition matrix on ``grid``,
-    built here when None.
+    is the transition matrix on ``grid``, built here when None, so that an
+    experiment's filter and bound share one.
     """
     obs = np.asarray(obs)
     terms = _record_terms(model, nu, nu_prime, obs, cfg.D, C, grid, kernel)

@@ -163,8 +163,10 @@ def build_init(d, what):
 def build_grid(cfg, model):
     g = section(cfg.get("grid", {}), "grid", nullable=GRID_KEYS, keys=GRID_KEYS)
     lo, hi = g.get("lo"), g.get("hi")
+    if (lo is None) != (hi is None):
+        raise ConfigError(f"grid entry {'hi' if lo is None else 'lo'!r} needs the other end too")
     m = DEFAULT_GRID_M if g.get("m") is None else int(g["m"])
-    grid = None if lo is None or hi is None else GridSpec(float(lo), float(hi), m)
+    grid = None if lo is None else GridSpec(float(lo), float(hi), m)
     return resolve_grid(model, grid, m)
 
 
@@ -178,7 +180,7 @@ def build_ld_set(d, model):
 
 def build_bound_cfg(d, model):
     D = build_ld_set(section(d, "bound", nullable=("K",), keys=BOUND_KEYS)["D"], model)
-    K = tuple(d["K"]) if d.get("K") is not None else None
+    K = tuple(map(float, d["K"])) if d.get("K") is not None else None
     return BoundConfig(beta=d["beta"], gamma=d["gamma"], eta=d["eta"], D=D, K=K,
                        M0=d.get("M0", 1.0), M1=d.get("M1", 1.0), M2=d.get("M2", 1.0))
 
@@ -311,6 +313,7 @@ def cmd_bound(cfg, out_dir):
         raise ConfigError("config needs a 'bound' section")
     form = section(bnd, "bound", nullable=("K",), keys=BOUND_KEYS).get("form", "geometric")
     if form == "sharp":
+        section(bnd, "sharp bound", keys=("form", "beta", "C", "D"))  # refuse what it ignores
         C = build_ld_set(bnd["C"], model)
         D = build_ld_set(bnd["D"], model)
         report = sharp_bound(model, nu, nu_prime, obs, bnd["beta"], C, D, grid=grid)

@@ -13,11 +13,12 @@ large |x|.
 batch in lock-step: the 2R rows of one array, the two of record r at rows
 2r and 2r + 1, so that each elementwise and reduction call of a step
 serves every record.  It evaluates the likelihood in blocks of about
-(n + 1) / R steps, so a pass holds about one record's (n + 1) x m matrix
-at any time.  ``run_two_filters`` is its one-record case and
-``run_forgetting`` (``experiments``) runs it on blocks of replications.  Its
-step is the one ``filter_step`` takes on one row, so its output equals an
-``init_filter`` + ``filter_step`` loop bit for bit, whatever the batch.
+min(n + 1, 256) / R steps, so a pass holds at most 256 steps of one
+record's likelihood at any time, whatever the horizon.  ``run_two_filters``
+is its one-record case and ``run_forgetting`` (``experiments``) runs it on
+blocks of replications.  Its step is the one ``filter_step`` takes on one
+row, so its output equals an ``init_filter`` + ``filter_step`` loop bit for
+bit, whatever the batch.
 
 The step's contract is its arithmetic, to the last bit: the forgetting
 rates are fitted on TV values near 1e-14, where the last bit counts.
@@ -36,7 +37,7 @@ rates are fitted on TV values near 1e-14, where the last bit counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,11 +50,12 @@ class DegenerateFilterError(RuntimeError):
 
 @dataclass(frozen=True)
 class FilterState:
-    """Normalized log-weights of the filter plus the running log-normalizer."""
+    """Normalized log-weights, running log-normalizer and the grid's kernel."""
 
     grid: GridSpec | None  # None on finite state sets
     logw: np.ndarray
     logZ: float
+    kernel: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def weights(self) -> np.ndarray:
@@ -155,16 +157,13 @@ def init_filter(model, grid: GridSpec | None, init: InitialDistribution, y0) -> 
     logZ = np.empty(1)
     with np.errstate(divide="ignore", invalid="ignore"):
         rows.normalize(0.0, logZ)
-    return FilterState(grid=grid, logw=rows.logw[0], logZ=float(logZ[0]))
+    return FilterState(grid, rows.logw[0], float(logZ[0]), transition_kernel(model, grid))
 
 
-def filter_step(state: FilterState, model, y, kernel: np.ndarray | None = None) -> FilterState:
-    """One predict/update step of the recursion.
-
-    ``kernel`` may be passed to reuse a precomputed transition matrix; it
-    must match ``transition_kernel(model, state.grid)``.
-    """
-    kernel = transition_kernel(model, state.grid) if kernel is None else kernel
+def filter_step(state: FilterState, model, y) -> FilterState:
+    """One predict/update step of the recursion, through ``state.kernel``
+    (built here, and carried on, for a state without one)."""
+    kernel = transition_kernel(model, state.grid) if state.kernel is None else state.kernel
     loglik = model.log_likelihood(model.support(state.grid), y)
     rows = _Rows(1, len(state.logw))
     rows.logw[0] = state.logw
@@ -173,7 +172,7 @@ def filter_step(state: FilterState, model, y, kernel: np.ndarray | None = None) 
     with np.errstate(divide="ignore", invalid="ignore"):
         if not rows.step(kernel, loglik, state.logZ, logZ):
             raise _underflow(y)
-    return replace(state, logw=rows.logw[0], logZ=float(logZ[0]))
+    return replace(state, logw=rows.logw[0], logZ=float(logZ[0]), kernel=kernel)
 
 
 def tv_distance(a: FilterState, b: FilterState) -> float:
@@ -192,11 +191,11 @@ def _run_records(model, grid, nu, nu_prime, obs, kernel, reps=None):
     one per row, in lock-step: the TV (R, n + 1) and the log-normalizers
     (R, n + 1, 2), nu's then nu_prime's.
 
-    The likelihood is evaluated in blocks of max(1, (n + 1) // R) steps.  A
-    record whose weights underflow raises a DegenerateFilterError naming its
-    step and observation, and its replication ``reps[r]`` where ``reps`` is
-    given; a lower record that underflows at a later step is the one
-    raised, as a loop over the records would raise it.
+    The likelihood is evaluated in blocks of max(1, min(n + 1, 256) // R)
+    steps.  A record whose weights underflow raises a DegenerateFilterError
+    naming its step and observation, and its replication ``reps[r]`` where
+    ``reps`` is given; a lower record that underflows at a later step is the
+    one raised, as a loop over the records would raise it.
     """
     R, steps = obs.shape
     if R > 1:  # name a bad observation by its step in its record, not in a block
@@ -205,7 +204,7 @@ def _run_records(model, grid, nu, nu_prime, obs, kernel, reps=None):
     x = model.support(grid)
     rows = _Rows(2 * R, len(x), 2)
     ys = obs.T[:, :, None, None]  # (step, record, filter, state)
-    block = max(1, steps // R)
+    block = max(1, min(steps, 256) // R)
     tv, logZ = np.empty((steps, R)), np.empty((steps, 2 * R))
     with np.errstate(divide="ignore", invalid="ignore"):
         for n in range(steps):
@@ -229,16 +228,14 @@ def _run_records(model, grid, nu, nu_prime, obs, kernel, reps=None):
     return tv.T, logZ.reshape(steps, R, 2).transpose(1, 0, 2)
 
 
-def run_two_filters(model, grid, nu, nu_prime, obs, kernel=None):
+def run_two_filters(model, grid, nu, nu_prime, obs):
     """Run the filter from nu and nu_prime on a common observation record.
 
     Returns a list of (n, tv, logZ_nu, logZ_nu_prime) tuples, one per step.
-    ``kernel`` is as in ``filter_step``.
     """
     obs = np.asarray(obs)
     if len(obs) == 0:
         raise ValueError("need at least one observation")
     grid = resolve_grid(model, grid)
-    kernel = transition_kernel(model, grid) if kernel is None else kernel
-    tv, logZ = _run_records(model, grid, nu, nu_prime, obs[None], kernel)
+    tv, logZ = _run_records(model, grid, nu, nu_prime, obs[None], transition_kernel(model, grid))
     return [(n, *row) for n, row in enumerate(zip(tv[0].tolist(), *logZ[0].T.tolist()))]

@@ -505,13 +505,16 @@ def _simulate_records(model, n, init: InitialDistribution, seed, replications):
     them in each row's cdf as ``choice`` does: each path in one scalar loop,
     then the symbols state by state over every record.  A row ``choice``
     refuses raises its ValueError before step 1, visited or not.  Step 0 of
-    each record draws from its own generator, record by record.
+    each record draws from its own generator, record by record.  A model of
+    any other class raises a TypeError naming it.
     """
     n = operator.index(n)
     if n < 0:
         raise ValueError("horizon must be >= 0")
+    if not isinstance(model, (FiniteStateModel, GaussianStateModel)):
+        raise TypeError(f"simulate cannot draw records of a {type(model).__name__}")
     paths = [(r,) for r in replications]
-    if not isinstance(model, GaussianStateModel):
+    if isinstance(model, FiniteStateModel):
         P, E = (_choice_cdf(rows) for rows in (model.transition, model.emission))
         firsts, uniforms = uniform_pairs(seed, paths, n=n + 1)
         starts = []

@@ -18,7 +18,7 @@ from hmmforget import (BoundConfig, ExperimentConfig, FiniteStateModel,
                        geometric_bound, estimate_r_sequences, filter_step,
                        init_filter, log_upsilon_batch, rho, run_forgetting,
                        run_suite, run_two_filters, simulate,
-                       supermartingale_check, transition_kernel, upsilon)
+                       supermartingale_check, upsilon)
 from hmmforget.cli import main as cli_main
 from hmmforget.models import _folded_exp_moment
 from hmmforget.verify import (random_finite_model, random_probability_vector,
@@ -76,14 +76,13 @@ def test_criterion_05_kalman_oracle():
     grid = GridSpec(*model.domain, 2000)
     nu = InitialDistribution.gaussian(0.0, 1.0)
     obs = simulate(model, 50, nu, seed=123).obs
-    kern = transition_kernel(model, grid)
     m, p = 0.0, 1.0
     state = None
     worst = 0.0
     for i, y in enumerate(obs):
         if i > 0:
             m, p = 0.9 * m, 0.81 * p + 1.0
-            state = filter_step(state, model, y, kern)
+            state = filter_step(state, model, y)
         else:
             state = init_filter(model, grid, nu, y)
         k = p / (p + 1.0)

@@ -413,6 +413,55 @@ def test_experiment_bound_summary_is_the_bound_commands(tmp_path):
     assert {"eps_minus", "eps_plus"} <= set(summary["inputs"]["C"]) & set(summary["inputs"]["D"])
 
 
+@pytest.mark.parametrize("overrides, given", [
+    (["grid.lo=-3"], "lo"), (["grid.hi=3"], "hi"),
+    (["grid.lo=null", "grid.hi=3", "grid.m=64"], "hi"),
+], ids=["lo", "hi", "hi-and-null-lo"])
+def test_a_grid_end_without_the_other_exits_2_and_names_it(tmp_path, capsys, overrides,
+                                                           given):
+    # one end alone used to be ignored: the run wrote the default grid's trace
+    cfg = write_cfg(tmp_path, ROUND_TRIP["filter"])
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["filter", "--config", cfg, "--seed", "3", *sets,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: grid entry {given!r} needs the other end")
+    assert not (tmp_path / "o" / "filter_trace.csv").exists()
+
+
+SHARP_FORM = {"form": "sharp", "beta": 0.2, "D": {"interval": [-2, 2]},
+              "C": {"interval": [-3, 3]}}
+
+
+@pytest.mark.parametrize("override", ["bound.K=[5, 6]", "bound.eta=0.9", "bound.gamma=0.1",
+                                      "bound.M0=2", "bound.M1=-7", "bound.M2=3"])
+def test_the_sharp_bound_refuses_an_entry_it_does_not_read(tmp_path, capsys, override):
+    # the sharp form reads beta, C and D alone: a gamma, eta, K or M used to
+    # run with an unchanged bound.csv, even an M1 that the geometric form refuses
+    cfg = write_cfg(tmp_path, {**ROUND_TRIP["bound"], "bound": SHARP_FORM})
+    assert main(["bound", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "ok")]) == 0
+    assert main(["bound", "--config", cfg, "--seed", "3", "--set", override,
+                 "--out", str(tmp_path / "o")]) == 2
+    key = override.split(".")[1].split("=")[0]
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: sharp bound has unknown key {key!r}")
+    assert not (tmp_path / "o" / "bound.csv").exists()
+
+
+def test_bound_summary_is_the_same_for_K_spelled_with_integers_or_floats(tmp_path):
+    outs = []
+    for K in ("[-2, 2]", "[-2.0, 2.0]"):
+        cfg = write_cfg(tmp_path, {
+            "model": SHARP_LGSSM, "nu": GAUSS(0), "nu_prime": GAUSS(3), "grid": {"m": 100},
+            "observations": {"simulate": {"init": GAUSS(0), "n": 20}}, "bound": SHARP_BOUND})
+        outs.append(tmp_path / f"K{len(outs)}")
+        assert main(["bound", "--config", cfg, "--seed", "1", "--set", f"bound.K={K}",
+                     "--out", str(outs[-1])]) == 0
+    for name in ("bound.csv", "bound_summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert json.loads((outs[0] / "bound_summary.json").read_text())["inputs"]["K"] == [-2.0, 2.0]
+
+
 def test_verify_subcommand(tmp_path, capsys):
     out = tmp_path / "v"
     assert main(["verify", "--suite", "counting", "--out", str(out)]) == 0

@@ -428,7 +428,7 @@ def test_r_sequences_equal_the_per_record_loop(name):
     obs = experiments._records(cfg)
     log_phi = _record_terms(cfg.model, *laws, obs, cfg.bound_cfg.D, None, grid, kernel).log_phi
     for (y0, y1), batched in zip(obs[:, :2], log_phi.T):
-        one = [np.log(phi(cfg.model, law, cfg.bound_cfg.D, y0, y1, grid, kernel))
+        one = [np.log(phi(cfg.model, law, cfg.bound_cfg.D, y0, y1, grid))
                for law in laws]
         direct = [np.log(phi_by_double_sum(cfg.model, law, cfg.bound_cfg.D, y0, y1, grid,
                                            kernel)) for law in laws]

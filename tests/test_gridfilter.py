@@ -12,6 +12,7 @@ from hmmforget import (LGSSM, NLSSM, DegenerateFilterError, DomainError, Experim
                        StochVolModel, TobitModel, filter_step, init_filter,
                        random_finite_model, run_forgetting, run_two_filters, simulate,
                        transition_kernel, tv_distance)
+from hmmforget import gridfilter
 from hmmforget.gridfilter import _Rows, _run_records
 
 
@@ -118,10 +119,41 @@ def test_weights_normalized_every_step():
     grid = GridSpec(*model.domain, 256)
     obs = simulate(model, 30, InitialDistribution.gaussian(0, 1), seed=8).obs
     state = init_filter(model, grid, InitialDistribution.gaussian(0, 1), obs[0])
-    kern = transition_kernel(model, grid)
     for y in obs[1:]:
-        state = filter_step(state, model, y, kern)
+        state = filter_step(state, model, y)
         assert abs(state.weights.sum() - 1.0) < 1e-10
+
+
+def test_a_filter_state_carries_its_kernel(monkeypatch):
+    # init_filter builds the transition matrix once and every filter_step
+    # steps through the state's, with the bits of the recursion written out:
+    # one GEMV, the shift by np.max and the reference log-sum-exp
+    model = LGSSM(0.9, 1.0, 1.0)
+    grid = GridSpec(*model.domain, 400)
+    obs = simulate(model, 50, InitialDistribution.gaussian(0, 1), seed=4).obs
+    calls, build = [], gridfilter.transition_kernel
+    monkeypatch.setattr(gridfilter, "transition_kernel",
+                        lambda *args: calls.append(args) or build(*args))
+    states = [init_filter(model, grid, GAUSS[0], obs[0])]
+    for y in obs[1:]:
+        states.append(filter_step(states[-1], model, y))
+    assert len(calls) == 1 and all(one.kernel is states[0].kernel for one in states)
+    kernel = build(model, grid)
+    loglik = model.log_likelihood(grid.centers[None, :], obs[:, None])
+    logu, logZ = model.log_init(GAUSS[0], grid) + loglik[0], 0.0
+    for n, state in enumerate(states):
+        if n:
+            shift = np.max(logw)
+            logu = np.log(np.exp(logw - shift) @ kernel) + shift + loglik[n]
+        z = reference_logsumexp(logu, 0)
+        logw, logZ = logu - z, logZ + z
+        assert state.logw.tobytes() == logw.tobytes() and state.logZ == logZ
+    # a state built without one builds it, once, and passes it on
+    bare = FilterState(grid, states[0].logw, states[0].logZ)
+    assert bare == states[0] and "kernel" not in repr(bare)
+    stepped = filter_step(bare, model, obs[1])
+    assert len(calls) == 2 and filter_step(stepped, model, obs[2]).kernel is stepped.kernel
+    assert stepped.logw.tobytes() == states[1].logw.tobytes()
 
 
 def test_tv_hand_values_and_grid_mismatch():
@@ -229,20 +261,18 @@ RECORDS = {
 }
 
 
-@pytest.mark.parametrize("pass_kernel", [False, True], ids=["own-kernel", "kernel"])
-@pytest.mark.parametrize("name", list(RECORDS))
-def test_two_filters_equal_one_filter_loops_bit_for_bit(name, pass_kernel):
+# each of the loops' states and run_two_filters builds its own kernel
+@pytest.mark.parametrize("name", list(RECORDS), ids=[f"{name}-own-kernel" for name in RECORDS])
+def test_two_filters_equal_one_filter_loops_bit_for_bit(name):
     model, m, n, (nu, nup) = RECORDS[name]
     grid = GridSpec(*model.domain, m) if m else None
     obs = simulate(model, n, InitialDistribution.gaussian(0, 1) if m else nu, seed=7).obs
-    kern = transition_kernel(model, grid)
     a, b = init_filter(model, grid, nu, obs[0]), init_filter(model, grid, nup, obs[0])
     loop = [(tv_distance(a, b), a.logZ, b.logZ)]
     for y in obs[1:]:
-        a, b = filter_step(a, model, y, kern), filter_step(b, model, y)
+        a, b = filter_step(a, model, y), filter_step(b, model, y)
         loop.append((tv_distance(a, b), a.logZ, b.logZ))
-    stacked = run_two_filters(model, grid, nu, nup, obs,
-                              kernel=kern if pass_kernel else None)
+    stacked = run_two_filters(model, grid, nu, nup, obs)
     assert [r[0] for r in stacked] == list(range(n + 1))
     assert np.array_equal(np.array([r[1:] for r in stacked]), np.array(loop))
     assert loop[0][0] > 0.1 and loop[-1][0] < loop[0][0]
@@ -335,21 +365,22 @@ def test_the_recursion_leaves_its_inputs_alone_and_keeps_no_state():
     model, m, n, (nu, nup) = RECORDS["tobit"]
     grid = GridSpec(*model.domain, m)
     obs = simulate(model, 30, InitialDistribution.gaussian(0, 1), seed=3).obs
-    kern = transition_kernel(model, grid)
-    kern_bytes, obs_bytes = kern.tobytes(), obs.tobytes()
     state = init_filter(model, grid, nu, obs[0])
+    kern_bytes, obs_bytes = state.kernel.tobytes(), obs.tobytes()
     logw_bytes = state.logw.tobytes()
-    nxt = filter_step(state, model, obs[1], kern)
+    nxt = filter_step(state, model, obs[1])
     assert state.logw.tobytes() == logw_bytes
     assert not np.shares_memory(nxt.logw, state.logw)
-    first = run_two_filters(model, grid, nu, nup, obs, kernel=kern)
-    assert run_two_filters(model, grid, nu, nup, obs, kernel=kern) == first
-    # the threads of run_forgetting share one kernel
+    first = run_two_filters(model, grid, nu, nup, obs)
+    assert run_two_filters(model, grid, nu, nup, obs) == first
+    # threads step states that share one kernel, as run_forgetting's blocks do
     with ThreadPoolExecutor(4) as pool:
-        runs = [pool.submit(run_two_filters, model, grid, nu, nup, obs, kern)
-                for _ in range(8)]
+        runs = [pool.submit(run_two_filters, model, grid, nu, nup, obs) for _ in range(8)]
+        steps = [pool.submit(filter_step, state, model, obs[1]) for _ in range(8)]
         assert all(run.result(timeout=60) == first for run in runs)
-    assert kern.tobytes() == kern_bytes and obs.tobytes() == obs_bytes
+        assert all(step.result(timeout=60).logw.tobytes() == nxt.logw.tobytes()
+                   for step in steps)
+    assert state.kernel.tobytes() == kern_bytes and obs.tobytes() == obs_bytes
 
 
 def forgetting_cases():
@@ -381,13 +412,16 @@ def test_every_replication_equals_the_reference_recursion(replications):
                 assert got.tobytes() == want.tobytes(), (model.kind, rep, threads)
 
 
-@pytest.mark.parametrize("replications", [1, 2, 5, 7, 60])
-def test_the_likelihood_block_holds_at_most_one_records_matrix(replications, monkeypatch):
+@pytest.mark.parametrize("replications, n", [
+    *(pytest.param(r, 40, id=str(r)) for r in (1, 2, 5, 7, 60)),
+    pytest.param(1, 1000, id="1-n1000"),
+])
+def test_the_likelihood_block_holds_at_most_one_records_matrix(replications, n, monkeypatch):
     # the pass evaluates the likelihood of every step exactly once, in
-    # blocks of at most (n + 1) x m entries while R <= n + 1 (one step's R
-    # rows beyond), and holds one block at a time, so its memory stays
-    # bounded in the horizon
-    model, m, n = TobitModel(0.5, 1.0, 1.0), 64, 40
+    # blocks of at most min(n + 1, 256) x m entries while R <= min(n + 1,
+    # 256) (one step's R rows beyond), and holds one block at a time, so its
+    # memory does not grow with the horizon
+    model, m = TobitModel(0.5, 1.0, 1.0), 64
     grid = GridSpec(*model.domain, m)
     obs = np.stack([simulate(model, n, GAUSS[0], seed=1, replication=r).obs
                     for r in range(replications)])
@@ -403,6 +437,7 @@ def test_the_likelihood_block_holds_at_most_one_records_matrix(replications, mon
     monkeypatch.setattr(model, "log_likelihood", counted)
     tv, logZ = _run_records(model, grid, *GAUSS, obs, transition_kernel(model, grid))
     assert tv.shape == (replications, n + 1) and logZ.shape == (replications, n + 1, 2)
+    steps = min(n + 1, 256)
     assert sum(sizes) == replications * (n + 1) * m
-    assert max(sizes) <= max(n + 1, replications) * m
-    assert len(sizes) <= 2 * min(replications, n + 1)
+    assert max(sizes) <= max(steps, replications) * m
+    assert len(sizes) <= 2 * min(replications, steps) * -(-(n + 1) // steps)

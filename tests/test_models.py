@@ -14,7 +14,7 @@ import hmmforget
 from hmmforget import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateModel,
                        GridSpec, InitialDistribution, StochVolModel, TobitModel,
                        random_finite_model, simulate, substream)
-from hmmforget.models import _simulate_records
+from hmmforget.models import StateSpaceModel, _simulate_records
 from hmmforget.grids import norm_logpdf
 from hmmforget import rng
 from hmmforget.rng import _keys, _rekeyed, normal_pairs, normal_rows, uniform_pairs
@@ -427,6 +427,31 @@ def test_a_long_record_equals_per_step_substreams():
     traj = simulate(model, 4000, init, seed=2**64 + 9, replication=2**33)
     obs, hidden = simulate_per_step(model, 4000, init, 2**64 + 9, 2**33)
     assert np.array_equal(traj.obs, obs) and np.array_equal(traj.hidden, hidden)
+
+
+def test_simulate_names_a_model_class_it_cannot_draw():
+    # a new model with the README's surface and both scalar samplers, but
+    # neither a FiniteStateModel's transition and emission nor a
+    # GaussianStateModel's state_mean, state_sd and observe
+    class Walk(StateSpaceModel):
+        kind, domain = "walk", (-10.0, 10.0)
+
+        def _check_state(self, x):
+            return x
+
+        _check_obs = _check_state
+
+        def _obs_logpdf(self, x, y):
+            return norm_logpdf(y, x, 1.0)
+
+        def sample_transition(self, x, rng):
+            return x + rng.standard_normal()
+
+        sample_observation = sample_transition
+
+    assert np.isfinite(simulate_per_step(Walk(), 5, SIMULATED["lgssm"][1], 1, 0)[0]).all()
+    with pytest.raises(TypeError, match="records of a Walk"):
+        simulate(Walk(), 5, SIMULATED["lgssm"][1], seed=1)
 
 
 RECORD_REPLICATIONS = [0, 1, 2**32 + 5, 2**40]

@@ -21,7 +21,7 @@ from .grids import GridSpec, InitialDistribution
 from .models import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateModel,
                      StochVolModel, TobitModel, Trajectory, simulate)
 from .rng import substream
-from .verify import (DriftPreconditionError, ExactDeltaResult, PairChainSpec,
+from .verify import (DriftPreconditionError, ExactDeltaResult,
                      counting_inequality_check, exact_delta, exact_denominator_bound,
                      random_finite_model, run_suite, supermartingale_check)
 

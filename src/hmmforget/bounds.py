@@ -95,22 +95,27 @@ class LDSet:
             raise ValueError("LD interval must be nonempty")
         if self.states is not None and len(self.states) == 0:
             raise ValueError("LD state subset must be nonempty")
+        if self.states is not None and len(set(self.states)) < len(self.states):
+            raise ValueError(f"LD state subset {self.states} repeats a state")
 
 
 def certify_ld_set(model, candidate) -> LDSet:
     """Certify ``candidate`` as an LD-set and compute eps-, eps+.
 
     ``candidate`` is an (lo, hi) interval for continuous models, or an
-    iterable of state indices for finite ones.  The constants are the
+    iterable of distinct states of the model for finite ones (a state
+    outside 0..m-1 raises the model's DomainError).  The constants are the
     extrema of |C| q(x, x') over C x C.  On the Gaussian kernels q depends
     on the offset x' - m(x) alone, and the means over C form the interval
     ``model.mean_range(lo, hi)``, so the extrema sit at the nearest and the
     farthest offset.
     """
     if model.kind == "finite":
-        states = tuple(sorted(int(s) for s in candidate))
+        states = tuple(sorted(model._check_state(np.asarray(candidate)).tolist()))
         if not states:
             raise ValueError("state subset must be nonempty")
+        if len(set(states)) < len(states):
+            raise ValueError(f"state subset {states} repeats a state")
         sub = model.transition[np.ix_(states, states)]
         eps_minus = len(states) * float(sub.min())
         eps_plus = len(states) * float(sub.max())
@@ -461,18 +466,15 @@ def phi(model, nu, D: LDSet, y0, y1, grid: GridSpec | None = None) -> float:
     return float(_phi_laws(model, [nu], D, grid, transition_kernel(model, grid), y0, y1)[0])
 
 
-def a_n(n: int, beta: float) -> int:
-    """Size floor(n (1 - beta) / 2) of the excursion index set."""
-    if n < 0:
+def a_n(n, beta: float):
+    """Size floor(n (1 - beta) / 2) of the excursion index set: an int for
+    an int n, an int array for an array of them."""
+    if np.any(np.asarray(n) < 0):
         raise ValueError("n must be >= 0")
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
-    return int(np.floor(n * (1.0 - beta) / 2.0))
-
-
-def _a_column(n_obs, beta) -> np.ndarray:
-    """a_n(n, beta) for n = 0..n_obs - 1, with a_n's arithmetic."""
-    return np.floor(np.arange(n_obs) * (1.0 - beta) / 2.0).astype(int)
+    a = np.floor(np.asarray(n) * (1.0 - beta) / 2.0).astype(int)
+    return int(a) if a.ndim == 0 else a
 
 
 def _top_sums(gaps, counts) -> np.ndarray:
@@ -608,9 +610,8 @@ def _assemble(terms: _RecordTerms, beta, C, D, log_num, applies, inputs):
     log_tot = np.logaddexp(log_geo, log_ratio)
     total = np.where(log_tot >= 0.0, 1.0, np.exp(np.minimum(log_tot, 0.0)))
     total[..., 0] = 1.0
-    ans = _a_column(len(ns), beta)
     return BoundReport(n=ns, log_term_geo=log_geo, log_term_ratio=log_ratio,
-                       total_clipped=total, applies=applies, a_n=ans, rho=rho_c,
+                       total_clipped=total, applies=applies, a_n=a_n(ns, beta), rho=rho_c,
                        inputs=inputs)
 
 
@@ -622,12 +623,11 @@ def sharp_bound(model, nu, nu_prime, obs, beta, C: LDSet, D: LDSet,
     Upsilon_X(y_i) over |I| = a_n factorizes: keep the a_n largest per-index
     log ratios, whose sum runs over n in O(n log n) (_top_sums).
     """
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
+    ns = np.arange(np.shape(obs)[-1])
+    counts = a_n(ns, beta)  # checks beta before the envelopes are evaluated
     terms = _record_terms(model, nu, nu_prime, obs, D, C, grid)
-    gaps = terms.log_ups_cc - terms.log_ups_x
-    log_num = 2.0 * terms.s_ups + _top_sums(gaps, _a_column(len(gaps), beta))
-    applies = np.arange(len(gaps)) > 0
+    log_num = 2.0 * terms.s_ups + _top_sums(terms.log_ups_cc - terms.log_ups_x, counts)
+    applies = ns > 0
     return _assemble(terms, beta, C, D, log_num, applies, {"beta": beta, "C": C, "D": D})
 
 

@@ -34,12 +34,12 @@ from .bounds import (BoundConfig, H2UnverifiedError, NotCertifiableError,
                      certify_ld_set, geometric_bound, find_ld_set_for_eta, sharp_bound)
 from .experiments import (DEFAULT_GRID_M, ExperimentConfig, emit_report,
                           estimate_r_sequences, run_forgetting)
-from .gridfilter import DegenerateFilterError, resolve_grid, run_two_filters
+from .gridfilter import DegenerateFilterError, _run_records, resolve_grid, transition_kernel
 from .grids import GridSpec, InitialDistribution
 from .models import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateModel,
                      StochVolModel, TobitModel, simulate)
 from .reports import (ensure_dir, write_bound_csv, write_bound_summary, write_csv,
-                      write_filter_trace_csv, write_trajectory_csv)
+                      write_trace_csv, write_trajectory_csv)
 from .verify import SUITES, DriftPreconditionError, run_suite
 
 
@@ -162,6 +162,10 @@ def build_init(d, what):
 
 def build_grid(cfg, model):
     g = section(cfg.get("grid", {}), "grid", nullable=GRID_KEYS, keys=GRID_KEYS)
+    given = [key for key in GRID_KEYS if g.get(key) is not None]
+    if model.kind == "finite" and given:
+        raise ConfigError(f"a finite model has no grid: grid entry {given[0]!r} must be "
+                          "null or absent")
     lo, hi = g.get("lo"), g.get("hi")
     if (lo is None) != (hi is None):
         raise ConfigError(f"grid entry {'hi' if lo is None else 'lo'!r} needs the other end too")
@@ -301,8 +305,9 @@ def filter_inputs(cfg):
 
 
 def cmd_filter(cfg, out_dir):
-    records = run_two_filters(*filter_inputs(cfg))
-    write_filter_trace_csv(records, os.path.join(out_dir, "filter_trace.csv"))
+    model, grid, nu, nu_prime, obs = filter_inputs(cfg)
+    tv, logZ = _run_records(model, grid, nu, nu_prime, obs[None], transition_kernel(model, grid))
+    write_trace_csv(tv[0], logZ[0, :, 0], logZ[0, :, 1], os.path.join(out_dir, "filter_trace.csv"))
     return 0
 
 

@@ -22,14 +22,16 @@ The threads split the filter only.  The bound and the r-sequences are one
 per distinct observation of the experiment, each law's Phi factors once;
 only Phi's GEMV and its dots are taken record by record.  The experiment
 keeps that bound's BoundReport (``ExperimentResult.bound``) and writes it as
-``hmmforget bound`` does (``reports.write_bound_csv``), with ``rep`` first.
+``hmmforget bound`` does (``reports.write_bound_csv``), with ``rep`` first;
+its ``tv_curves.csv`` is likewise ``hmmforget filter``'s ``filter_trace.csv``
+of each replication, with ``rep`` first (``reports.write_trace_csv``).
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,7 +176,6 @@ class RSequenceResult:
     r1: np.ndarray           # sum_{i=0..n} log Upsilon_X(y_i) >= M1 n
     r2: np.ndarray           # sum_{i=2..n} log Psi_D(y_i) <= -M2 n
     r3: np.ndarray           # #{0 <= i <= n : y_i in K} / (n + 1) < (1 + gamma)/2
-    thresholds: dict = field(default_factory=dict)
 
 
 def dyadic_horizons(n_max: int) -> np.ndarray:
@@ -204,10 +205,7 @@ def estimate_r_sequences(cfg: ExperimentConfig) -> RSequenceResult:
                        ~ups_ok[:, ns], ~psi_ok[:, ns], ~k_ok[:, ns]], axis=1)
     freq = np.mean(events.astype(float), axis=0)
     return RSequenceResult(
-        ns=ns, r0_nu=freq[0], r0_nu_prime=freq[1], r1=freq[2], r2=freq[3],
-        r3=freq[4],
-        thresholds={"M0": b.M0, "M1": b.M1, "M2": b.M2, "gamma": b.gamma},
-    )
+        ns=ns, r0_nu=freq[0], r0_nu_prime=freq[1], r1=freq[2], r2=freq[3], r3=freq[4])
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +216,9 @@ def emit_report(result: ExperimentResult, out_dir: str,
                 r_seq: RSequenceResult | None = None) -> None:
     """Write the deterministic CSV/text outputs of an experiment."""
     reports.ensure_dir(out_dir)
-    reps, steps = result.tv.shape
-    rows = [(rep, n, result.tv[rep, n], result.logZ_nu[rep, n],
-             result.logZ_nu_prime[rep, n])
-            for rep in range(reps) for n in range(steps)]
-    reports.write_csv(os.path.join(out_dir, "tv_curves.csv"),
-                      ["rep", "n", "tv", "logZ_nu", "logZ_nuprime"], rows)
+    reps = len(result.tv)
+    reports.write_trace_csv(result.tv, result.logZ_nu, result.logZ_nu_prime,
+                            os.path.join(out_dir, "tv_curves.csv"))
     reports.write_csv(os.path.join(out_dir, "rates.csv"), ["rep", "rate"],
                       [(rep, result.rates[rep]) for rep in range(reps)])
     if result.bound is not None:

@@ -15,10 +15,10 @@ batch in lock-step: the 2R rows of one array, the two of record r at rows
 serves every record.  It evaluates the likelihood in blocks of about
 min(n + 1, 256) / R steps, so a pass holds at most 256 steps of one
 record's likelihood at any time, whatever the horizon.  ``run_two_filters``
-is its one-record case and ``run_forgetting`` (``experiments``) runs it on
-blocks of replications.  Its step is the one ``filter_step`` takes on one
-row, so its output equals an ``init_filter`` + ``filter_step`` loop bit for
-bit, whatever the batch.
+and ``hmmforget filter`` are its one-record case and ``run_forgetting``
+(``experiments``) runs it on blocks of replications.  Its step is the one
+``filter_step`` takes on one row, so its output equals an ``init_filter`` +
+``filter_step`` loop bit for bit, whatever the batch.
 
 The step's contract is its arithmetic, to the last bit: the forgetting
 rates are fitted on TV values near 1e-14, where the last bit counts.
@@ -63,9 +63,12 @@ class FilterState:
 
 
 def resolve_grid(model, grid: GridSpec | None, m: int | None = None) -> GridSpec | None:
-    """None on a finite state set; else ``grid``, or when it is None m cells
-    over the truncation domain (with m None too, a grid is required)."""
+    """None on a finite state set, which takes no grid; else ``grid``, or
+    when it is None m cells over the truncation domain (with m None too, a
+    grid is required)."""
     if model.kind == "finite":
+        if grid is not None:
+            raise ValueError("a finite model has no evaluation grid")
         return None
     if grid is None:
         if m is None:
@@ -113,12 +116,6 @@ class _Rows:
         np.add(logZ_prev, self.lse, out=logZ)
         return True
 
-    def normalize(self, logZ_prev, logZ, y=None):
-        """``normalized``, raising a DegenerateFilterError that names the
-        observation ``y`` (None: the initialization) where it is False."""
-        if not self.normalized(logZ_prev, logZ):
-            raise _underflow(y)
-
     def step(self, kernel, loglik, logZ_prev, logZ):
         """Predict the rows of logw through ``kernel``, add the log-likelihood
         ``loglik`` (one row per group, broadcast against ``groups``) and
@@ -156,7 +153,8 @@ def init_filter(model, grid: GridSpec | None, init: InitialDistribution, y0) -> 
     np.add(model.log_init(init, grid), loglik, out=rows.u[0])
     logZ = np.empty(1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows.normalize(0.0, logZ)
+        if not rows.normalized(0.0, logZ):
+            raise _underflow()
     return FilterState(grid, rows.logw[0], float(logZ[0]), transition_kernel(model, grid))
 
 
@@ -192,12 +190,15 @@ def _run_records(model, grid, nu, nu_prime, obs, kernel, reps=None):
     (R, n + 1, 2), nu's then nu_prime's.
 
     The likelihood is evaluated in blocks of max(1, min(n + 1, 256) // R)
-    steps.  A record whose weights underflow raises a DegenerateFilterError
-    naming its step and observation, and its replication ``reps[r]`` where
-    ``reps`` is given; a lower record that underflows at a later step is the
-    one raised, as a loop over the records would raise it.
+    steps.  Records of no observation are refused.  A record whose weights
+    underflow raises a DegenerateFilterError naming its step and observation,
+    and its replication ``reps[r]`` where ``reps`` is given; a lower record
+    that underflows at a later step is the one raised, as a loop over the
+    records would raise it.
     """
     R, steps = obs.shape
+    if steps == 0:
+        raise ValueError("need at least one observation")
     if R > 1:  # name a bad observation by its step in its record, not in a block
         for row in obs:
             model._check_obs(row)
@@ -233,9 +234,7 @@ def run_two_filters(model, grid, nu, nu_prime, obs):
 
     Returns a list of (n, tv, logZ_nu, logZ_nu_prime) tuples, one per step.
     """
-    obs = np.asarray(obs)
-    if len(obs) == 0:
-        raise ValueError("need at least one observation")
     grid = resolve_grid(model, grid)
-    tv, logZ = _run_records(model, grid, nu, nu_prime, obs[None], transition_kernel(model, grid))
+    tv, logZ = _run_records(model, grid, nu, nu_prime, np.asarray(obs)[None],
+                            transition_kernel(model, grid))
     return [(n, *row) for n, row in enumerate(zip(tv[0].tolist(), *logZ[0].T.tolist()))]

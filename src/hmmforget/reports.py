@@ -58,18 +58,29 @@ def write_csv(path, header, rows):
                 fh.write(template % row)
 
 
-def write_bound_csv(report, path):
-    """A row per n of a record's report; a batch's (a record per row) gets
-    rep first and its records' rows one record after another."""
-    shape = report.total_clipped.shape
-    header = ["n", "log_term_geo", "log_term_ratio", "log_total", "total_clipped", "applies"]
-    cols = [np.broadcast_to(c, shape).ravel() for c in
-            (report.n, report.log_term_geo, report.log_term_ratio, report.log_total,
-             report.total_clipped, report.applies)]
+def write_steps_csv(path, columns):
+    """A per-step table: a row per step n of a record's ``columns`` (name ->
+    array, broadcast along n); a batch's (a record per row) gets rep first
+    and its records' rows one record after another."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns.values()))
+    header = ["n", *columns]
+    cols = [np.arange(shape[-1]), *columns.values()]
     if len(shape) == 2:
         header.insert(0, "rep")
-        cols.insert(0, np.repeat(np.arange(shape[0]), shape[1]))
-    write_csv(path, header, zip(*cols))
+        cols.insert(0, np.arange(shape[0])[:, None])
+    # Python scalars format through the templates faster than NumPy's
+    write_csv(path, header, zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in cols)))
+
+
+def write_bound_csv(report, path):
+    names = ("log_term_geo", "log_term_ratio", "log_total", "total_clipped", "applies")
+    write_steps_csv(path, {name: getattr(report, name) for name in names})
+
+
+def write_trace_csv(tv, logZ_nu, logZ_nu_prime, path):
+    """The two filters' TV and log-normalizers at each step: ``filter_trace.csv``
+    of a record, ``tv_curves.csv`` of a batch."""
+    write_steps_csv(path, {"tv": tv, "logZ_nu": logZ_nu, "logZ_nuprime": logZ_nu_prime})
 
 
 def write_bound_summary(report, path):
@@ -91,10 +102,6 @@ def write_bound_summary(report, path):
 def write_trajectory_csv(traj, path):
     rows = [(k, traj.hidden[k], traj.obs[k]) for k in range(len(traj.obs))]
     write_csv(path, ["step", "x", "y"], rows)
-
-
-def write_filter_trace_csv(records, path):
-    write_csv(path, ["n", "tv", "logZ_nu", "logZ_nuprime"], records)
 
 
 def ensure_dir(path):

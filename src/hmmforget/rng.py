@@ -144,25 +144,21 @@ def _keys(seed, paths, ks):
     """Philox keys of ``substream(seed, *path, k)`` for every path of
     ``paths`` and k of ``ks``: ``SeedSequence([seed, *path, k])
     .generate_state(2, np.uint64)`` as a (len(paths), len(ks), 2) uint64
-    array, from one pass of the hash over the rows of each entropy length."""
+    array, from one pass of the hash over the rows of each entropy length.
+    A k is a step or stream index, below 2^32, so it is one entropy word."""
     ks = np.asarray(ks)
     if ks.size and ks.min() < 0:
         raise ValueError("expected non-negative integer")
-    ks = ks.astype(np.uint64)
+    if ks.size and ks.max() > _MASK:
+        raise ValueError("a step or stream index must be below 2^32")
+    ks = ks.astype(np.uint32)
     prefixes = [_words(seed, *path) for path in paths]
     keys = np.empty((len(paths), len(ks), 2), np.uint64)
-    # an entry of 2^32 or more adds a word: hash each entropy length apart
-    wide = ks > _MASK
     for length in sorted(set(map(len, prefixes))):
         ps = [p for p, words in enumerate(prefixes) if len(words) == length]
         # a path's words as a column, a k's as a row: the hash broadcasts them
         prefix = np.array([prefixes[p] for p in ps], np.uint32).T[:, :, None]
-        for rows in (~wide, wide):
-            if rows.any():
-                k = ks[rows]
-                tail = [k & _MASK, k >> 32] if rows is wide else [k]
-                words = [*prefix, *(t.astype(np.uint32) for t in tail)]
-                keys[np.ix_(ps, rows)] = _hash_columns(words)
+        keys[ps] = _hash_columns([*prefix, ks])
     return keys
 
 

@@ -24,31 +24,6 @@ DRIFT_TEST_M = 201  # test points of the drift precondition on continuous models
 SUITES = ("numerator", "denominator", "counting", "exponential")  # the names run_suite takes
 
 
-@dataclass(frozen=True)
-class PairChainSpec:
-    """Two independent copies of a finite chain, with a joint target set C x C."""
-
-    model: FiniteStateModel
-    C: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.model.m > MAX_STATES:
-            raise ValueError(f"pair-chain verification is limited to m <= {MAX_STATES} states")
-        object.__setattr__(self, "C", tuple(sorted(int(c) for c in self.C)))
-
-    @property
-    def product_kernel(self) -> np.ndarray:
-        """Tensor kernel on pair states: Qbar[(x, x'), (z, z')] = P(x, z) P(x', z')."""
-        return np.kron(self.model.transition, self.model.transition)
-
-    def pair_in_target(self) -> np.ndarray:
-        """Indicator of C x C over the flattened pair-state index."""
-        m = self.model.m
-        one = np.zeros(m, dtype=bool)
-        one[list(self.C)] = True
-        return (one[:, None] & one[None, :]).ravel()
-
-
 @dataclass
 class ExactDeltaResult:
     """Exact numerator gap and its coupling bound, per horizon."""
@@ -56,7 +31,6 @@ class ExactDeltaResult:
     delta_n: np.ndarray
     rhs_n: np.ndarray
     rho_c: float
-    n_counter_support: np.ndarray  # weight of each N_{C,n} value at the final horizon
 
 
 def _check_g_seq(g_seq, m, N):
@@ -68,8 +42,10 @@ def _check_g_seq(g_seq, m, N):
     return g_seq
 
 
-def exact_delta(spec: PairChainSpec, nu, nu_prime, g_seq, N: int) -> ExactDeltaResult:
-    """Exact Delta_n versus the pair-chain bound, n = 0..N.
+def exact_delta(model: FiniteStateModel, C, nu, nu_prime, g_seq, N: int) -> ExactDeltaResult:
+    """Exact Delta_n versus the pair-chain bound, n = 0..N, for two
+    independent copies of the chain with the joint target set C x C (C a
+    state subset, possibly empty).
 
     Delta_n is the supremum over state subsets of the difference between
     the two tensor forward recursions started from nu x nu' and nu' x nu;
@@ -77,16 +53,20 @@ def exact_delta(spec: PairChainSpec, nu, nu_prime, g_seq, N: int) -> ExactDeltaR
     part of the signed first-coordinate marginal.  The right-hand side is
     a dynamic program over (pair state, joint visit count).
     """
-    model = spec.model
     m = model.m
+    if m > MAX_STATES:
+        raise ValueError(f"pair-chain verification is limited to m <= {MAX_STATES} states")
     if N > MAX_HORIZON:
         raise ValueError(f"horizon limited to N <= {MAX_HORIZON}")
     g_seq = _check_g_seq(g_seq, m, N)
     nu = np.asarray(nu, dtype=float)
     nu_prime = np.asarray(nu_prime, dtype=float)
-    qbar = spec.product_kernel
-    in_cc = spec.pair_in_target()
-    rho_c = rho(certify_ld_set(model, spec.C)) if spec.C else 0.0
+    rho_c = rho(certify_ld_set(model, C)) if len(C) else 0.0
+    # Qbar[(x, x'), (z, z')] = P(x, z) P(x', z'), and C x C over the pair index
+    qbar = np.kron(model.transition, model.transition)
+    in_c = np.zeros(m, dtype=bool)
+    in_c[list(C)] = True
+    in_cc = (in_c[:, None] & in_c[None, :]).ravel()
 
     gbar = [np.outer(g, g).ravel() for g in g_seq]
     fwd = np.outer(nu, nu_prime).ravel() * gbar[0]
@@ -119,11 +99,7 @@ def exact_delta(spec: PairChainSpec, nu, nu_prime, g_seq, N: int) -> ExactDeltaR
         new[in_cc, 1:] += to_from_in[in_cc, :-1]  # in -> in: one more joint visit
         mass = new
         record(i, fwd, rev, mass)
-
-    support = mass.sum(axis=0)
-    total = support.sum()
-    return ExactDeltaResult(delta_n=delta, rhs_n=rhs, rho_c=rho_c,
-                            n_counter_support=support / total if total > 0 else support)
+    return ExactDeltaResult(delta_n=delta, rhs_n=rhs, rho_c=rho_c)
 
 
 def exact_denominator_bound(model: FiniteStateModel, nu, C, g_seq, N: int):
@@ -212,12 +188,12 @@ def supermartingale_check(model, V, W, b, F_seq, n, x0, replications=10_000, see
     The multiplicative drift precondition log(V^{-1} Q V) <= -W + b is
     asserted on the test grid before anything else.
     """
+    if len(F_seq) != n:
+        raise ValueError("need one F_k per step k = 0..n-1")
     if isinstance(model, FiniteStateModel):
         V = np.asarray(V, dtype=float)
         W = np.asarray(W, dtype=float)
         F = [np.asarray(f, dtype=float) for f in F_seq]
-        if len(F) != n:
-            raise ValueError("need one F_k per step k = 0..n-1")
         drift_gap = np.log((model.transition @ V) / V) + W - b
         if np.any(drift_gap > 1e-12):
             raise DriftPreconditionError("multiplicative drift condition fails on the state set")
@@ -235,8 +211,6 @@ def supermartingale_check(model, V, W, b, F_seq, n, x0, replications=10_000, see
     drift_gap = np.log(_qv_numeric(model, V, xs) / V(xs)) + W(xs) - b
     if np.any(drift_gap > 1e-9):
         raise DriftPreconditionError("multiplicative drift condition fails on the test grid")
-    if len(F_seq) != n:
-        raise ValueError("need one F_k per step k = 0..n-1")
     sup_terms = sum(float(np.max(np.abs(f(xs)) - W(xs))) for f in F_seq)
     rhs = float(V(np.array([x0]))[0] * np.exp(b * n + sup_terms))
 
@@ -290,8 +264,7 @@ def run_suite(name, seeds=range(50), horizon=20):
             nu = random_probability_vector(s, model.m, 0)
             nu2 = random_probability_vector(s, model.m, 1)
             g_seq = random_g_seq(s, horizon, model.m)
-            spec = PairChainSpec(model, C=(0, 1))
-            res = exact_delta(spec, nu, nu2, g_seq, horizon)
+            res = exact_delta(model, (0, 1), nu, nu2, g_seq, horizon)
             margin = float(np.min(res.rhs_n - res.delta_n))
             cases.append({"suite": name, "case": s, "metric": margin,
                           "holds": bool(np.all(res.delta_n <= res.rhs_n * (1 + 1e-12) + 1e-300))})

@@ -19,7 +19,7 @@ from hmmforget import (LGSSM, NLSSM, BoundConfig, DomainError, DriftFunction,
                        sharp_bound, log_upsilon_batch, phi, rho,
                        random_finite_model, run_two_filters, simulate, upsilon)
 from hmmforget.bounds import (_EM_LIMIT, _RECORD_BLOCK, PSI_QUAD_M, UPSILON_QUAD_M,
-                              _a_column, _components, _log_g_qv, _log_psi_location,
+                              _components, _log_g_qv, _log_psi_location,
                               _log_sup, _record_series, _record_terms, _top_sums,
                               log_psi_batch)
 from hmmforget.grids import logsumexp as grid_logsumexp
@@ -831,7 +831,7 @@ def test_top_sums_equal_the_per_n_sort(kind, beta):
             "ties": rng.integers(-3, 1, size=600).astype(float),
             "one-step": np.array([-0.7, -0.2]),  # n = 1
             "with -inf": np.where(rng.random(300) < 0.7, -np.inf, -rng.random(300))}[kind]
-    counts = _a_column(len(gaps), beta)
+    counts = a_n(np.arange(len(gaps)), beta)
     assert np.array_equal(counts, [a_n(n, beta) for n in range(len(gaps))])
     np.testing.assert_allclose(_top_sums(gaps, counts), top_sums_by_sorting(gaps, beta),
                                rtol=1e-12)
@@ -885,3 +885,44 @@ def test_non_finite_observation_named_by_its_index(model, where, value):
         log_upsilon_batch(model, "all", obs)
     with pytest.raises(DomainError, match=message):
         sharp_bound(model, nu, nup, obs, 0.2, C, D, grid=grid)
+
+
+FINITE2 = FiniteStateModel([[0.8, 0.2], [0.3, 0.7]], [[0.6, 0.4], [0.3, 0.7]])
+BOUND_REFUSALS = {
+    "region-continuous": (lambda: upsilon(LGSSM(0.9, 1.0, 1.0), ("inside", (-1, 1)), 0.0),
+                          "unknown region"),
+    "region-finite": (lambda: log_upsilon_batch(FINITE2, ("inside", (0,)), [0]),
+                      "unknown region"),
+    "eta-above-1": (lambda: find_ld_set_for_eta(LGSSM(0.9, 1.0, 1.0), 1.5, None, [0.0]),
+                    r"eta must lie in \(0, 1\]"),
+    "eta-0": (lambda: find_ld_set_for_eta(LGSSM(0.9, 1.0, 1.0), 0.0, None, [0.0]),
+              r"eta must lie in \(0, 1\]"),
+    "negative-n": (lambda: a_n(-1, 0.2), "n must be >= 0"),
+    "negative-n-in-array": (lambda: a_n(np.array([0, 3, -1]), 0.2), "n must be >= 0"),
+    "a_n-beta": (lambda: a_n(np.arange(4), 1.0), r"beta must lie in \(0, 1\)"),
+    "sharp-beta": (lambda: sharp_bound(FINITE2, *[InitialDistribution.finite([1, 1])] * 2,
+                                       [0, 1, 0], 0.0, *[certify_ld_set(FINITE2, (0, 1))] * 2),
+                   r"beta must lie in \(0, 1\)"),
+    "empty-interval": (lambda: LDSet(0.1, 0.2, interval=(1.0, 1.0)), "LD interval must be nonempty"),
+    "empty-states": (lambda: LDSet(0.1, 0.2, states=()), "LD state subset must be nonempty"),
+    "repeated-states": (lambda: LDSet(0.1, 0.2, states=(0, 0)), r"\(0, 0\) repeats a state"),
+}
+
+
+@pytest.mark.parametrize("case", BOUND_REFUSALS)
+def test_bound_refusals(case):
+    call, message = BOUND_REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_a_finite_ld_set_is_checked_against_the_models_states():
+    # the constants of a repeated or out-of-range state are not those of a set
+    model = FiniteStateModel([[0.8, 0.15, 0.05], [0.1, 0.7, 0.2], [0.25, 0.25, 0.5]],
+                             np.ones((3, 2)) / 2)
+    assert certify_ld_set(model, (1, 0)) == certify_ld_set(model, np.array([0, 1]))
+    with pytest.raises(ValueError, match=r"state subset \(0, 0, 1\) repeats a state"):
+        certify_ld_set(model, (0, 0, 1))
+    for states in ((-1, 0), (0, 5), (0, 1.5)):
+        with pytest.raises(DomainError, match=r"outside \{0\.\.2\}"):
+            certify_ld_set(model, states)

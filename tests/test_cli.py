@@ -619,3 +619,177 @@ def test_a_finite_model_with_a_nan_row_exits_2_and_names_it(tmp_path, capsys, wh
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and f"{which} row 0 [" in err
+
+
+# the 3-state chain of CI's finite records, its symbols and laws
+FINITE3 = {"kind": "finite",
+           "transition": [[0.8, 0.15, 0.05], [0.1, 0.7, 0.2], [0.25, 0.25, 0.5]],
+           "emission": [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]]}
+FINITE_LAW = lambda *w: {"form": "finite", "weights": list(w)}
+FINITE_FILTER = {"model": FINITE3, "nu": FINITE_LAW(1, 0, 0), "nu_prime": FINITE_LAW(0, 0, 1),
+                 "observations": {"simulate": {"init": FINITE_LAW(1, 1, 1), "n": 60}}}
+FINITE_BOUND = {**FINITE_FILTER, "bound": {"form": "sharp", "beta": 0.2,
+                                           "C": {"states": [0, 1]}, "D": {"states": [0, 1]}}}
+FINITE_EXPERIMENT = {"model": FINITE3, "nu": FINITE_LAW(1, 0, 0),
+                     "nu_prime": FINITE_LAW(0, 0, 1), "nu_star": FINITE_LAW(1, 1, 1),
+                     "n": 20, "replications": 2}
+
+
+@pytest.mark.parametrize("states, code, message", [
+    ([0, 0, 1], 2, "configuration error: state subset (0, 0, 1) repeats a state"),
+    ([-1, 0], 1, "error: state [-1] outside {0..2}"),
+    ([0, 5], 1, "error: state [5] outside {0..2}"),
+], ids=["repeated", "negative", "out-of-range"])
+def test_a_finite_ld_set_is_a_set_of_the_models_states(tmp_path, capsys, states, code,
+                                                       message):
+    # (0, 0, 1) used to certify eps- = 0.3 where {0, 1} has 0.2, a bound below
+    # the valid one; (-1, 0) took state 2's constants by negative indexing but
+    # left it out of Phi's mask; (0, 5) raised a bare IndexError
+    cfg = write_cfg(tmp_path, FINITE_BOUND)
+    assert main(["bound", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "ok")]) == 0
+    for which in ("C", "D"):
+        out = tmp_path / which
+        assert main(["bound", "--config", cfg, "--seed", "1",
+                     "--set", f'bound.{which}={{"states": {states}}}', "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not (out / "bound.csv").exists()
+
+
+@pytest.mark.parametrize("command, overrides, key", [
+    ("filter", ["grid.m=5"], "m"),
+    ("filter", ["grid.lo=-1", "grid.hi=1", "grid.m=64"], "lo"),
+    ("experiment", ["grid.m=7"], "m"),
+], ids=["filter-m", "filter-lo-hi-m", "experiment-m"])
+def test_a_grid_on_a_finite_model_exits_2_and_names_the_entry(tmp_path, capsys, command,
+                                                              overrides, key):
+    # a finite model has no grid: these used to run as if no grid were given
+    cfg = write_cfg(tmp_path, FINITE_FILTER if command == "filter" else FINITE_EXPERIMENT)
+    assert main([command, "--config", cfg, "--seed", "1", "--set", "grid.m=null",
+                 "--out", str(tmp_path / "ok")]) == 0
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main([command, "--config", cfg, "--seed", "1", *sets,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: a finite model has no grid: grid entry {key!r}")
+
+
+def test_filter_trace_is_the_experiments_tv_curves_of_each_record(tmp_path):
+    # one trace layout: rep r's rows of tv_curves.csv are, without rep, the
+    # bytes that `hmmforget filter` writes on replication r's record, header
+    # included, whichever lock-step block the record was filtered in
+    exp = {"model": {"kind": "tobit", "phi": 0.5, "sigma": 1.0, "beta": 1.0},
+           "nu": GAUSS(-4), "nu_prime": GAUSS(4), "nu_star": GAUSS(0),
+           "n": 40, "replications": 3, "grid": {"m": 100}}
+    assert main(["experiment", "--config", write_cfg(tmp_path, exp), "--seed", "7",
+                 "--threads", "2", "--out", str(tmp_path / "e")]) == 0
+    header, *rows = (tmp_path / "e" / "tv_curves.csv").read_text().splitlines(keepends=True)
+    assert header == "rep,n,tv,logZ_nu,logZ_nuprime\n"
+    for rep in range(3):
+        cfg = write_cfg(tmp_path, {
+            **{k: exp[k] for k in ("model", "nu", "nu_prime", "grid")},
+            "observations": {"simulate": {"init": exp["nu_star"], "n": exp["n"],
+                                          "replication": rep}}}, f"filter{rep}.json")
+        out = tmp_path / f"f{rep}"
+        assert main(["filter", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
+        mine = rows[rep * (exp["n"] + 1):(rep + 1) * (exp["n"] + 1)]
+        assert all(r.startswith(f"{rep},") for r in mine)
+        assert header.split(",", 1)[1] + "".join(r.split(",", 1)[1] for r in mine) == (
+            out / "filter_trace.csv").read_text()
+
+
+BOUND_SEARCH = {**ROUND_TRIP["bound"],
+                "bound": {k: v for k, v in ROUND_TRIP["bound"]["bound"].items() if k != "C"}}
+EXPERIMENT_NO_C = {**ROUND_TRIP["experiment"], "bound": BOUND_SEARCH["bound"]}
+REFUSALS = [  # (command, config, overrides, exit code, message)
+    ("simulate", "simulate", ["n=-1"], 2, "horizon must be >= 0"),
+    ("simulate", "simulate", ["model.phi=1.5"], 2, "autoregression needs |phi| < 1"),
+    ("simulate", "simulate", ["model.sigma=0"], 2, "state noise s.d. must be positive"),
+    ("simulate", "simulate", ["model.beta=0"], 2, "observation noise s.d. must be positive"),
+    ("simulate", "simulate", ['model={"kind": "nlssm", "drift_form": "cubic", "delta": 0.5, '
+                              '"sigma0": 1, "beta": 1}'], 2, "unknown state drift form 'cubic'"),
+    ("simulate", "simulate", ['model={"kind": "nlssm", "drift_form": "tanh", "delta": 2.5, '
+                              '"sigma0": 1, "beta": 1}'], 2, "needs delta in (0, 2)"),
+    ("simulate", "simulate", ['model={"kind": "finite", "transition": [[1]], "emission": [[1]]}'],
+     2, "transition must be a square matrix with m >= 2"),
+    ("simulate", "simulate", ['model={"kind": "finite", "transition": [[0.5, 0.5], [0.5, 0.5]], '
+                              '"emission": [[1]]}'], 2, "emission must have one row per state"),
+    ("simulate", "simulate", ['model={"kind": "finite", "transition": [[0.5, 0.5], [0.5, 0.5]], '
+                              '"emission": [[1], [1]], "drift_values": [0.5, 1]}'],
+     2, "drift values must be >= 1"),
+    ("simulate", "simulate", ["model.transition=[[0.5], [0.5, 0.5]]"],
+     2, "model entry 'transition' must be an array of numbers"),
+    ("simulate", "simulate", ['model={"phi": 0.5}'], 2, "model section needs a 'kind'"),
+    ("simulate", "simulate", ['model.drift={"form": "cubic"}'], 2, "unknown drift"),
+    ("filter", [1], [], 2, "config root must be a JSON object"),
+    ("filter", "filter", ["grid"], 2, "override 'grid' is not of the form key=value"),
+    ("filter", "filter", ['nu={"mean": 0}'], 2, "nu needs a 'form'"),
+    ("filter", "filter", ['nu={"form": "gaussian", "mean": 0}'],
+     2, "initial form 'gaussian' is missing parameter 'sd'"),
+    ("filter", "filter", ['nu={"form": "uniform", "lo": 1, "hi": 0}'], 2, "needs a < b"),
+    ("filter", "filter", ['nu={"form": "finite", "weights": [-1, 2]}'],
+     2, "finite initial vector must be nonnegative and normalizable"),
+    ("filter", "filter", ['nu={"form": "finite", "weights": [1, 2]}'],
+     2, "finite initial vector cannot be projected on a continuous grid"),
+    ("filter", "filter", ["observations=null"], 2, "config needs an 'observations' section"),
+    ("filter", "filter", ["observations={}"], 2, "'observations' needs either 'file' or 'simulate'"),
+    ("filter", "filter", ['observations={"file": "no-such-file.csv"}'],
+     2, "cannot read observation file no-such-file.csv"),
+    ("bound", "bound", ["bound=null"], 2, "config needs a 'bound' section"),
+    ("bound", "bound", ['bound.form="parabolic"'], 2, "unknown bound form 'parabolic'"),
+    ("bound", "bound", ['bound.D={"interval": [2, -2]}'], 2, "interval must be nonempty"),
+    ("bound", "bound", ['bound.C={"interval": [-1000, 1000]}'], 1, "not LD in floating point"),
+    ("bound", "bound", ["bound.C={}"], 2, "LD-set section needs 'interval' or 'states'"),
+    ("bound", "bound", ["bound.beta=1.5"], 2, "beta and gamma must lie in (0, 1)"),
+    ("bound", "bound", ["observations.simulate.n=0"], 2, "needs at least two observations"),
+    ("bound", BOUND_SEARCH, ["bound.K=[50, 60]"], 2, "need at least one probe observation in K"),
+    ("bound", FINITE_BOUND, ['bound.C={"states": []}'], 2, "state subset must be nonempty"),
+    ("experiment", "experiment", ["replications=0"], 2, "need at least one replication"),
+    ("experiment", EXPERIMENT_NO_C, [], 2, "experiment bound section needs an explicit 'C'"),
+]
+
+
+@pytest.mark.parametrize("command, config, overrides, code, message", REFUSALS,
+                         ids=[f"{r[0]}-{r[4]}" for r in REFUSALS])
+def test_each_refusal_exits_with_its_code_and_message(tmp_path, capsys, command, config,
+                                                      overrides, code, message):
+    cfg = write_cfg(tmp_path, ROUND_TRIP[config] if isinstance(config, str) else config)
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main([command, "--config", cfg, *sets, "--seed", "3",
+                 "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: " if code == 2 else "error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("content, code, message", [
+    ("x\n0.5\n", 2, "needs a 'y' column"),
+    ("y\n", 2, "need at least one observation"),
+], ids=["no-y-column", "no-observation"])
+def test_an_observation_file_without_observations_exits_2(tmp_path, capsys, content, code,
+                                                          message):
+    (tmp_path / "obs.csv").write_text(content)
+    cfg = write_cfg(tmp_path, {**ROUND_TRIP["filter"],
+                               "observations": {"file": str(tmp_path / "obs.csv")}})
+    assert main(["filter", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+
+
+def test_an_override_that_is_not_json_is_a_string(tmp_path):
+    cfg = write_cfg(tmp_path, ROUND_TRIP["simulate"])
+    assert main(["simulate", "--config", cfg, "--seed", "3", "--set", "model.kind=lgssm",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "resolved_config.json").read_text())["model"][
+        "kind"] == "lgssm"
+
+
+def test_a_drift_entry_reaches_the_bound(tmp_path):
+    # V = exp(c |x|) enters Upsilon through QV/V; a null drift is V = 1
+    cfg = write_cfg(tmp_path, ROUND_TRIP["bound"])
+    texts = []
+    for drift in ("null", '{"form": "one"}', '{"form": "exp_abs", "c": 0.5}'):
+        out = tmp_path / f"d{len(texts)}"
+        assert main(["bound", "--config", cfg, "--seed", "3", "--set", f"model.drift={drift}",
+                     "--out", str(out)]) == 0
+        texts.append((out / "bound.csv").read_text())
+    assert texts[0] == texts[1] != texts[2]

@@ -450,3 +450,14 @@ def test_a_law_that_cannot_reach_D_warns_through_the_r_sequences():
     with pytest.warns(HypothesisWarning):
         rs = estimate_r_sequences(cfg)
     assert np.all(rs.r0_nu == 1.0) and np.all(rs.r0_nu_prime < 1.0)
+
+
+def test_experiment_refusals(small_cfg):
+    with pytest.raises(ValueError, match="r-sequence estimation needs a bound configuration"):
+        estimate_r_sequences(small_cfg)
+    D = certify_ld_set(small_cfg.model, (-2.0, 2.0))
+    bcfg = BoundConfig(beta=0.2, gamma=0.5, eta=0.5, D=D)
+    with pytest.raises(ValueError, match="bound_cfg and ld_set must be given together"):
+        dataclasses.replace(small_cfg, bound_cfg=bcfg)
+    with pytest.raises(ValueError, match="bound_cfg and ld_set must be given together"):
+        dataclasses.replace(small_cfg, ld_set=D)

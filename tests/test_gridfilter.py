@@ -289,14 +289,16 @@ def test_normalizer_matches_logsumexp_with_ties_and_zero_weights():
     rows.u[3] = rows.u[3, 0]                         # all entries equal
     u, logZ = rows.u.copy(), np.empty(200)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows.normalize(np.zeros(200), logZ)
+        assert rows.normalized(np.zeros(200), logZ)
     assert np.array_equal(logZ, [logsumexp(row) for row in u])
     np.testing.assert_allclose(np.exp(rows.logw).sum(axis=1), 1.0, rtol=1e-13)
+    # a row that underflows to zero: False, with logw and logZ left unwritten
     rows.u[:] = u
     rows.u[4] = -np.inf
-    with pytest.raises(DegenerateFilterError, match=r"zero \(initialization\)"):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rows.normalize(np.zeros(200), logZ)
+    logw, before = rows.logw.copy(), logZ.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not rows.normalized(np.zeros(200), logZ)
+    assert np.array_equal(rows.logw, logw) and np.array_equal(logZ, before)
 
 
 def reference_logsumexp(u, axis):
@@ -441,3 +443,29 @@ def test_the_likelihood_block_holds_at_most_one_records_matrix(replications, n, 
     assert sum(sizes) == replications * (n + 1) * m
     assert max(sizes) <= max(steps, replications) * m
     assert len(sizes) <= 2 * min(replications, steps) * -(-(n + 1) // steps)
+
+
+def test_filter_refusals():
+    lgssm, nu = LGSSM(0.9, 1.0, 1.0), InitialDistribution.gaussian(0, 1)
+    grid = GridSpec(*lgssm.domain, 64)
+    with pytest.raises(ValueError, match="need at least one observation"):
+        run_two_filters(lgssm, grid, nu, nu, [])
+    with pytest.raises(ValueError, match="continuous models need an evaluation grid"):
+        init_filter(lgssm, None, nu, 0.0)
+    # a finite model takes no grid; it used to ignore one
+    finite = random_finite_model(1)
+    law = InitialDistribution.finite([0.2, 0.3, 0.5])
+    with pytest.raises(ValueError, match="a finite model has no evaluation grid"):
+        gridfilter.resolve_grid(finite, GridSpec(-1.0, 1.0, 16))
+    with pytest.raises(ValueError, match="a finite model has no evaluation grid"):
+        init_filter(finite, GridSpec(-1.0, 1.0, 16), law, 0)
+    assert gridfilter.resolve_grid(finite, None, 400) is None
+
+
+def test_init_filter_names_an_underflow_at_initialization():
+    # y^2 overflows: SV's log-likelihood is -inf at every state
+    model = StochVolModel(0.9, 0.3, 1.0)
+    nu = InitialDistribution.gaussian(0, 1)
+    with pytest.raises(DegenerateFilterError, match=r"zero \(initialization\)$"):
+        with np.errstate(over="ignore"):
+            init_filter(model, GridSpec(*model.domain, 64), nu, 1e200)

@@ -307,10 +307,14 @@ PATHS = [(), (3,), (778, 1), (2**33,)]
 @pytest.mark.parametrize("seed", SEEDS, ids=str)
 def test_keys_equal_seed_sequence(seed, path):
     draw = np.random.default_rng([seed % 2**32, len(path)])
-    ks = [0, 1, 4000, int(draw.integers(2**32)), int(draw.integers(2**32, 2**63))]
+    ks = [0, 1, 4000, int(draw.integers(2**32)), 2**32 - 1]
     expected = [np.random.SeedSequence([seed, *path, k]).generate_state(2, np.uint64)
                 for k in ks]
     assert np.array_equal(_keys(seed, [path], ks)[0], expected)
+    # a step or stream index is below 2^32: a larger k is refused, not
+    # hashed as a second entropy word
+    with pytest.raises(ValueError, match=r"below 2\^32"):
+        _keys(seed, [path], [0, int(draw.integers(2**32, 2**63))])
     # _rekeyed re-keys one Philox with exactly these keys, in order, and a
     # record pass hands out each record's step-0 generator under its key, in
     # record order, whatever the entropy length of the others
@@ -582,3 +586,12 @@ def test_self_check_turns_the_fast_path_off(monkeypatch):
     monkeypatch.setattr(rng, "_philox_words", lambda *args: words(*args) ^ np.uint64(1 << 20))
     wi, ki = rng._ziggurat.__wrapped__()
     assert not np.any(ki)
+
+
+def test_drift_and_trajectory_refusals():
+    with pytest.raises(ValueError, match="unknown drift form 'cubic'"):
+        DriftFunction("cubic")
+    with pytest.raises(ValueError, match="exp_abs drift needs c > 0"):
+        DriftFunction.exp_abs(0.0)
+    with pytest.raises(ValueError, match="hidden and observed paths must have equal length"):
+        hmmforget.Trajectory(obs=[0.1, 0.2], hidden=[0.0])

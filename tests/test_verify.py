@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmmforget import (LGSSM, NLSSM, DriftPreconditionError, FiniteStateModel,
-                       InitialDistribution, PairChainSpec, StochVolModel, certify_ld_set,
+                       InitialDistribution, StochVolModel, certify_ld_set,
                        counting_inequality_check, exact_delta,
                        exact_denominator_bound, random_finite_model, rho,
                        run_suite, run_two_filters, simulate,
@@ -41,24 +41,23 @@ def test_exhaustive_counting_length_12():
 
 
 @pytest.fixture
-def spec3():
-    model = random_finite_model(1)
-    return PairChainSpec(model, C=(0, 1))
+def model3():
+    return random_finite_model(1)
 
 
-def test_exact_delta_zero_for_equal_initials(spec3):
+def test_exact_delta_zero_for_equal_initials(model3):
     nu = random_probability_vector(1, 3, 0)
     g = random_g_seq(1, 10, 3)
-    res = exact_delta(spec3, nu, nu, g, 10)
+    res = exact_delta(model3, (0, 1), nu, nu, g, 10)
     assert np.allclose(res.delta_n, 0.0, atol=1e-15)
 
 
-def test_exact_delta_symmetric_in_initials(spec3):
+def test_exact_delta_symmetric_in_initials(model3):
     nu = random_probability_vector(2, 3, 0)
     nup = random_probability_vector(2, 3, 1)
     g = random_g_seq(2, 10, 3)
-    a = exact_delta(spec3, nu, nup, g, 10)
-    b = exact_delta(spec3, nup, nu, g, 10)
+    a = exact_delta(model3, (0, 1), nu, nup, g, 10)
+    b = exact_delta(model3, (0, 1), nup, nu, g, 10)
     assert np.allclose(a.delta_n, b.delta_n, rtol=1e-10)
 
 
@@ -67,52 +66,50 @@ def test_exact_delta_full_target_uniform_ergodicity():
     # visit, so the bound is rho_X^n times the unnormalized mass product
     model = FiniteStateModel([[0.6, 0.4], [0.3, 0.7]],
                              [[0.5, 0.5], [0.5, 0.5]])
-    spec = PairChainSpec(model, C=(0, 1))
     nu = np.array([0.9, 0.1])
     nup = np.array([0.2, 0.8])
     g = random_g_seq(5, 8, 2)
-    res = exact_delta(spec, nu, nup, g, 8)
+    res = exact_delta(model, (0, 1), nu, nup, g, 8)
     rho_x = rho(certify_ld_set(model, (0, 1)))
     assert res.rho_c == pytest.approx(rho_x)
     gbar = [np.outer(gi, gi).ravel() for gi in g]
     mass = np.outer(nu, nup).ravel() * gbar[0]
-    qbar = spec.product_kernel
+    qbar = np.kron(model.transition, model.transition)
     for n in range(1, 9):
         mass = (mass @ qbar) * gbar[n]
         assert res.rhs_n[n] == pytest.approx(rho_x ** n * mass.sum(), rel=1e-10)
-    # the counter support is concentrated on the maximal count
-    assert res.n_counter_support[-1] == pytest.approx(1.0)
 
 
-def test_exact_delta_empty_target_collapses_to_mass(spec3):
-    model = spec3.model
-    spec = PairChainSpec(model, C=())
+def test_exact_delta_empty_target_collapses_to_mass(model3):
     nu = random_probability_vector(3, 3, 0)
     nup = random_probability_vector(3, 3, 1)
     g = random_g_seq(3, 6, 3)
-    res = exact_delta(spec, nu, nup, g, 6)
+    res = exact_delta(model3, (), nu, nup, g, 6)
     gbar = [np.outer(gi, gi).ravel() for gi in g]
     mass = np.outer(nu, nup).ravel() * gbar[0]
     assert res.rhs_n[0] == pytest.approx(mass.sum())
     for n in range(1, 7):
-        mass = (mass @ spec.product_kernel) * gbar[n]
+        mass = (mass @ np.kron(model3.transition, model3.transition)) * gbar[n]
         assert res.rhs_n[n] == pytest.approx(mass.sum(), rel=1e-10)
 
 
-def test_exact_delta_size_guards(spec3):
-    with pytest.raises(ValueError):
-        exact_delta(spec3, np.ones(3) / 3, np.ones(3) / 3,
+def test_exact_delta_size_guards(model3):
+    with pytest.raises(ValueError, match="N <= 25"):
+        exact_delta(model3, (0, 1), np.ones(3) / 3, np.ones(3) / 3,
                     random_g_seq(0, 30, 3), 30)
+    big = random_finite_model(0, m=9)
+    with pytest.raises(ValueError, match="m <= 8 states"):
+        exact_delta(big, (0, 1), np.ones(9) / 9, np.ones(9) / 9, random_g_seq(0, 5, 9), 5)
 
 
-def test_exact_delta_matches_normalized_filter_gap(spec3):
+def test_exact_delta_matches_normalized_filter_gap(model3):
     # half-L1 of the normalized filters equals Delta_n / (unnormalized mass)
-    model = spec3.model
+    model = model3
     nu = random_probability_vector(4, 3, 0)
     nup = random_probability_vector(4, 3, 1)
     obs = simulate(model, 8, InitialDistribution.finite(nu), seed=4).obs
     g = np.exp(model.log_likelihood(model.support(None)[None, :], obs[:, None]))
-    res = exact_delta(spec3, nu, nup, g, 8)
+    res = exact_delta(model, (0, 1), nu, nup, g, 8)
     recs = run_two_filters(model, None, InitialDistribution.finite(nu),
                            InitialDistribution.finite(nup), obs)
     for n, tv, za, zb in recs:
@@ -242,3 +239,33 @@ def test_run_suite_all_hold(suite):
 def test_run_suite_unknown():
     with pytest.raises(ValueError):
         run_suite("nope")
+
+
+def test_oracle_refusals(model3):
+    nu = np.ones(3) / 3
+    with pytest.raises(ValueError, match=r"g_seq must have shape \(6, 3\)"):
+        exact_delta(model3, (0, 1), nu, nu, np.ones((5, 3)), 5)
+    with pytest.raises(ValueError, match="likelihood vectors must be nonnegative"):
+        exact_delta(model3, (0, 1), nu, nu, -np.ones((6, 3)), 5)
+    big = random_finite_model(0, m=9)
+    with pytest.raises(ValueError, match="limited to small models and horizons"):
+        exact_denominator_bound(big, np.ones(9) / 9, (0, 1), random_g_seq(0, 5, 9), 5)
+    with pytest.raises(ValueError, match="limited to small models and horizons"):
+        exact_denominator_bound(model3, nu, (0, 1), random_g_seq(0, 30, 3), 30)
+    with pytest.raises(ValueError, match=r"stated for n >= 1"):
+        exact_denominator_bound(model3, nu, (0, 1), random_g_seq(0, 0, 3), 0)
+
+
+def test_supermartingale_check_refusals(model3):
+    # one F_k per step, checked before either branch
+    V, W = np.ones(3), np.zeros(3)
+    with pytest.raises(ValueError, match="need one F_k per step"):
+        supermartingale_check(model3, V, W, 0.0, [np.zeros(3)] * 2, 3, x0=0)
+    lgssm = LGSSM(0.9, 1.0, 1.0)
+    V_c = lambda x: np.exp(0.5 * np.abs(x))
+    W_c = lambda x: np.full_like(np.asarray(x, float), 0.1)
+    with pytest.raises(ValueError, match="need one F_k per step"):
+        supermartingale_check(lgssm, V_c, W_c, 5.0, [W_c] * 2, 3, x0=0.0)
+    # log(V^-1 Q V) = log E exp(c |0.9 x + Z|) - c |x| is above -W + b = -0.1 at x = 0
+    with pytest.raises(DriftPreconditionError, match="fails on the test grid"):
+        supermartingale_check(lgssm, V_c, W_c, 0.0, [W_c] * 3, 3, x0=0.0)

@@ -13,15 +13,17 @@ bounds, ``_conditions`` (which holds the one K-frequency rule) and the
 r-sequences of ``experiments`` read the record ``_record_terms`` returns;
 it, ``geometric_bound`` and ``_conditions`` also take a batch, one record per row.
 A record's envelopes are evaluated once per distinct observation: Upsilon
-as grid maxima (``_log_upsilon``, from a window around the channel's peak
-where V == 1), and Psi as the mean of g over PSI_QUAD_M midpoints of D, one
-observation per row, so that no value depends on its batch.  On a Gaussian
-location channel (``model.obs_slope``) that mean is taken in closed form,
-O(1) per observation: the Gaussian integral over D plus the midpoint rule's
-Euler-Maclaurin error series (``_log_psi_location``), equal to the
-quadrature to rounding.  ``upsilon`` and the LD-set search
-``find_ld_set_for_eta`` take Upsilon from the closed-form ``_log_sup``:
-exact where V == 1, an upper bound cell by cell where V != 1.
+(``_log_upsilon``) as the grid maximum from a window around the channel's
+peak where V == 1 and log g(., y) peaks, and from the closed form
+``_log_sup`` everywhere else; Psi as the mean of g over PSI_QUAD_M
+midpoints of D, one observation per row, so that no value depends on its
+batch.  On a Gaussian location channel (``model.obs_slope``) that mean is
+taken in closed form, O(1) per observation: the Gaussian integral over D
+plus the midpoint rule's Euler-Maclaurin error series
+(``_log_psi_location``), equal to the quadrature to rounding.  ``upsilon``
+and the LD-set search ``find_ld_set_for_eta`` take Upsilon from
+``_log_sup`` alone: exact where V == 1 and on a finite state set, an upper
+bound cell by cell where V != 1.
 
 The reference measure lambda_C is always normalized Lebesgue on C
 (normalized counting measure on finite state sets).  All bound terms are
@@ -44,12 +46,12 @@ from .grids import GridSpec, logsumexp, norm_logpdf
 
 UPSILON_QUAD_M = 4096  # Upsilon quadrature cells over the domain
 PSI_QUAD_M = 2048  # Psi quadrature cells over an interval D
-_RECORD_BLOCK = 256  # observations per dense envelope block
+_RECORD_BLOCK = 256  # observations per block of Psi's quadrature rows
 # support offsets around an observation's mode that hold the grid maximum of
 # log g on any index range (see _log_upsilon)
 _MODE_HALF = 3
 _MODE_WINDOW = np.arange(-_MODE_HALF, _MODE_HALF + 1)
-_SUP_SLACK = 1e-13  # upward rounding of the closed-form log Upsilon (see _log_sup)
+_SUP_SLACK = 1e-13  # outward rounding of a closed form: log Upsilon (_log_sup), eps-/eps+
 _SUP_BLOCK = 2**16  # (observation, interval) pairs per block of _log_sup
 # c_p = B_2p(1/2)/(2p)!, p = 1..5: the midpoint rule's Euler-Maclaurin coefficients
 _MIDPOINT_EM = np.array([-1 / 24, 7 / 5760, -31 / 967680, 127 / 154828800, -73 / 3503554560])
@@ -108,7 +110,8 @@ def certify_ld_set(model, candidate) -> LDSet:
     extrema of |C| q(x, x') over C x C.  On the Gaussian kernels q depends
     on the offset x' - m(x) alone, and the means over C form the interval
     ``model.mean_range(lo, hi)``, so the extrema sit at the nearest and the
-    farthest offset.
+    farthest offset.  Either way eps- is rounded down and eps+ up by the
+    relative _SUP_SLACK, past the rounding of their arithmetic.
     """
     if model.kind == "finite":
         states = tuple(sorted(model._check_state(np.asarray(candidate)).tolist()))
@@ -123,28 +126,31 @@ def certify_ld_set(model, candidate) -> LDSet:
             raise NotCertifiableError(
                 f"transition has a zero entry on {states} x {states}"
             )
-        return LDSet(eps_minus=eps_minus, eps_plus=eps_plus, states=states)
-
-    lo, hi = float(candidate[0]), float(candidate[1])
-    if not lo < hi:
-        raise ValueError("interval must be nonempty")
-    width = hi - lo
-    # the offset x' - m(x) ranges over [lo - m_hi, hi - m_lo]
-    m_lo, m_hi = (float(m) for m in model.mean_range(lo, hi))
-    t_lo, t_hi = lo - m_hi, hi - m_lo
-    t_min = 0.0 if t_lo <= 0.0 <= t_hi else min(abs(t_lo), abs(t_hi))
-    t_max = max(abs(t_lo), abs(t_hi))
-    sd = model.state_sd
-    norm = 1.0 / (np.sqrt(2 * np.pi) * sd)
-    q_max = norm * np.exp(-t_min * t_min / (2 * sd * sd))
-    q_min = norm * np.exp(-t_max * t_max / (2 * sd * sd))
-    eps_minus = width * q_min
-    eps_plus = width * q_max
-    if eps_minus <= 0:
-        raise NotCertifiableError(
-            f"kernel minimum underflows on [{lo}, {hi}]^2; the set is not LD in floating point"
-        )
-    return LDSet(eps_minus=eps_minus, eps_plus=eps_plus, interval=(lo, hi))
+        where = {"states": states}
+    else:
+        if np.shape(candidate) != (2,):
+            raise ValueError(f"a {model.kind} LD-set is an interval (lo, hi), got {candidate!r}")
+        lo, hi = float(candidate[0]), float(candidate[1])
+        if not lo < hi:
+            raise ValueError("interval must be nonempty")
+        width = hi - lo
+        # the offset x' - m(x) ranges over [lo - m_hi, hi - m_lo]
+        m_lo, m_hi = (float(m) for m in model.mean_range(lo, hi))
+        t_lo, t_hi = lo - m_hi, hi - m_lo
+        t_min = 0.0 if t_lo <= 0.0 <= t_hi else min(abs(t_lo), abs(t_hi))
+        t_max = max(abs(t_lo), abs(t_hi))
+        sd = model.state_sd
+        norm = 1.0 / (np.sqrt(2 * np.pi) * sd)
+        q_max = norm * np.exp(-t_min * t_min / (2 * sd * sd))
+        q_min = norm * np.exp(-t_max * t_max / (2 * sd * sd))
+        eps_minus = width * q_min
+        eps_plus = width * q_max
+        if eps_minus <= 0:
+            raise NotCertifiableError(
+                f"kernel minimum underflows on [{lo}, {hi}]^2; the set is not LD in floating point"
+            )
+        where = {"interval": (lo, hi)}
+    return LDSet(eps_minus * (1.0 - _SUP_SLACK), eps_plus * (1.0 + _SUP_SLACK), **where)
 
 
 def rho(ld: LDSet) -> float:
@@ -163,22 +169,6 @@ def _log_g_qv(model, x, y):
     return logg if log_qv is None else logg + log_qv
 
 
-def _region_parts(region, x, domain):
-    """The support points ``x`` in ``region``, "all" or ("complement", C), as
-    selectors in support order: one slice per interval of _components, of the
-    grid points strictly inside it; on a finite state set (``domain`` None),
-    where C lists states, one index array."""
-    if domain is not None:
-        return [slice(int(np.searchsorted(x, a, "right")), int(np.searchsorted(x, b, "left")))
-                for a, b in _components(region, domain)]
-    if region == "all":
-        return [slice(0, len(x))]
-    kind, members = region
-    if kind != "complement":
-        raise ValueError(f"unknown region {region!r}")
-    return [np.flatnonzero(~np.isin(x, members))]
-
-
 def _blocks(n, size=_RECORD_BLOCK):
     """Slices of ``size`` columns that cover n columns."""
     return [slice(a, a + size) for a in range(0, n, size)]
@@ -186,7 +176,10 @@ def _blocks(n, size=_RECORD_BLOCK):
 
 def _log_upsilon(model, regions, ys):
     """For each region of ``regions`` (rows) and each y of ``ys`` (columns),
-    the grid maximum of log g(x, y) QV(x)/V(x) over the region.
+    log Upsilon_region(y): the grid maximum over the UPSILON_QUAD_M cell
+    centres in the region where V == 1 and log g(., y) peaks, and the closed
+    form _log_sup at every other observation (no peak, a drift V != 1 or a
+    finite state set).
 
     Where V == 1 and log g(., y) peaks at p (``model.obs_peak``), the
     maximum on each index range of a region is at the point or two next to p
@@ -197,47 +190,35 @@ def _log_upsilon(model, regions, ys):
     operation on the way is.  On SV log g is strictly concave, with curvature
     1/2 at p and |d/dx log g| growing away from p, so adjacent grid values
     differ by far more than their rounding, except at the two nodes that
-    bracket the clamped peak.  Every other observation takes the dense scan,
-    in blocks.
+    bracket the clamped peak.
     """
-    quad = resolve_grid(model, None, UPSILON_QUAD_M)
-    x = model.support(quad)
     ys = np.asarray(ys)
     model._check_obs(ys)  # names a bad observation by its index in ys
-    domain = None if quad is None else model.domain
-    parts = [_region_parts(region, x, domain) for region in regions]
-    best = np.full((len(regions), len(ys)), -np.inf)
-    dense = np.ones(len(ys), dtype=bool)
+    x = model.support(resolve_grid(model, None, UPSILON_QUAD_M))
     peaks = model.obs_peak(ys)
-    near = np.flatnonzero(~np.isnan(peaks))  # NaN on every finite state set
-    if len(near) and model.log_qv(x[:1]) is None:  # V == 1
-        spans = [(r, part) for r, region_parts in enumerate(parts)
-                 for part in region_parts if part.start < part.stop]
-        if spans:
-            dense[near] = False
-            lo = np.array([part.start for _, part in spans])
-            hi = np.array([part.stop - 1 for _, part in spans])
-            k = np.searchsorted(x, peaks[near])[:, None]
-            centre = np.minimum(np.maximum(k, lo + _MODE_HALF), hi - _MODE_HALF)
-            idx = np.minimum(np.maximum(centre[..., None] + _MODE_WINDOW, lo[:, None]),
-                             hi[:, None])  # (observations, spans, window)
-            vals = model.loglik(x[idx], ys[near, None, None]).max(axis=2)
-            for s, (r, _) in enumerate(spans):
-                best[r, near] = np.maximum(best[r, near], vals[:, s])
-    dense = np.flatnonzero(dense)
-    for block in _blocks(len(dense)):
-        cols = dense[block]
-        vals = _log_g_qv(model, x[:, None], ys[None, cols])
-        for r, region_parts in enumerate(parts):
-            for part in region_parts:  # a maximum is exact, so the parts combine in any order
-                best[r, cols] = np.maximum(best[r, cols], vals[part].max(axis=0, initial=-np.inf))
-        del vals
+    window = ~np.isnan(peaks) & (model.log_qv(x[:1]) is None)  # a peak and V == 1
+    best = np.full((len(regions), len(ys)), -np.inf)
+    for r, region in enumerate(regions):
+        best[r, ~window] = _log_sup(model, region, ys[~window])
+    near = np.flatnonzero(window)
+    if not len(near):
+        return best
+    k = np.searchsorted(x, peaks[near])
+    for r, region in enumerate(regions):
+        for a, b in _components(region, model.domain):
+            # the index range of the grid points strictly inside (a, b)
+            lo, hi = np.searchsorted(x, a, "right"), np.searchsorted(x, b, "left") - 1
+            if lo <= hi:
+                centre = np.clip(k, lo + _MODE_HALF, hi - _MODE_HALF)
+                idx = np.clip(centre[:, None] + _MODE_WINDOW, lo, hi)  # (observations, window)
+                vals = model.loglik(x[idx], ys[near, None]).max(axis=1)
+                best[r, near] = np.maximum(best[r, near], vals)
     return best
 
 
 def _components(region, domain):
-    """The intervals (a, b), a < b, whose union is the continuous ``region``
-    (as in _region_parts) within ``domain``; none when C covers the domain."""
+    """The intervals (a, b), a < b, whose union is the continuous ``region``,
+    "all" or ("complement", C), within ``domain``; none when C covers it."""
     lo, hi = domain
     if region == "all":
         return [(lo, hi)]
@@ -254,33 +235,47 @@ def _log_sup(model, region, ys) -> np.ndarray:
     domain, exact where V == 1.  log g(., y) is concave or monotone in x on
     every model, so its sup over an interval is at the channel's peak
     (``model.obs_peak``) clamped into it or at one of its ends.  Where V == 1
-    the intervals are those of the region; with a drift V != 1 they are cut
-    at the UPSILON_QUAD_M cell edges of the domain, and each cell adds its
-    ``model.log_qv_sup``, above log QV/V there by at most c (1 + |phi| +
-    |kappa|) times the cell width.  The maximum is rounded up by _SUP_SLACK
-    (1 + |log Upsilon|), past the last-bit error of one evaluation of log g
-    (at a flat peak a nearby point can read an ulp higher, as on SV).  The
-    observations go in blocks of about _SUP_BLOCK (observation, interval)
-    pairs.  Finite state sets: the maximum over the region's states.
+    the cells are cut at the ends of the region's intervals; with a drift
+    V != 1 also at the UPSILON_QUAD_M cell edges of the domain, and each cell
+    adds its ``model.log_qv_sup``, above log QV/V there by at most c (1 +
+    |phi| + |kappa|) times the cell width.  A cell outside the region adds
+    -inf.  So log g is taken once at each cut, which adjacent cells share,
+    and once at the peak clamped into the first cell that ends at or past it
+    (else the last): clamped into any other cell, the peak is one of its
+    ends.  The maximum is rounded up by _SUP_SLACK (1 + |log Upsilon|), past
+    the last-bit error of one evaluation of log g (at a flat peak a nearby
+    point can read an ulp higher, as on SV).  The observations go in blocks
+    of about _SUP_BLOCK (observation, cut) pairs.
+
+    Finite state sets: the maximum over the region's states, exact.
     """
     ys = np.asarray(ys)
     model._check_obs(ys)  # names a bad observation by its index in ys
     if model.kind == "finite":
-        return _log_upsilon(model, [region], ys)[0]
+        if region != "all" and region[0] != "complement":
+            raise ValueError(f"unknown region {region!r}")
+        x = model.support(None)
+        inside = ~np.isin(x, [] if region == "all" else region[1])
+        return _log_g_qv(model, x[:, None], ys[None, :])[inside].max(axis=0, initial=-np.inf)
     a, b = np.array(_components(region, model.domain)).reshape(-1, 2).T
-    log_qv = 0.0  # V == 1
-    if model.log_qv_sup(a, b) is not None:
-        cuts = np.union1d(np.concatenate([a, b]), np.linspace(*model.domain, UPSILON_QUAD_M + 1))
-        keep = ((a[:, None] <= cuts[:-1]) & (cuts[1:] <= b[:, None])).any(axis=0)
-        a, b = cuts[:-1][keep], cuts[1:][keep]
-        log_qv = model.log_qv_sup(a, b)[:, None]
+    if not len(a):  # C covers the domain
+        return np.full(len(ys), -np.inf)
+    cuts = np.union1d(a, b)
+    if model.log_qv_sup(a, b) is not None:  # V != 1
+        cuts = np.union1d(cuts, np.linspace(*model.domain, UPSILON_QUAD_M + 1))
+    lo, hi = cuts[:-1], cuts[1:]  # the cells
+    inside = ((a[:, None] <= lo) & (hi <= b[:, None])).any(axis=0)
+    log_qv = np.full(len(lo), -np.inf)
+    sup = model.log_qv_sup(lo[inside], hi[inside])  # None where V == 1
+    log_qv[inside] = 0.0 if sup is None else sup
     v = np.empty(len(ys))
-    for rows in _blocks(len(ys), _SUP_BLOCK // (len(a) + 1)):
-        peak = model.obs_peak(ys[rows])[:, None]
-        mid = np.where(np.isnan(peak), a, np.clip(peak, a, b))  # (observations, intervals)
-        points = np.stack(np.broadcast_arrays(a, b, mid), axis=-1)
-        vals = model.loglik(points, ys[rows, None, None]) + log_qv
-        v[rows] = vals.max(axis=(1, 2), initial=-np.inf)
+    for rows in _blocks(len(ys), _SUP_BLOCK // len(cuts)):
+        y = ys[rows]
+        g = model.loglik(cuts, y[:, None])
+        v[rows] = (np.maximum(g[:, :-1], g[:, 1:]) + log_qv).max(axis=1)
+        peak = model.obs_peak(y)  # NaN where log g has no peak, which fmax passes by
+        j = np.minimum(np.searchsorted(hi, peak), len(hi) - 1)
+        v[rows] = np.fmax(v[rows], model.loglik(np.clip(peak, lo[j], hi[j]), y) + log_qv[j])
     # rounded up by _SUP_SLACK (1 + |v|), as a product so that -inf stays -inf
     return np.where(v < 0, v * (1.0 - _SUP_SLACK), v * (1.0 + _SUP_SLACK)) + _SUP_SLACK
 
@@ -292,7 +287,9 @@ def upsilon(model, region, y) -> float:
 
 
 def log_upsilon_batch(model, region, ys) -> np.ndarray:
-    """Grid-based log Upsilon_region(y) for an array of observations."""
+    """log Upsilon_region(y) for an array of observations, as a record takes
+    it (_log_upsilon): the window's grid maximum where V == 1 and log g(., y)
+    peaks, else the closed form _log_sup."""
     return _log_upsilon(model, [region], ys)[0]
 
 

@@ -124,7 +124,6 @@ COMMAND_KEYS = {
 }
 # the keys of the other sections
 GRID_KEYS = ("lo", "hi", "m")
-LD_SET_KEYS = ("interval", "states")
 BOUND_KEYS = ("form", "beta", "gamma", "eta", "C", "D", "K", "M0", "M1", "M2")
 OBSERVATION_KEYS = ("file", "simulate")
 SIMULATE_KEYS = ("model", "init", "n", "replication")
@@ -175,11 +174,11 @@ def build_grid(cfg, model):
 
 
 def build_ld_set(d, model):
-    if "interval" in section(d, "LD-set", keys=LD_SET_KEYS):
-        return certify_ld_set(model, tuple(d["interval"]))
-    if "states" in d:
-        return certify_ld_set(model, d["states"])
-    raise ConfigError("LD-set section needs 'interval' or 'states'")
+    key = "states" if model.kind == "finite" else "interval"
+    if key not in section(d, "LD-set", keys=(key,)):
+        raise ConfigError(f"LD-set section needs 'interval' or 'states': {key!r} on a "
+                          f"{model.kind} model")
+    return certify_ld_set(model, d[key])
 
 
 def build_bound_cfg(d, model):

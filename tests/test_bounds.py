@@ -49,10 +49,11 @@ TANH_MODELS = {  # the mean 0.5 x + kappa tanh(x) turns at +-1.146 when kappa = 
 
 
 def test_certify_matches_lattice_search():
-    # the closed form brackets a 2001-point lattice of |C| q over C x C,
-    # eps- below its minimum and eps+ above its maximum to rounding (where an
-    # extremum sits on a lattice point, the two arithmetics may differ in the
-    # last bits), and is within 1e-5 of it: on an affine mean and on the tanh
+    # the closed form brackets a 2001-point lattice of |C| q over C x C, eps-
+    # at or below its minimum and eps+ at or above its maximum (where an
+    # extremum sits on a lattice point, as on the LGSSM case, the two
+    # arithmetics differ in the last bits, which the outward rounding
+    # covers), and is within 1e-5 of it: on an affine mean and on the tanh
     # mean, whose extrema over C sit at its turning points where C holds them
     cases = [(LGSSM(0.7, 1.0, 1.0), (-2.0, 1.0))] + [
         (model, C) for model in TANH_MODELS.values()
@@ -63,8 +64,8 @@ def test_certify_matches_lattice_search():
         logq = model._trans_logpdf(x[:, None], x[None, :])
         width = C[1] - C[0]
         lattice_minus, lattice_plus = width * np.exp(logq.min()), width * np.exp(logq.max())
-        assert ld.eps_minus <= lattice_minus * (1 + 1e-12)
-        assert ld.eps_plus >= lattice_plus * (1 - 1e-12)
+        assert ld.eps_minus <= lattice_minus
+        assert ld.eps_plus >= lattice_plus
         assert ld.eps_minus == pytest.approx(lattice_minus, rel=1e-5)
         assert ld.eps_plus == pytest.approx(lattice_plus, rel=1e-5)
 
@@ -96,6 +97,20 @@ def test_certify_finite_and_failure():
     zero = FiniteStateModel([[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(NotCertifiableError):
         certify_ld_set(zero, (0, 1))
+
+
+def test_certify_rounds_eps_outward():
+    # eps- down and eps+ up by the relative 1e-13, on both branches: the
+    # finite constants are |C| times transition entries, the Gaussian ones
+    # |C| times the kernel's density at the farthest and nearest offset
+    finite = FiniteStateModel([[0.6, 0.4], [0.3, 0.7]], [[0.5, 0.5], [0.5, 0.5]])
+    ld = certify_ld_set(finite, (0, 1))
+    assert (ld.eps_minus, ld.eps_plus) == (2 * 0.3 * (1 - 1e-13), 2 * 0.7 * (1 + 1e-13))
+    model = LGSSM(0.5, 1.0, 1.0)
+    ld = certify_ld_set(model, (-1.0, 1.0))
+    q = np.exp(model._trans_logpdf(np.array([1.0, 0.0]), np.array([-1.0, 0.0])))
+    assert ld.eps_minus / (2.0 * q[0]) == pytest.approx(1 - 1e-13, abs=1e-15)
+    assert ld.eps_plus / (2.0 * q[1]) == pytest.approx(1 + 1e-13, abs=1e-15)
 
 
 def test_ld_set_validation():
@@ -473,12 +488,26 @@ SERIES_MODELS = {
 }
 
 
+def on_window(model, ys):
+    """Where the record's log Upsilon is the grid maximum of the mode window:
+    V == 1 and log g(., y) peaks.  Every other observation takes _log_sup."""
+    return ~np.isnan(model.obs_peak(ys)) & (model.log_qv(dense_grid(model)[1]) is None)
+
+
+def record_log_upsilon(model, region, ys):
+    """The reference record envelope: the dense grid maximum on the window's
+    observations, the closed form _log_sup on the others."""
+    ys = np.asarray(ys)
+    return np.where(on_window(model, ys), dense_log_upsilon(model, region, ys),
+                    _log_sup(model, region, ys))
+
+
 def check_record_series(model, obs, D, C):
-    """_record_series against the dense envelopes and Psi over the whole record."""
+    """_record_series against the reference envelopes and Psi over the whole record."""
     log_ups_x, log_ups_cc, log_psi = _record_series(model, obs, D, C)
-    assert np.array_equal(log_ups_x, dense_log_upsilon(model, "all", obs))
+    assert np.array_equal(log_ups_x, record_log_upsilon(model, "all", obs))
     region = ("complement", C.interval or C.states)
-    assert np.array_equal(log_ups_cc, dense_log_upsilon(model, region, obs))
+    assert np.array_equal(log_ups_cc, record_log_upsilon(model, region, obs))
     assert np.array_equal(log_psi, log_psi_batch(model, D, obs))
     assert np.array_equal(log_upsilon_batch(model, "all", obs), log_ups_x)
     assert np.array_equal(log_upsilon_batch(model, region, obs), log_ups_cc)
@@ -490,7 +519,8 @@ def check_record_series(model, obs, D, C):
 @pytest.mark.parametrize("name", list(SERIES_MODELS))
 def test_record_series_blocks_equal_single_block_batches(name, length):
     # bit for bit: neither the blocks nor the evaluation once per distinct
-    # observation nor the mode windows may change a single envelope or Psi
+    # observation nor the mode windows nor the split between the window and
+    # the closed form may change a single envelope or Psi
     model, c, d = SERIES_MODELS[name]
     C, D = certify_ld_set(model, c), certify_ld_set(model, d)
     init = InitialDistribution.finite([0.2, 0.3, 0.5]) if model.kind == "finite" \
@@ -521,6 +551,8 @@ def adversarial_observations(model):
 
 @pytest.mark.parametrize("name", [n for n in SERIES_MODELS if n != "finite"])
 def test_record_series_equals_dense_scan_on_adversarial_observations(name):
+    # the window's rows are the dense grid maximum and every other row the
+    # closed form, on and between the grid points and past the domain's ends
     model, c, d = SERIES_MODELS[name]
     C, D = certify_ld_set(model, c), certify_ld_set(model, d)
     ys = adversarial_observations(model)
@@ -529,6 +561,54 @@ def test_record_series_equals_dense_scan_on_adversarial_observations(name):
         for length in (1, 2, 3, _RECORD_BLOCK + 1):
             check_record_series(model, np.full(length, y), D, C)
     check_record_series(model, np.array([0.0, -0.0, 0.0]), D, C)
+
+
+OFF_WINDOW_MODELS = {  # (model, C, D, observations added to a simulated record)
+    "tobit-zeros": (TobitModel(0.5, 1.0, 1.0), (-3.0, 3.0), (-2.0, 2.0), [0.0]),
+    "stochvol-zero": (StochVolModel(0.9, 0.3, 1.0), (-0.7, 1.3), (-2.0, 2.0), [0.0, -0.0]),
+    "lgssm-exp-abs": (LGSSM(0.9, 1.0, 1.0, drift=DriftFunction.exp_abs(0.5)),
+                      (-3.0, 3.0), (-2.0, 2.0), [0.0, 40.0, -40.0]),
+    "nlssm-tanh-exp-abs": (NLSSM("tanh", 0.5, 1.0, 1.0, kappa=-1.5,
+                                 drift=DriftFunction.exp_abs(0.5)),
+                           (-0.7, 1.3), (-2.0, 2.0), [0.0, 40.0, -40.0]),
+    "finite-drift": (FiniteStateModel([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
+                                      [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]],
+                                      drift_values=[1.0, 2.5, 4.0]),
+                     (1,), (0, 1, 2), [0, 2]),
+}
+
+
+def fine_grid_max(model, region, ys):
+    """The maximum of log g + log QV/V over the region's points of a grid
+    three times finer than the UPSILON_QUAD_M cells, ends included (over
+    the region's states on a finite model)."""
+    if model.kind == "finite":
+        x = np.arange(model.m)
+    else:
+        x = np.linspace(*model.domain, 3 * UPSILON_QUAD_M + 1)
+    inside = dense_region_mask(model, region, x)
+    return _log_g_qv(model, x[inside, None], np.asarray(ys)[None, :]).max(axis=0)
+
+
+def test_record_series_off_the_window_is_the_closed_form():
+    # every record envelope off the V == 1 mode window (no peak, a drift V != 1,
+    # a finite model) is _log_sup bit for bit: at or above every point of a
+    # grid three times finer than the 4096 cells, and at or above the 4096
+    # cell centres' maximum that it replaced
+    for name, (model, c, d, extra) in OFF_WINDOW_MODELS.items():
+        C, D = certify_ld_set(model, c), certify_ld_set(model, d)
+        init = InitialDistribution.finite([0.2, 0.3, 0.5]) if model.kind == "finite" \
+            else InitialDistribution.gaussian(0, 1)
+        obs = np.concatenate([simulate(model, 299, init, seed=12).obs, extra])
+        off = ~on_window(model, obs)
+        assert off.any(), name
+        ys = obs[off]
+        log_ups_x, log_ups_cc, _ = _record_series(model, obs, D, C)
+        for region, log_ups in (("all", log_ups_x[off]),
+                                (("complement", C.interval or C.states), log_ups_cc[off])):
+            assert np.array_equal(log_ups, _log_sup(model, region, ys)), (name, region)
+            assert np.all(log_ups >= fine_grid_max(model, region, ys)), (name, region)
+            assert np.all(log_ups >= dense_log_upsilon(model, region, ys)), (name, region)
 
 
 def assert_above_the_polish(model, region, y):
@@ -893,6 +973,10 @@ BOUND_REFUSALS = {
                           "unknown region"),
     "region-finite": (lambda: log_upsilon_batch(FINITE2, ("inside", (0,)), [0]),
                       "unknown region"),
+    "interval-of-three": (lambda: certify_ld_set(LGSSM(0.9, 1.0, 1.0), (0, 1, 2)),
+                          r"lgssm LD-set is an interval \(lo, hi\), got \(0, 1, 2\)"),
+    "interval-empty": (lambda: certify_ld_set(LGSSM(0.9, 1.0, 1.0), []),
+                       r"lgssm LD-set is an interval \(lo, hi\), got \[\]"),
     "eta-above-1": (lambda: find_ld_set_for_eta(LGSSM(0.9, 1.0, 1.0), 1.5, None, [0.0]),
                     r"eta must lie in \(0, 1\]"),
     "eta-0": (lambda: find_ld_set_for_eta(LGSSM(0.9, 1.0, 1.0), 0.0, None, [0.0]),

@@ -697,6 +697,9 @@ def test_filter_trace_is_the_experiments_tv_curves_of_each_record(tmp_path):
             out / "filter_trace.csv").read_text()
 
 
+SHARP_ROUND_TRIP = {**ROUND_TRIP["bound"], "bound": {"form": "sharp", "beta": 0.2,
+                                                    "C": {"interval": [-3, 3]},
+                                                    "D": {"interval": [-2, 2]}}}
 BOUND_SEARCH = {**ROUND_TRIP["bound"],
                 "bound": {k: v for k, v in ROUND_TRIP["bound"]["bound"].items() if k != "C"}}
 EXPERIMENT_NO_C = {**ROUND_TRIP["experiment"], "bound": BOUND_SEARCH["bound"]}
@@ -743,6 +746,13 @@ REFUSALS = [  # (command, config, overrides, exit code, message)
     ("bound", "bound", ["observations.simulate.n=0"], 2, "needs at least two observations"),
     ("bound", BOUND_SEARCH, ["bound.K=[50, 60]"], 2, "need at least one probe observation in K"),
     ("bound", FINITE_BOUND, ['bound.C={"states": []}'], 2, "state subset must be nonempty"),
+    # an LD-set key that does not fit the model: it was read as the other kind
+    ("bound", SHARP_ROUND_TRIP, ['bound.C={"states": [0, 1, 2]}'],
+     2, "LD-set has unknown key 'states'"),
+    ("bound", SHARP_ROUND_TRIP, ['bound.C={"states": []}'],
+     2, "LD-set has unknown key 'states' (known keys: interval)"),
+    ("bound", FINITE_BOUND, ['bound.C={"interval": [0, 1]}'],
+     2, "LD-set has unknown key 'interval' (known keys: states)"),
     ("experiment", "experiment", ["replications=0"], 2, "need at least one replication"),
     ("experiment", EXPERIMENT_NO_C, [], 2, "experiment bound section needs an explicit 'C'"),
 ]

@@ -190,10 +190,9 @@ def _log_upsilon(model, regions, ys):
     operation on the way is.  On SV log g is strictly concave, with curvature
     1/2 at p and |d/dx log g| growing away from p, so adjacent grid values
     differ by far more than their rounding, except at the two nodes that
-    bracket the clamped peak.
+    bracket the clamped peak.  The callers check ``ys``.
     """
     ys = np.asarray(ys)
-    model._check_obs(ys)  # names a bad observation by its index in ys
     x = model.support(resolve_grid(model, None, UPSILON_QUAD_M))
     peaks = model.obs_peak(ys)
     window = ~np.isnan(peaks) & (model.log_qv(x[:1]) is None)  # a peak and V == 1
@@ -247,10 +246,10 @@ def _log_sup(model, region, ys) -> np.ndarray:
     point can read an ulp higher, as on SV).  The observations go in blocks
     of about _SUP_BLOCK (observation, cut) pairs.
 
-    Finite state sets: the maximum over the region's states, exact.
+    Finite state sets: the maximum over the region's states, exact.  The
+    callers check ``ys``.
     """
     ys = np.asarray(ys)
-    model._check_obs(ys)  # names a bad observation by its index in ys
     if model.kind == "finite":
         if region != "all" and region[0] != "complement":
             raise ValueError(f"unknown region {region!r}")
@@ -283,13 +282,17 @@ def _log_sup(model, region, ys) -> np.ndarray:
 def upsilon(model, region, y) -> float:
     """Sup over the region, "all" or ("complement", C), of g(x, y) QV(x)/V(x):
     exact where V == 1 or on a finite state set, else an upper bound (_log_sup)."""
-    return float(np.exp(_log_sup(model, region, np.array([y]))[0]))
+    ys = np.array([y])
+    model._check_obs(ys)  # names a bad observation as observation 0
+    return float(np.exp(_log_sup(model, region, ys)[0]))
 
 
 def log_upsilon_batch(model, region, ys) -> np.ndarray:
     """log Upsilon_region(y) for an array of observations, as a record takes
     it (_log_upsilon): the window's grid maximum where V == 1 and log g(., y)
     peaks, else the closed form _log_sup."""
+    ys = np.asarray(ys)
+    model._check_obs(ys)  # names a bad observation by its index in ys
     return _log_upsilon(model, [region], ys)[0]
 
 

@@ -1,11 +1,13 @@
 """Exact and Monte Carlo verification of the coupling inequalities.
 
-On small finite-state models both sides of every inequality are computable
-exactly: the pair-chain numerator bound (with the joint-visit counter), the
-denominator lower bound, the counting inequality on binary sequences, and
-the supermartingale exponential bound.  These exact checks are the
-package's ground-truth oracles; the continuous-state Monte Carlo variant
-of the exponential bound is checked within a CLT band.
+On finite-state models both sides of every inequality are computable
+exactly: the numerator gap Delta_n (from the chain's own forwards from the
+two initial laws) and its pair-chain bound (one (m, m) pair matrix per
+step), both in O(N m^3) time and O(m^2) memory, the denominator lower
+bound, the counting inequality on binary sequences, and the
+supermartingale exponential bound.  These exact checks are the package's
+ground-truth oracles; the continuous-state Monte Carlo variant of the
+exponential bound is checked within a CLT band.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from .bounds import certify_ld_set, rho
 from .models import FiniteStateModel
 from .rng import normal_rows, substream
 
-MAX_STATES = 8
+# the exact oracles' outputs are linear, not logs: Delta_n and rhs_n scale
+# with Z_n Z'_n, a product of 2(N + 1) likelihood factors that leaves the
+# floating-point range as N grows, so the horizon is capped
 MAX_HORIZON = 25
 DRIFT_TEST_M = 201  # test points of the drift precondition on continuous models
 SUITES = ("numerator", "denominator", "counting", "exponential")  # the names run_suite takes
@@ -33,13 +37,33 @@ class ExactDeltaResult:
     rho_c: float
 
 
-def _check_g_seq(g_seq, m, N):
+def _check_inputs(m, g_seq, N, **laws):
+    """g_seq as an (N + 1, m) array and each initial law as an (m,) array,
+    refused with a ValueError that names what is malformed."""
+    if N > MAX_HORIZON:
+        raise ValueError(f"horizon limited to N <= {MAX_HORIZON}")
     g_seq = np.asarray(g_seq, dtype=float)
     if g_seq.shape != (N + 1, m):
         raise ValueError(f"g_seq must have shape ({N + 1}, {m})")
     if np.any(g_seq < 0):
         raise ValueError("likelihood vectors must be nonnegative")
-    return g_seq
+    out = [g_seq]
+    for name, law in laws.items():
+        law = np.asarray(law, dtype=float)
+        if law.shape != (m,) or not np.all(np.isfinite(law)) or np.any(law < 0):
+            raise ValueError(f"{name} must be a finite nonnegative vector of shape ({m},)")
+        out.append(law)
+    return out
+
+
+def _forward(P, nu, g_seq):
+    """The unnormalized forward u_n = (u_{n-1} P) * g_n from u_0 = nu * g_0,
+    one row per n = 0..len(g_seq) - 1."""
+    u = np.empty_like(g_seq)
+    u[0] = nu * g_seq[0]
+    for n in range(1, len(g_seq)):
+        u[n] = (u[n - 1] @ P) * g_seq[n]
+    return u
 
 
 def exact_delta(model: FiniteStateModel, C, nu, nu_prime, g_seq, N: int) -> ExactDeltaResult:
@@ -48,58 +72,36 @@ def exact_delta(model: FiniteStateModel, C, nu, nu_prime, g_seq, N: int) -> Exac
     state subset, possibly empty).
 
     Delta_n is the supremum over state subsets of the difference between
-    the two tensor forward recursions started from nu x nu' and nu' x nu;
-    since their total masses coincide by symmetry it equals the positive
-    part of the signed first-coordinate marginal.  The right-hand side is
-    a dynamic program over (pair state, joint visit count).
+    the pair chain's forwards from nu x nu' and from nu' x nu.  These are
+    u_n x u'_n and u'_n x u_n, with u_n and u'_n the chain's own forwards
+    from nu and nu', so Delta_n is the positive part of u_n Z'_n - u'_n Z_n
+    (Z_n the total mass of u_n).  The right-hand side rhs_n is the sum of
+    the (m, m) pair matrix M_n: M_0 = u_0 x u'_0 and
+        M_n = [P^T (M 1_rest) P + P^T (M 1_CC) P (rho_C 1_CC + 1_rest)] (g_n x g_n),
+    products taken entrywise where not matrix products, so that a move
+    gains the factor rho_C when it goes from C x C back into C x C.  It
+    takes O(m^2) memory and O(N m^3) time.
     """
     m = model.m
-    if m > MAX_STATES:
-        raise ValueError(f"pair-chain verification is limited to m <= {MAX_STATES} states")
-    if N > MAX_HORIZON:
-        raise ValueError(f"horizon limited to N <= {MAX_HORIZON}")
-    g_seq = _check_g_seq(g_seq, m, N)
-    nu = np.asarray(nu, dtype=float)
-    nu_prime = np.asarray(nu_prime, dtype=float)
+    g_seq, nu, nu_prime = _check_inputs(m, g_seq, N, nu=nu, nu_prime=nu_prime)
     rho_c = rho(certify_ld_set(model, C)) if len(C) else 0.0
-    # Qbar[(x, x'), (z, z')] = P(x, z) P(x', z'), and C x C over the pair index
-    qbar = np.kron(model.transition, model.transition)
-    in_c = np.zeros(m, dtype=bool)
-    in_c[list(C)] = True
-    in_cc = (in_c[:, None] & in_c[None, :]).ravel()
+    P = model.transition
+    in_c = np.isin(np.arange(m), list(C))
+    in_cc = np.outer(in_c, in_c)
+    gain = np.where(in_cc, rho_c, 1.0)
 
-    gbar = [np.outer(g, g).ravel() for g in g_seq]
-    fwd = np.outer(nu, nu_prime).ravel() * gbar[0]
-    rev = np.outer(nu_prime, nu).ravel() * gbar[0]
-    # count DP: mass[z, k] with k joint visits of consecutive pairs so far
-    mass = np.zeros((m * m, N + 1))
-    mass[:, 0] = fwd
+    u, u2 = _forward(P, nu, g_seq), _forward(P, nu_prime, g_seq)
+    z, z2 = u.sum(axis=1, keepdims=True), u2.sum(axis=1, keepdims=True)
+    diff = u * z2 - u2 * z
+    delta = np.maximum(diff, 0.0).sum(axis=1)
 
-    delta = np.zeros(N + 1)
-    rhs = np.zeros(N + 1)
-
-    powers = rho_c ** np.arange(N + 1)
-    out_cc = ~in_cc
-    from_in, from_out = qbar[in_cc].T, qbar[out_cc].T
-
-    def record(n, fwd, rev, mass):
-        diff = fwd.reshape(m, m).sum(axis=1) - rev.reshape(m, m).sum(axis=1)
-        assert abs(diff.sum()) <= 1e-8 * max(fwd.sum(), 1e-300)
-        delta[n] = diff[diff > 0].sum()
-        rhs[n] = float(mass.sum(axis=0) @ powers)
-
-    record(0, fwd, rev, mass)
-    for i in range(1, N + 1):
-        fwd = (fwd @ qbar) * gbar[i]
-        rev = (rev @ qbar) * gbar[i]
-        to_from_in = (from_in @ mass[in_cc]) * gbar[i][:, None]
-        to_from_out = (from_out @ mass[out_cc]) * gbar[i][:, None]
-        new = to_from_out.copy()            # source outside C x C: count unchanged
-        new[out_cc] += to_from_in[out_cc]   # in -> out: count unchanged
-        new[in_cc, 1:] += to_from_in[in_cc, :-1]  # in -> in: one more joint visit
-        mass = new
-        record(i, fwd, rev, mass)
-    return ExactDeltaResult(delta_n=delta, rhs_n=rhs, rho_c=rho_c)
+    M = np.outer(u[0], u2[0])
+    rhs = [M.sum()]
+    for g in g_seq[1:]:
+        M = (P.T @ np.where(in_cc, 0.0, M) @ P
+             + (P.T @ np.where(in_cc, M, 0.0) @ P) * gain) * np.outer(g, g)
+        rhs.append(M.sum())
+    return ExactDeltaResult(delta_n=delta, rhs_n=np.array(rhs), rho_c=rho_c)
 
 
 def exact_denominator_bound(model: FiniteStateModel, nu, C, g_seq, N: int):
@@ -109,30 +111,20 @@ def exact_denominator_bound(model: FiniteStateModel, nu, C, g_seq, N: int):
     E_nu[prod_{i<=n} g_i(X_i)] and rhs the certified lower bound built from
     eps-, the two-step overlap through C, and the averaged likelihoods.
     """
-    if model.m > MAX_STATES or N > MAX_HORIZON:
-        raise ValueError("exact verification limited to small models and horizons")
+    g_seq, nu = _check_inputs(model.m, g_seq, N, nu=nu)
     if N < 1:
         raise ValueError("the lower bound is stated for n >= 1")
-    g_seq = _check_g_seq(g_seq, model.m, N)
-    nu = np.asarray(nu, dtype=float)
     ld = certify_ld_set(model, C)
     idx = np.asarray(ld.states)
     P = model.transition
 
-    u = nu * g_seq[0]
-    g1_on_c = np.zeros(model.m)
-    g1_on_c[idx] = g_seq[1][idx]
+    g1_on_c = g_seq[1] * np.isin(np.arange(model.m), idx)
     overlap = float((nu * g_seq[0]) @ (P @ g1_on_c))  # nu(g0 Q g1 1_C)
-    out = np.zeros((N, 2))
-    log_lam = 0.0
-    for n in range(1, N + 1):
-        u = (u @ P) * g_seq[n]
-        if n >= 2:
-            log_lam += np.log(np.mean(g_seq[n][idx]))
-        lhs = float(u.sum())
-        rhs = float((n - 1) * np.log(ld.eps_minus) + np.log(overlap) + log_lam)
-        out[n - 1] = (lhs, np.exp(rhs))
-    return out
+    lhs = _forward(P, nu, g_seq)[1:].sum(axis=1)
+    # log rhs_n = (n - 1) log eps- + log overlap + sum_{2<=i<=n} log lambda_C(g_i)
+    log_lam = np.cumsum(np.r_[0.0, np.log(g_seq[2:, idx].mean(axis=1))])
+    rhs = np.exp(np.arange(N) * np.log(ld.eps_minus) + np.log(overlap) + log_lam)
+    return np.column_stack([lhs, rhs])
 
 
 def counting_inequality_check(bits, n: int | None = None):

@@ -965,6 +965,13 @@ def test_non_finite_observation_named_by_its_index(model, where, value):
         log_upsilon_batch(model, "all", obs)
     with pytest.raises(DomainError, match=message):
         sharp_bound(model, nu, nup, obs, 0.2, C, D, grid=grid)
+    cfg = BoundConfig(beta=0.2, gamma=0.5, eta=0.5, D=D, K=None)
+    with pytest.raises(DomainError, match=message):
+        geometric_bound(model, nu, nup, obs, cfg, C, grid=grid)
+    # one observation: its index is 0
+    message = rf"^{model.kind} observation 0 \({value}\) is not finite$"
+    with pytest.raises(DomainError, match=message):
+        upsilon(model, ("complement", (-3.0, 3.0)), obs[where])
 
 
 FINITE2 = FiniteStateModel([[0.8, 0.2], [0.3, 0.7]], [[0.6, 0.4], [0.3, 0.7]])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,13 +95,120 @@ def test_exact_delta_empty_target_collapses_to_mass(model3):
         assert res.rhs_n[n] == pytest.approx(mass.sum(), rel=1e-10)
 
 
+def count_axis_exact_delta(model, C, nu, nu_prime, g_seq, N):
+    """The pair chain on its m^2 states with a joint-visit count axis, as
+    exact_delta computed it before its (m, m) recursion: Delta_n from the
+    tensor forwards from nu x nu' and nu' x nu, and rhs_n = sum_k rho_C^k
+    mass_k(n), mass_k(n) the pair mass after k moves from C x C into C x C.
+    Returns Delta_n, rhs_n, rho_C and the pair mass Z_n Z'_n."""
+    m = model.m
+    rho_c = rho(certify_ld_set(model, C)) if len(C) else 0.0
+    qbar = np.kron(model.transition, model.transition)
+    in_c = np.zeros(m, dtype=bool)
+    in_c[list(C)] = True
+    in_cc = (in_c[:, None] & in_c[None, :]).ravel()
+    gbar = [np.outer(g, g).ravel() for g in g_seq]
+    fwd = np.outer(nu, nu_prime).ravel() * gbar[0]
+    rev = np.outer(nu_prime, nu).ravel() * gbar[0]
+    mass = np.zeros((m * m, N + 1))  # mass[z, k]: k joint visits so far
+    mass[:, 0] = fwd
+    powers = rho_c ** np.arange(N + 1)
+    out_cc = ~in_cc
+    from_in, from_out = qbar[in_cc].T, qbar[out_cc].T
+    delta, rhs, zz = np.zeros(N + 1), np.zeros(N + 1), np.zeros(N + 1)
+    for n in range(N + 1):
+        if n:
+            fwd = (fwd @ qbar) * gbar[n]
+            rev = (rev @ qbar) * gbar[n]
+            to_from_in = (from_in @ mass[in_cc]) * gbar[n][:, None]
+            to_from_out = (from_out @ mass[out_cc]) * gbar[n][:, None]
+            new = to_from_out.copy()            # source outside C x C: count unchanged
+            new[out_cc] += to_from_in[out_cc]   # in -> out: count unchanged
+            new[in_cc, 1:] += to_from_in[in_cc, :-1]  # in -> in: one more joint visit
+            mass = new
+        diff = fwd.reshape(m, m).sum(axis=1) - rev.reshape(m, m).sum(axis=1)
+        delta[n] = diff[diff > 0].sum()
+        rhs[n] = mass.sum(axis=0) @ powers
+        zz[n] = fwd.sum()
+    return delta, rhs, rho_c, zz
+
+
+def assert_matches_count_axis(model, C, nu, nup, g, N):
+    """rhs_n within 1e-13 relative, Delta_n within 1e-15 Z_n Z'_n."""
+    res = exact_delta(model, C, nu, nup, g, N)
+    delta, rhs, rho_c, zz = count_axis_exact_delta(model, C, nu, nup, g, N)
+    assert res.rho_c == rho_c
+    np.testing.assert_allclose(res.rhs_n, rhs, rtol=1e-13, atol=0)
+    assert np.all(np.abs(res.delta_n - delta) <= 1e-15 * zz)
+
+
+@pytest.mark.parametrize("kind", ["empty", "partial", "full"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 16])
+def test_exact_delta_matches_the_count_axis_dp(m, kind):
+    model = random_finite_model(m, m=m)
+    nu = random_probability_vector(m, m, 0)
+    nup = random_probability_vector(m, m, 1)
+    C = {"empty": (), "partial": tuple(range(0, m, 2)), "full": tuple(range(m))}[kind]
+    assert_matches_count_axis(model, C, nu, nup, random_g_seq(m, 25, m), 25)
+
+
 def test_exact_delta_size_guards(model3):
     with pytest.raises(ValueError, match="N <= 25"):
         exact_delta(model3, (0, 1), np.ones(3) / 3, np.ones(3) / 3,
                     random_g_seq(0, 30, 3), 30)
-    big = random_finite_model(0, m=9)
-    with pytest.raises(ValueError, match="m <= 8 states"):
-        exact_delta(big, (0, 1), np.ones(9) / 9, np.ones(9) / 9, random_g_seq(0, 5, 9), 5)
+    # no limit on the states: a 16-state chain runs, equal to the count-axis DP
+    big = random_finite_model(0, m=16)
+    assert_matches_count_axis(big, (0, 1), np.ones(16) / 16, random_probability_vector(0, 16),
+                              random_g_seq(0, 5, 16), 5)
+
+
+def fraction_exact_delta(P, C, nu, nup, g_seq, rho_c):
+    """Delta_n, rhs_n (the count-axis DP) and Z_n Z'_n in exact rational arithmetic."""
+    m, N = len(P), len(g_seq) - 1
+    pairs = [(x, y) for x in range(m) for y in range(m)]
+    in_cc = {(x, y): x in C and y in C for x, y in pairs}
+    fwd = {(x, y): nu[x] * nup[y] * g_seq[0][x] * g_seq[0][y] for x, y in pairs}
+    rev = {(x, y): nup[x] * nu[y] * g_seq[0][x] * g_seq[0][y] for x, y in pairs}
+    mass = {s: [fwd[s]] + [Fraction(0)] * N for s in pairs}
+    out = []
+    for n in range(N + 1):
+        if n:
+            g = g_seq[n]
+            new_fwd, new_rev = {}, {}
+            new_mass = {t: [Fraction(0)] * (N + 1) for t in pairs}
+            for t in pairs:
+                gg = g[t[0]] * g[t[1]]
+                q = {s: P[s[0]][t[0]] * P[s[1]][t[1]] * gg for s in pairs}
+                new_fwd[t] = sum(fwd[s] * q[s] for s in pairs)
+                new_rev[t] = sum(rev[s] * q[s] for s in pairs)
+                for s in pairs:
+                    shift = in_cc[s] and in_cc[t]
+                    for k in range(N + 1 - shift):
+                        new_mass[t][k + shift] += mass[s][k] * q[s]
+            fwd, rev, mass = new_fwd, new_rev, new_mass
+        diff = [sum(fwd[(x, y)] - rev[(x, y)] for y in range(m)) for x in range(m)]
+        delta = sum(d for d in diff if d > 0)
+        rhs = sum(rho_c ** k * sum(mass[s][k] for s in pairs) for k in range(N + 1))
+        out.append((delta, rhs, sum(fwd.values())))
+    return out
+
+
+def test_exact_delta_equals_rational_arithmetic():
+    # dyadic P, laws and likelihoods are exact in floating point, so the
+    # Fraction recursion is the exact value of the inputs exact_delta gets
+    F = Fraction
+    P = [[F(1, 2), F(1, 4), F(1, 4)], [F(1, 8), F(5, 8), F(1, 4)], [F(3, 8), F(1, 8), F(1, 2)]]
+    nu, nup = [F(1, 4), F(1, 4), F(1, 2)], [F(5, 8), F(1, 4), F(1, 8)]
+    g_seq = [[F(int(k), 8) for k in row]
+             for row in np.random.default_rng(3).integers(1, 17, size=(26, 3))]
+    model = FiniteStateModel(np.array(P, dtype=float), np.ones((3, 2)) / 2)
+    C = (0, 2)
+    res = exact_delta(model, C, np.array(nu, dtype=float), np.array(nup, dtype=float),
+                      np.array(g_seq, dtype=float), 25)
+    for n, (delta, rhs, zz) in enumerate(fraction_exact_delta(P, C, nu, nup, g_seq,
+                                                               F(res.rho_c))):
+        assert abs(F(res.delta_n[n]) - delta) <= F(1e-15) * zz, n
+        assert abs(F(res.rhs_n[n]) - rhs) <= F(1e-14) * rhs, n
 
 
 def test_exact_delta_matches_normalized_filter_gap(model3):
@@ -243,14 +352,34 @@ def test_run_suite_unknown():
 
 def test_oracle_refusals(model3):
     nu = np.ones(3) / 3
+    g = random_g_seq(0, 5, 3)
     with pytest.raises(ValueError, match=r"g_seq must have shape \(6, 3\)"):
         exact_delta(model3, (0, 1), nu, nu, np.ones((5, 3)), 5)
     with pytest.raises(ValueError, match="likelihood vectors must be nonnegative"):
         exact_delta(model3, (0, 1), nu, nu, -np.ones((6, 3)), 5)
-    big = random_finite_model(0, m=9)
-    with pytest.raises(ValueError, match="limited to small models and horizons"):
-        exact_denominator_bound(big, np.ones(9) / 9, (0, 1), random_g_seq(0, 5, 9), 5)
-    with pytest.raises(ValueError, match="limited to small models and horizons"):
+    # malformed initial laws, named: a length-1 law would broadcast
+    law = r"must be a finite nonnegative vector of shape \(3,\)"
+    with pytest.raises(ValueError, match=r"^nu " + law):
+        exact_delta(model3, (0, 1), [1.0], nu, g, 5)
+    with pytest.raises(ValueError, match=r"^nu " + law):
+        exact_delta(model3, (0, 1), [-1.0, 1.0, 1.0], nu, g, 5)
+    with pytest.raises(ValueError, match=r"^nu_prime " + law):
+        exact_delta(model3, (0, 1), nu, [0.5, np.nan, 0.5], g, 5)
+    with pytest.raises(ValueError, match=r"^nu " + law):
+        exact_denominator_bound(model3, [1.0], (0, 1), g, 5)
+    with pytest.raises(ValueError, match=r"^nu " + law):
+        exact_denominator_bound(model3, [0.5, -0.5, 1.0], (0, 1), g, 5)
+    with pytest.raises(ValueError, match=r"^nu " + law):
+        exact_denominator_bound(model3, [np.inf, 0.0, 0.0], (0, 1), g, 5)
+    # no limit on the states: a 16-state chain runs, and its lhs is the
+    # forward mass, whose square the count-axis DP gives with C empty
+    big = random_finite_model(0, m=16)
+    nu16, g16 = random_probability_vector(0, 16), random_g_seq(0, 5, 16)
+    pairs = exact_denominator_bound(big, nu16, (0, 1), g16, 5)
+    _, mass2, _, _ = count_axis_exact_delta(big, (), nu16, nu16, g16, 5)
+    np.testing.assert_allclose(pairs[:, 0] ** 2, mass2[1:], rtol=1e-13)
+    assert np.all(pairs[:, 0] >= pairs[:, 1])
+    with pytest.raises(ValueError, match="N <= 25"):
         exact_denominator_bound(model3, nu, (0, 1), random_g_seq(0, 30, 3), 30)
     with pytest.raises(ValueError, match=r"stated for n >= 1"):
         exact_denominator_bound(model3, nu, (0, 1), random_g_seq(0, 0, 3), 0)

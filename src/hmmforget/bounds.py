@@ -43,6 +43,7 @@ from scipy.special import log_ndtr
 
 from .gridfilter import resolve_grid, transition_kernel
 from .grids import GridSpec, logsumexp, norm_logpdf
+from .models import _check_index
 
 UPSILON_QUAD_M = 4096  # Upsilon quadrature cells over the domain
 PSI_QUAD_M = 2048  # Psi quadrature cells over an interval D
@@ -107,50 +108,50 @@ def certify_ld_set(model, candidate) -> LDSet:
     ``candidate`` is an (lo, hi) interval for continuous models, or an
     iterable of distinct states of the model for finite ones (a state
     outside 0..m-1 raises the model's DomainError).  The constants are the
-    extrema of |C| q(x, x') over C x C.  On the Gaussian kernels q depends
-    on the offset x' - m(x) alone, and the means over C form the interval
-    ``model.mean_range(lo, hi)``, so the extrema sit at the nearest and the
-    farthest offset.  Either way eps- is rounded down and eps+ up by the
-    relative _SUP_SLACK, past the rounding of their arithmetic.
+    extrema of |C| q(x, x') over C x C (``_certify_states`` on a finite
+    model).  On the Gaussian kernels q depends on the offset x' - m(x)
+    alone, and the means over C form the interval ``model.mean_range(lo,
+    hi)``, so the extrema sit at the nearest and the farthest offset.  Either
+    way eps- is rounded down and eps+ up by the relative _SUP_SLACK.
     """
     if model.kind == "finite":
-        states = tuple(sorted(model._check_state(np.asarray(candidate)).tolist()))
-        if not states:
-            raise ValueError("state subset must be nonempty")
-        if len(set(states)) < len(states):
-            raise ValueError(f"state subset {states} repeats a state")
-        sub = model.transition[np.ix_(states, states)]
-        eps_minus = len(states) * float(sub.min())
-        eps_plus = len(states) * float(sub.max())
-        if eps_minus <= 0:
-            raise NotCertifiableError(
-                f"transition has a zero entry on {states} x {states}"
-            )
-        where = {"states": states}
-    else:
-        if np.shape(candidate) != (2,):
-            raise ValueError(f"a {model.kind} LD-set is an interval (lo, hi), got {candidate!r}")
-        lo, hi = float(candidate[0]), float(candidate[1])
-        if not lo < hi:
-            raise ValueError("interval must be nonempty")
-        width = hi - lo
-        # the offset x' - m(x) ranges over [lo - m_hi, hi - m_lo]
-        m_lo, m_hi = (float(m) for m in model.mean_range(lo, hi))
-        t_lo, t_hi = lo - m_hi, hi - m_lo
-        t_min = 0.0 if t_lo <= 0.0 <= t_hi else min(abs(t_lo), abs(t_hi))
-        t_max = max(abs(t_lo), abs(t_hi))
-        sd = model.state_sd
-        norm = 1.0 / (np.sqrt(2 * np.pi) * sd)
-        q_max = norm * np.exp(-t_min * t_min / (2 * sd * sd))
-        q_min = norm * np.exp(-t_max * t_max / (2 * sd * sd))
-        eps_minus = width * q_min
-        eps_plus = width * q_max
-        if eps_minus <= 0:
-            raise NotCertifiableError(
-                f"kernel minimum underflows on [{lo}, {hi}]^2; the set is not LD in floating point"
-            )
-        where = {"interval": (lo, hi)}
-    return LDSet(eps_minus * (1.0 - _SUP_SLACK), eps_plus * (1.0 + _SUP_SLACK), **where)
+        return _certify_states(model.transition, candidate)
+    if np.shape(candidate) != (2,):
+        raise ValueError(f"a {model.kind} LD-set is an interval (lo, hi), got {candidate!r}")
+    lo, hi = float(candidate[0]), float(candidate[1])
+    if not lo < hi:
+        raise ValueError("interval must be nonempty")
+    width = hi - lo
+    # the offset x' - m(x) ranges over [lo - m_hi, hi - m_lo]
+    m_lo, m_hi = (float(m) for m in model.mean_range(lo, hi))
+    t_lo, t_hi = lo - m_hi, hi - m_lo
+    t_min = 0.0 if t_lo <= 0.0 <= t_hi else min(abs(t_lo), abs(t_hi))
+    t_max = max(abs(t_lo), abs(t_hi))
+    sd = model.state_sd
+    norm = 1.0 / (np.sqrt(2 * np.pi) * sd)
+    q_max = norm * np.exp(-t_min * t_min / (2 * sd * sd))
+    q_min = norm * np.exp(-t_max * t_max / (2 * sd * sd))
+    if width * q_min <= 0:
+        raise NotCertifiableError(
+            f"kernel minimum underflows on [{lo}, {hi}]^2; the set is not LD in floating point"
+        )
+    return LDSet(width * q_min * (1.0 - _SUP_SLACK), width * q_max * (1.0 + _SUP_SLACK),
+                 interval=(lo, hi))
+
+
+def _certify_states(P, candidate) -> LDSet:
+    """The LD-set of the states ``candidate`` of the transition matrix P (rows
+    may sum to less than 1): eps-, eps+ are |C| times P's extrema on C x C."""
+    states = tuple(sorted(_check_index(np.asarray(candidate), len(P), "state").tolist()))
+    if not states:
+        raise ValueError("state subset must be nonempty")
+    if len(set(states)) < len(states):
+        raise ValueError(f"state subset {states} repeats a state")
+    sub = P[np.ix_(states, states)]
+    if sub.min() <= 0:
+        raise NotCertifiableError(f"transition has a zero entry on {states} x {states}")
+    return LDSet(len(states) * float(sub.min()) * (1.0 - _SUP_SLACK),
+                 len(states) * float(sub.max()) * (1.0 + _SUP_SLACK), states=states)
 
 
 def rho(ld: LDSet) -> float:
@@ -197,8 +198,7 @@ def _log_upsilon(model, regions, ys):
     peaks = model.obs_peak(ys)
     window = ~np.isnan(peaks) & (model.log_qv(x[:1]) is None)  # a peak and V == 1
     best = np.full((len(regions), len(ys)), -np.inf)
-    for r, region in enumerate(regions):
-        best[r, ~window] = _log_sup(model, region, ys[~window])
+    best[:, ~window] = _log_sup(model, regions, ys[~window])
     near = np.flatnonzero(window)
     if not len(near):
         return best
@@ -227,8 +227,9 @@ def _components(region, domain):
     return [(a, b) for a, b in ((lo, min(c_lo, hi)), (max(c_hi, lo), hi)) if a < b]
 
 
-def _log_sup(model, region, ys) -> np.ndarray:
-    """log Upsilon_region(y) for each y of ``ys``.
+def _log_sup(model, regions, ys) -> np.ndarray:
+    """log Upsilon_region(y) for each region of ``regions`` (rows) and each y
+    of ``ys`` (columns).
 
     Continuous models: an upper bound over the region within the truncation
     domain, exact where V == 1.  log g(., y) is concave or monotone in x on
@@ -246,37 +247,43 @@ def _log_sup(model, region, ys) -> np.ndarray:
     point can read an ulp higher, as on SV).  The observations go in blocks
     of about _SUP_BLOCK (observation, cut) pairs.
 
-    Finite state sets: the maximum over the region's states, exact.  The
-    callers check ``ys``.
+    Finite state sets: the maximum over the region's states, exact, of one
+    table of log g + log QV/V that every region reads.  The callers check
+    ``ys``.
     """
     ys = np.asarray(ys)
+    out = np.full((len(regions), len(ys)), -np.inf)
     if model.kind == "finite":
-        if region != "all" and region[0] != "complement":
-            raise ValueError(f"unknown region {region!r}")
         x = model.support(None)
-        inside = ~np.isin(x, [] if region == "all" else region[1])
-        return _log_g_qv(model, x[:, None], ys[None, :])[inside].max(axis=0, initial=-np.inf)
-    a, b = np.array(_components(region, model.domain)).reshape(-1, 2).T
-    if not len(a):  # C covers the domain
-        return np.full(len(ys), -np.inf)
-    cuts = np.union1d(a, b)
-    if model.log_qv_sup(a, b) is not None:  # V != 1
-        cuts = np.union1d(cuts, np.linspace(*model.domain, UPSILON_QUAD_M + 1))
-    lo, hi = cuts[:-1], cuts[1:]  # the cells
-    inside = ((a[:, None] <= lo) & (hi <= b[:, None])).any(axis=0)
-    log_qv = np.full(len(lo), -np.inf)
-    sup = model.log_qv_sup(lo[inside], hi[inside])  # None where V == 1
-    log_qv[inside] = 0.0 if sup is None else sup
-    v = np.empty(len(ys))
-    for rows in _blocks(len(ys), _SUP_BLOCK // len(cuts)):
-        y = ys[rows]
-        g = model.loglik(cuts, y[:, None])
-        v[rows] = (np.maximum(g[:, :-1], g[:, 1:]) + log_qv).max(axis=1)
-        peak = model.obs_peak(y)  # NaN where log g has no peak, which fmax passes by
-        j = np.minimum(np.searchsorted(hi, peak), len(hi) - 1)
-        v[rows] = np.fmax(v[rows], model.loglik(np.clip(peak, lo[j], hi[j]), y) + log_qv[j])
-    # rounded up by _SUP_SLACK (1 + |v|), as a product so that -inf stays -inf
-    return np.where(v < 0, v * (1.0 - _SUP_SLACK), v * (1.0 + _SUP_SLACK)) + _SUP_SLACK
+        table = _log_g_qv(model, x[:, None], ys[None, :])
+        for v, region in zip(out, regions):
+            if region != "all" and region[0] != "complement":
+                raise ValueError(f"unknown region {region!r}")
+            inside = ~np.isin(x, [] if region == "all" else region[1])
+            v[:] = table[inside].max(axis=0, initial=-np.inf)
+        return out
+    for v, region in zip(out, regions):  # v is the region's row of out
+        a, b = np.array(_components(region, model.domain)).reshape(-1, 2).T
+        if not len(a):  # C covers the domain
+            continue
+        cuts = np.union1d(a, b)
+        if model.log_qv_sup(a, b) is not None:  # V != 1
+            cuts = np.union1d(cuts, np.linspace(*model.domain, UPSILON_QUAD_M + 1))
+        lo, hi = cuts[:-1], cuts[1:]  # the cells
+        inside = ((a[:, None] <= lo) & (hi <= b[:, None])).any(axis=0)
+        log_qv = np.full(len(lo), -np.inf)
+        sup = model.log_qv_sup(lo[inside], hi[inside])  # None where V == 1
+        log_qv[inside] = 0.0 if sup is None else sup
+        for rows in _blocks(len(ys), _SUP_BLOCK // len(cuts)):
+            y = ys[rows]
+            g = model.loglik(cuts, y[:, None])
+            v[rows] = (np.maximum(g[:, :-1], g[:, 1:]) + log_qv).max(axis=1)
+            peak = model.obs_peak(y)  # NaN where log g has no peak, which fmax passes by
+            j = np.minimum(np.searchsorted(hi, peak), len(hi) - 1)
+            v[rows] = np.fmax(v[rows], model.loglik(np.clip(peak, lo[j], hi[j]), y) + log_qv[j])
+        # rounded up by _SUP_SLACK (1 + |v|), as a product so that -inf stays -inf
+        v[:] = np.where(v < 0, v * (1.0 - _SUP_SLACK), v * (1.0 + _SUP_SLACK)) + _SUP_SLACK
+    return out
 
 
 def upsilon(model, region, y) -> float:
@@ -284,7 +291,7 @@ def upsilon(model, region, y) -> float:
     exact where V == 1 or on a finite state set, else an upper bound (_log_sup)."""
     ys = np.array([y])
     model._check_obs(ys)  # names a bad observation as observation 0
-    return float(np.exp(_log_sup(model, region, ys)[0]))
+    return float(np.exp(_log_sup(model, [region], ys)[0, 0]))
 
 
 def log_upsilon_batch(model, region, ys) -> np.ndarray:
@@ -315,10 +322,10 @@ def find_ld_set_for_eta(model, eta, K, y_probe) -> LDSet:
     if not len(y_probe):
         raise ValueError("need at least one probe observation in K")
     max_radius = model.domain[1]
-    ups_all = np.exp(_log_sup(model, "all", y_probe))
+    ups_all = np.exp(_log_sup(model, ["all"], y_probe)[0])
 
     def ok(radius):
-        ups_cc = np.exp(_log_sup(model, ("complement", (-radius, radius)), y_probe))
+        ups_cc = np.exp(_log_sup(model, [("complement", (-radius, radius))], y_probe)[0])
         return bool(np.all(ups_cc <= eta * ups_all))
 
     r = max(model.state_sd / 4.0, max_radius / 1024.0)

@@ -1,13 +1,11 @@
 """Exact and Monte Carlo verification of the coupling inequalities.
 
-On finite-state models both sides of every inequality are computable
-exactly: the numerator gap Delta_n (from the chain's own forwards from the
-two initial laws) and its pair-chain bound (one (m, m) pair matrix per
-step), both in O(N m^3) time and O(m^2) memory, the denominator lower
-bound, the counting inequality on binary sequences, and the
-supermartingale exponential bound.  These exact checks are the package's
-ground-truth oracles; the continuous-state Monte Carlo variant of the
-exponential bound is checked within a CLT band.
+The exact oracles take a transition matrix P (rows may sum to less than 1,
+as a grid kernel's do) and C as state indices, and return logs at any N:
+Delta_n, from the two filters' difference carried as such (a subtraction
+keeps it only to 1e-16 of the forward mass), against its pair-chain bound
+in O(N m^3) time and O(m^2) memory, and the forward mass against the
+Doeblin lower bound; also the counting and supermartingale inequalities.
 """
 
 from __future__ import annotations
@@ -16,115 +14,124 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import certify_ld_set, rho
+from .bounds import _certify_states, rho
 from .models import FiniteStateModel
 from .rng import normal_rows, substream
 
-# the exact oracles' outputs are linear, not logs: Delta_n and rhs_n scale
-# with Z_n Z'_n, a product of 2(N + 1) likelihood factors that leaves the
-# floating-point range as N grows, so the horizon is capped
-MAX_HORIZON = 25
 DRIFT_TEST_M = 201  # test points of the drift precondition on continuous models
 SUITES = ("numerator", "denominator", "counting", "exponential")  # the names run_suite takes
 
 
 @dataclass
 class ExactDeltaResult:
-    """Exact numerator gap and its coupling bound, per horizon."""
+    """log Delta_n and the log of its coupling bound rhs_n, per horizon."""
 
-    delta_n: np.ndarray
-    rhs_n: np.ndarray
+    log_delta_n: np.ndarray
+    log_rhs_n: np.ndarray
     rho_c: float
 
 
-def _check_inputs(m, g_seq, N, **laws):
-    """g_seq as an (N + 1, m) array and each initial law as an (m,) array,
-    refused with a ValueError that names what is malformed."""
-    if N > MAX_HORIZON:
-        raise ValueError(f"horizon limited to N <= {MAX_HORIZON}")
+def _check_inputs(P, g_seq, **laws):
+    """P, g_seq and each initial law as float arrays of shapes (m, m), (N + 1, m)
+    and (m,), all finite and nonnegative, else a ValueError naming the culprit."""
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or not np.all((P >= 0) & (P < np.inf)):
+        raise ValueError("P must be a finite nonnegative square matrix")
+    m = len(P)
     g_seq = np.asarray(g_seq, dtype=float)
-    if g_seq.shape != (N + 1, m):
-        raise ValueError(f"g_seq must have shape ({N + 1}, {m})")
-    if np.any(g_seq < 0):
-        raise ValueError("likelihood vectors must be nonnegative")
-    out = [g_seq]
+    if g_seq.ndim != 2 or g_seq.shape[1] != m or not len(g_seq):
+        raise ValueError(f"g_seq must have shape (N + 1, {m}), N >= 0")
+    bad = ~((g_seq >= 0) & (g_seq < np.inf))  # NaN fails both tests
+    if bad.any():
+        n, j = np.argwhere(bad)[0]
+        raise ValueError(f"g_seq[{n}, {j}] = {g_seq[n, j]} is not a finite nonnegative likelihood")
+    out = [P, g_seq]
     for name, law in laws.items():
         law = np.asarray(law, dtype=float)
-        if law.shape != (m,) or not np.all(np.isfinite(law)) or np.any(law < 0):
+        if law.shape != (m,) or not np.all((law >= 0) & (law < np.inf)):
             raise ValueError(f"{name} must be a finite nonnegative vector of shape ({m},)")
         out.append(law)
     return out
 
 
-def _forward(P, nu, g_seq):
-    """The unnormalized forward u_n = (u_{n-1} P) * g_n from u_0 = nu * g_0,
-    one row per n = 0..len(g_seq) - 1."""
-    u = np.empty_like(g_seq)
-    u[0] = nu * g_seq[0]
-    for n in range(1, len(g_seq)):
-        u[n] = (u[n - 1] @ P) * g_seq[n]
-    return u
+def _forwards(P, g_seq, nu, nu_prime=None):
+    """log Z_n, n = 0..N, of the forward u_n = (u_{n-1} P) g_n from u_{-1} = nu
+    (Z_n = sum u_n, pi_n = u_n/Z_n), and with nu_prime also log Z'_n and
+    log ||pi_n - pi'_n||_1: the rows of one array.
+
+    Rows of x: pi, pi' and pi - pi' = delta e^L (||delta||_1 = 1), rescaled
+    at every step (step 0: P = I, e^L delta = nu - nu').  With a, a', e the
+    rows after a step, c, c', s their sums and c - c' = e^L s, pi_n - pi'_n
+    = e^L (e - pi'_n s)/c: no subtraction of close laws, no lost digits.
+    """
+    x = np.array([nu] if nu_prime is None else [nu, nu_prime, nu - nu_prime])
+    scale = np.empty((len(g_seq), len(x)))  # c per step, then c' and ||e - pi'_n s||_1
+    with np.errstate(divide="ignore", invalid="ignore"):  # a vanishing mass is refused below
+        for g, row in zip(g_seq, scale):
+            x *= g
+            row[:] = sums = x.sum(axis=1)
+            if nu_prime is not None:
+                x[2] -= x[1] * (sums[2] / sums[1])
+                row[2] = norm = np.abs(x[2]).sum()
+                sums[2] = norm or 1.0  # delta stays 0 once the two forwards agree
+            x = (x / sums[:, None]) @ P
+        ok = np.all(scale[:, :2] > 0, axis=1)
+        if not ok.all():
+            raise ValueError(f"the forward mass vanishes at step {np.argmin(ok)}")
+        logs = np.log(scale)
+    logs[:, 2:] -= logs[:, :1]
+    return np.cumsum(logs, axis=0).T
 
 
-def exact_delta(model: FiniteStateModel, C, nu, nu_prime, g_seq, N: int) -> ExactDeltaResult:
-    """Exact Delta_n versus the pair-chain bound, n = 0..N, for two
-    independent copies of the chain with the joint target set C x C (C a
-    state subset, possibly empty).
+def exact_delta(P, C, nu, nu_prime, g_seq) -> ExactDeltaResult:
+    """log Delta_n and the log of its pair-chain bound rhs_n, n = 0..N, for two
+    independent copies of the chain P (rows may sum to less than 1) with the
+    joint target set C x C (C a possibly empty set of state indices).
 
     Delta_n is the supremum over state subsets of the difference between
-    the pair chain's forwards from nu x nu' and from nu' x nu.  These are
-    u_n x u'_n and u'_n x u_n, with u_n and u'_n the chain's own forwards
-    from nu and nu', so Delta_n is the positive part of u_n Z'_n - u'_n Z_n
-    (Z_n the total mass of u_n).  The right-hand side rhs_n is the sum of
-    the (m, m) pair matrix M_n: M_0 = u_0 x u'_0 and
+    the pair chain's forwards from nu x nu' and from nu' x nu: u_n x u'_n
+    and u'_n x u_n, u_n and u'_n the chain's own forwards, so Delta_n =
+    sum (u_n Z'_n - u'_n Z_n)_+ = Z_n Z'_n ||pi_n - pi'_n||_1 / 2, whose
+    difference ``_forwards`` carries (the subtraction is exact only to about
+    1e-16 Z_n Z'_n).  rhs_n is the sum of the pair matrix M_0 = u_0 x u'_0,
         M_n = [P^T (M 1_rest) P + P^T (M 1_CC) P (rho_C 1_CC + 1_rest)] (g_n x g_n),
-    products taken entrywise where not matrix products, so that a move
-    gains the factor rho_C when it goes from C x C back into C x C.  It
-    takes O(m^2) memory and O(N m^3) time.
+    products entrywise where not matrix products, so that a move gains
+    rho_C when it goes from C x C back into C x C; M is rescaled to sum 1 at
+    every step, with the log of the sum kept.
     """
-    m = model.m
-    g_seq, nu, nu_prime = _check_inputs(m, g_seq, N, nu=nu, nu_prime=nu_prime)
-    rho_c = rho(certify_ld_set(model, C)) if len(C) else 0.0
-    P = model.transition
-    in_c = np.isin(np.arange(m), list(C))
-    in_cc = np.outer(in_c, in_c)
-    gain = np.where(in_cc, rho_c, 1.0)
+    P, g_seq, nu, nu_prime = _check_inputs(P, g_seq, nu=nu, nu_prime=nu_prime)
+    rho_c = rho(_certify_states(P, C)) if len(C) else 0.0
+    in_cc = np.zeros((len(P),) * 2, dtype=bool)
+    in_cc[np.ix_(C, C)] = True
+    masks, gain = np.array([~in_cc, in_cc], dtype=float), np.where(in_cc, rho_c, 1.0)
+    log_z, log_z2, log_l1 = _forwards(P, g_seq, nu, nu_prime)
 
-    u, u2 = _forward(P, nu, g_seq), _forward(P, nu_prime, g_seq)
-    z, z2 = u.sum(axis=1, keepdims=True), u2.sum(axis=1, keepdims=True)
-    diff = u * z2 - u2 * z
-    delta = np.maximum(diff, 0.0).sum(axis=1)
-
-    M = np.outer(u[0], u2[0])
-    rhs = [M.sum()]
+    M = np.outer(nu * g_seq[0], nu_prime * g_seq[0])
+    mass = [M.sum()]
     for g in g_seq[1:]:
-        M = (P.T @ np.where(in_cc, 0.0, M) @ P
-             + (P.T @ np.where(in_cc, M, 0.0) @ P) * gain) * np.outer(g, g)
-        rhs.append(M.sum())
-    return ExactDeltaResult(delta_n=delta, rhs_n=np.array(rhs), rho_c=rho_c)
+        Pg = P * g  # P^T X P (g x g) = (P diag g)^T X (P diag g)
+        R = Pg.T @ ((M / mass[-1] * masks) @ Pg)  # the moves from outside C x C, from inside
+        M = R[0] + R[1] * gain
+        mass.append(M.sum())
+    return ExactDeltaResult(log_z + log_z2 + log_l1 - np.log(2.0), np.cumsum(np.log(mass)), rho_c)
 
 
-def exact_denominator_bound(model: FiniteStateModel, nu, C, g_seq, N: int):
-    """Forward-recursion mass versus the Doeblin lower bound, n = 1..N.
-
-    Returns an (N, 2) array of (lhs, rhs) pairs where lhs is
-    E_nu[prod_{i<=n} g_i(X_i)] and rhs the certified lower bound built from
-    eps-, the two-step overlap through C, and the averaged likelihoods.
-    """
-    g_seq, nu = _check_inputs(model.m, g_seq, N, nu=nu)
-    if N < 1:
+def exact_denominator_bound(P, nu, C, g_seq):
+    """(log lhs, log rhs), n = 1..N, an (N, 2) array, on the chain P (rows may
+    sum to less than 1) with C state indices: lhs is the forward mass
+    E_nu[prod_{i<=n} g_i(X_i)] from ``_forwards``, rhs its lower bound built
+    from eps-, the two-step overlap through C and the averaged likelihoods."""
+    P, g_seq, nu = _check_inputs(P, g_seq, nu=nu)
+    if len(g_seq) < 2:
         raise ValueError("the lower bound is stated for n >= 1")
-    ld = certify_ld_set(model, C)
+    ld = _certify_states(P, C)
     idx = np.asarray(ld.states)
-    P = model.transition
-
-    g1_on_c = g_seq[1] * np.isin(np.arange(model.m), idx)
-    overlap = float((nu * g_seq[0]) @ (P @ g1_on_c))  # nu(g0 Q g1 1_C)
-    lhs = _forward(P, nu, g_seq)[1:].sum(axis=1)
-    # log rhs_n = (n - 1) log eps- + log overlap + sum_{2<=i<=n} log lambda_C(g_i)
-    log_lam = np.cumsum(np.r_[0.0, np.log(g_seq[2:, idx].mean(axis=1))])
-    rhs = np.exp(np.arange(N) * np.log(ld.eps_minus) + np.log(overlap) + log_lam)
-    return np.column_stack([lhs, rhs])
+    overlap = float((nu * g_seq[0]) @ (P[:, idx] @ g_seq[1, idx]))  # nu(g0 Q g1 1_C)
+    with np.errstate(divide="ignore"):  # no overlap, or lambda_C(g_i) = 0: rhs_n = 0
+        # log rhs_n = (n - 1) log eps- + log overlap + sum_{2<=i<=n} log lambda_C(g_i)
+        log_lam = np.cumsum(np.r_[0.0, np.log(g_seq[2:, idx].mean(axis=1))])
+        log_rhs = np.arange(len(g_seq) - 1) * np.log(ld.eps_minus) + np.log(overlap) + log_lam
+    return np.column_stack([_forwards(P, g_seq, nu)[0][1:], log_rhs])
 
 
 def counting_inequality_check(bits, n: int | None = None):
@@ -189,12 +196,9 @@ def supermartingale_check(model, V, W, b, F_seq, n, x0, replications=10_000, see
         drift_gap = np.log((model.transition @ V) / V) + W - b
         if np.any(drift_gap > 1e-12):
             raise DriftPreconditionError("multiplicative drift condition fails on the state set")
-        u = np.zeros(model.m)
-        u[int(x0)] = 1.0
-        for k in range(n):
-            u = (u * np.exp(np.abs(F[k]))) @ model.transition
-        lhs = float(u.sum())
-        se = 0.0
+        g_seq = np.exp(np.abs([*F, np.zeros(model.m)]))  # g_k = exp|F_k|, then a last move
+        start = np.eye(model.m)[int(x0)]
+        lhs = float(np.exp(_forwards(model.transition, g_seq, start)[0][-1]))
         sup_terms = sum(float(np.max(np.abs(f) - W)) for f in F)
         rhs = float(V[int(x0)] * np.exp(b * n + sup_terms))
         return lhs, rhs, lhs <= rhs
@@ -250,25 +254,19 @@ def run_suite(name, seeds=range(50), horizon=20):
     denominator only: counting is exhaustive at n = 12, and exponential runs
     20 fixed cases."""
     cases = []
-    if name == "numerator":
-        for s in seeds:
-            model = random_finite_model(s)
-            nu = random_probability_vector(s, model.m, 0)
-            nu2 = random_probability_vector(s, model.m, 1)
-            g_seq = random_g_seq(s, horizon, model.m)
-            res = exact_delta(model, (0, 1), nu, nu2, g_seq, horizon)
-            margin = float(np.min(res.rhs_n - res.delta_n))
-            cases.append({"suite": name, "case": s, "metric": margin,
-                          "holds": bool(np.all(res.delta_n <= res.rhs_n * (1 + 1e-12) + 1e-300))})
-    elif name == "denominator":
-        for s in seeds:
+    if name in ("numerator", "denominator"):
+        for s in seeds:  # metric: the log margin min_n (log big - log small)
             model = random_finite_model(s)
             nu = random_probability_vector(s, model.m, 0)
             g_seq = random_g_seq(s, horizon, model.m)
-            pairs = exact_denominator_bound(model, nu, (0, 1), g_seq, horizon)
-            margin = float(np.min(pairs[:, 0] - pairs[:, 1]))
-            cases.append({"suite": name, "case": s, "metric": margin,
-                          "holds": bool(np.all(pairs[:, 0] >= pairs[:, 1] * (1 - 1e-12)))})
+            if name == "numerator":  # Delta_n <= rhs_n
+                nu2 = random_probability_vector(s, model.m, 1)
+                res = exact_delta(model.transition, (0, 1), nu, nu2, g_seq)
+                small, big = res.log_delta_n, res.log_rhs_n
+            else:  # the forward mass >= its lower bound
+                big, small = exact_denominator_bound(model.transition, nu, (0, 1), g_seq).T
+            cases.append({"suite": name, "case": s, "metric": float(np.min(big - small)),
+                          "holds": bool(np.all(small <= big + 1e-12))})
     elif name == "counting":
         # every binary sequence of the length at once, each code's bits
         # 0..length, the last one zero as the padding

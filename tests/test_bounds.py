@@ -499,7 +499,7 @@ def record_log_upsilon(model, region, ys):
     observations, the closed form _log_sup on the others."""
     ys = np.asarray(ys)
     return np.where(on_window(model, ys), dense_log_upsilon(model, region, ys),
-                    _log_sup(model, region, ys))
+                    _log_sup(model, [region], ys)[0])
 
 
 def check_record_series(model, obs, D, C):
@@ -606,15 +606,35 @@ def test_record_series_off_the_window_is_the_closed_form():
         log_ups_x, log_ups_cc, _ = _record_series(model, obs, D, C)
         for region, log_ups in (("all", log_ups_x[off]),
                                 (("complement", C.interval or C.states), log_ups_cc[off])):
-            assert np.array_equal(log_ups, _log_sup(model, region, ys)), (name, region)
+            assert np.array_equal(log_ups, _log_sup(model, [region], ys)[0]), (name, region)
             assert np.all(log_ups >= fine_grid_max(model, region, ys)), (name, region)
             assert np.all(log_ups >= dense_log_upsilon(model, region, ys)), (name, region)
+
+
+@pytest.mark.parametrize("drift", [None, [1.0, 2.0, 1.5]], ids=["V=1", "V!=1"])
+def test_finite_record_series_evaluates_the_envelope_table_once(drift, monkeypatch):
+    # both regions read one table of log g + log QV/V: one loglik call for the
+    # envelopes (x the states as a column), one for Psi (x the states of D as a row)
+    model = FiniteStateModel(random_finite_model(4).transition, random_finite_model(4).emission,
+                             drift_values=drift)
+    C, D = certify_ld_set(model, (1,)), certify_ld_set(model, (0, 2))
+    obs = simulate(model, 40, InitialDistribution.finite([0.2, 0.3, 0.5]), seed=4).obs
+    calls, loglik = [], model.loglik
+    monkeypatch.setattr(model, "loglik", lambda x, y: calls.append(np.shape(x)) or loglik(x, y))
+    log_ups_x, log_ups_cc, _ = _record_series(model, obs, D, C)
+    assert calls == [(3, 1), (1, 2)]
+    u, inv = np.unique(obs, return_inverse=True)
+    regions = ["all", ("complement", C.states)]
+    both = _log_sup(model, regions, u)
+    for r, region in enumerate(regions):
+        assert np.array_equal(both[r], _log_sup(model, [region], u)[0]), region
+    assert np.array_equal(log_ups_x, both[0][inv]) and np.array_equal(log_ups_cc, both[1][inv])
 
 
 def assert_above_the_polish(model, region, y):
     """With a drift V != 1 upsilon is at least the polished dense maximum,
     and above it by at most drift_excess."""
-    log_ups = _log_sup(model, region, np.array([y]))[0]
+    log_ups = _log_sup(model, [region], np.array([y]))[0, 0]
     excess = log_ups - dense_log_sup(model, region, y)
     assert 0.0 <= excess <= drift_excess(model, log_ups)
 
@@ -802,7 +822,7 @@ def test_upsilon_closed_form_against_a_dense_grid(name):
             excess = np.log(ups) - grid_max
             assert excess >= 0.0
             assert excess <= 1.01 * lipschitz * quad.delta + 2e-13 * (1 + abs(grid_max))
-        batch = np.exp(_log_sup(model, regions[1], ys))
+        batch = np.exp(_log_sup(model, [regions[1]], ys)[0])
         assert np.array_equal(batch, [upsilon(model, regions[1], y) for y in ys])
 
 
@@ -843,7 +863,7 @@ def test_upsilon_with_a_drift_is_an_upper_bound(name):
     model = DRIFT_MODELS[name]
     regions, ys = closed_form_cases(model)
     for region in regions:
-        log_ups, ref = _log_sup(model, region, ys), fine_log_sup(model, region, ys)
+        log_ups, ref = _log_sup(model, [region], ys)[0], fine_log_sup(model, region, ys)
         assert np.array_equal(np.isinf(log_ups), np.isinf(ref))
         finite = np.isfinite(ref)
         excess = log_ups[finite] - ref[finite]
@@ -941,7 +961,7 @@ def test_upsilon_with_a_drift_memory_is_flat_in_the_observations():
     ys = simulate(model, 1023, InitialDistribution.gaussian(0, 1), seed=5).obs
     tracemalloc.start()
     try:
-        _log_sup(model, ("complement", (-3.0, 3.0)), ys)
+        _log_sup(model, [("complement", (-3.0, 3.0))], ys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -57,30 +57,29 @@ def _check_inputs(P, g_seq, **laws):
 def _forwards(P, g_seq, nu, nu_prime=None):
     """log Z_n, n = 0..N, of the forward u_n = (u_{n-1} P) g_n from u_{-1} = nu
     (Z_n = sum u_n, pi_n = u_n/Z_n), and with nu_prime also log Z'_n and
-    log ||pi_n - pi'_n||_1: the rows of one array.
+    log ||pi_n - pi'_n||_1: the rows of one array, all -inf from a step on
+    where Z_n or Z'_n is 0 (then Delta_n = 0).
 
     Rows of x: pi, pi' and pi - pi' = delta e^L (||delta||_1 = 1), rescaled
     at every step (step 0: P = I, e^L delta = nu - nu').  With a, a', e the
     rows after a step, c, c', s their sums and c - c' = e^L s, pi_n - pi'_n
-    = e^L (e - pi'_n s)/c: no subtraction of close laws, no lost digits.
-    """
+    = e^L (e - pi'_n s)/c: no subtraction of close laws, no lost digits."""
     x = np.array([nu] if nu_prime is None else [nu, nu_prime, nu - nu_prime])
-    scale = np.empty((len(g_seq), len(x)))  # c per step, then c' and ||e - pi'_n s||_1
-    with np.errstate(divide="ignore", invalid="ignore"):  # a vanishing mass is refused below
-        for g, row in zip(g_seq, scale):
-            x *= g
-            row[:] = sums = x.sum(axis=1)
-            if nu_prime is not None:
-                x[2] -= x[1] * (sums[2] / sums[1])
-                row[2] = norm = np.abs(x[2]).sum()
-                sums[2] = norm or 1.0  # delta stays 0 once the two forwards agree
-            x = (x / sums[:, None]) @ P
-        ok = np.all(scale[:, :2] > 0, axis=1)
-        if not ok.all():
-            raise ValueError(f"the forward mass vanishes at step {np.argmin(ok)}")
-        logs = np.log(scale)
-    logs[:, 2:] -= logs[:, :1]
-    return np.cumsum(logs, axis=0).T
+    scale = np.zeros((len(g_seq), len(x)))  # c per step, then c' and ||e - pi'_n s||_1 / c
+    for g, row in zip(g_seq, scale):
+        x *= g
+        sums = x.sum(axis=1)
+        if not sums[:2].all():  # Z_n or Z'_n = 0: every row stays 0 from step n on
+            break
+        row[:] = sums
+        if nu_prime is not None:
+            x[2] -= x[1] * (sums[2] / sums[1])
+            norm = np.abs(x[2]).sum()
+            row[2] = norm / sums[0]
+            sums[2] = norm or 1.0  # delta stays 0 once the two forwards agree
+        x = (x / sums[:, None]) @ P
+    with np.errstate(divide="ignore"):
+        return np.cumsum(np.log(scale), axis=0).T
 
 
 def exact_delta(P, C, nu, nu_prime, g_seq) -> ExactDeltaResult:
@@ -100,9 +99,10 @@ def exact_delta(P, C, nu, nu_prime, g_seq) -> ExactDeltaResult:
     every step, with the log of the sum kept.
     """
     P, g_seq, nu, nu_prime = _check_inputs(P, g_seq, nu=nu, nu_prime=nu_prime)
-    rho_c = rho(_certify_states(P, C)) if len(C) else 0.0
-    in_cc = np.zeros((len(P),) * 2, dtype=bool)
-    in_cc[np.ix_(C, C)] = True
+    ld = _certify_states(P, C) if len(C) else None
+    in_c = np.isin(np.arange(len(P)), ld.states if ld else [])
+    in_cc = np.outer(in_c, in_c)
+    rho_c = rho(ld) if ld else 0.0
     masks, gain = np.array([~in_cc, in_cc], dtype=float), np.where(in_cc, rho_c, 1.0)
     log_z, log_z2, log_l1 = _forwards(P, g_seq, nu, nu_prime)
 
@@ -110,10 +110,12 @@ def exact_delta(P, C, nu, nu_prime, g_seq) -> ExactDeltaResult:
     mass = [M.sum()]
     for g in g_seq[1:]:
         Pg = P * g  # P^T X P (g x g) = (P diag g)^T X (P diag g)
-        R = Pg.T @ ((M / mass[-1] * masks) @ Pg)  # the moves from outside C x C, from inside
+        R = Pg.T @ ((M / (mass[-1] or 1.0) * masks) @ Pg)  # from outside C x C, from inside
         M = R[0] + R[1] * gain
         mass.append(M.sum())
-    return ExactDeltaResult(log_z + log_z2 + log_l1 - np.log(2.0), np.cumsum(np.log(mass)), rho_c)
+    with np.errstate(divide="ignore"):  # a pair mass of 0 stays 0: log rhs_n = -inf
+        log_rhs = np.cumsum(np.log(mass))
+    return ExactDeltaResult(log_z + log_z2 + log_l1 - np.log(2.0), log_rhs, rho_c)
 
 
 def exact_denominator_bound(P, nu, C, g_seq):
@@ -125,11 +127,10 @@ def exact_denominator_bound(P, nu, C, g_seq):
     if len(g_seq) < 2:
         raise ValueError("the lower bound is stated for n >= 1")
     ld = _certify_states(P, C)
-    idx = np.asarray(ld.states)
-    overlap = float((nu * g_seq[0]) @ (P[:, idx] @ g_seq[1, idx]))  # nu(g0 Q g1 1_C)
+    overlap = float((nu * g_seq[0]) @ (P[:, ld.states] @ g_seq[1, ld.states]))  # nu(g0 Q g1 1_C)
     with np.errstate(divide="ignore"):  # no overlap, or lambda_C(g_i) = 0: rhs_n = 0
         # log rhs_n = (n - 1) log eps- + log overlap + sum_{2<=i<=n} log lambda_C(g_i)
-        log_lam = np.cumsum(np.r_[0.0, np.log(g_seq[2:, idx].mean(axis=1))])
+        log_lam = np.cumsum(np.r_[0.0, np.log(g_seq[2:, ld.states].mean(axis=1))])
         log_rhs = np.arange(len(g_seq) - 1) * np.log(ld.eps_minus) + np.log(overlap) + log_lam
     return np.column_stack([_forwards(P, g_seq, nu)[0][1:], log_rhs])
 
@@ -197,8 +198,7 @@ def supermartingale_check(model, V, W, b, F_seq, n, x0, replications=10_000, see
         if np.any(drift_gap > 1e-12):
             raise DriftPreconditionError("multiplicative drift condition fails on the state set")
         g_seq = np.exp(np.abs([*F, np.zeros(model.m)]))  # g_k = exp|F_k|, then a last move
-        start = np.eye(model.m)[int(x0)]
-        lhs = float(np.exp(_forwards(model.transition, g_seq, start)[0][-1]))
+        lhs = float(np.exp(_forwards(model.transition, g_seq, np.eye(model.m)[int(x0)])[0][-1]))
         sup_terms = sum(float(np.max(np.abs(f) - W)) for f in F)
         rhs = float(V[int(x0)] * np.exp(b * n + sup_terms))
         return lhs, rhs, lhs <= rhs

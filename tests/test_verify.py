@@ -134,15 +134,16 @@ def count_axis_exact_delta(model, C, nu, nu_prime, g_seq, N):
 
 
 def assert_matches_count_axis(model, C, nu, nup, g, N):
-    """rhs_n within 1e-13 relative, Delta_n within 2e-15 Z_n Z'_n: the
-    count-axis DP takes Delta_n as the difference of two tensor forwards of
-    mass Z_n Z'_n, and on m = 2 that is 1.0e-15 Z_n Z'_n off the rational
-    value, where exact_delta's is 4e-17 Z_n Z'_n off."""
+    """rhs_n within 1e-13 relative of the count-axis DP; Delta_n within
+    1e-15 Z_n Z'_n of its exact rational value (the DP's own Delta_n, a
+    difference of two tensor forwards of mass Z_n Z'_n, is itself about
+    1e-15 Z_n Z'_n off on m = 2, so it is no reference at that tolerance)."""
     res = exact_delta(model.transition, C, nu, nup, g)
-    delta, rhs, rho_c, zz = count_axis_exact_delta(model, C, nu, nup, g, N)
+    _, rhs, rho_c, _ = count_axis_exact_delta(model, C, nu, nup, g, N)
     assert res.rho_c == rho_c
     np.testing.assert_allclose(res.log_rhs_n, np.log(rhs), rtol=0, atol=1e-13)
-    assert np.all(np.abs(np.exp(res.log_delta_n - np.log(zz)) - delta / zz) <= 2e-15)
+    for n, (delta, zz) in enumerate(fraction_forward_delta(model.transition, nu, nup, g)):
+        assert abs(Fraction(np.exp(res.log_delta_n[n])) - delta) <= Fraction(1e-15) * zz, n
 
 
 @pytest.mark.parametrize("kind", ["empty", "partial", "full"])
@@ -206,13 +207,15 @@ def test_exact_delta_equals_rational_arithmetic():
                       np.array(nup, dtype=float), np.array(g_seq, dtype=float))
     for n, (delta, rhs, zz) in enumerate(fraction_exact_delta(P, C, nu, nup, g_seq,
                                                                F(res.rho_c))):
+        assert abs(F(np.exp(res.log_delta_n[n])) - delta) <= F(1e-15) * zz, n
         assert abs(F(np.exp(res.log_delta_n[n])) - delta) <= F(1e-13) * delta, n
         assert abs(F(np.exp(res.log_rhs_n[n])) - rhs) <= F(1e-14) * rhs, n
 
 
 def fraction_forward_delta(P, nu, nup, g_seq):
-    """Delta_n = sum (u_n Z'_n - u'_n Z_n)_+ of the chain's two forwards in
-    exact rational arithmetic, from the floats P, nu, nu' and g_seq."""
+    """Delta_n = sum (u_n Z'_n - u'_n Z_n)_+ of the chain's two forwards and
+    Z_n Z'_n, n = 0..N, in exact rational arithmetic, from the floats P, nu,
+    nu' and g_seq."""
     P, g_seq = [[Fraction(p) for p in row] for row in P], [[Fraction(v) for v in g] for g in g_seq]
     u, u2 = ([Fraction(a) * g for a, g in zip(law, g_seq[0])] for law in (nu, nup))
     out = []
@@ -221,7 +224,7 @@ def fraction_forward_delta(P, nu, nup, g_seq):
             u, u2 = ([sum(v[i] * P[i][j] for i in range(len(P))) * g[j] for j in range(len(P))]
                      for v in (u, u2))
         z, z2 = sum(u), sum(u2)
-        out.append(sum(max(a * z2 - b * z, 0) for a, b in zip(u, u2)))
+        out.append((sum(max(a * z2 - b * z, 0) for a, b in zip(u, u2)), z * z2))
     return out
 
 
@@ -235,7 +238,7 @@ def test_exact_delta_is_relatively_exact_where_it_is_small():
         nu, nup = random_probability_vector(s, 6, 0), random_probability_vector(s, 6, 1)
         g = random_g_seq(s, 20, 6)
         res = exact_delta(model.transition, (0, 2, 3), nu, nup, g)
-        for n, delta in enumerate(fraction_forward_delta(model.transition, nu, nup, g)):
+        for n, (delta, _) in enumerate(fraction_forward_delta(model.transition, nu, nup, g)):
             if delta > 0:
                 err = abs(Fraction(np.exp(res.log_delta_n[n])) - delta) / delta
                 worst = max(worst, float(err))
@@ -457,14 +460,19 @@ def test_oracle_refusals(model3):
             exact_delta(bad_p, (0, 1), nu, nu, g)
         with pytest.raises(ValueError, match=square):
             exact_denominator_bound(bad_p, nu, (0, 1), g)
-    # C is a set of state indices of P
+    # C is a set of state indices of P; whole floats are indices too
     with pytest.raises(DomainError, match=r"state \[5\] outside \{0..2\}"):
         exact_delta(P, (0, 5), nu, nu, g)
+    with pytest.raises(DomainError, match=r"state \[0.5\] outside \{0..2\}"):
+        exact_delta(P, (0.5, 1), nu, nu, g)
     with pytest.raises(ValueError, match=r"state subset \(0, 0\) repeats a state"):
         exact_denominator_bound(P, nu, (0, 0), g)
-    # a likelihood row of zeros leaves no forward mass
-    with pytest.raises(ValueError, match="the forward mass vanishes at step 2"):
-        exact_delta(P, (0, 1), nu, nu, np.where(np.arange(6)[:, None] == 2, 0.0, g))
+    nup = random_probability_vector(0, 3, 1)
+    a, b = exact_delta(P, (0.0, 2.0), nu, nup, g), exact_delta(P, (0, 2), nu, nup, g)
+    assert (a.rho_c, a.log_delta_n.tolist(), a.log_rhs_n.tolist()) == \
+        (b.rho_c, b.log_delta_n.tolist(), b.log_rhs_n.tolist())
+    np.testing.assert_array_equal(exact_denominator_bound(P, nu, (0.0, 2.0), g),
+                                  exact_denominator_bound(P, nu, (0, 2), g))
     # malformed initial laws, named: a length-1 law would broadcast
     law = r"must be a finite nonnegative vector of shape \(3,\)"
     with pytest.raises(ValueError, match=r"^nu " + law):
@@ -489,6 +497,29 @@ def test_oracle_refusals(model3):
     assert np.all(pairs[:, 0] >= pairs[:, 1])
     with pytest.raises(ValueError, match=r"stated for n >= 1"):
         exact_denominator_bound(P, nu, (0, 1), random_g_seq(0, 0, 3))
+
+
+def test_a_vanishing_forward_reads_minus_inf(model3):
+    # no forward mass left: Delta_n = 0, rhs_n = 0 and lhs_n = 0 from that
+    # step on, whose logs are -inf; the steps before keep their values
+    P, nu, nup = model3.transition, np.ones(3) / 3, random_probability_vector(0, 3, 1)
+    g = random_g_seq(0, 5, 3)
+    whole_d, whole_b = exact_delta(P, (0, 1), nu, nup, g), exact_denominator_bound(P, nu, (0, 1), g)
+    g[2] = 0.0  # a likelihood row of zeros: both forwards vanish at step 2
+    res, pairs = exact_delta(P, (0, 1), nu, nup, g), exact_denominator_bound(P, nu, (0, 1), g)
+    assert res.log_delta_n[:2].tolist() == whole_d.log_delta_n[:2].tolist()
+    assert res.log_rhs_n[:2].tolist() == whole_d.log_rhs_n[:2].tolist()
+    assert np.all(res.log_delta_n[2:] == -np.inf) and np.all(res.log_rhs_n[2:] == -np.inf)
+    assert pairs[0].tolist() == whole_b[0].tolist() and np.all(pairs[1:] == -np.inf)
+    # a zero row of a sub-stochastic P: the forward from that state alone vanishes at step 1
+    Q, start = P.copy(), np.array([0.0, 0.0, 1.0])
+    Q[2] = 0.0
+    g = random_g_seq(0, 5, 3)
+    res = exact_delta(Q, (0, 1), nu, start, g)
+    assert np.isfinite(res.log_delta_n[0]) and np.all(res.log_delta_n[1:] == -np.inf)
+    assert np.all(res.log_rhs_n[1:] == -np.inf)
+    assert np.all(exact_denominator_bound(Q, start, (0, 1), g) == -np.inf)
+    assert np.all(np.isfinite(exact_denominator_bound(Q, nu, (0, 1), g)))
 
 
 def test_supermartingale_check_refusals(model3):

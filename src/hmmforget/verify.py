@@ -65,20 +65,18 @@ def _forwards(P, g_seq, nu, nu_prime=None):
     rows after a step, c, c', s their sums and c - c' = e^L s, pi_n - pi'_n
     = e^L (e - pi'_n s)/c: no subtraction of close laws, no lost digits."""
     x = np.array([nu] if nu_prime is None else [nu, nu_prime, nu - nu_prime])
-    scale = np.zeros((len(g_seq), len(x)))  # c per step, then c' and ||e - pi'_n s||_1 / c
-    for g, row in zip(g_seq, scale):
-        x *= g
-        sums = x.sum(axis=1)
-        if not sums[:2].all():  # Z_n or Z'_n = 0: every row stays 0 from step n on
-            break
-        row[:] = sums
-        if nu_prime is not None:
-            x[2] -= x[1] * (sums[2] / sums[1])
-            norm = np.abs(x[2]).sum()
-            row[2] = norm / sums[0]
-            sums[2] = norm or 1.0  # delta stays 0 once the two forwards agree
-        x = (x / sums[:, None]) @ P
-    with np.errstate(divide="ignore"):
+    scale = np.empty((len(g_seq), len(x)))  # c per step, then c' and ||e - pi'_n s||_1 / c
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0, then NaN, past a vanished mass
+        for g, row in zip(g_seq, scale):
+            x *= g
+            row[:] = sums = x.sum(axis=1)
+            if nu_prime is not None:
+                x[2] -= x[1] * (sums[2] / sums[1])
+                norm = np.abs(x[2]).sum()
+                row[2] = norm / sums[0]
+                sums[2] = norm or 1.0  # delta stays 0 once the two forwards agree
+            x = (x / sums[:, None]) @ P
+        scale[np.logical_or.accumulate(~np.all(scale[:, :2] > 0, axis=1))] = 0.0  # log: -inf
         return np.cumsum(np.log(scale), axis=0).T
 
 
@@ -100,7 +98,8 @@ def exact_delta(P, C, nu, nu_prime, g_seq) -> ExactDeltaResult:
     """
     P, g_seq, nu, nu_prime = _check_inputs(P, g_seq, nu=nu, nu_prime=nu_prime)
     ld = _certify_states(P, C) if len(C) else None
-    in_c = np.isin(np.arange(len(P)), ld.states if ld else [])
+    in_c = np.zeros(len(P), dtype=bool)
+    in_c[list(ld.states if ld else ())] = True
     in_cc = np.outer(in_c, in_c)
     rho_c = rho(ld) if ld else 0.0
     masks, gain = np.array([~in_cc, in_cc], dtype=float), np.where(in_cc, rho_c, 1.0)
@@ -198,7 +197,8 @@ def supermartingale_check(model, V, W, b, F_seq, n, x0, replications=10_000, see
         if np.any(drift_gap > 1e-12):
             raise DriftPreconditionError("multiplicative drift condition fails on the state set")
         g_seq = np.exp(np.abs([*F, np.zeros(model.m)]))  # g_k = exp|F_k|, then a last move
-        lhs = float(np.exp(_forwards(model.transition, g_seq, np.eye(model.m)[int(x0)])[0][-1]))
+        start = np.eye(model.m)[int(x0)]
+        lhs = float(np.exp(_forwards(model.transition, g_seq, start)[0][-1]))
         sup_terms = sum(float(np.max(np.abs(f) - W)) for f in F)
         rhs = float(V[int(x0)] * np.exp(b * n + sup_terms))
         return lhs, rhs, lhs <= rhs

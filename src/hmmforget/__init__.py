@@ -21,8 +21,8 @@ from .grids import GridSpec, InitialDistribution
 from .models import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateModel,
                      StochVolModel, TobitModel, Trajectory, simulate)
 from .rng import substream
-from .verify import (DriftPreconditionError, ExactDeltaResult,
-                     counting_inequality_check, exact_delta, exact_denominator_bound,
+from .verify import (DriftPreconditionError, ExactDeltaResult, counting_inequality_check,
+                     exact_delta, exact_denominator_bound, exact_moment_bound,
                      random_finite_model, run_suite, supermartingale_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

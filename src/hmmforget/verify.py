@@ -4,8 +4,9 @@ The exact oracles take a transition matrix P (rows may sum to less than 1,
 as a grid kernel's do) and C as state indices, and return logs at any N:
 Delta_n, from the two filters' difference carried as such (a subtraction
 keeps it only to 1e-16 of the forward mass), against its pair-chain bound
-in O(N m^3) time and O(m^2) memory, and the forward mass against the
-Doeblin lower bound; also the counting and supermartingale inequalities.
+in O(N m^3) time and O(m^2) memory, the forward mass against the Doeblin
+lower bound and an exponential moment against its drift bound.  Also: the
+counting inequality, and that moment by Monte Carlo on continuous models.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _certify_states, rho
-from .models import FiniteStateModel
+from .models import FiniteStateModel, _check_index
 from .rng import normal_rows, substream
 
 DRIFT_TEST_M = 201  # test points of the drift precondition on continuous models
@@ -31,12 +32,17 @@ class ExactDeltaResult:
     rho_c: float
 
 
-def _check_inputs(P, g_seq, **laws):
-    """P, g_seq and each initial law as float arrays of shapes (m, m), (N + 1, m)
-    and (m,), all finite and nonnegative, else a ValueError naming the culprit."""
+def _check_matrix(P):
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or not np.all((P >= 0) & (P < np.inf)):
         raise ValueError("P must be a finite nonnegative square matrix")
+    return P
+
+
+def _check_inputs(P, g_seq, **laws):
+    """P, g_seq and each initial law as float arrays of shapes (m, m), (N + 1, m)
+    and (m,), all finite and nonnegative, else a ValueError naming the culprit."""
+    P = _check_matrix(P)
     m = len(P)
     g_seq = np.asarray(g_seq, dtype=float)
     if g_seq.ndim != 2 or g_seq.shape[1] != m or not len(g_seq):
@@ -146,6 +152,8 @@ def counting_inequality_check(bits, n: int | None = None):
         raise ValueError("sequence must be binary")
     if n is None:
         n = len(x)
+    if n < 0:
+        raise ValueError(f"n = {n} is negative")
     padded = np.zeros(n + 1, dtype=int)
     padded[:min(len(x), n + 1)] = x[:n + 1]
     m_n, n_n = (int(c) for c in _counts(padded, n))
@@ -171,37 +179,47 @@ def _qv_numeric(model, v_fn, x):
 
 
 class DriftPreconditionError(RuntimeError):
-    """log(V^{-1} Q V) <= -W + b fails on the test grid."""
+    """log(V^{-1} Q V) <= -W + b fails on the test grid or the state set."""
+
+
+def exact_moment_bound(P, V, W, b, F_seq, x0):
+    """(log lhs, log rhs), n = 1..N, an (N, 2) array, of E_x0[exp sum_{k<n}
+    |F_k(X_k)|] <= V(x0) exp(b n + sum_{k<n} sup(|F_k| - W)) on the chain P
+    (rows may sum to less than 1) from the state index x0, V, W and F_k given
+    on P's states: lhs is the forward mass of g_k = exp|F_k| (``_forwards``).
+    The drift precondition log(V^{-1} P V) <= -W + b is asserted first."""
+    P = _check_matrix(P)
+    m = len(P)
+    F, V, W = (np.asarray(a, dtype=float) for a in (np.abs(F_seq), V, W))
+    if F.ndim != 2 or F.shape[1] != m or not len(F) or not np.all(np.isfinite(F)):
+        raise ValueError(f"F_seq must be N >= 1 finite vectors of shape ({m},)")
+    if V.shape != (m,) or not np.all((V > 0) & (V < np.inf)):
+        raise ValueError(f"V must be a finite positive vector of shape ({m},)")
+    if W.shape != (m,) or not np.all(np.isfinite(W)):
+        raise ValueError(f"W must be a finite vector of shape ({m},)")
+    x0 = _check_index(x0, m, "state")
+    if np.any(P @ V > V * np.exp(b - W + 1e-12)):  # log(PV/V) > -W + b + 1e-12
+        raise DriftPreconditionError("multiplicative drift condition fails on the state set")
+    top = F.max(axis=1, keepdims=True)  # g_k = exp|F_k| / exp(max|F_k|): none overflows
+    log_rhs = np.log(V[x0]) + b * np.arange(1, len(F) + 1) + np.cumsum((F - W).max(axis=1))
+    return np.column_stack([_forwards(P, np.exp(F - top), np.eye(m)[x0])[0] + np.cumsum(top),
+                            log_rhs])
 
 
 def supermartingale_check(model, V, W, b, F_seq, n, x0, replications=10_000, seed=0):
-    """Verify E_x[exp sum_k |F_k(X_k)|] <= V(x) exp(b n + sum_k sup(|F_k| - W)).
-
-    On finite-state models (V, W, F_k given as state vectors) the left side
-    is computed exactly by dynamic programming and ``replications`` is
-    ignored.  On continuous models (callables) it is a Monte Carlo
-    estimate, with each F_k applied elementwise to an array of states; the
-    check passes when the estimate plus three standard errors stays below
-    the analytic right side.
-
-    The multiplicative drift precondition log(V^{-1} Q V) <= -W + b is
-    asserted on the test grid before anything else.
-    """
+    """Verify E_x[exp sum_k |F_k(X_k)|] <= V(x) exp(b n + sum_k sup(|F_k| - W))
+    by Monte Carlo on a continuous model (``exact_moment_bound`` is exact on a
+    transition matrix), V, W and each F_k callables applied elementwise to
+    arrays of states, after asserting log(V^{-1} Q V) <= -W + b on the test
+    grid: the check passes when the estimate plus three standard errors stays
+    below the analytic right side."""
+    if not callable(V):
+        raise TypeError("V, W and F_k must be callables on a continuous model; on a finite one "
+                        "call exact_moment_bound(model.transition, V, W, b, F_seq, x0)")
     if len(F_seq) != n:
         raise ValueError("need one F_k per step k = 0..n-1")
-    if isinstance(model, FiniteStateModel):
-        V = np.asarray(V, dtype=float)
-        W = np.asarray(W, dtype=float)
-        F = [np.asarray(f, dtype=float) for f in F_seq]
-        drift_gap = np.log((model.transition @ V) / V) + W - b
-        if np.any(drift_gap > 1e-12):
-            raise DriftPreconditionError("multiplicative drift condition fails on the state set")
-        g_seq = np.exp(np.abs([*F, np.zeros(model.m)]))  # g_k = exp|F_k|, then a last move
-        start = np.eye(model.m)[int(x0)]
-        lhs = float(np.exp(_forwards(model.transition, g_seq, start)[0][-1]))
-        sup_terms = sum(float(np.max(np.abs(f) - W)) for f in F)
-        rhs = float(V[int(x0)] * np.exp(b * n + sup_terms))
-        return lhs, rhs, lhs <= rhs
+    if replications < 2:
+        raise ValueError(f"replications = {replications}: the standard error needs at least 2")
 
     xs = np.linspace(model.domain[0], model.domain[1], DRIFT_TEST_M)
     drift_gap = np.log(_qv_numeric(model, V, xs) / V(xs)) + W(xs) - b
@@ -285,8 +303,9 @@ def run_suite(name, seeds=range(50), horizon=20):
             b = float(slack.max() + 0.5)
             W = b - slack - 0.25  # leaves log(V^-1 Q V) = -W + b - 0.25 < -W + b
             F = [rng.random(model.m) * W for _ in range(10)]
-            lhs, rhs, holds = supermartingale_check(model, V, W, b, F, 10, x0=0)
-            cases.append({"suite": name, "case": s, "metric": rhs - lhs, "holds": bool(holds)})
+            lhs, rhs = exact_moment_bound(model.transition, V, W, b, F, x0=0).T
+            cases.append({"suite": name, "case": s, "metric": float(np.min(rhs - lhs)),
+                          "holds": bool(np.all(lhs <= rhs))})
     else:
         raise ValueError(f"unknown suite {name!r}")
     return cases

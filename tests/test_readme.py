@@ -18,3 +18,5 @@ def test_library_sketch_runs(tmp_path, monkeypatch):
     res, tres = namespace["res"], namespace["tres"]
     assert len(res.log_delta_n) == 2001 and res.log_delta_n[-1] < -709  # below 1e-308
     assert (tres.log_delta_n <= tres.log_rhs_n).all()
+    moment = namespace["moment"]  # (log lhs, log rhs) for n = 1..2000, all finite
+    assert moment.shape == (2000, 2) and (abs(moment) < float("inf")).all()

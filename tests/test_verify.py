@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from hmmforget import (LGSSM, NLSSM, DomainError, DriftPreconditionError,
                        FiniteStateModel, GridSpec, InitialDistribution, StochVolModel,
                        TobitModel, certify_ld_set, counting_inequality_check, exact_delta,
-                       exact_denominator_bound, random_finite_model, rho,
+                       exact_denominator_bound, exact_moment_bound, random_finite_model, rho,
                        run_suite, run_two_filters, simulate,
                        substream, supermartingale_check, transition_kernel)
 from hmmforget import rng
+from hmmforget.models import _folded_exp_moment
 from hmmforget.verify import random_g_seq, random_probability_vector
 
 
@@ -336,6 +338,14 @@ def test_denominator_bound_n1_reduces_to_restriction():
     assert pairs[0, 0] >= pairs[0, 1]
 
 
+def _drift_inputs(P, seed):
+    """V, W and b meeting log(V^-1 P V) <= -W + b with 0.1 to spare."""
+    V = 1.0 + substream(seed, 5).random(len(P)) * 3.0
+    slack = np.log((P @ V) / V)
+    b = float(slack.max() + 0.3)
+    return V, b - slack - 0.1, b
+
+
 def test_supermartingale_finite_exact():
     model = random_finite_model(7)
     V = np.array([1.0, 2.0, 1.5])
@@ -343,8 +353,8 @@ def test_supermartingale_finite_exact():
     b = float(slack.max() + 0.3)
     W = b - slack - 0.1
     F = [np.array([0.05, 0.1, 0.02])] * 6
-    lhs, rhs, holds = supermartingale_check(model, V, W, b, F, 6, x0=1)
-    assert holds and lhs <= rhs
+    pairs = exact_moment_bound(model.transition, V, W, b, F, x0=1)
+    assert pairs.shape == (6, 2) and np.all(pairs[:, 0] <= pairs[:, 1])
 
 
 def test_supermartingale_zero_f_trivial():
@@ -352,17 +362,107 @@ def test_supermartingale_zero_f_trivial():
     V = np.ones(3)
     W = np.full(3, 0.1)
     F = [np.zeros(3)] * 4
-    lhs, rhs, holds = supermartingale_check(model, V, W, 0.2, F, 4, x0=0)
-    assert lhs == pytest.approx(1.0)
-    assert holds
+    lhs, rhs = exact_moment_bound(model.transition, V, W, 0.2, F, x0=0).T
+    np.testing.assert_allclose(lhs, 0.0, atol=1e-15)  # log 1: the chain keeps its mass
+    np.testing.assert_allclose(rhs, 0.1 * np.arange(1, 5), rtol=1e-15)  # b n - n W
+    assert np.all(lhs <= rhs)
 
 
 def test_supermartingale_precondition_error():
     model = random_finite_model(9)
     V = np.ones(3)
     W = np.full(3, 5.0)  # demands far more contraction than V = 1 offers
-    with pytest.raises(DriftPreconditionError):
-        supermartingale_check(model, V, W, 0.0, [np.zeros(3)], 1, x0=0)
+    with pytest.raises(DriftPreconditionError, match="fails on the state set"):
+        exact_moment_bound(model.transition, V, W, 0.0, [np.zeros(3)], x0=0)
+
+
+def _moment_by_paths(P, F, x0, n):
+    """E_x0[exp sum_{k<n} |F_k(X_k)|] on the chain P, summed over every path."""
+    total = 0.0
+    for path in itertools.product(range(len(P)), repeat=n - 1):
+        states = (x0, *path)
+        weight = np.prod([P[i, j] for i, j in zip(states, states[1:])])
+        total += weight * np.exp(sum(abs(F[k][x]) for k, x in enumerate(states)))
+    return total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_moment_bound_equals_the_sum_over_paths(seed):
+    # stochastic chains and chains whose rows sum to less than 1 (odd seeds):
+    # a path is counted up to its last state X_{n-1}, with no move after it
+    P = random_finite_model(seed).transition
+    if seed % 2:
+        P = P * substream(seed, 6).uniform(0.5, 1.0, (3, 1))
+    V, W, b = _drift_inputs(P, seed)
+    F = substream(seed, 7).uniform(-2.0, 2.0, (6, 3))
+    x0 = seed % 3
+    pairs = exact_moment_bound(P, V, W, b, F, x0)
+    brute = [_moment_by_paths(P, F, x0, n) for n in range(1, 7)]
+    np.testing.assert_allclose(pairs[:, 0], np.log(brute), rtol=0, atol=1e-12)
+    assert np.all(pairs[:, 0] <= pairs[:, 1])
+    # |F_k| + 800 overflows exp: the moment is exp(800 n) times the one above
+    shifted = exact_moment_bound(P, V, W, b, np.abs(F) + 800.0, x0)
+    np.testing.assert_allclose(shifted[:, 0], pairs[:, 0] + 800.0 * np.arange(1, 7),
+                               rtol=1e-15)
+
+
+def test_exact_moment_bound_at_a_long_horizon():
+    P = random_finite_model(3).transition
+    V, W, b = _drift_inputs(P, 3)
+    F = substream(3, 8).uniform(-50.0, 50.0, (2000, 3))
+    for x0 in range(3):
+        lhs, rhs = exact_moment_bound(P, V, W, b, F, x0).T
+        assert np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))
+        assert np.all(lhs <= rhs)
+
+
+def test_exact_moment_bound_on_a_grid_kernel():
+    # criterion 10's LGSSM, V, W, F and b on its 801-cell kernel, whose rows
+    # sum to less than 1 at the edges; x0 = 0 is the middle cell's centre
+    model = LGSSM(0.9, 1.0, 1.0)
+    grid = GridSpec(*model.domain, 801)
+    x = model.support(grid)
+    xs = np.linspace(*model.domain, 401)
+    b = float((np.log(_folded_exp_moment(0.9 * xs, 1.0, 0.5)) - 0.5 * np.abs(xs)).max() + 0.15)
+    V_c = lambda x: np.exp(0.5 * np.abs(x))
+    W_c = lambda x: np.full_like(np.asarray(x, float), 0.1)
+    F_c = [lambda x: 0.05 * np.clip(np.abs(np.asarray(x, float)), 0, 2.0)] * 5
+    x0 = int(np.flatnonzero(x == 0.0)[0])
+    lhs, rhs = exact_moment_bound(transition_kernel(model, grid), V_c(x), W_c(x), b,
+                                  [f(x) for f in F_c], x0).T
+    assert np.all(lhs <= rhs)
+    mc, mc_rhs, _ = supermartingale_check(model, V_c, W_c, b, F_c, 5, x0=0.0,
+                                          replications=10_000, seed=0)
+    assert np.exp(lhs[4]) == pytest.approx(mc, rel=1e-3)
+    assert np.exp(rhs[4]) == pytest.approx(mc_rhs, rel=1e-12)
+
+
+def test_exact_moment_bound_refusals(model3):
+    P = model3.transition
+    V, W, b = _drift_inputs(P, 1)
+    F = np.full((4, 3), 0.1)
+    # x0 is a state index, checked as C's are
+    for x0 in (-1, 3, 1.7):
+        with pytest.raises(DomainError, match=rf"state {x0} outside \{{0..2\}}"):
+            exact_moment_bound(P, V, W, b, F, x0)
+    np.testing.assert_array_equal(exact_moment_bound(P, V, W, b, F, 2.0),
+                                  exact_moment_bound(P, V, W, b, F, 2))
+    shape = r"^F_seq must be N >= 1 finite vectors of shape \(3,\)$"
+    for bad_f in ([], np.zeros((0, 3)), np.ones((4, 2)), np.ones(3),
+                  np.where(np.eye(4, 3) > 0, np.nan, F), np.where(np.eye(4, 3) > 0, -np.inf, F)):
+        with pytest.raises(ValueError, match=shape):
+            exact_moment_bound(P, V, W, b, bad_f, 0)
+    for bad_v in (np.zeros(3), -V, np.r_[V[:2], np.nan], np.r_[V[:2], np.inf], V[:2]):
+        with pytest.raises(ValueError, match=r"^V must be a finite positive vector"):
+            exact_moment_bound(P, bad_v, W, b, F, 0)
+    for bad_w in (np.r_[W[:2], np.nan], np.r_[W[:2], -np.inf], W[:2]):
+        with pytest.raises(ValueError, match=r"^W must be a finite vector"):
+            exact_moment_bound(P, V, bad_w, b, F, 0)
+    with pytest.raises(ValueError, match="P must be a finite nonnegative square matrix"):
+        exact_moment_bound(P[:2], V, W, b, F, 0)
+    # a finite model's vectors go to the oracle, not the Monte Carlo
+    with pytest.raises(TypeError, match=r"exact_moment_bound\(model\.transition"):
+        supermartingale_check(model3, V, W, b, list(F), 4, x0=0)
 
 
 def _monte_carlo_one_replication_at_a_time(model, F_seq, n, x0, replications, seed):
@@ -523,10 +623,11 @@ def test_a_vanishing_forward_reads_minus_inf(model3):
 
 
 def test_supermartingale_check_refusals(model3):
-    # one F_k per step, checked before either branch
+    # on a finite model the oracle takes one F_k per step: N is len(F_seq)
     V, W = np.ones(3), np.zeros(3)
-    with pytest.raises(ValueError, match="need one F_k per step"):
-        supermartingale_check(model3, V, W, 0.0, [np.zeros(3)] * 2, 3, x0=0)
+    with pytest.raises(ValueError, match="F_seq must be N >= 1 finite vectors"):
+        exact_moment_bound(model3.transition, V, W, 0.0, [np.zeros(2)] * 3, x0=0)
+    assert len(exact_moment_bound(model3.transition, V, W, 0.0, [np.zeros(3)] * 2, x0=0)) == 2
     lgssm = LGSSM(0.9, 1.0, 1.0)
     V_c = lambda x: np.exp(0.5 * np.abs(x))
     W_c = lambda x: np.full_like(np.asarray(x, float), 0.1)
@@ -535,3 +636,20 @@ def test_supermartingale_check_refusals(model3):
     # log(V^-1 Q V) = log E exp(c |0.9 x + Z|) - c |x| is above -W + b = -0.1 at x = 0
     with pytest.raises(DriftPreconditionError, match="fails on the test grid"):
         supermartingale_check(lgssm, V_c, W_c, 0.0, [W_c] * 3, 3, x0=0.0)
+
+
+@pytest.mark.parametrize("replications", [1, 0, -3])
+def test_supermartingale_check_needs_two_replications(replications):
+    # one replication has no standard error, none has no mean
+    lgssm = LGSSM(0.9, 1.0, 1.0)
+    V_c = lambda x: np.exp(0.5 * np.abs(x))
+    W_c = lambda x: np.full_like(np.asarray(x, float), 0.1)
+    with pytest.raises(ValueError, match=rf"^replications = {replications}: .* at least 2$"):
+        supermartingale_check(lgssm, V_c, W_c, 5.0, [W_c] * 3, 3, x0=0.0,
+                              replications=replications)
+
+
+def test_counting_refuses_a_negative_n():
+    with pytest.raises(ValueError, match=r"^n = -1 is negative$"):
+        counting_inequality_check([1, 0, 1], n=-1)
+    assert counting_inequality_check([1, 0, 1], n=0) == (0, 0, 0.5, True)

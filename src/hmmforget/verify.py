@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _certify_states, rho
-from .models import FiniteStateModel, _check_index
+from .bounds import _SUP_BLOCK, _blocks, _certify_states, rho
+from .models import DomainError, FiniteStateModel, _check_index
 from .rng import normal_rows, substream
 
 DRIFT_TEST_M = 201  # test points of the drift precondition on continuous models
@@ -167,15 +167,20 @@ def _counts(padded, n):
 
 
 def _qv_numeric(model, v_fn, x):
-    """QV(x) for an arbitrary positive function V, by quadrature."""
+    """QV(x) for an arbitrary positive function V, by a 4001-node quadrature.
+    The points go in blocks of _SUP_BLOCK // 4001 = 16, so memory does not
+    grow with len(x); each row is summed on its own (pairwise, as NumPy sums
+    a row), so a point's value does not depend on its block."""
     half_width = 12.0 * model.state_sd
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mu = model.state_mean(x)
     z = np.linspace(-half_width, half_width, 4001)
     dz = z[1] - z[0]
-    pts = mu[:, None] + z[None, :]
     dens = np.exp(-0.5 * (z / model.state_sd) ** 2) / (np.sqrt(2 * np.pi) * model.state_sd)
-    return (v_fn(pts) * dens[None, :]).sum(axis=1) * dz
+    out = np.empty(len(x))
+    for rows in _blocks(len(x), _SUP_BLOCK // len(z)):
+        out[rows] = (v_fn(mu[rows, None] + z[None, :]) * dens[None, :]).sum(axis=1)
+    return out * dz
 
 
 class DriftPreconditionError(RuntimeError):
@@ -187,7 +192,13 @@ def exact_moment_bound(P, V, W, b, F_seq, x0):
     |F_k(X_k)|] <= V(x0) exp(b n + sum_{k<n} sup(|F_k| - W)) on the chain P
     (rows may sum to less than 1) from the state index x0, V, W and F_k given
     on P's states: lhs is the forward mass of g_k = exp|F_k| (``_forwards``).
-    The drift precondition log(V^{-1} P V) <= -W + b is asserted first."""
+    The drift precondition log(V^{-1} P V) <= -W + b is asserted first.  A
+    non-finite b is refused (ValueError), and so is an x0 that is not one
+    state index (DomainError)."""
+    if not np.isfinite(b):
+        raise ValueError(f"b = {b} is not finite")
+    if np.ndim(x0):
+        raise DomainError(f"x0 = {x0} is not one state index")
     P = _check_matrix(P)
     m = len(P)
     F, V, W = (np.asarray(a, dtype=float) for a in (np.abs(F_seq), V, W))
@@ -198,7 +209,7 @@ def exact_moment_bound(P, V, W, b, F_seq, x0):
     if W.shape != (m,) or not np.all(np.isfinite(W)):
         raise ValueError(f"W must be a finite vector of shape ({m},)")
     x0 = _check_index(x0, m, "state")
-    if np.any(P @ V > V * np.exp(b - W + 1e-12)):  # log(PV/V) > -W + b + 1e-12
+    if not np.all(P @ V <= V * np.exp(b - W + 1e-12)):  # log(PV/V) <= -W + b + 1e-12
         raise DriftPreconditionError("multiplicative drift condition fails on the state set")
     top = F.max(axis=1, keepdims=True)  # g_k = exp|F_k| / exp(max|F_k|): none overflows
     log_rhs = np.log(V[x0]) + b * np.arange(1, len(F) + 1) + np.cumsum((F - W).max(axis=1))
@@ -211,8 +222,10 @@ def supermartingale_check(model, V, W, b, F_seq, n, x0, replications=10_000, see
     by Monte Carlo on a continuous model (``exact_moment_bound`` is exact on a
     transition matrix), V, W and each F_k callables applied elementwise to
     arrays of states, after asserting log(V^{-1} Q V) <= -W + b on the test
-    grid: the check passes when the estimate plus three standard errors stays
-    below the analytic right side."""
+    grid (``_qv_numeric``, 16 test points at a time): the check passes when
+    the estimate plus three standard errors stays below the analytic right
+    side.  A non-finite b is refused (ValueError), and so is an x0 that is
+    not one state of the truncation domain (DomainError)."""
     if not callable(V):
         raise TypeError("V, W and F_k must be callables on a continuous model; on a finite one "
                         "call exact_moment_bound(model.transition, V, W, b, F_seq, x0)")
@@ -220,10 +233,15 @@ def supermartingale_check(model, V, W, b, F_seq, n, x0, replications=10_000, see
         raise ValueError("need one F_k per step k = 0..n-1")
     if replications < 2:
         raise ValueError(f"replications = {replications}: the standard error needs at least 2")
+    if not np.isfinite(b):
+        raise ValueError(f"b = {b} is not finite")
+    if np.ndim(x0):
+        raise DomainError(f"x0 = {x0} is not one state")
+    x0 = float(model._check_state(x0))
 
     xs = np.linspace(model.domain[0], model.domain[1], DRIFT_TEST_M)
     drift_gap = np.log(_qv_numeric(model, V, xs) / V(xs)) + W(xs) - b
-    if np.any(drift_gap > 1e-9):
+    if not np.all(drift_gap <= 1e-9):  # NaN in V, QV or W fails too
         raise DriftPreconditionError("multiplicative drift condition fails on the test grid")
     sup_terms = sum(float(np.max(np.abs(f(xs)) - W(xs))) for f in F_seq)
     rhs = float(V(np.array([x0]))[0] * np.exp(b * n + sup_terms))
@@ -232,7 +250,7 @@ def supermartingale_check(model, V, W, b, F_seq, n, x0, replications=10_000, see
     # calls would; all are taken in one record pass (``rng.normal_rows``),
     # and the replications step together, so each F_k is called once on all
     z = normal_rows(seed, n=replications, k=n)
-    x = np.full(replications, float(x0))
+    x = np.full(replications, x0)
     acc = np.zeros(replications)
     for k in range(n):
         acc += np.abs(F_seq[k](x))

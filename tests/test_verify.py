@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from hmmforget import (LGSSM, NLSSM, DomainError, DriftPreconditionError,
                        substream, supermartingale_check, transition_kernel)
 from hmmforget import rng
 from hmmforget.models import _folded_exp_moment
-from hmmforget.verify import random_g_seq, random_probability_vector
+from hmmforget.verify import _qv_numeric, random_g_seq, random_probability_vector
 
 
 def test_counting_examples():
@@ -447,6 +448,10 @@ def test_exact_moment_bound_refusals(model3):
             exact_moment_bound(P, V, W, b, F, x0)
     np.testing.assert_array_equal(exact_moment_bound(P, V, W, b, F, 2.0),
                                   exact_moment_bound(P, V, W, b, F, 2))
+    # x0 is one state index, not a list or an array of them
+    for x0 in ([1], np.array([1]), [0, 1]):
+        with pytest.raises(DomainError, match=r"^x0 = \[.*\] is not one state index$"):
+            exact_moment_bound(P, V, W, b, F, x0)
     shape = r"^F_seq must be N >= 1 finite vectors of shape \(3,\)$"
     for bad_f in ([], np.zeros((0, 3)), np.ones((4, 2)), np.ones(3),
                   np.where(np.eye(4, 3) > 0, np.nan, F), np.where(np.eye(4, 3) > 0, -np.inf, F)):
@@ -653,3 +658,85 @@ def test_counting_refuses_a_negative_n():
     with pytest.raises(ValueError, match=r"^n = -1 is negative$"):
         counting_inequality_check([1, 0, 1], n=-1)
     assert counting_inequality_check([1, 0, 1], n=0) == (0, 0, 0.5, True)
+
+
+def _criterion_10(model):
+    """Criterion 10's V, W, b and five F_k on LGSSM(.9, 1, 1)."""
+    V = lambda x: np.exp(0.5 * np.abs(x))
+    xs = np.linspace(*model.domain, 401)
+    b = float((np.log(_folded_exp_moment(0.9 * xs, 1.0, 0.5)) - 0.5 * np.abs(xs)).max() + 0.15)
+    W = lambda x: np.full_like(np.asarray(x, float), 0.1)
+    F = [lambda x: 0.05 * np.clip(np.abs(np.asarray(x, float)), 0, 2.0)] * 5
+    return V, W, b, F
+
+
+def _qv_dense(model, v_fn, x):
+    """The drift test's quadrature as one (len(x), 4001) array."""
+    z = np.linspace(-12.0 * model.state_sd, 12.0 * model.state_sd, 4001)
+    pts = model.state_mean(np.asarray(x, float))[:, None] + z[None, :]
+    dens = np.exp(-0.5 * (z / model.state_sd) ** 2) / (np.sqrt(2 * np.pi) * model.state_sd)
+    return (v_fn(pts) * dens[None, :]).sum(axis=1) * (z[1] - z[0])
+
+
+@pytest.mark.parametrize("points", [201, 1, 7])
+@pytest.mark.parametrize("model", [LGSSM(0.9, 1.0, 1.0),
+                                   NLSSM("tanh", 0.5, 1.0, 1.0, kappa=0.4),
+                                   StochVolModel(0.9, 0.3, 1.0), TobitModel(0.5, 1.0, 1.0)],
+                         ids=lambda m: m.kind)
+def test_qv_numeric_in_blocks_equals_the_dense_quadrature(model, points):
+    # 201 points are 12 full blocks of 16 and one of 9: each row is summed
+    # alone either way, so the blocks give the dense array's bits
+    xs = np.linspace(*model.domain, points)
+    for v_fn in (lambda x: np.exp(0.5 * np.abs(x)), lambda x: 1.0 + x ** 2,
+                 lambda x: np.exp(0.05 * x ** 2)):
+        assert np.array_equal(_qv_numeric(model, v_fn, xs), _qv_dense(model, v_fn, xs))
+
+
+def test_supermartingale_check_memory_is_flat_in_the_test_points():
+    # the drift test's 201 x 4001 quadrature in one array took 18.5 MB
+    model = LGSSM(0.9, 1.0, 1.0)
+    V, W, b, F = _criterion_10(model)
+    tracemalloc.start()
+    try:
+        *_, holds = supermartingale_check(model, V, W, b, F, 5, x0=0.0, replications=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holds and peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf])
+def test_moment_checks_refuse_a_non_finite_b(model3, b):
+    # NaN compared false and inf passed vacuously
+    V, W, _ = _drift_inputs(model3.transition, 1)
+    with pytest.raises(ValueError, match=rf"^b = {b} is not finite$"):
+        exact_moment_bound(model3.transition, V, W, b, np.full((4, 3), 0.1), 0)
+    lgssm = LGSSM(0.9, 1.0, 1.0)
+    V_c, W_c, _, F = _criterion_10(lgssm)
+    with pytest.raises(ValueError, match=rf"^b = {b} is not finite$"):
+        supermartingale_check(lgssm, V_c, W_c, b, F, 5, x0=0.0, replications=100)
+
+
+def test_supermartingale_check_refuses_an_x0_off_the_domain():
+    model = LGSSM(0.9, 1.0, 1.0)
+    V, W, b, F = _criterion_10(model)
+    for x0 in (1e6, -1e6, np.nan, np.inf):
+        with pytest.raises(DomainError, match=rf"^state {x0} is outside the truncation domain"):
+            supermartingale_check(model, V, W, b, F, 5, x0=x0, replications=100)
+    for x0 in ([0.0, 1.0], np.zeros(1)):
+        with pytest.raises(DomainError, match=r"^x0 = \[.*\] is not one state$"):
+            supermartingale_check(model, V, W, b, F, 5, x0=x0, replications=100)
+    # a 0-d array is one state
+    assert supermartingale_check(model, V, W, b, F, 5, x0=np.array(0.0), replications=100) == \
+        supermartingale_check(model, V, W, b, F, 5, x0=0.0, replications=100)
+
+
+def test_supermartingale_precondition_fails_on_nan():
+    # a NaN in V, QV or W compares false: the precondition must fail on it
+    model = LGSSM(0.9, 1.0, 1.0)
+    V, W, b, F = _criterion_10(model)
+    nan_w = lambda x: np.where(np.asarray(x) > 5.0, np.nan, W(x))
+    nan_v = lambda x: np.where(np.asarray(x) > 5.0, np.nan, V(x))
+    for v_fn, w_fn in ((V, nan_w), (nan_v, W)):
+        with pytest.raises(DriftPreconditionError, match="fails on the test grid"):
+            supermartingale_check(model, v_fn, w_fn, b, F, 5, x0=0.0, replications=100)

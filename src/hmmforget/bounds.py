@@ -639,7 +639,7 @@ def sharp_bound(model, nu, nu_prime, obs, beta, C: LDSet, D: LDSet,
 
 
 def geometric_bound(model, nu, nu_prime, obs, cfg: BoundConfig, C: LDSet,
-                    grid: GridSpec | None = None, kernel=None) -> BoundReport:
+                    grid: GridSpec | None = None) -> BoundReport:
     """Geometric form of the bound under the K-frequency hypothesis, on a
     record y_0..y_n or a batch of records, one per row.
 
@@ -648,12 +648,14 @@ def geometric_bound(model, nu, nu_prime, obs, cfg: BoundConfig, C: LDSet,
     of check_conditions fails, #{0 <= i <= n : y_i in K} < (1 + gamma)(n + 1)/2,
     are flagged as not applicable.  The report's ``conditions`` are those of
     check_conditions, read from the records the bound evaluated.  A batch
-    gives a row per record, bit for bit that record's own call's.  ``kernel``
-    is the transition matrix on ``grid``, built here when None, so that an
-    experiment's filter and bound share one.
+    gives a row per record, bit for bit that record's own call's.
     """
     obs = np.asarray(obs)
-    terms = _record_terms(model, nu, nu_prime, obs, cfg.D, C, grid, kernel)
+    return _geometric(obs, _record_terms(model, nu, nu_prime, obs, cfg.D, C, grid), cfg, C)
+
+
+def _geometric(obs, terms: _RecordTerms, cfg: BoundConfig, C: LDSet) -> BoundReport:
+    """geometric_bound of ``obs`` from its _record_terms, taken with ``C``."""
     conditions, (k_ok, _, _) = _conditions(obs, terms, cfg)
     ns = np.arange(obs.shape[-1])
     log_num = (cfg.gamma - cfg.beta) * ns / 2.0 * np.log(cfg.eta) + 2.0 * terms.s_ups

@@ -14,7 +14,9 @@ configuration, with ``--seed``, ``--threads`` and ``--suite`` folded in,
 is the only input of a subcommand.  It is written to
 ``<out>/resolved_config.json`` before the subcommand runs, so a run, a
 failed one too, is reproducible from its output directory alone.  All
-writes stay inside ``--out``.
+writes stay inside ``--out``.  A geometric ``bound`` section without ``C``
+searches C on every record it bounds; ``experiment`` writes its bound and
+its r-sequences (``r_seq.csv``) from one ``run_forgetting`` pass.
 
 Exit codes: 0 success, 1 domain failure (degenerate filter, set not
 certifiable, hypothesis not verifiable), 2 usage or configuration error
@@ -32,8 +34,7 @@ import numpy as np
 
 from .bounds import (BoundConfig, H2UnverifiedError, NotCertifiableError,
                      certify_ld_set, geometric_bound, find_ld_set_for_eta, sharp_bound)
-from .experiments import (DEFAULT_GRID_M, ExperimentConfig, emit_report,
-                          estimate_r_sequences, run_forgetting)
+from .experiments import DEFAULT_GRID_M, ExperimentConfig, emit_report, run_forgetting
 from .gridfilter import DegenerateFilterError, _run_records, resolve_grid, transition_kernel
 from .grids import GridSpec, InitialDistribution
 from .models import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateModel,
@@ -119,7 +120,7 @@ COMMAND_KEYS = {
     "filter": ("seed", "model", "nu", "nu_prime", "grid", "observations"),
     "bound": ("seed", "model", "nu", "nu_prime", "grid", "observations", "bound"),
     "experiment": ("seed", "threads", "model", "star_model", "nu", "nu_prime", "nu_star",
-                   "n", "replications", "grid", "bound", "r_sequences"),
+                   "n", "replications", "grid", "bound"),
     "verify": ("suite",),
 }
 # the keys of the other sections
@@ -341,19 +342,13 @@ def cmd_experiment(cfg, out_dir):
     star = build_model(cfg.get("star_model", cfg["model"]))
     grid = build_grid(cfg, model)
     bound_cfg = ld_set = None
-    r_sequences = cfg.get("r_sequences", False)
-    if type(r_sequences) is not bool or r_sequences and "bound" not in cfg:
-        raise ConfigError("config entry 'r_sequences' must be true or false, and true only "
-                          f"with a 'bound' section; got {r_sequences!r}")
     if "bound" in cfg:
         bound_cfg = build_bound_cfg(cfg["bound"], model)
         if cfg["bound"].get("form", "geometric") != "geometric":
             raise ConfigError("experiment runs the geometric bound: bound entry 'form' must "
                               f"be 'geometric', got {cfg['bound']['form']!r}")
-        if "C" in cfg["bound"]:
+        if "C" in cfg["bound"]:  # else searched on every record
             ld_set = build_ld_set(cfg["bound"]["C"], model)
-        else:
-            raise ConfigError("experiment bound section needs an explicit 'C'")
     ecfg = ExperimentConfig(
         model=model, star_model=star,
         nu=build_init(cfg["nu"], "nu"), nu_prime=build_init(cfg["nu_prime"], "nu_prime"),
@@ -362,8 +357,7 @@ def cmd_experiment(cfg, out_dir):
         grid=grid, bound_cfg=bound_cfg, ld_set=ld_set,
         threads=int(cfg.get("threads", 1)),
     )
-    result = run_forgetting(ecfg)
-    emit_report(result, out_dir, r_seq=estimate_r_sequences(ecfg) if r_sequences else None)
+    emit_report(run_forgetting(ecfg), out_dir)
     return 0
 
 

@@ -17,18 +17,19 @@ thread count.  ``run_forgetting`` splits the replications into ``threads``
 contiguous blocks and filters each block's records in one lock-step pass
 (``gridfilter._run_records``), whose rows equal those of one record at a
 time bit for bit, so the outputs do not depend on how the blocks fall.
-The threads split the filter only.  The bound and the r-sequences are one
-``bounds._record_terms`` pass each over all records: the envelopes once
-per distinct observation of the experiment, each law's Phi factors once;
-only Phi's GEMV and its dots are taken record by record.  The experiment
-keeps that bound's BoundReport (``ExperimentResult.bound``) and writes it as
-``hmmforget bound`` does (``reports.write_bound_csv``), with ``rep`` first;
+The threads split the filter only.  The bound and the r-sequences
+(``ExperimentResult.bound``, ``.r_seq``) come from one ``_record_terms``
+pass over all records, C searched on their observations if not given: the
+envelopes once per distinct observation, each law's Phi factors once.  The
+bound is written as ``hmmforget bound`` does (``reports.write_bound_csv``),
+with ``rep`` first;
 its ``tv_curves.csv`` is likewise ``hmmforget filter``'s ``filter_trace.csv``
 of each replication, with ``rep`` first (``reports.write_trace_csv``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reports
-from .bounds import BoundConfig, BoundReport, LDSet, _conditions, _record_terms, geometric_bound
+from .bounds import (BoundConfig, BoundReport, LDSet, _conditions, _geometric, _record_terms,
+                     find_ld_set_for_eta)
 from .gridfilter import _run_records, resolve_grid, transition_kernel
 from .grids import GridSpec, InitialDistribution
 from .models import _simulate_records
@@ -59,7 +61,7 @@ class ExperimentConfig:
     seed: int
     grid: GridSpec | None = None
     bound_cfg: BoundConfig | None = None
-    ld_set: LDSet | None = None  # contraction set C for the geometric bound
+    ld_set: LDSet | None = None  # contraction set C of the bound; None: searched on the records
     threads: int = 1
 
     def __post_init__(self):
@@ -69,8 +71,8 @@ class ExperimentConfig:
             raise ValueError("need at least one replication")
         if self.threads < 1:
             raise ValueError("thread count must be >= 1")
-        if (self.bound_cfg is None) != (self.ld_set is None):
-            raise ValueError("bound_cfg and ld_set must be given together")
+        if self.ld_set is not None and self.bound_cfg is None:
+            raise ValueError("an ld_set needs a bound_cfg")
 
 
 def fit_rate(tv) -> float:
@@ -102,6 +104,7 @@ class ExperimentResult:
     logZ_nu_prime: np.ndarray
     rates: np.ndarray               # (replications,)
     bound: BoundReport | None = None  # a row per replication, conditions included
+    r_seq: RSequenceResult | None = None  # from the bound's record terms
 
     @property
     def median_rate(self) -> float:
@@ -136,7 +139,7 @@ def run_forgetting(cfg: ExperimentConfig) -> ExperimentResult:
     The replications are split into ``threads`` contiguous blocks, each
     filtered in one lock-step pass.  A degenerate record raises the
     DegenerateFilterError of the lowest replication that degenerates.  One
-    ``geometric_bound`` call takes every record.
+    ``_record_terms`` pass over every record gives the bound and ``r_seq``.
     """
     grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
     kernel = transition_kernel(cfg.model, grid)
@@ -155,9 +158,11 @@ def run_forgetting(cfg: ExperimentConfig) -> ExperimentResult:
     out = ExperimentResult(config=cfg, tv=tv, logZ_nu=logZ[:, :, 0],
                            logZ_nu_prime=logZ[:, :, 1],
                            rates=np.array([fit_rate(row) for row in tv]))
-    if cfg.bound_cfg is not None:
-        out.bound = geometric_bound(cfg.model, cfg.nu, cfg.nu_prime, obs, cfg.bound_cfg,
-                                    cfg.ld_set, grid=grid, kernel=kernel)
+    b = cfg.bound_cfg
+    if b is not None:
+        C = cfg.ld_set or find_ld_set_for_eta(cfg.model, b.eta, b.K, obs)
+        terms = _record_terms(cfg.model, cfg.nu, cfg.nu_prime, obs, b.D, C, grid, kernel)
+        out.bound, out.r_seq = _geometric(obs, terms, b, C), _r_sequences(obs, terms, b)
     return out
 
 
@@ -190,15 +195,19 @@ def dyadic_horizons(n_max: int) -> np.ndarray:
 
 
 def estimate_r_sequences(cfg: ExperimentConfig) -> RSequenceResult:
-    """Monte Carlo estimates of the four event frequencies on a dyadic grid."""
+    """Monte Carlo estimates of the four event frequencies on a dyadic grid:
+    ``run_forgetting``'s ``r_seq`` without the filter."""
     if cfg.bound_cfg is None:
         raise ValueError("r-sequence estimation needs a bound configuration")
-    b = cfg.bound_cfg
     grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
-    kernel = transition_kernel(cfg.model, grid)
-    ns = dyadic_horizons(cfg.n)
     obs = _records(cfg)
-    terms = _record_terms(cfg.model, cfg.nu, cfg.nu_prime, obs, b.D, None, grid, kernel)
+    terms = _record_terms(cfg.model, cfg.nu, cfg.nu_prime, obs, cfg.bound_cfg.D, None, grid)
+    return _r_sequences(obs, terms, cfg.bound_cfg)
+
+
+def _r_sequences(obs, terms, b: BoundConfig) -> RSequenceResult:
+    """The event frequencies over the records ``obs`` (rows), from their _record_terms."""
+    ns = dyadic_horizons(obs.shape[-1] - 1)
     k_ok, ups_ok, psi_ok = _conditions(obs, terms, b)[1]
     lphi, lphi2 = terms.log_phi[:, :, None]
     events = np.stack([lphi <= -b.M0 * ns, lphi2 <= -b.M0 * ns,
@@ -212,8 +221,7 @@ def estimate_r_sequences(cfg: ExperimentConfig) -> RSequenceResult:
 # Report emission
 
 
-def emit_report(result: ExperimentResult, out_dir: str,
-                r_seq: RSequenceResult | None = None) -> None:
+def emit_report(result: ExperimentResult, out_dir: str) -> None:
     """Write the deterministic CSV/text outputs of an experiment."""
     reports.ensure_dir(out_dir)
     reps = len(result.tv)
@@ -230,9 +238,8 @@ def emit_report(result: ExperimentResult, out_dir: str,
         reports.write_csv(os.path.join(out_dir, "conditions.csv"),
                           ["rep", "avg_k_frequency", "avg_log_upsilon",
                            "avg_log_psi", "all_ok"], rows)
-    if r_seq is not None:
-        rows = zip(r_seq.ns, r_seq.r0_nu, r_seq.r0_nu_prime, r_seq.r1,
-                   r_seq.r2, r_seq.r3)
+    if result.r_seq is not None:
+        rows = zip(*dataclasses.astuple(result.r_seq))  # n, r0_nu, r0_nu_prime, r1, r2, r3
         reports.write_csv(os.path.join(out_dir, "r_seq.csv"),
                           ["n", "r0_nu", "r0_nuprime", "r1", "r2", "r3"], rows)
     q1, q3 = result.rate_iqr

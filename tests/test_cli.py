@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from hmmforget import LGSSM, GridSpec, InitialDistribution, run_two_filters, simulate
+from hmmforget import bounds, cli, experiments, gridfilter, models
 from hmmforget.bounds import _log_sup
 from hmmforget.cli import main
 from hmmforget.reports import write_trajectory_csv
@@ -185,11 +187,13 @@ def test_unknown_observation_key_exits_2(tmp_path, capsys, command, observations
 ])
 def test_r_sequences_must_be_true_or_false_and_have_a_bound(tmp_path, capsys, override,
                                                             with_bound):
+    # 'r_sequences' is no longer a key: an experiment with a bound writes
+    # r_seq.csv unasked, so every value, true too, exits 2 and names the key
     cfg = write_cfg(tmp_path, bound_experiment_cfg() if with_bound else experiment_cfg())
     assert main(["experiment", "--config", cfg, "--seed", "1", "--set", override,
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: config entry 'r_sequences'")
+    assert err.startswith("configuration error: config has unknown key 'r_sequences'")
     assert not (tmp_path / "o" / "r_seq.csv").exists()
 
 
@@ -209,7 +213,7 @@ def test_experiment_bound_form_other_than_geometric_exits_2(tmp_path, capsys, fo
     ("bound.K=[NaN, 1]", "K must"),
 ])
 def test_nan_threshold_or_empty_K_exits_2(tmp_path, capsys, override, message):
-    cfg = write_cfg(tmp_path, {**bound_experiment_cfg(), "r_sequences": True})
+    cfg = write_cfg(tmp_path, bound_experiment_cfg())
     assert main(["experiment", "--config", cfg, "--seed", "1", "--set", override,
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -235,11 +239,32 @@ def test_geometric_bound_on_a_finite_model_without_C_exits_2(tmp_path, capsys):
 
 
 def test_every_known_section_key_still_runs(tmp_path):
-    cfg = write_cfg(tmp_path, {**bound_experiment_cfg(), "r_sequences": True,
-                               "grid": {"lo": -10, "hi": 10, "m": 64}})
+    cfg = write_cfg(tmp_path, {**bound_experiment_cfg(), "grid": {"lo": -10, "hi": 10, "m": 64}})
     assert main(["experiment", "--config", cfg, "--seed", "1", "--set", "bound.M0=2",
                  "--set", "bound.K=[-5, 5]", "--out", str(tmp_path / "o")]) == 0
     assert (tmp_path / "o" / "r_seq.csv").exists()
+
+
+def test_an_experiment_with_a_bound_is_one_pass(tmp_path, monkeypatch):
+    # the filter, the bound and the r-sequences read one record pass, one
+    # kernel and one evaluation of the envelopes and Phi
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (models, gridfilter, bounds, experiments, cli):
+        for name in ("_simulate_records", "transition_kernel", "_record_terms"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    cfg = write_cfg(tmp_path, bound_experiment_cfg())
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+    assert (out / "r_seq.csv").exists() and (out / "bound.csv").exists()
+    assert calls == {"_simulate_records": 1, "transition_kernel": 1, "_record_terms": 1}
 
 
 def test_unknown_model_kind_exits_2(tmp_path, capsys):
@@ -256,6 +281,7 @@ def test_experiment_outputs_and_resolved_config(tmp_path):
                  "--out", str(out)]) == 0
     assert (out / "tv_curves.csv").exists()
     assert (out / "rates.csv").exists()
+    assert not (out / "r_seq.csv").exists()  # no bound section, no r-sequences
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["seed"] == 5
     assert resolved["model"]["phi"] == 0.9
@@ -497,8 +523,7 @@ ROUND_TRIP = {
                         "D": {"interval": [-2, 2]}, "C": {"interval": [-3, 3]}}},
     "experiment": {**experiment_cfg(),
                    "bound": {"beta": 0.2, "gamma": 0.5, "eta": 0.5, "M1": 3.0,
-                             "D": {"interval": [-2, 2]}, "C": {"interval": [-3, 3]}},
-                   "r_sequences": True},
+                             "D": {"interval": [-2, 2]}, "C": {"interval": [-3, 3]}}},
 }
 
 
@@ -703,6 +728,9 @@ SHARP_ROUND_TRIP = {**ROUND_TRIP["bound"], "bound": {"form": "sharp", "beta": 0.
 BOUND_SEARCH = {**ROUND_TRIP["bound"],
                 "bound": {k: v for k, v in ROUND_TRIP["bound"]["bound"].items() if k != "C"}}
 EXPERIMENT_NO_C = {**ROUND_TRIP["experiment"], "bound": BOUND_SEARCH["bound"]}
+FINITE_EXPERIMENT_NO_C = {**FINITE_EXPERIMENT,
+                          "bound": {**BOUND_SEARCH["bound"], "D": {"states": [0, 1]}}}
+TOBIT = '{"kind": "tobit", "phi": 0.5, "sigma": 1.0, "beta": 1.0}'
 REFUSALS = [  # (command, config, overrides, exit code, message)
     ("simulate", "simulate", ["n=-1"], 2, "horizon must be >= 0"),
     ("simulate", "simulate", ["model.phi=1.5"], 2, "autoregression needs |phi| < 1"),
@@ -754,7 +782,10 @@ REFUSALS = [  # (command, config, overrides, exit code, message)
     ("bound", FINITE_BOUND, ['bound.C={"interval": [0, 1]}'],
      2, "LD-set has unknown key 'interval' (known keys: states)"),
     ("experiment", "experiment", ["replications=0"], 2, "need at least one replication"),
-    ("experiment", EXPERIMENT_NO_C, [], 2, "experiment bound section needs an explicit 'C'"),
+    # without a C, experiment searches one on its records as bound does on its record
+    ("experiment", FINITE_EXPERIMENT_NO_C, [], 2, "a finite model needs an explicit C"),
+    ("experiment", EXPERIMENT_NO_C, [f"model={TOBIT}"], 1, "no interval of radius"),
+    ("bound", BOUND_SEARCH, [f"model={TOBIT}"], 1, "no interval of radius"),
 ]
 
 

@@ -9,7 +9,7 @@ from hmmforget import (NLSSM, BoundConfig, DegenerateFilterError, DriftFunction,
                        ExperimentConfig, FiniteStateModel, GridSpec, HypothesisWarning,
                        InitialDistribution, LDSet, LGSSM, StochVolModel, TobitModel,
                        certify_ld_set, check_conditions, emit_report, estimate_r_sequences,
-                       fit_rate, geometric_bound, log_psi_batch, phi, random_finite_model, rho,
+                       find_ld_set_for_eta, fit_rate, geometric_bound, log_psi_batch, phi, random_finite_model, rho,
                        run_forgetting, run_two_filters, simulate, transition_kernel)
 from hmmforget import bounds, experiments, gridfilter
 from hmmforget.bounds import _conditions, _record_terms
@@ -253,20 +253,19 @@ BOUND_CASES = {
 def bounds_per_record(cfg):
     """The experiment's bound as a loop over records: each record simulated
     on its own and given to its own geometric_bound call, on the
-    experiment's grid and kernel."""
+    experiment's grid."""
     grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
-    kernel = transition_kernel(cfg.model, grid)
     return [geometric_bound(cfg.model, cfg.nu, cfg.nu_prime,
                             simulate(cfg.star_model, cfg.n, cfg.nu_star, cfg.seed, rep).obs,
-                            cfg.bound_cfg, cfg.ld_set, grid=grid, kernel=kernel)
+                            cfg.bound_cfg, cfg.ld_set, grid=grid)
             for rep in range(cfg.replications)]
 
 
 @pytest.mark.parametrize("name", BOUND_CASES)
 def test_the_experiments_bound_equals_the_per_record_loop(name, monkeypatch):
-    # one geometric_bound call on every record of the experiment gives each
-    # record the bound, the verdicts and the conditions of its own call, bit
-    # for bit, at any replication and thread count
+    # one _record_terms call on every record of the experiment gives each
+    # record the bound, the verdicts and the conditions of its own
+    # geometric_bound call, bit for bit, at any replication and thread count
     cfg = BOUND_CASES[name]()
     expected = bounds_per_record(cfg)
     applies = np.stack([b.applies for b in expected])
@@ -275,9 +274,9 @@ def test_the_experiments_bound_equals_the_per_record_loop(name, monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(np.shape(args[3]))
-        return geometric_bound(*args, **kwargs)
+        return _record_terms(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "geometric_bound", counted)
+    monkeypatch.setattr(experiments, "_record_terms", counted)
     for replications in (1, 3, 5):
         want = expected[:replications]
         for threads in (1, 2, 3):
@@ -299,6 +298,25 @@ def test_the_experiments_bound_equals_the_per_record_loop(name, monkeypatch):
                 [b.conditions.all_ok for b in want]).tobytes()
     # the totals clip at 1 on these horizons: the ratio term is finite past n = 0
     assert np.all(np.isfinite(res.bound.log_term_ratio[:, 1:]))
+
+
+@pytest.mark.parametrize("name", ["lgssm", "nlssm_tanh"])
+def test_an_experiment_without_C_searches_it_on_every_record(name):
+    # C is find_ld_set_for_eta's on the observations of all the records, as
+    # `hmmforget bound` takes it on its one record, and the bound is
+    # geometric_bound's with that C
+    cfg = dataclasses.replace(BOUND_CASES[name](), ld_set=None)
+    b = cfg.bound_cfg
+    obs = experiments._records(cfg)
+    C = find_ld_set_for_eta(cfg.model, b.eta, b.K, obs)
+    assert C != find_ld_set_for_eta(cfg.model, b.eta, b.K, obs[0])
+    res = run_forgetting(cfg)
+    assert res.bound.inputs["C"] == C
+    want = geometric_bound(cfg.model, cfg.nu, cfg.nu_prime, obs, b, C,
+                           grid=resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M))
+    for f in ("n", "log_term_geo", "log_term_ratio", "total_clipped", "applies", "a_n"):
+        assert getattr(res.bound, f).tobytes() == getattr(want, f).tobytes(), f
+    assert (res.bound.rho, res.bound.inputs) == (want.rho, want.inputs)
 
 
 def test_r2_sums_log_psi_from_index_two():
@@ -402,6 +420,9 @@ R_CONFIGS = {
                               G(-4, 1), G(4, 1), G(0, 1), M2=2.2),
     "stochvol": lambda: r_config(StochVolModel(0.9, 0.3, 1.0), (-1.0, 1.0), (-1.5, 1.5),
                                  G(-1, 0.5), G(1, 0.5), G(0, 0.5), M2=1.5),
+    "nlssm_tanh": lambda: r_config(
+        NLSSM("tanh", 0.5, 1.0, 1.0, kappa=-1.5, drift=DriftFunction.exp_abs(0.5)),
+        (-2.0, 2.0), (-3.0, 3.0), G(-4, 1), G(4, 1), G(0, 1), M2=2.2),
     "finite": lambda: r_config(random_finite_model(5), (0, 1), (0, 1, 2),
                                InitialDistribution.finite([0.8, 0.1, 0.1]),
                                InitialDistribution.finite([0.1, 0.1, 0.8]),
@@ -421,6 +442,12 @@ def test_r_sequences_equal_the_per_record_loop(name):
         rs = estimate_r_sequences(dataclasses.replace(cfg, threads=threads))
         got = np.stack([rs.r0_nu, rs.r0_nu_prime, rs.r1, rs.r2, rs.r3])
         assert got.tobytes() == expected.tobytes(), threads
+    # the experiment's r_seq, read from the terms of its bound (taken with a
+    # C, which no event reads), is the filter-free estimate
+    for threads in (1, 2, 3):
+        r_seq = run_forgetting(dataclasses.replace(cfg, threads=threads)).r_seq
+        for f in dataclasses.fields(rs):
+            assert np.array_equal(getattr(r_seq, f.name), getattr(rs, f.name)), (f.name, threads)
     # log Phi of every record, both laws, is np.log(phi(...)) bit for bit
     grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
     kernel = transition_kernel(cfg.model, grid)
@@ -457,7 +484,7 @@ def test_experiment_refusals(small_cfg):
         estimate_r_sequences(small_cfg)
     D = certify_ld_set(small_cfg.model, (-2.0, 2.0))
     bcfg = BoundConfig(beta=0.2, gamma=0.5, eta=0.5, D=D)
-    with pytest.raises(ValueError, match="bound_cfg and ld_set must be given together"):
-        dataclasses.replace(small_cfg, bound_cfg=bcfg)
-    with pytest.raises(ValueError, match="bound_cfg and ld_set must be given together"):
+    # a bound without a C is one whose C is searched on the records
+    assert dataclasses.replace(small_cfg, bound_cfg=bcfg).ld_set is None
+    with pytest.raises(ValueError, match="an ld_set needs a bound_cfg"):
         dataclasses.replace(small_cfg, ld_set=D)

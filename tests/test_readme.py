@@ -15,6 +15,7 @@ def test_library_sketch_runs(tmp_path, monkeypatch):
     namespace = {}
     exec(compile(code, f"{README} (Library sketch)", "exec"), namespace)
     assert (tmp_path / "out" / "bound.csv").is_file()
+    assert (tmp_path / "out" / "r_seq.csv").is_file()
     res, tres = namespace["res"], namespace["tres"]
     assert len(res.log_delta_n) == 2001 and res.log_delta_n[-1] < -709  # below 1e-308
     assert (tres.log_delta_n <= tres.log_rhs_n).all()

@@ -14,6 +14,14 @@ import numpy as np
 _NORM_LOG_C = np.log(np.sqrt(2 * np.pi))
 
 
+def _check_finite(what, **params):
+    """Raise a ValueError naming the first of ``params`` that holds NaN or an
+    infinity, which no model, law, drift or grid can take."""
+    for name, value in params.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{what} {name} must be finite, got {np.asarray(value).tolist()}")
+
+
 def logsumexp(u, axis=None):
     """log sum exp(u) over ``axis`` (every entry when None).
 
@@ -72,10 +80,11 @@ class GridSpec:
     m: int
 
     def __post_init__(self):
+        _check_finite("grid", lo=self.lo, hi=self.hi)
         if not self.lo < self.hi:
             raise ValueError(f"grid bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
-        if self.m < 16:
-            raise ValueError(f"grid must have at least 16 cells, got m={self.m}")
+        if not isinstance(self.m, (int, np.integer)) or self.m < 16:
+            raise ValueError(f"grid must have a whole number m >= 16 of cells, got m={self.m}")
 
     @property
     def delta(self) -> float:
@@ -104,25 +113,29 @@ class InitialDistribution:
 
     @classmethod
     def gaussian(cls, mean, sd):
-        if sd <= 0:
+        _check_finite("gaussian initial distribution", mean=mean, sd=sd)
+        if not sd > 0:
             raise ValueError("gaussian initial distribution needs sd > 0")
         return cls("gaussian", mean=float(mean), sd=float(sd))
 
     @classmethod
     def uniform(cls, a, b):
+        _check_finite("uniform initial distribution", a=a, b=b)
         if not a < b:
             raise ValueError("uniform initial distribution needs a < b")
         return cls("uniform", a=float(a), b=float(b))
 
     @classmethod
     def point_mass(cls, x):
+        _check_finite("point mass", x=x)
         # an integer stays one, so that it samples as a finite state
         return cls("point_mass", x=x if isinstance(x, (int, np.integer)) else float(x))
 
     @classmethod
     def finite(cls, p):
         p = np.asarray(p, dtype=float)
-        if np.any(p < 0) or p.sum() <= 0:
+        _check_finite("finite initial vector", p=p)
+        if np.any(p < 0) or not p.sum() > 0:
             raise ValueError("finite initial vector must be nonnegative and normalizable")
         return cls("finite", values=p / p.sum())
 

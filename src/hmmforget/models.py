@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .grids import InitialDistribution, norm_logpdf
+from .grids import InitialDistribution, _check_finite, norm_logpdf
 from .rng import normal_pairs, uniform_pairs
 
 DOMAIN_SD_MULTIPLE = 8.0
@@ -73,8 +73,8 @@ class DriftFunction:
     def __post_init__(self):
         if self.form not in ("one", "exp_abs"):
             raise ValueError(f"unknown drift form {self.form!r}")
-        if self.form == "exp_abs" and self.c <= 0:
-            raise ValueError("exp_abs drift needs c > 0")
+        if self.form == "exp_abs" and not 0 < self.c < np.inf:
+            raise ValueError(f"exp_abs drift needs c > 0 and finite, got c={self.c}")
 
     @classmethod
     def one(cls):
@@ -157,16 +157,19 @@ class GaussianStateModel(StateSpaceModel):
     def __init__(self, phi, sigma, beta, drift=None, domain_halfwidth=None):
         if not abs(phi) < 1:
             raise ValueError("autoregression needs |phi| < 1")
-        if sigma <= 0:
-            raise ValueError("state noise s.d. must be positive")
-        if beta <= 0:
-            raise ValueError("observation noise s.d. must be positive")
+        if not 0 < sigma < np.inf:
+            raise ValueError(f"state noise s.d. must be positive and finite, got {sigma=}")
+        if not 0 < beta < np.inf:
+            raise ValueError(f"observation noise s.d. must be positive and finite, got {beta=}")
         self.phi = float(phi)
         self.state_sd = float(sigma)
         self.beta = float(beta)
         self.drift = drift if drift is not None else DriftFunction.one()
         if domain_halfwidth is None:
             domain_halfwidth = DOMAIN_SD_MULTIPLE * sigma / np.sqrt(1 - phi * phi)
+        elif not 0 < domain_halfwidth < np.inf:
+            raise ValueError(f"the domain half-width must be positive and finite, got "
+                             f"{domain_halfwidth=}")
         self.domain = (-float(domain_halfwidth), float(domain_halfwidth))
 
     # -- transition ---------------------------------------------------------
@@ -275,6 +278,7 @@ class LGSSM(GaussianStateModel):
     kind = "lgssm"
 
     def __init__(self, phi, sigma, beta, h0=1.0, drift=None, domain_halfwidth=None):
+        _check_finite(self.kind, h0=h0)
         super().__init__(phi, sigma, beta, drift, domain_halfwidth)
         self.obs_slope = float(h0)
 
@@ -327,6 +331,7 @@ class NLSSM(GaussianStateModel):
                  drift=None, domain_halfwidth=None):
         if drift_form not in ("linear_shrink", "tanh"):
             raise ValueError(f"unknown state drift form {drift_form!r}")
+        _check_finite(self.kind, kappa=kappa, obs_a=obs_a, obs_b=obs_b)
         if not 0 < delta < 2:
             raise ValueError("linear shrink needs delta in (0, 2)")
         if drift_form == "linear_shrink" and kappa != 0:
@@ -400,6 +405,7 @@ class FiniteStateModel(StateSpaceModel):
         if drift_values is None:
             drift_values = np.ones(self.m)
         self.drift_values = np.asarray(drift_values, dtype=float)
+        _check_finite("finite model", drift_values=self.drift_values)
         if np.any(self.drift_values < 1):
             raise ValueError("drift values must be >= 1")
 

@@ -750,6 +750,28 @@ REFUSALS = [  # (command, config, overrides, exit code, message)
     ("simulate", "simulate", ["model.transition=[[0.5], [0.5, 0.5]]"],
      2, "model entry 'transition' must be an array of numbers"),
     ("simulate", "simulate", ['model={"phi": 0.5}'], 2, "model section needs a 'kind'"),
+    # a parameter that no model, law, drift or grid can hold, NaN and infinities included
+    ("simulate", "simulate", ["model.beta=NaN"], 2, "observation noise s.d. must be positive and "
+                                                     "finite, got beta=nan"),
+    ("simulate", "simulate", ["model.sigma=Infinity"], 2, "got sigma=inf"),
+    ("simulate", "simulate", ["init.sd=NaN"], 2, "initial distribution sd must be finite"),
+    ("simulate", "simulate", ["model.domain_halfwidth=-1"], 2, "got domain_halfwidth=-1"),
+    ("simulate", "simulate", ["model.h0=NaN"], 2, "lgssm h0 must be finite"),
+    ("simulate", "simulate", ['model.drift={"form": "exp_abs", "c": NaN}'],
+     2, "exp_abs drift needs c > 0 and finite, got c=nan"),
+    ("simulate", "simulate", ['init={"form": "point_mass", "at": NaN}'],
+     2, "point mass x must be finite"),
+    ("simulate", "simulate", ['init={"form": "uniform", "lo": 0, "hi": Infinity}'],
+     2, "uniform initial distribution b must be finite"),
+    ("simulate", "simulate", ['model={"kind": "nlssm", "drift_form": "tanh", "delta": 0.5, '
+                              '"sigma0": 1, "beta": 1, "kappa": NaN}'],
+     2, "nlssm kappa must be finite"),
+    ("simulate", "simulate", ['model={"kind": "finite", "transition": [[0.5, 0.5], [0.5, 0.5]], '
+                              '"emission": [[1], [1]], "drift_values": [1, NaN]}'],
+     2, "finite model drift_values must be finite"),
+    ("filter", "filter", ["grid.lo=-Infinity", "grid.hi=7"], 2, "grid lo must be finite"),
+    ("filter", "filter", ['nu={"form": "finite", "weights": [NaN, 1]}'],
+     2, "finite initial vector p must be finite"),
     ("simulate", "simulate", ['model.drift={"form": "cubic"}'], 2, "unknown drift"),
     ("filter", [1], [], 2, "config root must be a JSON object"),
     ("filter", "filter", ["grid"], 2, "override 'grid' is not of the form key=value"),

@@ -595,3 +595,56 @@ def test_drift_and_trajectory_refusals():
         DriftFunction.exp_abs(0.0)
     with pytest.raises(ValueError, match="hidden and observed paths must have equal length"):
         hmmforget.Trajectory(obs=[0.1, 0.2], hidden=[0.0])
+
+
+NAN, INF = float("nan"), float("inf")
+G = InitialDistribution
+
+
+UNHOLDABLE = {  # a parameter no model, law, drift or grid can hold, and its message
+    "sigma-nan": (lambda: LGSSM(0.5, NAN, 1),
+                  "state noise s.d. must be positive and finite, got sigma=nan"),
+    "sigma-inf": (lambda: LGSSM(0.5, INF, 1),
+                  "state noise s.d. must be positive and finite, got sigma=inf"),
+    "beta-nan": (lambda: LGSSM(0.5, 1, NAN), "observation noise s.d. must be positive and finite"),
+    "h0-nan": (lambda: LGSSM(0.5, 1, 1, h0=NAN), "lgssm h0 must be finite, got nan"),
+    "halfwidth-negative": (lambda: LGSSM(0.5, 1, 1, domain_halfwidth=-1),
+                           "got domain_halfwidth=-1"),
+    "halfwidth-inf": (lambda: LGSSM(0.5, 1, 1, domain_halfwidth=INF), "got domain_halfwidth=inf"),
+    "kappa-nan": (lambda: NLSSM("tanh", 0.5, 1, 1, kappa=NAN), "nlssm kappa must be finite"),
+    "obs_a-inf": (lambda: NLSSM("linear_shrink", 0.5, 1, 1, obs_a=INF),
+                  "nlssm obs_a must be finite"),
+    "obs_b-nan": (lambda: NLSSM("linear_shrink", 0.5, 1, 1, obs_b=NAN),
+                  "nlssm obs_b must be finite"),
+    "drift-c-nan": (lambda: DriftFunction.exp_abs(NAN), "exp_abs drift needs c > 0 and finite"),
+    "drift-c-inf": (lambda: DriftFunction.exp_abs(INF), "exp_abs drift needs c > 0 and finite"),
+    "gaussian-mean-inf": (lambda: G.gaussian(INF, 1), "gaussian initial distribution mean must"),
+    "gaussian-sd-nan": (lambda: G.gaussian(0, NAN), "gaussian initial distribution sd must"),
+    "point-mass-nan": (lambda: G.point_mass(NAN), "point mass x must be finite, got nan"),
+    "uniform-inf": (lambda: G.uniform(0, INF), "uniform initial distribution b must be finite"),
+    "finite-law-nan": (lambda: G.finite([NAN, 1]),
+                       r"finite initial vector p must be finite, got \[nan, 1.0\]"),
+    "drift-values-nan": (lambda: FiniteStateModel([[0.5, 0.5], [0.5, 0.5]], [[1.0], [1.0]],
+                                                  drift_values=[1, NAN]),
+                         r"finite model drift_values must be finite, got \[1.0, nan\]"),
+    "grid-m-fraction": (lambda: GridSpec(0, 1, 16.5),
+                        "grid must have a whole number m >= 16 of cells, got m=16.5"),
+    "grid-lo-inf": (lambda: GridSpec(-INF, 1, 16), "grid lo must be finite, got -inf"),
+    "grid-hi-nan": (lambda: GridSpec(0, NAN, 16), "grid hi must be finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("name", UNHOLDABLE)
+def test_a_parameter_nothing_can_hold_is_refused_at_construction_and_named(name):
+    # each check is written so that NaN fails it; a refusal is a plain
+    # ValueError (exit 2 in the CLI), never the DomainError of an input
+    build, message = UNHOLDABLE[name]
+    with pytest.raises(ValueError, match=message) as exc:
+        build()
+    assert type(exc.value) is ValueError
+
+
+def test_a_zero_observation_slope_is_still_a_model():
+    assert LGSSM(0.5, 1, 1, h0=0).obs_slope == 0.0
+    assert NLSSM("linear_shrink", 0.5, 1, 1, obs_a=0).obs_slope == 0.0
+    assert GridSpec(0, 1, np.int64(16)).centers.shape == (16,)

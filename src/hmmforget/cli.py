@@ -38,7 +38,7 @@ from .experiments import DEFAULT_GRID_M, ExperimentConfig, emit_report, run_forg
 from .gridfilter import DegenerateFilterError, _run_records, resolve_grid, transition_kernel
 from .grids import GridSpec, InitialDistribution
 from .models import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateModel,
-                     StochVolModel, TobitModel, simulate)
+                     StochVolModel, TobitModel, Trajectory, _simulate_records, simulate)
 from .reports import (ensure_dir, write_bound_csv, write_bound_summary, write_csv,
                       write_trace_csv, write_trajectory_csv)
 from .verify import SUITES, DriftPreconditionError, run_suite
@@ -291,9 +291,10 @@ def cmd_simulate(cfg, out_dir):
     reps = int(cfg.get("replications", 1))
     if reps < 1:
         raise ConfigError(f"need at least one replication, got {reps}")
-    for rep in range(reps):
-        traj = simulate(model, n, init, seed, replication=rep)
-        write_trajectory_csv(traj, os.path.join(out_dir, f"trajectory_{rep:04d}.csv"))
+    records = zip(*_simulate_records(model, n, init, seed, range(reps)))  # one pass, row r = rep r
+    for rep, (obs, hidden) in enumerate(records):
+        path = os.path.join(out_dir, f"trajectory_{rep:04d}.csv")
+        write_trajectory_csv(Trajectory(obs, hidden), path)
     return 0
 
 

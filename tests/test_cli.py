@@ -109,6 +109,36 @@ def test_seed_of_2_to_the_64_is_taken_whole(tmp_path, capsys):
         "configuration error: config entry 'seed' must be an integer")
 
 
+@pytest.mark.parametrize("model, init", [
+    (MODEL, GAUSS(0)),
+    ({"kind": "tobit", "phi": 0.5, "sigma": 1.0, "beta": 1.0},
+     {"form": "uniform", "lo": -1, "hi": 1}),
+    ({"kind": "stochvol", "phi": 0.9, "sigma": 0.3, "beta": 1.0}, GAUSS(0)),
+    ({"kind": "nlssm", "drift_form": "tanh", "delta": 0.5, "sigma0": 1.0, "beta": 1.0,
+      "kappa": -1.5}, {"form": "point_mass", "at": 0.5}),
+    ({"kind": "finite", "transition": [[0.8, 0.2], [0.3, 0.7]],
+      "emission": [[0.6, 0.4], [0.3, 0.7]]}, {"form": "finite", "weights": [0.5, 0.5]}),
+], ids=["lgssm", "tobit", "stochvol", "nlssm", "finite"])
+def test_simulate_draws_every_replication_in_one_record_pass(tmp_path, monkeypatch, model, init):
+    # one _simulate_records call; each file is the bytes of simulate(..., r)'s trajectory
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return models._simulate_records(*args)
+
+    monkeypatch.setattr(cli, "_simulate_records", counted)
+    cfg = write_cfg(tmp_path, {"model": model, "init": init, "n": 30, "replications": 4})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+    assert calls == [range(4)]
+    built, law = cli.build_model(model), cli.build_init(init, "init")
+    for rep in range(4):
+        ref = tmp_path / f"ref{rep}.csv"
+        write_trajectory_csv(simulate(built, 30, law, 5, replication=rep), str(ref))
+        assert (out / f"trajectory_{rep:04d}.csv").read_bytes() == ref.read_bytes()
+
+
 @pytest.mark.parametrize("replications", [0, -1])
 def test_simulate_without_replications_exits_2(tmp_path, capsys, replications):
     cfg = write_cfg(tmp_path, {"model": MODEL, "init": GAUSS(0), "n": 10,

@@ -29,10 +29,9 @@ of each replication, with ``rep`` first (``reports.write_trace_csv``).
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -239,7 +238,7 @@ def emit_report(result: ExperimentResult, out_dir: str) -> None:
                           ["rep", "avg_k_frequency", "avg_log_upsilon",
                            "avg_log_psi", "all_ok"], rows)
     if result.r_seq is not None:
-        rows = zip(*dataclasses.astuple(result.r_seq))  # n, r0_nu, r0_nu_prime, r1, r2, r3
+        rows = zip(*astuple(result.r_seq))  # n, r0_nu, r0_nu_prime, r1, r2, r3
         reports.write_csv(os.path.join(out_dir, "r_seq.csv"),
                           ["n", "r0_nu", "r0_nuprime", "r1", "r2", "r3"], rows)
     q1, q3 = result.rate_iqr

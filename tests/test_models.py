@@ -644,7 +644,7 @@ def test_a_parameter_nothing_can_hold_is_refused_at_construction_and_named(name)
     assert type(exc.value) is ValueError
 
 
-def test_a_zero_observation_slope_is_still_a_model():
+def test_a_zero_observation_slope_and_a_numpy_cell_count_are_held():
     assert LGSSM(0.5, 1, 1, h0=0).obs_slope == 0.0
     assert NLSSM("linear_shrink", 0.5, 1, 1, obs_a=0).obs_slope == 0.0
     assert GridSpec(0, 1, np.int64(16)).centers.shape == (16,)

@@ -143,6 +143,9 @@ def run_forgetting(cfg: ExperimentConfig) -> ExperimentResult:
     grid = resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M)
     kernel = transition_kernel(cfg.model, grid)
     obs = _records(cfg)
+    b, C = cfg.bound_cfg, cfg.ld_set
+    if b is not None and C is None:  # before the filter, whose work a failed search would waste
+        C = find_ld_set_for_eta(cfg.model, b.eta, b.K, obs)
     reps = range(cfg.replications)
     t = min(cfg.threads, len(reps))
     blocks = [reps[len(reps) * i // t:len(reps) * (i + 1) // t] for i in range(t)]
@@ -157,9 +160,7 @@ def run_forgetting(cfg: ExperimentConfig) -> ExperimentResult:
     out = ExperimentResult(config=cfg, tv=tv, logZ_nu=logZ[:, :, 0],
                            logZ_nu_prime=logZ[:, :, 1],
                            rates=np.array([fit_rate(row) for row in tv]))
-    b = cfg.bound_cfg
     if b is not None:
-        C = cfg.ld_set or find_ld_set_for_eta(cfg.model, b.eta, b.K, obs)
         terms = _record_terms(cfg.model, cfg.nu, cfg.nu_prime, obs, b.D, C, grid, kernel)
         out.bound, out.r_seq = _geometric(obs, terms, b, C), _r_sequences(obs, terms, b)
     return out

@@ -405,6 +405,8 @@ class FiniteStateModel(StateSpaceModel):
         if drift_values is None:
             drift_values = np.ones(self.m)
         self.drift_values = np.asarray(drift_values, dtype=float)
+        if self.drift_values.shape != (self.m,):
+            raise ValueError(f"drift_values must hold one value per state, got {drift_values}")
         _check_finite("finite model", drift_values=self.drift_values)
         if np.any(self.drift_values < 1):
             raise ValueError("drift values must be >= 1")

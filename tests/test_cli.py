@@ -799,6 +799,9 @@ REFUSALS = [  # (command, config, overrides, exit code, message)
     ("simulate", "simulate", ['model={"kind": "finite", "transition": [[0.5, 0.5], [0.5, 0.5]], '
                               '"emission": [[1], [1]], "drift_values": [1, NaN]}'],
      2, "finite model drift_values must be finite"),
+    ("simulate", "simulate", ['model={"kind": "finite", "transition": [[0.5, 0.5], [0.5, 0.5]], '
+                              '"emission": [[1], [1]], "drift_values": [1]}'],
+     2, "drift_values must hold one value per state, got [1]"),
     ("filter", "filter", ["grid.lo=-Infinity", "grid.hi=7"], 2, "grid lo must be finite"),
     ("filter", "filter", ['nu={"form": "finite", "weights": [NaN, 1]}'],
      2, "finite initial vector p must be finite"),

@@ -319,6 +319,16 @@ def test_an_experiment_without_C_searches_it_on_every_record(name):
     assert (res.bound.rho, res.bound.inputs) == (want.rho, want.inputs)
 
 
+def test_a_search_that_fails_stops_the_experiment_before_the_filter(monkeypatch):
+    # tobit with 0 in K: at y = 0 no interval meets the envelope
+    cfg = dataclasses.replace(BOUND_CASES["tobit"](), ld_set=None)
+    filtered = []
+    monkeypatch.setattr(experiments, "_run_records", lambda *args: filtered.append(args))
+    with pytest.raises(bounds.H2UnverifiedError):
+        run_forgetting(cfg)
+    assert not filtered
+
+
 def test_r2_sums_log_psi_from_index_two():
     # r2 counts the records with sum_{i=2..n} log Psi_D(y_i) <= -M2 n, the
     # sum the bound's denominator uses

@@ -627,6 +627,9 @@ UNHOLDABLE = {  # a parameter no model, law, drift or grid can hold, and its mes
     "drift-values-nan": (lambda: FiniteStateModel([[0.5, 0.5], [0.5, 0.5]], [[1.0], [1.0]],
                                                   drift_values=[1, NAN]),
                          r"finite model drift_values must be finite, got \[1.0, nan\]"),
+    "drift-values-short": (lambda: FiniteStateModel([[0.5, 0.5], [0.5, 0.5]], [[1.0], [1.0]],
+                                                    drift_values=[1]),
+                           r"drift_values must hold one value per state, got \[1\]"),
     "grid-m-fraction": (lambda: GridSpec(0, 1, 16.5),
                         "grid must have a whole number m >= 16 of cells, got m=16.5"),
     "grid-lo-inf": (lambda: GridSpec(-INF, 1, 16), "grid lo must be finite, got -inf"),

@@ -11,7 +11,7 @@ subset-maximum form and its coarser geometric form).
 The index ranges of a record's sums live in ``_RecordTerms`` alone: both
 bounds, ``_conditions`` (which holds the one K-frequency rule) and the
 r-sequences of ``experiments`` read the record ``_record_terms`` returns;
-it, ``geometric_bound`` and ``_conditions`` also take a batch, one record per row.
+it, both bounds and ``_conditions`` also take a batch, one record per row.
 A record's envelopes are evaluated once per distinct observation: Upsilon
 (``_log_upsilon``) as the grid maximum from a window around the channel's
 peak where V == 1 and log g(., y) peaks, and from the closed form
@@ -442,8 +442,8 @@ def _phi_laws(model, laws, D: LDSet, grid, kernel, y0, y1):
             else (x >= D.interval[0]) & (x <= D.interval[1]))
     in_d = kernel[:, mask].sum(axis=1)
 
-    def lik(y):  # g(., y) for each y, one per row; a scalar keeps the models' scalar path
-        return np.exp(model.loglik(x, y if np.ndim(y) == 0 else y[:, None])).reshape(-1, len(x))
+    def lik(y):  # g(., y) for each y, one per row
+        return np.exp(model.loglik(x, np.reshape(y, (-1, 1))))
 
     g0 = lik(y0)
     g1 = np.where(mask, lik(y1), 0.0)
@@ -550,7 +550,6 @@ class BoundReport:
     log_term_ratio: np.ndarray
     total_clipped: np.ndarray
     applies: np.ndarray
-    a_n: np.ndarray
     rho: float
     inputs: dict = field(default_factory=dict)
     conditions: ConditionReport | None = None  # filled by geometric_bound
@@ -593,7 +592,6 @@ def _record_terms(model, nu, nu_prime, obs, D: LDSet, C: LDSet | None, grid,
     if nu is not None:
         kernel = transition_kernel(model, grid) if kernel is None else kernel
         log_v = model.log_v(model.support(grid))
-        # y_0 and y_1: scalars for one record, which keep the models' scalar path
         phis = _phi_laws(model, (nu, nu_prime), D, grid, kernel, obs.T[0], obs.T[1])
         with np.errstate(divide="ignore"):  # a Phi of 0 reads -inf
             log_phi = np.log(phis)
@@ -618,22 +616,23 @@ def _assemble(terms: _RecordTerms, beta, C, D, log_num, applies, inputs):
     total = np.where(log_tot >= 0.0, 1.0, np.exp(np.minimum(log_tot, 0.0)))
     total[..., 0] = 1.0
     return BoundReport(n=ns, log_term_geo=log_geo, log_term_ratio=log_ratio,
-                       total_clipped=total, applies=applies, a_n=a_n(ns, beta), rho=rho_c,
-                       inputs=inputs)
+                       total_clipped=total, applies=applies, rho=rho_c, inputs=inputs)
 
 
 def sharp_bound(model, nu, nu_prime, obs, beta, C: LDSet, D: LDSet,
                 grid: GridSpec | None = None) -> BoundReport:
-    """Sharp pathwise bound with the exact maximum over excursion subsets.
+    """Sharp pathwise bound with the exact maximum over excursion subsets, on
+    a record or a batch, one record per row, each row bit for bit its own call's.
 
     The maximum of prod_{i in I} Upsilon_{C^c}(y_i) prod_{i not in I}
     Upsilon_X(y_i) over |I| = a_n factorizes: keep the a_n largest per-index
-    log ratios, whose sum runs over n in O(n log n) (_top_sums).
+    log ratios, whose sum runs over n in O(n log n), row by row (_top_sums).
     """
     ns = np.arange(np.shape(obs)[-1])
     counts = a_n(ns, beta)  # checks beta before the envelopes are evaluated
     terms = _record_terms(model, nu, nu_prime, obs, D, C, grid)
-    log_num = 2.0 * terms.s_ups + _top_sums(terms.log_ups_cc - terms.log_ups_x, counts)
+    gaps = terms.log_ups_cc - terms.log_ups_x
+    log_num = 2.0 * terms.s_ups + np.apply_along_axis(_top_sums, -1, gaps, counts)
     applies = ns > 0
     return _assemble(terms, beta, C, D, log_num, applies, {"beta": beta, "C": C, "D": D})
 

@@ -14,9 +14,10 @@ configuration, with ``--seed``, ``--threads`` and ``--suite`` folded in,
 is the only input of a subcommand.  It is written to
 ``<out>/resolved_config.json`` before the subcommand runs, so a run, a
 failed one too, is reproducible from its output directory alone.  All
-writes stay inside ``--out``.  A geometric ``bound`` section without ``C``
-searches C on every record it bounds; ``experiment`` writes its bound and
-its r-sequences (``r_seq.csv``) from one ``run_forgetting`` pass.
+writes stay inside ``--out``.  ``simulate`` holds one record at a time,
+replication r's from ``models.simulate``.  A geometric ``bound`` section
+without ``C`` searches C on every record it bounds; ``experiment`` writes
+its bound and r-sequences (``r_seq.csv``) from one ``run_forgetting`` pass.
 
 Exit codes: 0 success, 1 domain failure (degenerate filter, set not
 certifiable, hypothesis not verifiable), 2 usage or configuration error
@@ -38,7 +39,7 @@ from .experiments import DEFAULT_GRID_M, ExperimentConfig, emit_report, run_forg
 from .gridfilter import DegenerateFilterError, _run_records, resolve_grid, transition_kernel
 from .grids import GridSpec, InitialDistribution
 from .models import (LGSSM, NLSSM, DomainError, DriftFunction, FiniteStateModel,
-                     StochVolModel, TobitModel, Trajectory, _simulate_records, simulate)
+                     StochVolModel, TobitModel, simulate)
 from .reports import (ensure_dir, write_bound_csv, write_bound_summary, write_csv,
                       write_trace_csv, write_trajectory_csv)
 from .verify import SUITES, DriftPreconditionError, run_suite
@@ -291,10 +292,9 @@ def cmd_simulate(cfg, out_dir):
     reps = int(cfg.get("replications", 1))
     if reps < 1:
         raise ConfigError(f"need at least one replication, got {reps}")
-    records = zip(*_simulate_records(model, n, init, seed, range(reps)))  # one pass, row r = rep r
-    for rep, (obs, hidden) in enumerate(records):
+    for rep in range(reps):  # one record in memory at a time
         path = os.path.join(out_dir, f"trajectory_{rep:04d}.csv")
-        write_trajectory_csv(Trajectory(obs, hidden), path)
+        write_trajectory_csv(simulate(model, n, init, seed, replication=rep), path)
     return 0
 
 

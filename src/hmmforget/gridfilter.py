@@ -186,18 +186,18 @@ def _run_records(model, grid, nu, nu_prime, obs, kernel, reps=None):
     (R, n + 1, 2), nu's then nu_prime's.
 
     The likelihood is evaluated in blocks of max(1, min(n + 1, 256) // R)
-    steps.  Records of no observation are refused.  A record whose weights
-    underflow raises a DegenerateFilterError naming its step and observation,
-    and its replication ``reps[r]`` where ``reps`` is given; a lower record
-    that underflows at a later step is the one raised, as a loop over the
-    records would raise it.
+    steps.  Records of no observation are refused, and every record, a lone
+    one too, is checked before the pass: a bad observation is named by its
+    step.  A record whose weights underflow raises a DegenerateFilterError
+    naming its step and observation, and its replication ``reps[r]`` where
+    ``reps`` is given; a lower record that underflows at a later step is the
+    one raised, as a loop over the records would raise it.
     """
     R, steps = obs.shape
     if steps == 0:
         raise ValueError("need at least one observation")
-    if R > 1:  # name a bad observation by its step in its record, not in a block
-        for row in obs:
-            model._check_obs(row)
+    for row in obs:  # name a bad observation by its step in its record, not in a block
+        model._check_obs(row)
     x = model.support(grid)
     rows = _Rows(2 * R, len(x), 2)
     ys = obs.T[:, :, None, None]  # (step, record, filter, state)

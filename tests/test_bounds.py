@@ -23,6 +23,7 @@ from hmmforget.bounds import (_EM_LIMIT, _RECORD_BLOCK, PSI_QUAD_M, UPSILON_QUAD
                               _log_sup, _record_series, _record_terms, _top_sums,
                               log_psi_batch)
 from hmmforget.grids import logsumexp as grid_logsumexp
+from hmmforget.verify import _forwards
 
 
 @pytest.mark.parametrize("model", [
@@ -311,6 +312,52 @@ def test_bound_validity_finite(finite_setup):
     assert np.all(tv[applies] <= coarse.total_clipped[applies] + 1e-12)
 
 
+@pytest.mark.parametrize("form", ["sharp", "geometric"])
+def test_the_bound_is_above_the_exact_tv_wherever_it_is_below_1(finite_setup, form):
+    # log TV_n from the exact forward recursion, which holds past the float
+    # floor, against the unclipped log bound at every n where the bound is
+    # below 1.  With C = D = X the sharp bound is rho^{beta n} from n = 3 on
+    # and bites at 198 of 201 steps, closest at n = 3 (by 5.12 in log); the
+    # geometric one bites at 200 (closest by 1.71), its envelope vacuous
+    model, nu, nup, _ = finite_setup
+    obs = simulate(model, 200, nu, seed=17).obs
+    log_tv = _forwards(model.transition, model.emission[:, obs].T,
+                       nu.weights_finite(3), nup.weights_finite(3))[2] - np.log(2)
+    C = D = certify_ld_set(model, (0, 1, 2))
+    if form == "sharp":
+        report = sharp_bound(model, nu, nup, obs, 0.2, C, D)
+    else:
+        cfg = BoundConfig(beta=0.2, gamma=0.5, eta=1e-20, D=D, K=None)
+        report = geometric_bound(model, nu, nup, obs, cfg, C)
+    bites = report.log_total < 0
+    assert np.sum(bites) == {"sharp": 198, "geometric": 200}[form]
+    assert np.all(report.applies[bites])
+    assert np.all(log_tv[bites] <= report.log_total[bites])
+
+
+@pytest.mark.parametrize("kind", ["finite", "tobit"])
+def test_a_sharp_bound_batch_is_each_records_own_call(finite_setup, kind):
+    # a batch, one record per row, as geometric_bound takes one: each row is
+    # bit for bit its record's own call
+    model, nu, nup, _ = finite_setup
+    grid, C, D = None, certify_ld_set(model, (0, 1)), certify_ld_set(model, (0, 1, 2))
+    if kind == "tobit":
+        model = TobitModel(0.5, 1.0, 1.0)
+        grid = GridSpec(*model.domain, 200)
+        C, D = certify_ld_set(model, (-3.0, 3.0)), certify_ld_set(model, (-2.0, 2.0))
+        nu, nup = InitialDistribution.gaussian(-2, 1), InitialDistribution.gaussian(2, 1)
+    records = np.stack([simulate(model, 60, nu, seed=9, replication=r).obs for r in range(3)])
+    batch = sharp_bound(model, nu, nup, records, 0.2, C, D, grid=grid)
+    assert np.all(np.isfinite(batch.log_term_ratio[:, 1:]))
+    for r, obs in enumerate(records):
+        own = sharp_bound(model, nu, nup, obs, 0.2, C, D, grid=grid)
+        for f in ("log_term_ratio", "total_clipped"):
+            assert getattr(batch, f)[r].tobytes() == getattr(own, f).tobytes(), (f, r)
+        for f in ("n", "log_term_geo", "applies"):
+            assert getattr(batch, f).tobytes() == getattr(own, f).tobytes(), f
+        assert (batch.rho, batch.inputs) == (own.rho, own.inputs)
+
+
 def test_sharp_form_dominated_by_geometric_form(finite_setup):
     # with C a proper subset and eta the worst observed envelope ratio, the
     # sharp subset-maximum bound is dominated by its geometric coarsening
@@ -327,7 +374,7 @@ def test_sharp_form_dominated_by_geometric_form(finite_setup):
     # compare in log space: at the applying steps the sharp ratio term is
     # below the geometric one's whenever a_n >= (gamma - beta) n / 2
     ns = sharp.n[ok]
-    comparable = ns[sharp.a_n[ok] >= (cfg.gamma - cfg.beta) * ns / 2.0]
+    comparable = ns[a_n(ns, 0.2) >= (cfg.gamma - cfg.beta) * ns / 2.0]
     assert len(comparable) > 0
     assert np.all(sharp.total_clipped[comparable]
                   <= coarse.total_clipped[comparable] + 1e-12)

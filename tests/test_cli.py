@@ -120,18 +120,20 @@ def test_seed_of_2_to_the_64_is_taken_whole(tmp_path, capsys):
       "emission": [[0.6, 0.4], [0.3, 0.7]]}, {"form": "finite", "weights": [0.5, 0.5]}),
 ], ids=["lgssm", "tobit", "stochvol", "nlssm", "finite"])
 def test_simulate_draws_every_replication_in_one_record_pass(tmp_path, monkeypatch, model, init):
-    # one _simulate_records call; each file is the bytes of simulate(..., r)'s trajectory
-    calls = []
+    # each replication is one record pass of its own, so one record is in
+    # memory at a time; each file is the bytes of simulate(..., r)'s trajectory
+    draws = []
+    record_pass = models._simulate_records
 
     def counted(*args):
-        calls.append(args[-1])
-        return models._simulate_records(*args)
+        draws.append(list(args[-1]))
+        return record_pass(*args)
 
-    monkeypatch.setattr(cli, "_simulate_records", counted)
+    monkeypatch.setattr(models, "_simulate_records", counted)
     cfg = write_cfg(tmp_path, {"model": model, "init": init, "n": 30, "replications": 4})
     out = tmp_path / "o"
     assert main(["simulate", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
-    assert calls == [range(4)]
+    assert draws == [[0], [1], [2], [3]]
     built, law = cli.build_model(model), cli.build_init(init, "init")
     for rep in range(4):
         ref = tmp_path / f"ref{rep}.csv"
@@ -167,6 +169,20 @@ def test_negative_tobit_observation_named_exits_1(tmp_path, capsys):
     assert main(["filter", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error") and "3" in err and "-0.3" in err
+
+
+def test_a_nan_observation_past_the_first_block_is_named_by_its_step(tmp_path, capsys):
+    # step 300 falls in the filter's second likelihood block of 256 steps:
+    # the record is checked before the pass, so the error names step 300 of
+    # the record, not its place (44) in the block
+    obs = simulate(LGSSM(0.9, 1.0, 1.0), 400, InitialDistribution.gaussian(0, 1), seed=3).obs
+    obs[300] = np.nan
+    record = tmp_path / "y.csv"
+    record.write_text("y\n" + "".join(f"{y!r}\n" for y in obs.tolist()))
+    cfg = write_cfg(tmp_path, {"model": MODEL, "nu": GAUSS(-2), "nu_prime": GAUSS(2),
+                               "grid": {"m": 64}, "observations": {"file": str(record)}})
+    assert main(["filter", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: lgssm observation 300 (nan) is not finite\n"
 
 
 def test_null_entries_select_defaults(tmp_path):

@@ -287,7 +287,7 @@ def test_the_experiments_bound_equals_the_per_record_loop(name, monkeypatch):
             for name in ("total_clipped", "applies", "log_term_ratio"):
                 assert getattr(res.bound, name).tobytes() == np.stack(
                     [getattr(b, name) for b in want]).tobytes(), (name, replications, threads)
-            for name in ("n", "log_term_geo", "a_n"):
+            for name in ("n", "log_term_geo"):
                 assert np.array_equal(getattr(res.bound, name), getattr(want[0], name)), name
             assert (res.bound.rho, res.bound.inputs) == (want[0].rho, want[0].inputs)
             for f in dataclasses.fields(res.bound.conditions):
@@ -314,7 +314,7 @@ def test_an_experiment_without_C_searches_it_on_every_record(name):
     assert res.bound.inputs["C"] == C
     want = geometric_bound(cfg.model, cfg.nu, cfg.nu_prime, obs, b, C,
                            grid=resolve_grid(cfg.model, cfg.grid, DEFAULT_GRID_M))
-    for f in ("n", "log_term_geo", "log_term_ratio", "total_clipped", "applies", "a_n"):
+    for f in ("n", "log_term_geo", "log_term_ratio", "total_clipped", "applies"):
         assert getattr(res.bound, f).tobytes() == getattr(want, f).tobytes(), f
     assert (res.bound.rho, res.bound.inputs) == (want.rho, want.inputs)
 

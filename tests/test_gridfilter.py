@@ -241,6 +241,18 @@ def test_two_filters_reject_a_negative_tobit_observation(where):
         run_two_filters(model, GridSpec(*model.domain, 64), nu, nu, obs)
 
 
+def test_two_filters_name_a_nan_past_the_first_block_by_its_step():
+    # a lone record is checked before the pass, as every record of a batch
+    # is: step 300, in the second likelihood block of 256 steps, is named by
+    # its step in the record, not by its place (44) in the block
+    model = LGSSM(0.9, 1.0, 1.0)
+    nu = InitialDistribution.gaussian(0, 1)
+    obs = simulate(model, 400, nu, seed=3).obs
+    obs[300] = np.nan
+    with pytest.raises(DomainError, match=r"^lgssm observation 300 \(nan\) is not finite$"):
+        run_two_filters(model, GridSpec(*model.domain, 64), nu, nu, obs)
+
+
 def test_two_filters_name_the_bad_finite_symbols():
     model = random_finite_model(1)
     nu = InitialDistribution.finite([0.2, 0.3, 0.5])

@@ -42,18 +42,16 @@ from numpy.polynomial.hermite_e import hermeval
 from scipy.special import log_ndtr
 
 from .gridfilter import resolve_grid, transition_kernel
-from .grids import GridSpec, logsumexp, norm_logpdf
+from .grids import GridSpec, _blocks, logsumexp, norm_logpdf
 from .models import _check_index
 
 UPSILON_QUAD_M = 4096  # Upsilon quadrature cells over the domain
 PSI_QUAD_M = 2048  # Psi quadrature cells over an interval D
-_RECORD_BLOCK = 256  # observations per block of Psi's quadrature rows
 # support offsets around an observation's mode that hold the grid maximum of
 # log g on any index range (see _log_upsilon)
 _MODE_HALF = 3
 _MODE_WINDOW = np.arange(-_MODE_HALF, _MODE_HALF + 1)
 _SUP_SLACK = 1e-13  # outward rounding of a closed form: log Upsilon (_log_sup), eps-/eps+
-_SUP_BLOCK = 2**16  # (observation, interval) pairs per block of _log_sup
 # c_p = B_2p(1/2)/(2p)!, p = 1..5: the midpoint rule's Euler-Maclaurin coefficients
 _MIDPOINT_EM = np.array([-1 / 24, 7 / 5760, -31 / 967680, 127 / 154828800, -73 / 3503554560])
 _EM_LIMIT = 0.25  # largest kappa T at which Psi takes the series (see _log_psi_location)
@@ -111,8 +109,9 @@ def certify_ld_set(model, candidate) -> LDSet:
     extrema of |C| q(x, x') over C x C (``_certify_states`` on a finite
     model).  On the Gaussian kernels q depends on the offset x' - m(x)
     alone, and the means over C form the interval ``model.mean_range(lo,
-    hi)``, so the extrema sit at the nearest and the farthest offset.  Either
-    way eps- is rounded down and eps+ up by the relative _SUP_SLACK.
+    hi)``, so the extrema of ``norm_logpdf`` sit at the nearest and the
+    farthest offset.  Either way eps- is rounded down and eps+ up by the
+    relative _SUP_SLACK.
     """
     if model.kind == "finite":
         return _certify_states(model.transition, candidate)
@@ -127,10 +126,7 @@ def certify_ld_set(model, candidate) -> LDSet:
     t_lo, t_hi = lo - m_hi, hi - m_lo
     t_min = 0.0 if t_lo <= 0.0 <= t_hi else min(abs(t_lo), abs(t_hi))
     t_max = max(abs(t_lo), abs(t_hi))
-    sd = model.state_sd
-    norm = 1.0 / (np.sqrt(2 * np.pi) * sd)
-    q_max = norm * np.exp(-t_min * t_min / (2 * sd * sd))
-    q_min = norm * np.exp(-t_max * t_max / (2 * sd * sd))
+    q_max, q_min = np.exp(norm_logpdf([t_min, t_max], 0.0, model.state_sd)).tolist()
     if width * q_min <= 0:
         raise NotCertifiableError(
             f"kernel minimum underflows on [{lo}, {hi}]^2; the set is not LD in floating point"
@@ -168,11 +164,6 @@ def _log_g_qv(model, x, y):
     logg = model.loglik(x, y)
     log_qv = model.log_qv(x)
     return logg if log_qv is None else logg + log_qv
-
-
-def _blocks(n, size=_RECORD_BLOCK):
-    """Slices of ``size`` columns that cover n columns."""
-    return [slice(a, a + size) for a in range(0, n, size)]
 
 
 def _log_upsilon(model, regions, ys):
@@ -244,8 +235,8 @@ def _log_sup(model, regions, ys) -> np.ndarray:
     (else the last): clamped into any other cell, the peak is one of its
     ends.  The maximum is rounded up by _SUP_SLACK (1 + |log Upsilon|), past
     the last-bit error of one evaluation of log g (at a flat peak a nearby
-    point can read an ulp higher, as on SV).  The observations go in blocks
-    of about _SUP_BLOCK (observation, cut) pairs.
+    point can read an ulp higher, as on SV).  The observations go in
+    ``_blocks``, a row of cuts each.
 
     Finite state sets: the maximum over the region's states, exact, of one
     table of log g + log QV/V that every region reads.  The callers check
@@ -274,7 +265,7 @@ def _log_sup(model, regions, ys) -> np.ndarray:
         log_qv = np.full(len(lo), -np.inf)
         sup = model.log_qv_sup(lo[inside], hi[inside])  # None where V == 1
         log_qv[inside] = 0.0 if sup is None else sup
-        for rows in _blocks(len(ys), _SUP_BLOCK // len(cuts)):
+        for rows in _blocks(len(ys), len(cuts)):
             y = ys[rows]
             g = model.loglik(cuts, y[:, None])
             v[rows] = (np.maximum(g[:, :-1], g[:, 1:]) + log_qv).max(axis=1)
@@ -352,8 +343,8 @@ def log_psi_batch(model, D: LDSet, ys) -> np.ndarray:
 
     On a Gaussian location channel (``model.obs_slope``) a row whose series
     converges (_log_psi_location) takes the mean in closed form, O(1); every
-    other row is a log-sum-exp over the midpoints, in blocks of _RECORD_BLOCK
-    rows, whose sum NumPy takes pairwise over the row alone.  Either way a
+    other row is a log-sum-exp over the midpoints, in ``_blocks`` of rows,
+    whose sum NumPy takes pairwise over the row alone.  Either way a
     value does not depend on the batch it is evaluated in.
     """
     ys = np.asarray(ys)
@@ -364,7 +355,7 @@ def log_psi_batch(model, D: LDSet, ys) -> np.ndarray:
         rest = _log_psi_location(model, D.interval, ys, out)
     x = np.asarray(D.states) if D.interval is None else GridSpec(*D.interval, PSI_QUAD_M).centers
     rest = np.flatnonzero(rest)
-    for block in _blocks(len(rest)):
+    for block in _blocks(len(rest), len(x)):
         rows = rest[block]
         out[rows] = logsumexp(model.loglik(x[None, :], ys[rows, None]), axis=1) - np.log(len(x))
     return out

@@ -184,10 +184,12 @@ def build_ld_set(d, model):
 
 
 def build_bound_cfg(d, model):
+    """A geometric bound section's BoundConfig and C (None: C is searched)."""
     D = build_ld_set(section(d, "bound", nullable=("K",), keys=BOUND_KEYS)["D"], model)
     K = tuple(map(float, d["K"])) if d.get("K") is not None else None
-    return BoundConfig(beta=d["beta"], gamma=d["gamma"], eta=d["eta"], D=D, K=K,
+    bcfg = BoundConfig(beta=d["beta"], gamma=d["gamma"], eta=d["eta"], D=D, K=K,
                        M0=d.get("M0", 1.0), M1=d.get("M1", 1.0), M2=d.get("M2", 1.0))
+    return bcfg, build_ld_set(d["C"], model) if "C" in d else None
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +326,8 @@ def cmd_bound(cfg, out_dir):
         D = build_ld_set(bnd["D"], model)
         report = sharp_bound(model, nu, nu_prime, obs, bnd["beta"], C, D, grid=grid)
     elif form == "geometric":
-        bcfg = build_bound_cfg(bnd, model)
-        if "C" in bnd:
-            C = build_ld_set(bnd["C"], model)
-        else:
+        bcfg, C = build_bound_cfg(bnd, model)
+        if C is None:
             C = find_ld_set_for_eta(model, bcfg.eta, bcfg.K, obs)
         report = geometric_bound(model, nu, nu_prime, obs, bcfg, C, grid=grid)
     else:
@@ -344,12 +344,10 @@ def cmd_experiment(cfg, out_dir):
     grid = build_grid(cfg, model)
     bound_cfg = ld_set = None
     if "bound" in cfg:
-        bound_cfg = build_bound_cfg(cfg["bound"], model)
+        bound_cfg, ld_set = build_bound_cfg(cfg["bound"], model)  # ld_set None: searched
         if cfg["bound"].get("form", "geometric") != "geometric":
             raise ConfigError("experiment runs the geometric bound: bound entry 'form' must "
                               f"be 'geometric', got {cfg['bound']['form']!r}")
-        if "C" in cfg["bound"]:  # else searched on every record
-            ld_set = build_ld_set(cfg["bound"]["C"], model)
     ecfg = ExperimentConfig(
         model=model, star_model=star,
         nu=build_init(cfg["nu"], "nu"), nu_prime=build_init(cfg["nu_prime"], "nu_prime"),

@@ -12,13 +12,13 @@ large |x|.
 ``_run_records`` runs the filters from nu and nu' on every record of a
 batch in lock-step: the 2R rows of one array, the two of record r at rows
 2r and 2r + 1, so that each elementwise and reduction call of a step
-serves every record.  It evaluates the likelihood in blocks of about
-min(n + 1, 256) / R steps, so a pass holds at most 256 steps of one
-record's likelihood at any time, whatever the horizon.  ``run_two_filters``
-and ``hmmforget filter`` are its one-record case and ``run_forgetting``
-(``experiments``) runs it on blocks of replications.  Its step is the one
-``filter_step`` takes on one row, so its output equals an ``init_filter`` +
-``filter_step`` loop bit for bit, whatever the batch.
+serves every record.  It evaluates the likelihood in ``grids._blocks`` of
+steps, a step's R x m entries a row, so a pass holds one block at a time,
+whatever the horizon.  ``run_two_filters`` and ``hmmforget filter`` are its
+one-record case and ``run_forgetting`` (``experiments``) runs it on blocks
+of replications.  Its step is the one ``filter_step`` takes on one row, so
+its output equals an ``init_filter`` + ``filter_step`` loop bit for bit,
+whatever the batch.
 
 The step's contract is its arithmetic, to the last bit: the forgetting
 rates are fitted on TV values near 1e-14, where the last bit counts.
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import GridSpec, InitialDistribution, logsumexp_into
+from .grids import GridSpec, InitialDistribution, _blocks, logsumexp_into
 
 
 class DegenerateFilterError(RuntimeError):
@@ -185,8 +185,8 @@ def _run_records(model, grid, nu, nu_prime, obs, kernel, reps=None):
     one per row, in lock-step: the TV (R, n + 1) and the log-normalizers
     (R, n + 1, 2), nu's then nu_prime's.
 
-    The likelihood is evaluated in blocks of max(1, min(n + 1, 256) // R)
-    steps.  Records of no observation are refused, and every record, a lone
+    The likelihood is evaluated in ``_blocks`` of steps, R x m entries a
+    step.  Records of no observation are refused, and every record, a lone
     one too, is checked before the pass: a bad observation is named by its
     step.  A record whose weights underflow raises a DegenerateFilterError
     naming its step and observation, and its replication ``reps[r]`` where
@@ -201,27 +201,25 @@ def _run_records(model, grid, nu, nu_prime, obs, kernel, reps=None):
     x = model.support(grid)
     rows = _Rows(2 * R, len(x), 2)
     ys = obs.T[:, :, None, None]  # (step, record, filter, state)
-    block = max(1, min(steps, 256) // R)
+    reps = [None] * R if reps is None else reps
     tv, logZ = np.empty((steps, R)), np.empty((steps, 2 * R))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for n in range(steps):
-            k = n % block
-            if k == 0:
-                loglik = None  # drop the last block before the next is evaluated
-                loglik = model.log_likelihood(x, ys[n:n + block])
-            if n == 0:
-                rows.groups[:] = model.log_init(nu, grid), model.log_init(nu_prime, grid)
-                np.add(rows.groups, loglik[0], out=rows.groups)
-                ok = rows.normalized(0.0, logZ[0])
-            else:
-                ok = rows.step(kernel, loglik[k], logZ[n - 1], logZ[n])
-            if not ok:
-                r = int(np.flatnonzero(~np.isfinite(rows.lse))[0]) // 2
-                if r:  # raises if a lower record underflows later
-                    _run_records(model, grid, nu, nu_prime, obs[:r], kernel,
-                                 None if reps is None else reps[:r])
-                raise _underflow(obs[r, n] if n else None, n, None if reps is None else reps[r])
-            rows.tv(tv[n])
+        for block in _blocks(steps, R * len(x)):
+            loglik = None  # drop the last block before the next is evaluated
+            loglik = model.log_likelihood(x, ys[block])
+            for k, n in enumerate(range(steps)[block]):
+                if n == 0:
+                    rows.groups[:] = model.log_init(nu, grid), model.log_init(nu_prime, grid)
+                    np.add(rows.groups, loglik[0], out=rows.groups)
+                    ok = rows.normalized(0.0, logZ[0])
+                else:
+                    ok = rows.step(kernel, loglik[k], logZ[n - 1], logZ[n])
+                if not ok:
+                    r = int(np.flatnonzero(~np.isfinite(rows.lse))[0]) // 2
+                    if r:  # raises if a lower record underflows later
+                        _run_records(model, grid, nu, nu_prime, obs[:r], kernel, reps[:r])
+                    raise _underflow(obs[r, n] if n else None, n, reps[r])
+                rows.tv(tv[n])
     return tv.T, logZ.reshape(steps, R, 2).transpose(1, 0, 2)
 
 

@@ -12,6 +12,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _NORM_LOG_C = np.log(np.sqrt(2 * np.pi))
+_BLOCK_CELLS = 2**16  # entries of one block of a dense pass
+
+
+def _blocks(n, width):
+    """Slices that cover n rows of ``width`` entries each, _BLOCK_CELLS entries
+    a block (one row at least): every dense pass's memory budget."""
+    size = max(1, _BLOCK_CELLS // width)
+    return [slice(a, a + size) for a in range(0, n, size)]
 
 
 def _check_finite(what, **params):

@@ -465,19 +465,20 @@ def _first_offender(bad, v, what):
 
 
 def _check_index(v, size, what):
-    """``v`` as integer indices, if every entry is one of 0..size-1.  The range
+    """``v`` as integer indices, if every entry is one of 0..size-1, else a
+    DomainError naming the first bad entry (``_first_offender``).  The range
     is tested before the cast to int, which NaN and ±inf fail."""
     if np.ndim(v) == 0:  # samplers and the filter pass scalars: keep them cheap
         i = int(v) if 0 <= v < size else None
-        ok = i is not None and i == v
+        ok, bad = i is not None and i == v, None  # a scalar is named by its value
     else:
         v = np.asarray(v)
         in_range = (v >= 0) & (v < size)
         i = np.where(in_range, v, 0).astype(int)
         bad = ~in_range | (i != v)
-        ok, v = not bad.any(), v[bad]  # name only the bad entries
+        ok = not bad.any()
     if not ok:
-        raise DomainError(f"{what} {v} outside {{0..{size - 1}}}")
+        raise DomainError(f"{_first_offender(bad, np.asarray(v), what)} outside {{0..{size - 1}}}")
     return i
 
 

@@ -100,8 +100,8 @@ def write_bound_summary(report, path):
 
 
 def write_trajectory_csv(traj, path):
-    rows = [(k, traj.hidden[k], traj.obs[k]) for k in range(len(traj.obs))]
-    write_csv(path, ["step", "x", "y"], rows)
+    write_csv(path, ["step", "x", "y"],
+              zip(range(len(traj.obs)), traj.hidden.tolist(), traj.obs.tolist()))
 
 
 def ensure_dir(path):

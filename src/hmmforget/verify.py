@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _SUP_BLOCK, _blocks, _certify_states, rho
+from .bounds import _certify_states, rho
+from .grids import _blocks, norm_logpdf
 from .models import DomainError, FiniteStateModel, _check_index
 from .rng import normal_rows, substream
 
@@ -167,18 +168,18 @@ def _counts(padded, n):
 
 
 def _qv_numeric(model, v_fn, x):
-    """QV(x) for an arbitrary positive function V, by a 4001-node quadrature.
-    The points go in blocks of _SUP_BLOCK // 4001 = 16, so memory does not
-    grow with len(x); each row is summed on its own (pairwise, as NumPy sums
-    a row), so a point's value does not depend on its block."""
+    """QV(x) for an arbitrary positive function V, by a 4001-node quadrature
+    of the kernel's density.  The points go in ``_blocks`` of 16, so memory
+    does not grow with len(x); each row is summed on its own (pairwise, as
+    NumPy sums a row), so a point's value does not depend on its block."""
     half_width = 12.0 * model.state_sd
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mu = model.state_mean(x)
     z = np.linspace(-half_width, half_width, 4001)
     dz = z[1] - z[0]
-    dens = np.exp(-0.5 * (z / model.state_sd) ** 2) / (np.sqrt(2 * np.pi) * model.state_sd)
+    dens = np.exp(norm_logpdf(z, 0.0, model.state_sd))
     out = np.empty(len(x))
-    for rows in _blocks(len(x), _SUP_BLOCK // len(z)):
+    for rows in _blocks(len(x), len(z)):
         out[rows] = (v_fn(mu[rows, None] + z[None, :]) * dens[None, :]).sum(axis=1)
     return out * dz
 

@@ -18,7 +18,8 @@ from hmmforget import (LGSSM, NLSSM, BoundConfig, DomainError, DriftFunction,
                        check_conditions, geometric_bound, find_ld_set_for_eta,
                        sharp_bound, log_upsilon_batch, phi, rho,
                        random_finite_model, run_two_filters, simulate, upsilon)
-from hmmforget.bounds import (_EM_LIMIT, _RECORD_BLOCK, PSI_QUAD_M, UPSILON_QUAD_M,
+from hmmforget import grids
+from hmmforget.bounds import (_EM_LIMIT, PSI_QUAD_M, UPSILON_QUAD_M,
                               _components, _log_g_qv, _log_psi_location,
                               _log_sup, _record_series, _record_terms, _top_sums,
                               log_psi_batch)
@@ -561,19 +562,23 @@ def check_record_series(model, obs, D, C):
     assert _record_series(model, obs, D)[1] is None
 
 
-@pytest.mark.parametrize("length", [_RECORD_BLOCK - 1, _RECORD_BLOCK, _RECORD_BLOCK + 1,
-                                    2 * _RECORD_BLOCK + 1])
+@pytest.mark.parametrize("length", [255, 256, 257, 513])
 @pytest.mark.parametrize("name", list(SERIES_MODELS))
-def test_record_series_blocks_equal_single_block_batches(name, length):
-    # bit for bit: neither the blocks nor the evaluation once per distinct
-    # observation nor the mode windows nor the split between the window and
-    # the closed form may change a single envelope or Psi
+def test_record_series_blocks_equal_single_block_batches(name, length, monkeypatch):
+    # bit for bit: neither the blocks (of 32 Psi rows and of 2**16 // cuts
+    # closed-form rows) nor the evaluation once per distinct observation nor
+    # the mode windows nor the split between the window and the closed form
+    # may change a single envelope or Psi; nor may one block for the record
     model, c, d = SERIES_MODELS[name]
     C, D = certify_ld_set(model, c), certify_ld_set(model, d)
     init = InitialDistribution.finite([0.2, 0.3, 0.5]) if model.kind == "finite" \
         else InitialDistribution.gaussian(0, 1)
     obs = simulate(model, length - 1, init, seed=12).obs
     check_record_series(model, obs, D, C)
+    blocked = _record_series(model, obs, D, C)
+    monkeypatch.setattr(grids, "_BLOCK_CELLS", 2**30)
+    for a, b in zip(blocked, _record_series(model, obs, D, C)):
+        assert np.array_equal(a, b)
 
 
 def adversarial_observations(model):
@@ -605,7 +610,7 @@ def test_record_series_equals_dense_scan_on_adversarial_observations(name):
     ys = adversarial_observations(model)
     check_record_series(model, ys, D, C)
     for y in (ys[5], ys[-3], ys[-2], 0.0):  # one distinct value, +-0.0 among them
-        for length in (1, 2, 3, _RECORD_BLOCK + 1):
+        for length in (1, 2, 3, 257):
             check_record_series(model, np.full(length, y), D, C)
     check_record_series(model, np.array([0.0, -0.0, 0.0]), D, C)
 

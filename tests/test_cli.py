@@ -172,15 +172,15 @@ def test_negative_tobit_observation_named_exits_1(tmp_path, capsys):
 
 
 def test_a_nan_observation_past_the_first_block_is_named_by_its_step(tmp_path, capsys):
-    # step 300 falls in the filter's second likelihood block of 256 steps:
-    # the record is checked before the pass, so the error names step 300 of
-    # the record, not its place (44) in the block
+    # step 300 falls in the filter's second likelihood block, of 163 steps
+    # at m = 400: the record is checked before the pass, so the error names
+    # step 300 of the record, not its place (137) in the block
     obs = simulate(LGSSM(0.9, 1.0, 1.0), 400, InitialDistribution.gaussian(0, 1), seed=3).obs
     obs[300] = np.nan
     record = tmp_path / "y.csv"
     record.write_text("y\n" + "".join(f"{y!r}\n" for y in obs.tolist()))
     cfg = write_cfg(tmp_path, {"model": MODEL, "nu": GAUSS(-2), "nu_prime": GAUSS(2),
-                               "grid": {"m": 64}, "observations": {"file": str(record)}})
+                               "grid": {"m": 400}, "observations": {"file": str(record)}})
     assert main(["filter", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == "error: lgssm observation 300 (nan) is not finite\n"
 
@@ -708,8 +708,8 @@ FINITE_EXPERIMENT = {"model": FINITE3, "nu": FINITE_LAW(1, 0, 0),
 
 @pytest.mark.parametrize("states, code, message", [
     ([0, 0, 1], 2, "configuration error: state subset (0, 0, 1) repeats a state"),
-    ([-1, 0], 1, "error: state [-1] outside {0..2}"),
-    ([0, 5], 1, "error: state [5] outside {0..2}"),
+    ([-1, 0], 1, "error: state 0 (-1) outside {0..2}"),
+    ([0, 5], 1, "error: state 1 (5) outside {0..2}"),
 ], ids=["repeated", "negative", "out-of-range"])
 def test_a_finite_ld_set_is_a_set_of_the_models_states(tmp_path, capsys, states, code,
                                                        message):
@@ -724,6 +724,19 @@ def test_a_finite_ld_set_is_a_set_of_the_models_states(tmp_path, capsys, states,
                      "--set", f'bound.{which}={{"states": {states}}}', "--out", str(out)]) == code
         assert capsys.readouterr().err.startswith(message)
         assert not (out / "bound.csv").exists()
+
+
+def test_a_bad_symbol_in_an_observation_file_is_named_by_its_step(tmp_path, capsys):
+    # a finite record's bad symbol is named by its step and value, as a
+    # continuous record's observation is; it used to read "symbol [7.0]"
+    obs = simulate(models.FiniteStateModel(FINITE3["transition"], FINITE3["emission"]), 30,
+                   InitialDistribution.finite([1, 1, 1]), seed=1).obs.astype(float)
+    obs[5] = 7
+    record = tmp_path / "y.csv"
+    record.write_text("y\n" + "".join(f"{y!r}\n" for y in obs.tolist()))
+    cfg = write_cfg(tmp_path, {**FINITE_FILTER, "observations": {"file": str(record)}})
+    assert main(["filter", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: symbol 5 (7.0) outside {0..2}\n"
 
 
 @pytest.mark.parametrize("command, overrides, key", [

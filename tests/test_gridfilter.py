@@ -12,7 +12,7 @@ from hmmforget import (LGSSM, NLSSM, DegenerateFilterError, DomainError, Experim
                        StochVolModel, TobitModel, filter_step, init_filter,
                        random_finite_model, run_forgetting, run_two_filters, simulate,
                        transition_kernel, tv_distance)
-from hmmforget import gridfilter
+from hmmforget import gridfilter, grids
 from hmmforget.gridfilter import _Rows, _run_records
 
 
@@ -243,22 +243,23 @@ def test_two_filters_reject_a_negative_tobit_observation(where):
 
 def test_two_filters_name_a_nan_past_the_first_block_by_its_step():
     # a lone record is checked before the pass, as every record of a batch
-    # is: step 300, in the second likelihood block of 256 steps, is named by
-    # its step in the record, not by its place (44) in the block
-    model = LGSSM(0.9, 1.0, 1.0)
+    # is: step 300, in the second likelihood block of 163 steps at m = 400,
+    # is named by its step in the record, not by its place (137) in the block
+    model, m = LGSSM(0.9, 1.0, 1.0), 400
+    assert grids._blocks(401, m)[1] == slice(163, 326)
     nu = InitialDistribution.gaussian(0, 1)
     obs = simulate(model, 400, nu, seed=3).obs
     obs[300] = np.nan
     with pytest.raises(DomainError, match=r"^lgssm observation 300 \(nan\) is not finite$"):
-        run_two_filters(model, GridSpec(*model.domain, 64), nu, nu, obs)
+        run_two_filters(model, GridSpec(*model.domain, m), nu, nu, obs)
 
 
 def test_two_filters_name_the_bad_finite_symbols():
     model = random_finite_model(1)
     nu = InitialDistribution.finite([0.2, 0.3, 0.5])
     obs = simulate(model, 30, nu, seed=1).obs
-    obs[5] = 7
-    with pytest.raises(DomainError, match=r"^symbol \[7\] outside \{0\.\.3\}$"):
+    obs[5] = 7  # named by its step, as a continuous record's observation is
+    with pytest.raises(DomainError, match=r"^symbol 5 \(7\) outside \{0\.\.3\}$"):
         run_two_filters(model, None, nu, nu, obs)
 
 
@@ -428,13 +429,13 @@ def test_every_replication_equals_the_reference_recursion(replications):
 
 @pytest.mark.parametrize("replications, n", [
     *(pytest.param(r, 40, id=str(r)) for r in (1, 2, 5, 7, 60)),
-    pytest.param(1, 1000, id="1-n1000"),
+    pytest.param(1, 1000, id="1-n1000"), pytest.param(1, 3000, id="1-n3000"),
 ])
 def test_the_likelihood_block_holds_at_most_one_records_matrix(replications, n, monkeypatch):
     # the pass evaluates the likelihood of every step exactly once, in
-    # blocks of at most min(n + 1, 256) x m entries while R <= min(n + 1,
-    # 256) (one step's R rows beyond), and holds one block at a time, so its
-    # memory does not grow with the horizon
+    # grids._blocks of 2**16 // (R m) steps (one step's R x m entries beyond),
+    # and holds one block at a time, so its memory does not grow with the
+    # horizon: 3 blocks at R = 60, 3 at n = 3000, 1 at n = 1000
     model, m = TobitModel(0.5, 1.0, 1.0), 64
     grid = GridSpec(*model.domain, m)
     obs = np.stack([simulate(model, n, GAUSS[0], seed=1, replication=r).obs
@@ -451,10 +452,10 @@ def test_the_likelihood_block_holds_at_most_one_records_matrix(replications, n, 
     monkeypatch.setattr(model, "log_likelihood", counted)
     tv, logZ = _run_records(model, grid, *GAUSS, obs, transition_kernel(model, grid))
     assert tv.shape == (replications, n + 1) and logZ.shape == (replications, n + 1, 2)
-    steps = min(n + 1, 256)
+    steps = max(1, grids._BLOCK_CELLS // (replications * m))
     assert sum(sizes) == replications * (n + 1) * m
-    assert max(sizes) <= max(steps, replications) * m
-    assert len(sizes) <= 2 * min(replications, steps) * -(-(n + 1) // steps)
+    assert max(sizes) <= max(grids._BLOCK_CELLS, replications * m)
+    assert len(sizes) == -(-(n + 1) // steps)
 
 
 def test_filter_refusals():

@@ -6,9 +6,13 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp as scipy_logsumexp
 
-from hmmforget import GridSpec, InitialDistribution
+from hmmforget import (LGSSM, DriftFunction, GridSpec, InitialDistribution, StochVolModel,
+                       TobitModel, certify_ld_set, grids, simulate, transition_kernel)
+from hmmforget.bounds import _log_sup, _record_series
+from hmmforget.gridfilter import _run_records
 from hmmforget.grids import logsumexp, norm_logpdf
 from hmmforget.reports import fmt, write_csv
+from hmmforget.verify import _qv_numeric
 
 
 def test_grid_spec_validation_and_geometry():
@@ -171,3 +175,35 @@ def test_logsumexp_of_no_mass_is_minus_inf_and_an_error_on_the_grid():
     g = GridSpec(-1.0, 1.0, 64)
     with pytest.raises(ValueError, match="no mass on the grid"):
         InitialDistribution.uniform(5.0, 6.0).log_weights_on(g)
+
+
+@pytest.mark.parametrize("cells", [1, 2**30])
+def test_no_dense_pass_depends_on_the_block_budget(cells, monkeypatch):
+    # each row of a dense pass is evaluated on its own, so one row a block,
+    # or the whole pass in one block, gives the default budget's bits: the
+    # filter on one and on three records, Psi's quadrature rows (SV, and
+    # tobit's censored zeros), Upsilon's closed form with a drift V != 1 and
+    # the drift test's QV
+    tobit, sv = TobitModel(0.5, 1.0, 1.0), StochVolModel(0.9, 0.3, 1.0)
+    drift = LGSSM(0.9, 1.0, 1.0, drift=DriftFunction.exp_abs(0.5))
+    nus = InitialDistribution.gaussian(-4, 1), InitialDistribution.gaussian(4, 1)
+    grid = GridSpec(*tobit.domain, 64)
+    obs = np.stack([simulate(tobit, 40, nus[0], seed=1, replication=r).obs for r in range(3)])
+    sv_obs = simulate(sv, 40, nus[0], seed=1).obs
+    sv_obs[::7] = 0.0
+    assert np.any(obs == 0.0)
+    C, D = certify_ld_set(tobit, (-3.0, 3.0)), certify_ld_set(tobit, (-2.0, 2.0))
+    sv_C, sv_D = certify_ld_set(sv, (-1.5, 1.5)), certify_ld_set(sv, (-1.0, 1.0))
+
+    def passes():
+        kernel = transition_kernel(tobit, grid)
+        return [*_run_records(tobit, grid, *nus, obs[:1], kernel),
+                *_run_records(tobit, grid, *nus, obs, kernel),
+                *_record_series(tobit, obs, D, C), *_record_series(sv, sv_obs, sv_D, sv_C),
+                _log_sup(drift, ["all", ("complement", (-3.0, 3.0))], obs[0, :12]),
+                _qv_numeric(drift, lambda x: np.exp(0.5 * np.abs(x)), np.linspace(-9, 9, 37))]
+
+    want = passes()
+    monkeypatch.setattr(grids, "_BLOCK_CELLS", cells)
+    for a, b in zip(want, passes(), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

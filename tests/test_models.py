@@ -89,7 +89,8 @@ def test_finite_model_rejects_non_finite_indices(what, shape, value):
     m = FiniteStateModel([[0.9, 0.1], [0.2, 0.8]], [[0.3, 0.7], [0.6, 0.4]])
     bad = value if shape == "scalar" else np.array([0.0, value, 1.0])
     x, y = (bad, 0) if what == "state" else (0, bad)
-    named = rf"^{what} \[?{value}\]? outside \{{0\.\.1\}}$"
+    entry = f"{value}" if shape == "scalar" else rf"1 \({value}\)"  # an array's by its index
+    named = rf"^{what} {entry} outside \{{0\.\.1\}}$"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=named):

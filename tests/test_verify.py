@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from hmmforget import (LGSSM, NLSSM, DomainError, DriftPreconditionError,
                        FiniteStateModel, GridSpec, InitialDistribution, StochVolModel,
@@ -566,9 +567,9 @@ def test_oracle_refusals(model3):
         with pytest.raises(ValueError, match=square):
             exact_denominator_bound(bad_p, nu, (0, 1), g)
     # C is a set of state indices of P; whole floats are indices too
-    with pytest.raises(DomainError, match=r"state \[5\] outside \{0..2\}"):
+    with pytest.raises(DomainError, match=r"state 1 \(5\) outside \{0..2\}"):
         exact_delta(P, (0, 5), nu, nu, g)
-    with pytest.raises(DomainError, match=r"state \[0.5\] outside \{0..2\}"):
+    with pytest.raises(DomainError, match=r"state 0 \(0.5\) outside \{0..2\}"):
         exact_delta(P, (0.5, 1), nu, nu, g)
     with pytest.raises(ValueError, match=r"state subset \(0, 0\) repeats a state"):
         exact_denominator_bound(P, nu, (0, 0), g)
@@ -671,10 +672,11 @@ def _criterion_10(model):
 
 
 def _qv_dense(model, v_fn, x):
-    """The drift test's quadrature as one (len(x), 4001) array."""
+    """The drift test's quadrature as one (len(x), 4001) array, with SciPy's
+    log-density (which grids.norm_logpdf, the kernel's, equals bit for bit)."""
     z = np.linspace(-12.0 * model.state_sd, 12.0 * model.state_sd, 4001)
     pts = model.state_mean(np.asarray(x, float))[:, None] + z[None, :]
-    dens = np.exp(-0.5 * (z / model.state_sd) ** 2) / (np.sqrt(2 * np.pi) * model.state_sd)
+    dens = np.exp(norm.logpdf(z, 0.0, model.state_sd))
     return (v_fn(pts) * dens[None, :]).sum(axis=1) * (z[1] - z[0])
 
 
